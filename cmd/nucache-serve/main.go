@@ -9,7 +9,7 @@
 //	POST /v1/sweep    mixes×policies fan-out, NDJSON progress stream
 //	GET  /v1/catalog  benchmarks, standard mixes, policies
 //	GET  /healthz     pure liveness
-//	GET  /readyz      readiness: queue, cache disk, fabric pool, journal
+//	GET  /readyz      readiness: queue, cache disk
 //	GET  /debug/vars  runtime counters (expvar)
 //
 // Fault tolerance: every job runs under a deadline (-deadline, or a
@@ -20,19 +20,10 @@
 // -retry-backoff); and a corrupt or unwritable -cachedir degrades to
 // memory-only serving instead of failing requests.
 //
-// Distribution: with -distribute the server embeds a fabric coordinator
-// and farms sweep cells out to a pool of remote workers; with -worker
-// -join <url> the process additionally registers as a pull-based worker
-// of another coordinator, heartbeats, and executes leased cells. Both
-// degrade gracefully — zero workers behaves exactly like a single node,
-// and a dying coordinator just idles this worker's pull loop.
-//
 // Examples:
 //
 //	nucache-serve -addr :8080
 //	nucache-serve -addr :8080 -deadline 2m -queue 128 -retries 1
-//	nucache-serve -addr :8080 -distribute
-//	nucache-serve -addr :8081 -worker -join http://head:8080
 //	curl -s localhost:8080/v1/sim -d '{"mix":"mix4-01","policy":"NUcache"}'
 //	curl -s localhost:8080/v1/sim -d '{"mix":"mix4-01","timeout_ms":5000}'
 //	curl -sN localhost:8080/v1/sweep -d '{"cores":4,"budget":1000000}'
@@ -46,7 +37,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -56,8 +46,6 @@ import (
 	"syscall"
 	"time"
 
-	"nucache/internal/experiments"
-	"nucache/internal/fabric"
 	"nucache/internal/sim"
 )
 
@@ -73,20 +61,9 @@ func main() {
 		backoff  = flag.Duration("retry-backoff", 100*time.Millisecond, "base jittered backoff between retries")
 		timeout  = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 		noReplay = flag.Bool("noreplay", false, "disable the record/replay fast path (A/B debugging; results are bit-identical either way)")
-
-		distribute = flag.Bool("distribute", false, "embed a fabric coordinator: sweep cells are offered to joined workers")
-		worker     = flag.Bool("worker", false, "also join a coordinator (-join) as a pull-based fabric worker")
-		join       = flag.String("join", "", "coordinator base URL to join as a worker (e.g. http://head:8080)")
-		lease      = flag.Duration("lease", 30*time.Second, "coordinator lease TTL per cell (-distribute)")
-		heartbeat  = flag.Duration("heartbeat", 3*time.Second, "fabric heartbeat interval (-distribute)")
 	)
 	flag.Parse()
 	sim.SetReplayDisabled(*noReplay)
-
-	if *worker && *join == "" {
-		fmt.Fprintln(os.Stderr, "nucache-serve: -worker requires -join <coordinator URL>")
-		os.Exit(2)
-	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
@@ -102,70 +79,20 @@ func main() {
 	case depth < 0:
 		depth = 0 // unbounded
 	}
-	cache := sim.NewCache(*cacheCap, *cacheDir)
 	sched := sim.NewSchedulerWith(sim.SchedulerConfig{
 		Workers:        nworkers,
-		Cache:          cache,
+		Cache:          sim.NewCache(*cacheCap, *cacheDir),
 		QueueDepth:     depth,
 		DefaultTimeout: *deadline,
 		Retry:          sim.RetryPolicy{MaxAttempts: 1 + *retries, Backoff: *backoff},
 	})
-
-	opts := []sim.ServerOption{sim.WithLogger(logger)}
-	var coord *fabric.Coordinator
-	if *distribute {
-		// Verified remote results land directly in the serving cache, so
-		// a sweep cell computed by a worker is a cache hit for everyone.
-		coord = fabric.NewCoordinator(fabric.Config{
-			LeaseTTL:  *lease,
-			Heartbeat: *heartbeat,
-			OnResult:  cache.PutEncoded,
-			Logger:    log.New(os.Stderr, "", log.LstdFlags),
-		})
-		defer coord.Close()
-		opts = append(opts, sim.WithCoordinator(coord))
-	}
-	opts = append(opts, sim.WithReadyInfo(func(ready map[string]any) {
-		role := "standalone"
-		switch {
-		case *distribute && *worker:
-			role = "coordinator+worker"
-		case *distribute:
-			role = "coordinator"
-		case *worker:
-			role = "worker"
-		}
-		ready["role"] = role
-		if *worker {
-			ready["joined"] = *join
-		}
-	}))
 	srv := &http.Server{
-		Handler:           sim.NewServer(sched, opts...).Handler(),
+		Handler:           sim.NewServer(sched, sim.WithLogger(logger)).Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *worker {
-		// Join the remote coordinator as a pull-based worker alongside
-		// serving. Lost coordinators (or quarantine) end the loop — the
-		// HTTP service keeps running either way.
-		w := fabric.NewWorker(*join, fabric.WorkerConfig{
-			Name: "nucache-serve",
-			Executors: map[string]fabric.Executor{
-				sim.CellKindSim:          sim.SimExecutor(),
-				experiments.CellKindGrid: experiments.GridExecutor(),
-			},
-			Logger: log.New(os.Stderr, "", log.LstdFlags),
-		})
-		go func() {
-			if err := w.Run(ctx); err != nil && ctx.Err() == nil {
-				fmt.Fprintln(os.Stderr, "nucache-serve: worker loop ended:", err)
-			}
-		}()
-	}
 
 	// Listen before announcing so ":0" (ephemeral port, used by the smoke
 	// tests) reports the actual bound address.

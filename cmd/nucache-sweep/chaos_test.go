@@ -7,6 +7,7 @@ package main
 // byte-identical to an uninterrupted golden run.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -15,6 +16,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"text/template"
 	"time"
 
 	"nucache/internal/failpoint"
@@ -157,6 +159,79 @@ func TestResumeOfCompleteJournalRecomputesNothing(t *testing.T) {
 	if !strings.Contains(errOut, "resumed 12 cells") ||
 		!strings.Contains(errOut, "12 records (12 resumed, 0 torn tails)") {
 		t.Fatalf("resume did not serve every cell from the journal:\n%s", errOut)
+	}
+	if stripTimings(out) != stripTimings(goldenOut) {
+		t.Fatalf("resumed output diverged:\n%s\nvs\n%s", out, goldenOut)
+	}
+}
+
+// TestResumeLegacyAnnotatedJournal resumes a journal in the format the
+// removed distributed sweep mode wrote: lease, expiry and worker-event
+// annotations (records with a "type") interleaved among completions,
+// some of which carry a "worker" attribution. Resume must skip every
+// annotation — a lease with no completion record proves nothing — take
+// attributed completions as ordinary ones, recompute the cells the
+// journal lacks, and print output byte-identical to an uninterrupted
+// sweep. The journal is hand-written from
+// testdata/legacy-annotated.journal.tmpl, with the cell keys and values
+// taken from the uninterrupted run's own journal.
+func TestResumeLegacyAnnotatedJournal(t *testing.T) {
+	dir := t.TempDir()
+	goldenPath := filepath.Join(dir, "golden.journal")
+	goldenOut, goldenErr, err := runMain(t, sweepArgs(goldenPath, false)...)
+	if err != nil {
+		t.Fatalf("golden run failed: %v\nstderr: %s", err, goldenErr)
+	}
+	type cell struct {
+		Key string          `json:"key"`
+		Val json.RawMessage `json:"val"`
+	}
+	var cells []cell
+	gj, err := journal.Open(goldenPath, func(rec []byte) error {
+		var c cell
+		err := json.Unmarshal(rec, &c)
+		cells = append(cells, c)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gj.Close()
+	if len(cells) != 12 {
+		t.Fatalf("golden journal holds %d cells, want 12", len(cells))
+	}
+
+	tmpl := template.Must(template.New("legacy-annotated.journal.tmpl").Funcs(template.FuncMap{
+		"key": func(i int) string { return cells[i].Key },
+		"val": func(i int) string { return string(cells[i].Val) },
+	}).ParseFiles(filepath.Join("testdata", "legacy-annotated.journal.tmpl")))
+	var text strings.Builder
+	if err := tmpl.Execute(&text, nil); err != nil {
+		t.Fatal(err)
+	}
+	legacyPath := filepath.Join(dir, "legacy.journal")
+	lj, err := journal.Create(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(text.String()), "\n") {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("template renders a non-JSON record: %s", line)
+		}
+		if err := lj.Append([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lj.Close()
+
+	out, errOut, err := runMain(t, sweepArgs(legacyPath, true)...)
+	if err != nil {
+		t.Fatalf("resume failed: %v\nstderr: %s", err, errOut)
+	}
+	// Cells 0, 1, 3, 5, 6 and 9 have completion records; the other six
+	// (leased, expired, rejected or never touched) are recomputed.
+	if !strings.Contains(errOut, "resumed 6 cells") {
+		t.Fatalf("resume seeded the wrong cells:\n%s", errOut)
 	}
 	if stripTimings(out) != stripTimings(goldenOut) {
 		t.Fatalf("resumed output diverged:\n%s\nvs\n%s", out, goldenOut)

@@ -17,31 +17,18 @@
 // cells from it, and computes only what is missing — producing output
 // byte-identical to an uninterrupted run.
 //
-// With -distribute <addr> the sweep embeds a fabric coordinator on that
-// address and offers its grid cells to remote workers (nucache-serve
-// -worker -join <url>) under leases (-lease, -heartbeat). Workers may
-// die, hang or return garbage at any point: leased cells are reassigned
-// with bounded backoff and poisoned workers quarantined, while the local
-// sweep remains the executor of last resort — output stays byte-identical
-// to a single-node run, with or without workers, and a killed
-// coordinator resumes from its journal like any other crashed sweep.
-//
 // Examples:
 //
 //	nucache-sweep -sweep deliways
 //	nucache-sweep -sweep all -budget 1000000 -mixlimit 4
 //	nucache-sweep -sweep all -journal sweep.journal
 //	nucache-sweep -sweep all -journal sweep.journal -resume
-//	nucache-sweep -sweep all -journal sweep.journal -distribute :8090
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -66,10 +53,6 @@ func main() {
 		lanePar  = flag.Bool("laneparallel", true, "step one-pass grid lanes on idle scheduler workers; false forces the serial round-robin (A/B debugging; results are bit-identical either way)")
 		jpath    = flag.String("journal", "", "checkpoint journal path; completed cells are appended as they finish")
 		resume   = flag.Bool("resume", false, "replay the -journal file and skip cells it already holds")
-
-		distribute = flag.String("distribute", "", "embed a fabric coordinator on this address (e.g. :8090) and offer cells to remote workers")
-		lease      = flag.Duration("lease", 30*time.Second, "fabric lease TTL per cell")
-		heartbeat  = flag.Duration("heartbeat", 3*time.Second, "fabric worker heartbeat interval")
 	)
 	flag.Parse()
 	sim.SetReplayDisabled(*noReplay)
@@ -106,33 +89,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nucache-sweep: resumed %d cells from %s\n", resumed, *jpath)
 		}
 		o.Journal = jnl
-	}
-
-	if *distribute != "" {
-		co := experiments.NewSweepCoordinator(o, experiments.FabricConfig{
-			LeaseTTL:  *lease,
-			Heartbeat: *heartbeat,
-			Logger:    log.New(os.Stderr, "nucache-sweep: ", 0),
-		})
-		defer co.Close()
-		ln, err := net.Listen("tcp", *distribute)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nucache-sweep: -distribute %s: %v\n", *distribute, err)
-			os.Exit(1)
-		}
-		fsrv := &http.Server{Handler: co.Handler(), ReadHeaderTimeout: 10 * time.Second}
-		go fsrv.Serve(ln)
-		defer fsrv.Close()
-		// Tables go to stdout; all fabric chatter stays on stderr so a
-		// distributed run's stdout is byte-comparable to a local one.
-		fmt.Fprintf(os.Stderr, "nucache-sweep: fabric coordinator listening on %s (lease %v, heartbeat %v)\n",
-			ln.Addr(), *lease, *heartbeat)
-		o.Fabric = co
-		defer func() {
-			st := co.Stats()
-			fmt.Fprintf(os.Stderr, "nucache-sweep: fabric: %d cells offered, %d completed remotely, %d workers (%d quarantined)\n",
-				st.Cells, st.RemoteDone, st.Workers, st.Quarantined)
-		}()
 	}
 
 	sweeps := map[string]func(experiments.Options) *experiments.SweepResult{

@@ -1,50 +1,20 @@
 package main
 
 import (
-	"context"
 	"errors"
-	"log"
 	"os"
 	"os/exec"
-	"os/signal"
 	"strings"
-	"syscall"
 	"testing"
-
-	"nucache/internal/experiments"
-	"nucache/internal/fabric"
-	"nucache/internal/sim"
 )
 
 // beBinary, when set, makes the test binary act as the real nucache-sweep
 // binary (see cmd/nucache-sim for the pattern).
 const beBinary = "NUCACHE_SWEEP_BE_BINARY"
 
-// beWorker, when set to a coordinator URL, makes the test binary act as
-// a fabric worker process — the same join/heartbeat/lease/execute loop
-// `nucache-serve -worker -join <url>` runs, so the distributed chaos
-// suite can spawn real worker processes (and kill them at fabric
-// failpoints via NUCACHE_FAILPOINTS in their environment) without
-// depending on another package's binary.
-const beWorker = "NUCACHE_SWEEP_BE_WORKER"
-
 func TestMain(m *testing.M) {
 	if os.Getenv(beBinary) == "1" {
 		main()
-		os.Exit(0)
-	}
-	if url := os.Getenv(beWorker); url != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		w := fabric.NewWorker(url, fabric.WorkerConfig{
-			Name: "chaos-worker",
-			Executors: map[string]fabric.Executor{
-				experiments.CellKindGrid: experiments.GridExecutor(),
-				sim.CellKindSim:          sim.SimExecutor(),
-			},
-			Logger: log.New(os.Stderr, "worker: ", 0),
-		})
-		_ = w.Run(ctx)
 		os.Exit(0)
 	}
 	os.Exit(m.Run())

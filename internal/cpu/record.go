@@ -94,11 +94,18 @@ func newRecorder(cfg Config, stream trace.Stream) *recorder {
 }
 
 // run advances the front end until the tape holds at least target events
-// or the stream is exhausted. A non-nil error means the tagging guard
-// tripped and the tape must not be used.
+// or the stream is exhausted. A non-nil error means the tape must not be
+// used: the tagging guard tripped, or the front end retired a whole
+// instruction budget without an LLC event. Workload streams never end,
+// so once a core's working set fits in its private caches no access
+// reaches the LLC and an unbounded extension would step forever; failing
+// the tape sends its replays to direct simulation instead.
 func (r *recorder) run(target uint64) error {
 	for r.err == nil && !r.tr.Complete() && r.tr.Events() < target {
 		r.step()
+		if b := r.cfg.InstrBudget; b > 0 && r.instr-r.lastEvInstr >= b {
+			r.err = fmt.Errorf("cpu: front end retired %d instructions without an LLC event", r.instr-r.lastEvInstr)
+		}
 	}
 	return r.err
 }

@@ -16,7 +16,6 @@ import (
 	"nucache/internal/cache"
 	"nucache/internal/core"
 	"nucache/internal/cpu"
-	"nucache/internal/fabric"
 	"nucache/internal/journal"
 	"nucache/internal/memory"
 	"nucache/internal/metrics"
@@ -81,14 +80,6 @@ type Options struct {
 	// write failure is logged and the sweep continues (the cell just
 	// recomputes on resume).
 	Journal *journal.Journal
-	// Fabric, when non-nil, distributes grid cells to the coordinator's
-	// remote worker pool: uncached wire-able cells are offered for
-	// lease, each cell job consults the coordinator before computing
-	// locally, and verified remote results are folded in through the
-	// coordinator's OnResult hook (see NewSweepCoordinator). Nil — or a
-	// pool with zero workers — leaves the sweep byte-identical to a
-	// purely local run.
-	Fabric *fabric.Coordinator
 }
 
 func (o Options) withDefaults() Options {
@@ -128,67 +119,40 @@ type PolicySpec struct {
 	// New builds the policy for a machine with the given core count and
 	// LLC associativity.
 	New func(cores, ways int) cache.Policy
-	// Wire, when non-nil, serializes the spec for remote execution
-	// (see PolicyWire). Specs without a wire form — ad-hoc literals in
-	// tests — are never offered to the fabric and always run locally.
-	Wire func(cores, ways int) *PolicyWire
 }
 
 // Baseline is the baseline policy every comparison normalizes to.
 func Baseline() PolicySpec {
-	return PolicySpec{
-		Name: "LRU",
-		New:  func(int, int) cache.Policy { return policy.NewLRU() },
-		Wire: func(int, int) *PolicyWire { return &PolicyWire{Kind: "lru"} },
-	}
+	return PolicySpec{Name: "LRU", New: func(int, int) cache.Policy { return policy.NewLRU() }}
 }
 
 // NUcacheSpec is the paper's mechanism with default parameters.
 func NUcacheSpec() PolicySpec {
-	return PolicySpec{
-		Name: "NUcache",
-		New: func(_, ways int) cache.Policy {
-			return core.MustNew(core.DefaultConfig(ways))
-		},
-		Wire: func(_, ways int) *PolicyWire {
-			cfg := core.DefaultConfig(ways)
-			return &PolicyWire{Kind: "nucache", NU: &cfg}
-		},
-	}
+	return PolicySpec{Name: "NUcache", New: func(_, ways int) cache.Policy {
+		return core.MustNew(core.DefaultConfig(ways))
+	}}
 }
 
 // NUcacheWith builds a spec from an explicit configuration (sweeps).
-// The configuration resolves to a plain core.Config, so even sweeps
-// built from closures serialize for remote execution.
 func NUcacheWith(name string, cfg func(ways int) core.Config) PolicySpec {
-	return PolicySpec{
-		Name: name,
-		New: func(_, ways int) cache.Policy {
-			return core.MustNew(cfg(ways))
-		},
-		Wire: func(_, ways int) *PolicyWire {
-			c := cfg(ways)
-			return &PolicyWire{Kind: "nucache", NU: &c}
-		},
-	}
+	return PolicySpec{Name: name, New: func(_, ways int) cache.Policy {
+		return core.MustNew(cfg(ways))
+	}}
 }
 
 // Competitors returns the cache-partitioning policies the paper compares
 // against: UCP, PIPP and TADIP.
 func Competitors() []PolicySpec {
-	wire := func(kind string) func(int, int) *PolicyWire {
-		return func(int, int) *PolicyWire { return &PolicyWire{Kind: kind} }
-	}
 	return []PolicySpec{
 		{Name: "UCP", New: func(cores, ways int) cache.Policy {
 			return policy.NewUCP(cores, ways)
-		}, Wire: wire("ucp")},
+		}},
 		{Name: "PIPP", New: func(cores, ways int) cache.Policy {
 			return policy.NewPIPP(cores, ways, 12345)
-		}, Wire: wire("pipp")},
+		}},
 		{Name: "TADIP", New: func(cores, _ int) cache.Policy {
 			return policy.NewTADIP(cores, 12345)
-		}, Wire: wire("tadip")},
+		}},
 	}
 }
 
@@ -362,13 +326,6 @@ func (o Options) computeRow(row *rowEntry, m workload.Mix, specs []PolicySpec, l
 		if gridCache.Get(o.mixKey(m, s), &cached) {
 			continue
 		}
-		// Lanes active on a remote worker (or already completed there)
-		// are carved out like cached lanes; their cell jobs resolve
-		// through the coordinator, falling back to a single-cell local
-		// evaluation only if the remote lease dies.
-		if o.Fabric != nil && !o.Fabric.ClaimLocal(o.mixKey(m, s)) {
-			continue
-		}
 		s := s
 		newPols[j] = func() cache.Policy { return s.New(cfg.Cores, cfg.LLC.Ways) }
 		live++
@@ -414,16 +371,14 @@ func (o Options) mixKey(m workload.Mix, spec PolicySpec) string {
 // empty) address a finished grid cell by content key and carry exactly
 // the JSON the result cache stores — resume seeds the cache with Val
 // verbatim, so a resumed sweep is byte-identical to an uninterrupted
-// one. Worker annotates completions computed by a remote fabric worker
-// (empty for local cells). Records with a non-empty Type are fabric
-// events ("fabric.lease", "fabric.expire", ...): an audit trail of
-// assignments that resume replays but does not act on — a lease held
-// when the coordinator died proves nothing about the cell.
+// one. Type is only ever read: journals written by the distributed
+// sweep mode that has since been removed interleave lease/expiry
+// annotation records (non-empty Type) among the completions, and resume
+// skips them.
 type cellRecord struct {
-	Type   string          `json:"type,omitempty"`
-	Key    string          `json:"key,omitempty"`
-	Val    json.RawMessage `json:"val,omitempty"`
-	Worker string          `json:"worker,omitempty"`
+	Type string          `json:"type,omitempty"`
+	Key  string          `json:"key"`
+	Val  json.RawMessage `json:"val"`
 }
 
 // journalValue checkpoints one computed cell of any JSON-serializable
@@ -442,40 +397,6 @@ func (o Options) journalValue(key string, v any) {
 	}
 	if err != nil {
 		slog.Warn("experiments: journal checkpoint failed", "key", key, "err", err)
-	}
-}
-
-// journalRemoteCell checkpoints a verified fabric completion: the same
-// completion record a local cell writes — Val is the worker's payload
-// verbatim, which is also exactly what the grid cache now holds — plus
-// the worker attribution. Exactly one completion record exists per
-// cell: remote cells are journaled here (the local job then sees a
-// cache hit and never runs), local cells via journalValue.
-func journalRemoteCell(jnl *journal.Journal, key string, payload []byte) {
-	if jnl == nil {
-		return
-	}
-	rec, err := json.Marshal(cellRecord{Key: key, Val: payload, Worker: "fabric"})
-	if err == nil {
-		err = jnl.Append(rec)
-	}
-	if err != nil {
-		slog.Warn("experiments: journal remote checkpoint failed", "key", key, "err", err)
-	}
-}
-
-// journalFabricEvent appends one fabric state transition as a
-// skippable annotation record.
-func journalFabricEvent(jnl *journal.Journal, ev fabric.Event) {
-	if jnl == nil {
-		return
-	}
-	rec, err := json.Marshal(cellRecord{Type: "fabric." + ev.Type, Key: ev.Key, Worker: ev.Worker})
-	if err == nil {
-		err = jnl.Append(rec)
-	}
-	if err != nil {
-		slog.Warn("experiments: journal fabric event failed", "event", ev.Type, "err", err)
 	}
 }
 
@@ -498,9 +419,10 @@ func OpenSweepJournal(path string, resume bool) (*journal.Journal, int, error) {
 			return fmt.Errorf("experiments: corrupt journal cell: %w", err)
 		}
 		if cell.Type != "" {
-			// Fabric event annotation: audit trail only. A lease or
-			// expiry held when the coordinator died does not complete a
-			// cell; only completion records seed the cache.
+			// Kept to read old journals: the removed distributed sweep
+			// mode wrote lease/expiry annotations between completions.
+			// They never complete a cell; only completion records seed
+			// the cache.
 			return nil
 		}
 		gridCache.PutEncoded(cell.Key, cell.Val)
@@ -548,25 +470,6 @@ func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]Mi
 	if !o.DisableLaneParallel {
 		lanes = sched
 	}
-	// With a fabric pool attached, offer every uncached wire-able cell
-	// for remote lease before submitting the local jobs. The local
-	// scheduler consumes the grid front-to-back while workers lease from
-	// the back of this offer order — the two meet in the middle.
-	if o.Fabric != nil {
-		var cells []fabric.Cell
-		for _, m := range mixes {
-			for _, s := range specs {
-				if gridCache.Contains(o.mixKey(m, s)) {
-					o.Fabric.MarkDone(o.mixKey(m, s))
-					continue
-				}
-				if cell, ok := o.cellFor(m, s); ok {
-					cells = append(cells, cell)
-				}
-			}
-		}
-		o.Fabric.Offer(cells)
-	}
 	jobs := make([]sim.Job, 0, len(mixes)*len(specs))
 	for i, m := range mixes {
 		for j, s := range specs {
@@ -576,25 +479,7 @@ func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]Mi
 				Key:   key,
 				Label: fmt.Sprintf("%s under %s", m.Name, s.Name),
 				New:   func() any { return new(MixMetrics) },
-				Run: func(ctx context.Context) (any, error) {
-					// A fabric-distributed cell resolves through the
-					// coordinator first: done remotely ⇒ adopt the
-					// verified payload (already journaled by the
-					// coordinator's sink); leased ⇒ wait it out; anything
-					// else ⇒ claimed for the local path below.
-					if o.Fabric != nil {
-						if payload, remote := o.Fabric.AwaitOrClaim(ctx, key); remote {
-							var mm MixMetrics
-							if err := json.Unmarshal(payload, &mm); err == nil {
-								return &mm, nil
-							}
-							// Version skew in a verified payload: fall
-							// through and recompute locally.
-						}
-						if err := ctx.Err(); err != nil {
-							return nil, err
-						}
-					}
+				Run: func(context.Context) (any, error) {
 					var mm MixMetrics
 					if o.DisableMultiReplay {
 						mm = o.mixMetrics(m, s)

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,50 +32,18 @@ import (
 // flip inside a float, a truncated-then-patched file) is detected by
 // checksum instead of being served as truth. Pre-envelope entries (raw
 // payload JSON) still load, so existing caches survive the upgrade.
-//
-// The in-memory tier is sharded by key hash into a power-of-2 number of
-// independently locked LRUs sized from runtime.NumCPU(), so concurrent
-// writers — a scheduler's worker pool, or remote fabric results landing
-// between local completions — don't serialize on one global mutex.
-// Small caches (under minShardEntries per would-be shard) collapse to a
-// single shard, where eviction order is exactly the classic global LRU.
 type Cache struct {
-	shards []*cacheShard
-	mask   uint32 // len(shards) - 1
-	dir    string // "" disables the disk tier
-	diskOK atomic.Bool
-}
-
-// cacheShard is one independently locked LRU slice of the key space.
-type cacheShard struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
+	dir     string     // "" disables the disk tier
+	diskOK  atomic.Bool
 }
 
 type cacheEntry struct {
 	key  string
 	data []byte
-}
-
-// minShardEntries is the floor on per-shard capacity: sharding a cache
-// below it would turn capacity-accurate LRU eviction into noise (and
-// every small-cache test in this repo into a flake), so caches that
-// small stay single-shard.
-const minShardEntries = 64
-
-// shardCount picks the in-memory shard count: the smallest power of two
-// ≥ NumCPU, halved until each shard holds at least minShardEntries.
-func shardCount(capacity int) int {
-	n := 1
-	for n < runtime.NumCPU() {
-		n <<= 1
-	}
-	for n > 1 && capacity/n < minShardEntries {
-		n >>= 1
-	}
-	return n
 }
 
 // NewCache builds a cache holding up to capacity in-memory entries
@@ -86,65 +53,21 @@ func NewCache(capacity int, dir string) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	n := shardCount(capacity)
 	c := &Cache{
-		shards: make([]*cacheShard, n),
-		mask:   uint32(n - 1),
-		dir:    dir,
-	}
-	for i := range c.shards {
-		// Spread capacity across shards, remainder to the low shards,
-		// so the total in-memory bound is exactly `capacity`.
-		sc := capacity / n
-		if i < capacity%n {
-			sc++
-		}
-		c.shards[i] = &cacheShard{
-			cap:     sc,
-			entries: map[string]*list.Element{},
-			order:   list.New(),
-		}
+		cap:     capacity,
+		entries: map[string]*list.Element{},
+		order:   list.New(),
+		dir:     dir,
 	}
 	c.diskOK.Store(true)
 	return c
 }
 
-// shard routes a key to its shard by FNV-1a hash. Keys are sha256 hex
-// digests in the common case, so any decent mix works; FNV keeps it
-// allocation-free.
-func (c *Cache) shard(key string) *cacheShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return c.shards[h&c.mask]
-}
-
-// Len reports the in-memory entry count across all shards.
+// Len reports the in-memory entry count.
 func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Contains reports whether the key is resident in memory, without
-// promoting it or touching the disk tier. The sweep's fabric offer path
-// uses it to skip already-finished cells.
-func (c *Cache) Contains(key string) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
 // DiskHealthy reports whether the disk tier is still accepting writes.
@@ -161,22 +84,21 @@ func (c *Cache) Persistent() bool { return c.dir != "" }
 // disk entry that fails to decode is quarantined so the next lookup for
 // the key recomputes instead of re-reading the corrupt file forever.
 func (c *Cache) Get(key string, into any) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
 		data := el.Value.(*cacheEntry).data
-		s.mu.Unlock()
+		c.mu.Unlock()
 		if json.Unmarshal(data, into) == nil {
 			return true
 		}
 		// Memory entries are written by Put and should never be corrupt;
 		// drop the entry anyway so a decode mismatch (e.g. a changed
 		// result schema) heals by recomputation instead of recurring.
-		s.evict(key, el)
+		c.evict(key, el)
 		return false
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if c.dir == "" {
 		return false
 	}
@@ -202,8 +124,8 @@ func (c *Cache) Get(key string, into any) bool {
 // bit rot is detected by checksum, not by whether it happens to break
 // JSON syntax.
 type diskEnvelope struct {
-	V      int             `json:"v"`
-	SHA256 string          `json:"sha256"`
+	V       int             `json:"v"`
+	SHA256  string          `json:"sha256"`
 	Payload json.RawMessage `json:"payload"`
 }
 
@@ -237,12 +159,12 @@ func openEnvelope(data []byte) ([]byte, error) {
 
 // evict removes a known-bad memory entry, tolerating concurrent
 // replacement (only the exact element observed corrupt is removed).
-func (s *cacheShard) evict(key string, el *list.Element) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.entries[key]; ok && cur == el {
-		s.order.Remove(cur)
-		delete(s.entries, key)
+func (c *Cache) evict(key string, el *list.Element) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.entries[key]; ok && cur == el {
+		c.order.Remove(cur)
+		delete(c.entries, key)
 	}
 }
 
@@ -319,19 +241,18 @@ func (c *Cache) PutEncoded(key string, data []byte) {
 }
 
 func (c *Cache) putBytes(key string, data []byte) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).data = data
-		s.order.MoveToFront(el)
+		c.order.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, data: data})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, data: data})
+	for c.order.Len() > c.cap {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
 	}
 }
 

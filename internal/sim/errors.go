@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-
-	"nucache/internal/fabric"
 )
 
 // ErrKind classifies job failures so the scheduler can decide what to
@@ -34,11 +32,6 @@ const (
 	// KindTransient is every other failure: eligible for
 	// retry-with-backoff when the scheduler has a retry policy.
 	KindTransient
-	// KindWorkerLost marks work lost to a dead, hung or quarantined
-	// fabric worker. Always retryable: the cell is deterministic and the
-	// retry simply recomputes it (remotely on a healthy worker, or
-	// locally).
-	KindWorkerLost
 )
 
 // String renders the kind for logs and HTTP error bodies.
@@ -56,8 +49,6 @@ func (k ErrKind) String() string {
 		return "overload"
 	case KindTransient:
 		return "transient"
-	case KindWorkerLost:
-		return "worker-lost"
 	default:
 		return "unknown"
 	}
@@ -65,12 +56,6 @@ func (k ErrKind) String() string {
 
 // ErrOverloaded is the sentinel under every shed-load error.
 var ErrOverloaded = errors.New("sim: overloaded: admission queue full")
-
-// ErrWorkerLost is the sentinel under every lost-remote-worker error.
-// It aliases the fabric package's sentinel so errors cross the package
-// boundary intact: errors.Is(err, sim.ErrWorkerLost) and
-// errors.Is(err, fabric.ErrLost) agree.
-var ErrWorkerLost = fabric.ErrLost
 
 // JobError attaches an ErrKind to an underlying failure. It formats as
 // the wrapped error so existing messages (e.g. panic conversions) are
@@ -98,8 +83,6 @@ func Classify(err error) ErrKind {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return KindOverload
-	case errors.Is(err, ErrWorkerLost):
-		return KindWorkerLost
 	case errors.Is(err, context.DeadlineExceeded):
 		return KindDeadline
 	case errors.Is(err, context.Canceled):
@@ -110,10 +93,7 @@ func Classify(err error) ErrKind {
 }
 
 // Retryable reports whether a failed job may be re-attempted.
-func Retryable(err error) bool {
-	k := Classify(err)
-	return k == KindTransient || k == KindWorkerLost
-}
+func Retryable(err error) bool { return Classify(err) == KindTransient }
 
 // invalid wraps a request-shaped error as permanently invalid.
 func invalid(err error) error {

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"nucache/internal/fabric"
 	"nucache/internal/workload"
 )
 
@@ -27,8 +26,6 @@ type Server struct {
 	sched      *Scheduler
 	log        *slog.Logger
 	retryAfter time.Duration
-	coord      *fabric.Coordinator
-	readyInfo  func(map[string]any)
 }
 
 // ServerOption customizes a Server.
@@ -48,21 +45,6 @@ func WithRetryAfter(d time.Duration) ServerOption {
 	return func(sv *Server) { sv.retryAfter = d }
 }
 
-// WithCoordinator embeds a fabric coordinator: its HTTP protocol is
-// mounted under /fabric/v1/, sweep cells are offered to the worker pool
-// (zero workers ⇒ every cell is claimed back locally, identical to an
-// un-distributed server), and /readyz reports pool membership.
-func WithCoordinator(co *fabric.Coordinator) ServerOption {
-	return func(sv *Server) { sv.coord = co }
-}
-
-// WithReadyInfo lets the process hosting the server contribute fields
-// to /readyz (journal state, worker role) without the sim package
-// knowing about them.
-func WithReadyInfo(fn func(map[string]any)) ServerOption {
-	return func(sv *Server) { sv.readyInfo = fn }
-}
-
 // NewServer builds a server on top of a scheduler.
 func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
 	sv := &Server{sched: sched, log: slog.Default(), retryAfter: time.Second}
@@ -80,11 +62,8 @@ func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
 //	POST /v1/advise   answer an allocation what-if from the profile
 //	GET  /v1/catalog  benchmarks, standard mixes, policies, endpoints
 //	GET  /healthz     pure liveness (the process answers)
-//	GET  /readyz      readiness: queue, cache-disk, fabric pool, host extras
+//	GET  /readyz      readiness: queue, cache-disk
 //	GET  /debug/vars  expvar counters
-//
-// With a fabric coordinator attached (WithCoordinator), its protocol is
-// mounted under POST /fabric/v1/{join,heartbeat,lease,result}.
 func (sv *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sim", sv.handleSim)
@@ -95,9 +74,6 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", sv.handleHealth)
 	mux.HandleFunc("GET /readyz", sv.handleReady)
 	mux.Handle("GET /debug/vars", expvar.Handler())
-	if sv.coord != nil {
-		mux.Handle("POST /fabric/v1/", sv.coord.Handler())
-	}
 	return mux
 }
 
@@ -288,17 +264,9 @@ func (sv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	// With a fabric pool attached, offer the sweep's uncached cells to
-	// remote workers and let each job consult the coordinator before
-	// computing locally. Without one (or with zero workers) the jobs
-	// behave exactly as before.
-	sv.offerSweep(reqs)
 	jobs := make([]Job, len(reqs))
 	for i, req := range reqs {
 		jobs[i] = JobFor(req)
-		if sv.coord != nil {
-			jobs[i] = fabricJob(sv.coord, jobs[i])
-		}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -389,9 +357,9 @@ func (sv *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleHealth is pure liveness: the process is up and can answer. All
-// degradation state — queue pressure, cache-disk health, fabric pool —
-// lives on /readyz, so orchestrators restarting on failed liveness
-// probes never kill a server that is merely degraded.
+// degradation state — queue pressure, cache-disk health — lives on
+// /readyz, so orchestrators restarting on failed liveness probes never
+// kill a server that is merely degraded.
 func (sv *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
@@ -399,11 +367,9 @@ func (sv *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleReady reports readiness: the queue, the cache disk tier, the
-// fabric pool when a coordinator is embedded, and whatever the host
-// process contributes (journal state, worker role). Status degrades to
-// "degraded" — still HTTP 200; the server serves from memory — only
-// when a configured capability has been lost.
+// handleReady reports readiness: the queue and the cache disk tier.
+// Status degrades to "degraded" — still HTTP 200; the server serves
+// from memory — only when a configured capability has been lost.
 func (sv *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	ready := map[string]any{
 		"status":      "ok",
@@ -420,12 +386,6 @@ func (sv *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 			ready["cache_disk"] = "degraded"
 			ready["status"] = "degraded"
 		}
-	}
-	if sv.coord != nil {
-		ready["fabric"] = sv.coord.Stats()
-	}
-	if sv.readyInfo != nil {
-		sv.readyInfo(ready)
 	}
 	writeJSON(w, http.StatusOK, ready)
 }
