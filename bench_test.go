@@ -166,7 +166,7 @@ func BenchmarkHotReplayStep(b *testing.B) {
 
 // gridBenchSetup records an E6-shaped dual-core tape set (the first
 // standard 2-core mix at bench budget) and returns builders for the
-// standard policy lineup — the workload of the one-pass grid gate.
+// standard policy lineup — the workload of the grid replay gate.
 func gridBenchSetup(b *testing.B) (cpu.Config, []*cpu.Tape, func() []cache.Policy) {
 	b.Helper()
 	cfg := cpu.DefaultConfig(2)
@@ -191,11 +191,9 @@ func gridBenchSetup(b *testing.B) (cpu.Config, []*cpu.Tape, func() []cache.Polic
 	return cfg, tapes, pols
 }
 
-// BenchmarkGridReplay replays the whole standard policy grid in a
-// single tape walk; BenchmarkGridReplaySerial replays the same grid as
-// N independent single-policy walks. Their ratio is the one-pass
-// speedup, enforced as a floor by CI (cmd/benchgate -floor); ns/op is
-// also gated against regressions like the Hot* benchmarks.
+// BenchmarkGridReplay replays the whole standard policy grid as one
+// MultiReplaySystem — N independent single-policy replays, one after
+// another. ns/op is gated against regressions like the Hot* benchmarks.
 func BenchmarkGridReplay(b *testing.B) {
 	cfg, tapes, pols := gridBenchSetup(b)
 	b.ResetTimer()
@@ -218,24 +216,11 @@ func BenchmarkGridReplay(b *testing.B) {
 	}
 }
 
-func BenchmarkGridReplaySerial(b *testing.B) {
-	cfg, tapes, pols := gridBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, pol := range pols() {
-			rs := cpu.NewReplaySystem(cfg, pol, tapes)
-			if _, err := rs.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkGridReplayParallel steps the same grid with lanes on worker
-// goroutines (one per available CPU, capped at the lane count). On a
-// single-CPU runner RunParallel degrades to the serial round-robin, so
-// the CI floor against BenchmarkGridReplay is 1.00 — no regression —
-// rather than a speedup demand the runner cannot meet.
+// BenchmarkGridReplayParallel replays the same grid with lanes on
+// worker goroutines (one per available CPU, capped at the lane count).
+// On a single-CPU runner RunParallel degrades to serial Run, so the CI
+// floor against BenchmarkGridReplay is 1.00 — no regression — rather
+// than a speedup demand the runner cannot meet.
 func BenchmarkGridReplayParallel(b *testing.B) {
 	cfg, tapes, pols := gridBenchSetup(b)
 	workers := runtime.GOMAXPROCS(0)

@@ -90,7 +90,7 @@ func Parse(output string) map[string]*Aggregate {
 // FloorSpec is one -floor assertion: the mean ns/op of Num divided by
 // the mean ns/op of Den (both from the HEAD log only) must stay at or
 // above Min. It gates relative speedups that have no base-side
-// counterpart — e.g. the serial-vs-one-pass grid replay ratio, where
+// counterpart — e.g. the serial-vs-parallel grid replay ratio, where
 // both benchmarks live in the same head commit.
 type FloorSpec struct {
 	Num string  `json:"num"`

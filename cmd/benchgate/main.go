@@ -14,12 +14,12 @@
 // Usage:
 //
 // A -floor asserts a head-only ratio between two benchmarks from the
-// same head log — "the serial grid walk must cost at least MIN times the
-// one-pass walk" — for speedups that have no base-side benchmark to
+// same head log — "the serial grid replay must cost at least MIN times
+// the parallel one" — for speedups that have no base-side benchmark to
 // diff against:
 //
 //	benchgate -base base.txt -head head.txt [-threshold 0.10] [-out compare.json]
-//	benchgate -base base.txt -head head.txt -floor 'BenchmarkGridReplaySerial/BenchmarkGridReplay=0.9'
+//	benchgate -base base.txt -head head.txt -floor 'BenchmarkGridReplay/BenchmarkGridReplayParallel=1.0'
 package main
 
 import (

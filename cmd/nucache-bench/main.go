@@ -18,7 +18,6 @@ import (
 
 	"nucache/internal/experiments"
 	"nucache/internal/metrics"
-	"nucache/internal/sim"
 )
 
 func main() {
@@ -29,15 +28,10 @@ func main() {
 		mixLimit = flag.Int("mixlimit", 0, "truncate mix lists (0 = all)")
 		csvDir   = flag.String("csv", "", "also save each table as CSV into this directory")
 		jsonDir  = flag.String("jsondir", "", "also save each table as JSON into this directory")
-		noMulti  = flag.Bool("nomultireplay", false, "replay policy-grid rows one cell at a time instead of one-pass multi-policy tape walks (A/B debugging; results are bit-identical either way)")
-		lanePar  = flag.Bool("laneparallel", true, "step one-pass grid lanes on idle scheduler workers; false forces the serial round-robin (A/B debugging; results are bit-identical either way)")
 	)
 	flag.Parse()
-	sim.SetMultiReplayDisabled(*noMulti)
-	sim.SetLaneParallelDisabled(!*lanePar)
 
-	o := experiments.Options{Budget: *budget, Seed: *seed, MixLimit: *mixLimit,
-		DisableMultiReplay: *noMulti, DisableLaneParallel: !*lanePar}
+	o := experiments.Options{Budget: *budget, Seed: *seed, MixLimit: *mixLimit}
 	want := map[string]bool{}
 	for _, e := range strings.Split(strings.ToUpper(*exps), ",") {
 		want[strings.TrimSpace(e)] = true

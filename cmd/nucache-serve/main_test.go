@@ -221,12 +221,12 @@ func TestSimEndpoint(t *testing.T) {
 		ChecksumFails   *int64 `json:"nucache_cache_checksum_fails"`
 		TapeChecksums   *int64 `json:"nucache_tape_checksum_fails"`
 		FailpointsFired *int64 `json:"nucache_failpoints_fired"`
-		// One-pass grid counters: published from process start; a
-		// single-policy /v1/sim leaves them at zero.
+		// Multi-lane grid counters (sim.RunMachineGrid): published from
+		// process start; a single-policy /v1/sim leaves them at zero.
 		MultiRuns  *int64 `json:"nucache_multireplay_runs"`
 		MultiLanes *int64 `json:"nucache_multireplay_lanes"`
-		// Parallel lane stepping rides inside the multi path, so a
-		// single-policy /v1/sim leaves these at zero too.
+		// Parallel lanes ride inside the multi path, so a single-policy
+		// /v1/sim leaves these at zero too.
 		ParallelRuns *int64 `json:"nucache_multireplay_parallel_runs"`
 		LaneWorkers  *int64 `json:"nucache_multireplay_lane_workers"`
 	}

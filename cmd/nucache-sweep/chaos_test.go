@@ -25,13 +25,12 @@ import (
 
 // sweepArgs is the fixed workload every chaos run uses: small enough to
 // finish in seconds, large enough to journal 12 cells (2 mixes x 6
-// specs) across both scheduler workers. extra prepends site-specific
-// flags (e.g. -nomultireplay to route cells through per-cell replay).
-func sweepArgs(journalPath string, resume bool, extra ...string) []string {
-	args := append([]string{
+// specs) across both scheduler workers.
+func sweepArgs(journalPath string, resume bool) []string {
+	args := []string{
 		"-sweep", "deliways", "-budget", "50000", "-mixlimit", "2",
 		"-parallel", "2", "-journal", journalPath,
-	}, extra...)
+	}
 	if resume {
 		args = append(args, "-resume")
 	}
@@ -77,45 +76,24 @@ func TestChaosKillAndResume(t *testing.T) {
 	}
 	golden := stripTimings(goldenOut)
 
-	// Each entry names a failpoint on the sweep's write path, plus the
-	// flags the crash run needs for that site to be on the hot path: with
-	// one-pass grids on by default, per-cell replay commits only happen
-	// under -nomultireplay, and the multi-replay commit only without it.
-	// The resume run always uses the default flags — a journal written by
-	// either path must resume bit-identically under the other. env rides
-	// along on both the crash and the resume run: GOMAXPROCS=4 lets the
-	// lane-borrow path engage even on single-CPU hosts, so the
-	// cpu.multireplay.run kill lands with lane workers in flight and the
-	// resume replays the journal under parallel stepping too.
-	sites := []struct {
-		name  string   // t.Run label and journal filename
-		site  string   // failpoint to arm
-		extra []string // crash-run flags putting the site on the hot path
-		env   []string // extra child env for the crash and resume runs
-	}{
-		{"sim.sched.job", "sim.sched.job", nil, nil},                          // grid cell dispatch
-		{"cpu.tape.extend", "cpu.tape.extend", nil, nil},                      // trace recording
-		{"cpu.replay.run", "cpu.replay.run", []string{"-nomultireplay"}, nil}, // per-cell replay commit
-		// One-pass grid commit (armed once per live lane), lanes stepped on
-		// worker goroutines at both crash and resume time.
-		{"cpu.multireplay.run", "cpu.multireplay.run", nil, []string{"GOMAXPROCS=4"}},
-		// Same site with lane parallelism forced off at crash time; the
-		// resume (default flags, lane workers available) must still be
-		// byte-identical — the journal is stepping-mode-agnostic.
-		{"cpu.multireplay.run.serial-lanes", "cpu.multireplay.run",
-			[]string{"-laneparallel=false"}, []string{"GOMAXPROCS=4"}},
-		{"journal.append", "journal.append", nil, nil},           // checkpoint write
-		{"journal.append.torn", "journal.append.torn", nil, nil}, // crash between a record's body and CRC
+	// Each entry names a failpoint on the sweep's write path. Every grid
+	// cell is one simulation, so cpu.replay.run is the commit point of
+	// each replayed cell.
+	sites := []string{
+		"sim.sched.job",       // grid cell dispatch
+		"cpu.tape.extend",     // trace recording
+		"cpu.replay.run",      // per-cell replay commit
+		"journal.append",      // checkpoint write
+		"journal.append.torn", // crash between a record's body and CRC
 	}
 	for _, site := range sites {
-		site := site
-		t.Run(site.name, func(t *testing.T) {
-			jpath := filepath.Join(dir, strings.ReplaceAll(site.name, ".", "_")+".journal")
+		t.Run(site, func(t *testing.T) {
+			jpath := filepath.Join(dir, strings.ReplaceAll(site, ".", "_")+".journal")
 			hit := 1 + rand.IntN(3)
-			spec := fmt.Sprintf("%s=exit@%d", site.site, hit)
+			spec := fmt.Sprintf("%s=exit@%d", site, hit)
 			t.Logf("arming %s", spec)
-			_, crashErr, err := runMainEnv(t, append([]string{failpoint.EnvVar + "=" + spec}, site.env...),
-				sweepArgs(jpath, false, site.extra...)...)
+			_, crashErr, err := runMainEnv(t, []string{failpoint.EnvVar + "=" + spec},
+				sweepArgs(jpath, false)...)
 			var exit *exec.ExitError
 			if err == nil {
 				t.Fatalf("sweep survived %s", spec)
@@ -124,7 +102,7 @@ func TestChaosKillAndResume(t *testing.T) {
 				t.Fatalf("crash exit = %v, want code %d\nstderr: %s", err, failpoint.ExitCode, crashErr)
 			}
 
-			out, errOut, err := runMainEnv(t, site.env, sweepArgs(jpath, true)...)
+			out, errOut, err := runMain(t, sweepArgs(jpath, true)...)
 			if err != nil {
 				t.Fatalf("resume after %s failed: %v\nstderr: %s", spec, err, errOut)
 			}
@@ -136,7 +114,7 @@ func TestChaosKillAndResume(t *testing.T) {
 			if !strings.Contains(errOut, "12 records (") {
 				t.Fatalf("resumed journal summary missing:\n%s", errOut)
 			}
-			if site.name == "journal.append.torn" && !strings.Contains(errOut, "1 torn tails") {
+			if site == "journal.append.torn" && !strings.Contains(errOut, "1 torn tails") {
 				t.Fatalf("torn-tail crash not reported on resume:\n%s", errOut)
 			}
 		})

@@ -49,15 +49,11 @@ func main() {
 		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = NumCPU, 1 = sequential)")
 		jobTO    = flag.Duration("jobtimeout", 0, "per-(mix,policy) deadline; a stuck pair fails instead of hanging the sweep (0 = none)")
 		noReplay = flag.Bool("noreplay", false, "disable the record/replay fast path (A/B debugging; results are bit-identical either way)")
-		noMulti  = flag.Bool("nomultireplay", false, "replay policy-grid rows one cell at a time instead of one-pass multi-policy tape walks (A/B debugging; results are bit-identical either way)")
-		lanePar  = flag.Bool("laneparallel", true, "step one-pass grid lanes on idle scheduler workers; false forces the serial round-robin (A/B debugging; results are bit-identical either way)")
 		jpath    = flag.String("journal", "", "checkpoint journal path; completed cells are appended as they finish")
 		resume   = flag.Bool("resume", false, "replay the -journal file and skip cells it already holds")
 	)
 	flag.Parse()
 	sim.SetReplayDisabled(*noReplay)
-	sim.SetMultiReplayDisabled(*noMulti)
-	sim.SetLaneParallelDisabled(!*lanePar)
 
 	if *resume && *jpath == "" {
 		fmt.Fprintln(os.Stderr, "nucache-sweep: -resume requires -journal")
@@ -73,7 +69,6 @@ func main() {
 	o := experiments.Options{
 		Budget: *budget, Seed: *seed, MixLimit: *mixLimit,
 		Parallel: *parallel, JobTimeout: *jobTO, Ctx: ctx,
-		DisableMultiReplay: *noMulti, DisableLaneParallel: !*lanePar,
 	}
 	var jnl *journal.Journal
 	if *jpath != "" {

@@ -60,3 +60,19 @@ func TestUnknownSweepExitsNonzero(t *testing.T) {
 		t.Errorf("stderr does not name the bad sweep: %q", errOut)
 	}
 }
+
+// TestRemovedReplayFlagsAreUndefined: grid cells always replay one
+// simulation each, so the old grid-engine switches -nomultireplay and
+// -laneparallel are usage errors, and the binary names the flag.
+func TestRemovedReplayFlagsAreUndefined(t *testing.T) {
+	for _, flagName := range []string{"nomultireplay", "laneparallel"} {
+		_, errOut, err := runMain(t, "-"+flagName, "-sweep", "deliways")
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-%s: exit = %v, want usage error (code 2)", flagName, err)
+		}
+		if !strings.Contains(errOut, "flag provided but not defined: -"+flagName) {
+			t.Errorf("-%s: stderr does not name the unknown flag: %q", flagName, errOut)
+		}
+	}
+}

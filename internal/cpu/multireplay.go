@@ -7,180 +7,88 @@ import (
 	"nucache/internal/cache"
 )
 
-// MultiReplaySystem steps a whole LLC policy grid through one tape
-// walk: each filtered event is decoded once (16-byte mirror unpack, or
-// the shared streaming window when the decode budget ran out) and
-// applied to an array of per-policy LLC+DRAM lanes. Per-lane divergence
-// — different hit/miss outcomes, so different service cycles, so a
-// different cross-core merge order — is handled by giving each lane its
-// own per-core clocks and replaying the measurement crossings against
-// the lane's own timing.
-//
-// Correctness: lanes share only the append-only tape views and the
-// policy-independent item stream; no lane writes state another lane
-// reads. Any interleaving of lane stepping therefore produces, for each
-// lane, results byte-identical to a standalone single-policy
-// ReplaySystem over the same tapes — the grid-differential suite
-// (multireplay_test.go) pins this against every registered policy and
-// machine shape.
+// MultiReplaySystem replays one set of tapes under several LLC
+// policies: one independent single-policy ReplaySystem per lane over
+// the shared tapes. Lanes share nothing but the tapes, which are safe
+// under concurrent replay, so every lane's results are byte-identical
+// to a standalone ReplaySystem however the lanes are scheduled — the
+// grid-differential suite (multireplay_test.go) pins this against
+// every registered policy and machine shape.
 type MultiReplaySystem struct {
-	eng replayEngine
+	lanes []ReplaySystem
 }
 
-// multiReplayBatch is how many items one lane plays before yielding to
-// the next. Each lane's LLC+DRAM state is megabytes, so fine-grained
-// interleaving thrashes it out of the cache hierarchy between visits —
-// measured 35% slower than serial at 256 items. Large batches keep a
-// lane's state resident while it runs, yet still bound how far lanes
-// drift apart on the tape (16384 events ≈ 256KB of packed mirror), so
-// a tape chunk pulled in by the leading lane is re-read from cache, not
-// DRAM, by the trailing ones.
-const multiReplayBatch = 16384
-
-// NewMultiReplaySystem builds one replay lane per policy over a shared
-// tape walk. Tapes must have been recorded for a config with the same
-// front end (FrontEndKey), exactly as for NewReplaySystem; all lanes
-// share the replay-side config (LLC geometry, latencies, DRAM, prefetch
-// degree) and differ only in the LLC policy.
+// NewMultiReplaySystem builds one replay lane per policy over the same
+// tapes. Tapes must have been recorded for a config with the same front
+// end (FrontEndKey), exactly as for NewReplaySystem; all lanes share the
+// replay-side config (LLC geometry, latencies, DRAM, prefetch degree)
+// and differ only in the LLC policy.
 func NewMultiReplaySystem(cfg Config, pols []cache.Policy, tapes []*Tape) *MultiReplaySystem {
-	return &MultiReplaySystem{eng: newReplayEngine(cfg, pols, tapes)}
+	ms := &MultiReplaySystem{lanes: make([]ReplaySystem, len(pols))}
+	for i, pol := range pols {
+		ms.lanes[i].init(cfg, pol, tapes)
+	}
+	return ms
 }
 
 // Lanes returns the number of policy lanes.
-func (ms *MultiReplaySystem) Lanes() int { return len(ms.eng.lanes) }
+func (ms *MultiReplaySystem) Lanes() int { return len(ms.lanes) }
 
 // Lane exposes lane i's machine surface (LLC stats, DRAM, prefetches)
-// after Run — the per-policy analogue of a ReplaySystem.
-func (ms *MultiReplaySystem) Lane(i int) Machine { return &ms.eng.lanes[i] }
+// after Run.
+func (ms *MultiReplaySystem) Lane(i int) Machine { return &ms.lanes[i] }
 
 // LaneWritebacks returns lane i's posted-writeback count (the
 // counterpart of ReplaySystem.Writebacks).
 func (ms *MultiReplaySystem) LaneWritebacks(i int) uint64 {
-	return ms.eng.lanes[i].Writebacks
+	return ms.lanes[i].Writebacks
 }
 
-// Run replays every lane and returns per-lane, per-core results, each
-// byte-identical to what a single-policy ReplaySystem over the same
-// tapes would return. Lanes advance in bounded round-robin batches so
-// they walk the same tape region together. An error (tape budget
-// exhausted, corrupt tape, untaggable stream) aborts the whole grid —
-// tape defects are shared by construction, every lane would hit the
-// same one — and the results are always nil, never partial; callers
-// fall back to single-policy replay or direct simulation per lane.
+// Run replays every lane in turn and returns per-lane, per-core
+// results, each byte-identical to what a single-policy ReplaySystem
+// over the same tapes would return. An error in any lane (tape budget
+// exhausted, corrupt tape, untaggable stream) fails the whole grid and
+// the results are always nil, never partial.
 func (ms *MultiReplaySystem) Run() ([][]CoreResult, error) {
-	e := &ms.eng
-	if err := e.start(); err != nil {
-		return nil, err
-	}
-	for {
-		alive := false
-		for li := range e.lanes {
-			l := &e.lanes[li]
-			if l.done {
-				continue
-			}
-			if err := e.runLane(l, multiReplayBatch); err != nil {
-				return nil, err
-			}
-			if !l.done {
-				alive = true
-			}
+	out := make([][]CoreResult, len(ms.lanes))
+	for i := range ms.lanes {
+		res, err := ms.lanes[i].Run()
+		if err != nil {
+			return nil, err
 		}
-		if !alive {
-			break
-		}
+		out[i] = res
 	}
-	return ms.collect()
+	return out, nil
 }
 
-// RunParallel is Run with lanes stepped on up to workers goroutines.
-// The package-comment guarantee — any interleaving of lane stepping is
-// byte-identical per lane — is what makes this legal; the only shared
-// mutable state is the streaming-decode window, which the engine locks
-// in parallel mode. Execution is round-based: each round, every live
-// lane advances exactly one multiReplayBatch (workers claim lanes from
-// a shared dispenser), then a barrier. That preserves the serial
-// round-robin's two properties: lanes drift at most one batch apart on
-// the tape (so a chunk pulled in by the leader is still cache-resident
-// for the trailers), and the streaming window holds a bounded span.
-//
-// workers is clamped to the lane count; with one worker (or one lane)
-// this is exactly Run. Errors behave as in Run: shared by construction,
-// so whichever lane hits one first aborts the grid with nil results.
+// RunParallel is Run with lanes replayed on up to workers goroutines.
+// With one worker (or one lane) it is exactly Run. Errors behave as in
+// Run; when several lanes fail, the lowest-numbered lane's error wins.
 func (ms *MultiReplaySystem) RunParallel(workers int) ([][]CoreResult, error) {
-	e := &ms.eng
-	if workers > len(e.lanes) {
-		workers = len(e.lanes)
+	if workers > len(ms.lanes) {
+		workers = len(ms.lanes)
 	}
 	if workers <= 1 {
 		return ms.Run()
 	}
-	if err := e.start(); err != nil {
-		return nil, err
-	}
-	e.parallel = true
-	live := make([]*replayLane, 0, len(e.lanes))
-	for li := range e.lanes {
-		live = append(live, &e.lanes[li])
-	}
-	var (
-		errMu  sync.Mutex
-		runErr error
-	)
-	for len(live) > 0 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		n := workers
-		if n > len(live) {
-			n = len(live)
-		}
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(live) {
-						return
-					}
-					l := live[i]
-					err := e.runLane(l, multiReplayBatch)
-					l.publish()
-					if err != nil {
-						errMu.Lock()
-						if runErr == nil {
-							runErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if runErr != nil {
-			return nil, runErr
-		}
-		alive := live[:0]
-		for _, l := range live {
-			if !l.done {
-				alive = append(alive, l)
+	out := make([][]CoreResult, len(ms.lanes))
+	errs := make([]error, len(ms.lanes))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(ms.lanes); i = int(next.Add(1)) - 1 {
+				out[i], errs[i] = ms.lanes[i].Run()
 			}
-		}
-		live = alive
+		}()
 	}
-	return ms.collect()
-}
-
-func (ms *MultiReplaySystem) collect() ([][]CoreResult, error) {
-	e := &ms.eng
-	out := make([][]CoreResult, len(e.lanes))
-	for li := range e.lanes {
-		res, err := e.lanes[li].results()
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out[li] = res
 	}
 	return out, nil
 }

@@ -82,7 +82,7 @@ func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, m
 			buf[mutPos%uint64(len(buf))] ^= byte(mutXor)
 		}
 	}
-	return &Tape{frontEnd: FrontEndKey(cfg), rec: &recorder{cfg: cfg, tr: ft}, chunk: tapeChunkMin}
+	return &Tape{frontEnd: frontEndOf(cfg), rec: &recorder{cfg: cfg, tr: ft}, chunk: tapeChunkMin}
 }
 
 func FuzzMultiReplayGrid(f *testing.F) {
@@ -133,11 +133,11 @@ func FuzzMultiReplayGrid(f *testing.F) {
 
 func tape0(t *Tape) []*Tape { return []*Tape{t} }
 
-// FuzzMultiReplayGridParallel is FuzzMultiReplayGrid with lanes stepped
-// on worker goroutines: the error-never-panic and lane-isolation
-// contracts must survive arbitrary corruption with the streaming window
-// under concurrent access (decCount stays zero in these tapes, so every
-// event goes through the shared window — the contended path).
+// FuzzMultiReplayGridParallel is FuzzMultiReplayGrid with lanes run on
+// worker goroutines: the error-never-panic and lane-isolation contracts
+// must survive arbitrary corruption with one tape replayed concurrently
+// (decCount stays zero in these tapes, so every lane stream-decodes
+// every event from the shared packed buffer).
 func FuzzMultiReplayGridParallel(f *testing.F) {
 	f.Add(uint64(64), uint64(1), uint64(64), false, uint64(0), uint64(0))
 	f.Add(uint64(16), uint64(3), uint64(7), false, uint64(0), uint64(0))

@@ -1,8 +1,8 @@
 package cpu_test
 
-// Grid-differential suite for the one-pass multi-policy replay engine:
-// every lane of a MultiReplaySystem must be byte-identical to (a) a
-// standalone single-policy replay of the same tapes and (b) the direct
+// Grid-differential suite for the multi-policy replay: every lane of a
+// MultiReplaySystem must be byte-identical to (a) a standalone
+// single-policy replay of the same tapes and (b) the direct
 // simulation — for every policy the service can build, across the same
 // 8 machine shapes as the single-policy suite — and a lane's results
 // must be invariant under lane reordering and grid subsetting. CI runs
@@ -200,10 +200,11 @@ func TestMultiReplayParallelMatchesSerialAndSingle(t *testing.T) {
 }
 
 // TestMultiReplayParallelStreamingWindow forces the decode budget to
-// run out mid-tape (as in TestReplayDecodeBudgetStreaming), so parallel
-// lanes contend on the mutex-guarded shared streaming window and
-// trimWin must trim by published positions. Byte-identity against the
-// serial grid and a single-policy replay pins the locked path.
+// run out mid-tape (as in TestReplayDecodeBudgetStreaming), so lanes on
+// worker goroutines stream-decode the packed buffer of shared tapes,
+// each core through its own cursor, while other lanes extend the same
+// tapes. Byte-identity against the serial grid and a single-policy
+// replay pins the concurrent streaming path.
 func TestMultiReplayParallelStreamingWindow(t *testing.T) {
 	old := cpu.SetTapeBudget(cpu.TapeBytes()/2 + 600<<10)
 	defer cpu.SetTapeBudget(old)

@@ -3,8 +3,6 @@ package cpu
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"nucache/internal/cache"
 	"nucache/internal/memory"
@@ -24,60 +22,30 @@ import (
 //
 // which is exactly the core's clock at that step in the direct run.
 //
-// The engine is split so one tape walk can feed any number of LLC
-// policies at once (MultiReplaySystem): everything policy-independent —
-// the tape views, the shared streaming-decode window, extension and
-// integrity checking — lives in per-core coreFronts shared by every
-// lane, while each replayLane owns the policy-dependent state (its LLC,
-// DRAM, per-core cursors/clocks, and crossing snapshots). Lanes never
-// write shared state, and tape views are append-only consistent
+// A replay writes no tape state: tape views are append-only consistent
 // snapshots (a view containing event k contains every crossing due at
-// or before k), so a lane's outcome is independent of how far ahead any
-// other lane has pulled the shared view — which is what makes every
-// lane byte-identical to a single-policy replay of the same tape.
+// or before k), so any number of replays — one per LLC policy — can
+// walk the same tapes concurrently, and each one's outcome is
+// independent of how far ahead the others have pulled the tape.
 
-// coreFront is one core's policy-independent tape state, shared by
-// every lane of an engine: the tape handle and, when the decode mirror
-// stopped short (decode budget), a shared streaming window that
-// varint-decodes each overflow event exactly once for all lanes.
-type coreFront struct {
+// replayCore is one core's replay cursor: its position in the tape and
+// its clock. The item sequence it walks (events and crossings, each
+// with a policy-independent start component) is the same under every
+// policy; only svc — and therefore the cross-core merge order and the
+// crossing snapshots — differs.
+type replayCore struct {
 	index int
 	tape  *Tape
 
-	// mu guards the streaming-window fields below when lanes run on
-	// worker goroutines (RunParallel). Serial replays never take it:
-	// the engine's parallel flag gates every acquisition, so the
-	// single-policy hot path stays lock-free.
-	mu sync.Mutex
-
-	// The shared streaming window: events at ordinals [winBase,
-	// winBase+len(win)) decoded from the packed buffer. winCur sits at
-	// ordinal winBase+len(win). Lanes at different positions read
-	// different slots; trimWin discards slots every lane has passed.
-	winStreaming bool
-	winBase      uint64
-	win          []trace.FilteredEvent
-	winCur       trace.FilteredCursor
-}
-
-// winTrimLen bounds the shared streaming window: when it grows past
-// this many events the slots every lane has consumed are discarded.
-const winTrimLen = 4096
-
-// laneCore is one (lane, core) replay cursor: the per-policy position
-// and clock of one core within one lane. The item sequence it walks
-// (events and crossings, each with a policy-independent start
-// component) is identical across lanes; only svc — and therefore the
-// cross-core merge order and the crossing snapshots — differs.
-type laneCore struct {
-	index int
-	fr    *coreFront
-
-	// view is this lane core's consistent snapshot of the shared tape.
-	// It lives here, not in coreFront, so the per-event hot path reads
-	// one struct; snapshots are append-only prefixes of each other, so
-	// per-lane staleness is invisible (see the package comment).
+	// view is this core's consistent snapshot of its tape, refreshed
+	// (and the tape extended) when the core reaches its end.
 	view tapeView
+
+	// stream decodes the events past the tape's decode cache (decode
+	// budget exhausted) straight from the packed buffer; it is taken
+	// from the view's overflow cursor on the first such event.
+	stream    trace.FilteredCursor
+	streaming bool
 
 	nextCross int
 
@@ -94,45 +62,26 @@ type laneCore struct {
 
 	base   CoreResult
 	result CoreResult
-
-	// pub is the core's position as seen by other workers in parallel
-	// mode: replayed, with lanePubStopped folded in once the core
-	// stops. Written with atomic.StoreUint64 at batch boundaries (and
-	// on every streaming-window read, so trimWin trims by the true
-	// slowest lane even mid-batch); read with atomic.LoadUint64 by
-	// trimWin. A plain uint64 rather than atomic.Uint64 because
-	// laneCore values are copied at construction (copylocks).
-	pub uint64
 }
 
-// lanePubStopped marks a stopped core in laneCore.pub. Tape ordinals
-// are bounded far below 2^63 (the tape budget caps recordings), so the
-// top bit is free.
-const lanePubStopped = 1 << 63
-
-// replayLane is one policy's machine within an engine: its LLC and
-// DRAM instance, its per-core cursors (a contiguous sub-slice of the
-// engine's structure-of-arrays backing), and its merge scheduler.
-type replayLane struct {
+// ReplaySystem replays one LLC policy over one tape per core. See the
+// package comment above for the timing reconstruction it relies on.
+type ReplaySystem struct {
+	cfg   Config
 	llc   *cache.Cache
 	dram  *memory.DRAM
-	cores []laneCore
+	cores []replayCore
 
 	// cand/rivalTime/rivalIndex implement the same cached-scheduler fast
 	// path as (*System).nextCore; see that comment.
-	cand       *laneCore
+	cand       *replayCore
 	rivalTime  uint64
 	rivalIndex int
 
 	// recorded counts cores whose measurement window has closed — the
-	// lane's stop condition, kept as a counter so the per-item loop does
-	// not rescan every core.
+	// stop condition, kept as a counter so the per-item loop does not
+	// rescan every core.
 	recorded int
-
-	// replayedLast carries the deferred advance of the just-played core
-	// across batch boundaries; see the comment in runLane.
-	replayedLast *laneCore
-	done         bool
 
 	// req is the scratch request reused for every LLC access (same
 	// reasoning as System.req: nothing retains the pointer, and a fresh
@@ -148,40 +97,34 @@ type replayLane struct {
 	PrefetchIssued uint64
 }
 
-// LLC exposes the lane's shared cache (Machine interface).
-func (l *replayLane) LLC() *cache.Cache { return l.llc }
-
-// DRAM exposes the lane's memory model when enabled (Machine interface).
-func (l *replayLane) DRAM() *memory.DRAM { return l.dram }
-
-// Prefetches returns the lane's prefetch count (Machine interface).
-func (l *replayLane) Prefetches() uint64 { return l.PrefetchIssued }
-
-// replayEngine is the shared core of ReplaySystem (one lane) and
-// MultiReplaySystem (one lane per policy).
-type replayEngine struct {
-	cfg    Config
-	fronts []coreFront
-	lanes  []replayLane
-
-	// parallel is set (before any worker starts; the spawn establishes
-	// the happens-before) when lanes run on worker goroutines: the
-	// streaming window locks coreFront.mu and trimWin reads published
-	// positions instead of lane fields owned by other workers.
-	parallel bool
+// Machine is the read surface shared by System, ReplaySystem and the
+// lanes of a MultiReplaySystem — everything result collection needs
+// after a run.
+type Machine interface {
+	LLC() *cache.Cache
+	DRAM() *memory.DRAM
+	Prefetches() uint64
 }
 
-func newReplayEngine(cfg Config, pols []cache.Policy, tapes []*Tape) replayEngine {
+// NewReplaySystem builds a replay over one tape per core. Tapes must
+// have been recorded for a config with the same front end (FrontEndKey);
+// the LLC, memory model and prefetch degree may differ freely.
+func NewReplaySystem(cfg Config, llcPolicy cache.Policy, tapes []*Tape) *ReplaySystem {
+	rs := new(ReplaySystem)
+	rs.init(cfg, llcPolicy, tapes)
+	return rs
+}
+
+// init builds rs in place, so MultiReplaySystem can keep its lanes in
+// one slice.
+func (rs *ReplaySystem) init(cfg Config, llcPolicy cache.Policy, tapes []*Tape) {
 	if cfg.Cores <= 0 {
 		panic("cpu: non-positive core count")
-	}
-	if len(pols) == 0 {
-		panic("cpu: replay engine with no policies")
 	}
 	if len(tapes) != cfg.Cores {
 		panic(fmt.Sprintf("cpu: %d tapes for %d cores", len(tapes), cfg.Cores))
 	}
-	fe := FrontEndKey(cfg)
+	fe := frontEndOf(cfg)
 	for i, t := range tapes {
 		if t.frontEnd != fe {
 			panic(fmt.Sprintf("cpu: tape %d recorded for front end %q, replaying %q",
@@ -193,107 +136,76 @@ func newReplayEngine(cfg Config, pols []cache.Policy, tapes []*Tape) replayEngin
 		llcCfg.Name = "LLC"
 	}
 	llcCfg.Cores = cfg.Cores
-	// The engine is returned by value (callers embed it); the slices'
-	// backing arrays are heap-allocated, so interior pointers like
-	// laneCore.fr stay valid across the copy.
-	e := replayEngine{
-		cfg:    cfg,
-		fronts: make([]coreFront, cfg.Cores),
-		lanes:  make([]replayLane, len(pols)),
+	*rs = ReplaySystem{
+		cfg:   cfg,
+		llc:   cache.New(llcCfg, llcPolicy),
+		cores: make([]replayCore, cfg.Cores),
+	}
+	if cfg.DRAM != nil {
+		rs.dram = memory.New(*cfg.DRAM)
 	}
 	for i, t := range tapes {
-		e.fronts[i] = coreFront{index: i, tape: t}
+		rs.cores[i] = replayCore{index: i, tape: t}
 	}
-	// All lanes' cursors live in one contiguous backing slice
-	// (structure-of-arrays): lane li's cores are the cfg.Cores entries
-	// starting at li*cfg.Cores, so a lane's per-core clocks and crossing
-	// snapshots sit on adjacent cache lines while it runs.
-	backing := make([]laneCore, len(pols)*cfg.Cores)
-	for li, pol := range pols {
-		l := &e.lanes[li]
-		l.llc = cache.New(llcCfg, pol)
-		if cfg.DRAM != nil {
-			l.dram = memory.New(*cfg.DRAM)
-		}
-		lo := li * cfg.Cores
-		l.cores = backing[lo : lo+cfg.Cores : lo+cfg.Cores]
-		for ci := range l.cores {
-			l.cores[ci] = laneCore{index: ci, fr: &e.fronts[ci]}
-		}
-	}
-	return e
 }
 
-// start computes every lane core's first item.
-func (e *replayEngine) start() error {
-	for li := range e.lanes {
-		l := &e.lanes[li]
-		for ci := range l.cores {
-			if err := e.advance(&l.cores[ci]); err != nil {
-				return err
-			}
-		}
+// DRAM exposes the memory model when enabled (nil otherwise).
+func (rs *ReplaySystem) DRAM() *memory.DRAM { return rs.dram }
+
+// LLC exposes the shared cache (policy inspection, stats).
+func (rs *ReplaySystem) LLC() *cache.Cache { return rs.llc }
+
+// Prefetches returns the next-line prefetch count (Machine interface).
+func (rs *ReplaySystem) Prefetches() uint64 { return rs.PrefetchIssued }
+
+// Run replays the simulation and returns per-core results identical to
+// the equivalent direct System.Run. An error means the replay could not
+// complete (tape budget exhausted or untaggable stream); the results are
+// then always nil — never partially populated — the LLC state is
+// unusable, and the caller should fall back to direct simulation.
+func (rs *ReplaySystem) Run() ([]CoreResult, error) {
+	if err := rs.run(); err != nil {
+		return nil, err
 	}
-	return nil
+	return rs.results()
 }
 
-// runLane plays up to batch items of one lane, preserving the exact
-// execution order of a standalone single-policy replay. The direct
-// engine checks "everyone recorded" before each step, so the step that
-// records the last core is also the last step executed. Mirror that
-// exactly: test the condition before picking an item, and defer
-// recomputing the played core's next item (which could extend its tape
-// past anything a replay needs) until the loop continues — across
-// batch boundaries, via l.replayedLast.
-func (e *replayEngine) runLane(l *replayLane, batch int) error {
-	// The deferred core rides in a local within the batch: writing the
-	// pointer field per item would cost a GC write barrier per event.
-	last := l.replayedLast
-	l.replayedLast = nil
-	for i := 0; i < batch; i++ {
-		if l.recorded >= len(l.cores) {
-			l.done = true
-			return nil
+// run plays items until every core has recorded, preserving the exact
+// execution order of the direct engine. That engine checks "everyone
+// recorded" before each step, so the step that records the last core is
+// also the last step executed. Mirror that exactly: test the condition
+// before picking an item, and defer recomputing the played core's next
+// item (which could extend its tape past anything a replay needs) until
+// the loop continues.
+func (rs *ReplaySystem) run() error {
+	for i := range rs.cores {
+		if err := rs.advance(&rs.cores[i]); err != nil {
+			return err
 		}
+	}
+	var last *replayCore
+	for rs.recorded < len(rs.cores) {
 		if last != nil {
-			if err := e.advance(last); err != nil {
+			if err := rs.advance(last); err != nil {
 				return err
 			}
-			last = nil
 		}
-		c := l.nextItem()
+		c := rs.nextItem()
 		if c == nil {
 			// Every stream exhausted; results() reports unrecorded cores.
-			l.done = true
 			return nil
 		}
-		e.playItem(l, c)
+		rs.playItem(c)
 		last = c
 	}
-	l.replayedLast = last
 	return nil
 }
 
-// publish exposes every core's position (and stopped state) to other
-// workers via the atomic pub fields. Called by the worker that just ran
-// a batch of this lane, so the plain reads of replayed/stopped are of
-// its own writes.
-func (l *replayLane) publish() {
-	for ci := range l.cores {
-		c := &l.cores[ci]
-		v := c.replayed
-		if c.stopped {
-			v |= lanePubStopped
-		}
-		atomic.StoreUint64(&c.pub, v)
-	}
-}
-
-// results collects the lane's per-core results after it finished.
-func (l *replayLane) results() ([]CoreResult, error) {
-	out := make([]CoreResult, len(l.cores))
-	for i := range l.cores {
-		c := &l.cores[i]
+// results collects the per-core results after the replay finished.
+func (rs *ReplaySystem) results() ([]CoreResult, error) {
+	out := make([]CoreResult, len(rs.cores))
+	for i := range rs.cores {
+		c := &rs.cores[i]
 		if !c.recorded {
 			// Unreachable for well-formed tapes (exhaustion records), but
 			// fail safe rather than return partial results.
@@ -304,18 +216,18 @@ func (l *replayLane) results() ([]CoreResult, error) {
 	return out, nil
 }
 
-// nextItem picks the lane core whose next item has the smallest
-// schedule time, ties broken by index — the replay analogue of
-// nextCore, with the same cached fast path (only the last-played
-// core's time has changed).
-func (l *replayLane) nextItem() *laneCore {
-	if c := l.cand; c != nil && !c.stopped &&
-		(c.time < l.rivalTime || (c.time == l.rivalTime && c.index < l.rivalIndex)) {
+// nextItem picks the core whose next item has the smallest schedule
+// time, ties broken by index — the replay analogue of nextCore, with
+// the same cached fast path (only the last-played core's time has
+// changed).
+func (rs *ReplaySystem) nextItem() *replayCore {
+	if c := rs.cand; c != nil && !c.stopped &&
+		(c.time < rs.rivalTime || (c.time == rs.rivalTime && c.index < rs.rivalIndex)) {
 		return c
 	}
-	var best, rival *laneCore
-	for i := range l.cores {
-		c := &l.cores[i]
+	var best, rival *replayCore
+	for i := range rs.cores {
+		c := &rs.cores[i]
 		if c.stopped {
 			continue
 		}
@@ -325,28 +237,25 @@ func (l *replayLane) nextItem() *laneCore {
 			rival = c
 		}
 	}
-	l.cand = best
+	rs.cand = best
 	if rival != nil {
-		l.rivalTime, l.rivalIndex = rival.time, rival.index
+		rs.rivalTime, rs.rivalIndex = rival.time, rival.index
 	} else {
-		l.rivalTime, l.rivalIndex = math.MaxUint64, math.MaxInt
+		rs.rivalTime, rs.rivalIndex = math.MaxUint64, math.MaxInt
 	}
 	return best
 }
 
-// advance computes lane core c's next item and its schedule time,
-// fetching (and if needed extending) the shared tape view.
-func (e *replayEngine) advance(c *laneCore) error {
+// advance computes core c's next item and its schedule time, fetching
+// (and if needed extending) the tape view.
+func (rs *ReplaySystem) advance(c *replayCore) error {
 	for {
 		if c.stopped {
 			return nil
 		}
 		// A due crossing always precedes the pending event: its step came
 		// first, and the snapshot that contained the event also contained
-		// every earlier crossing. (Snapshot consistency also means a
-		// fresher snapshot than another lane's can only add crossings at
-		// ordinals this lane has not reached, so per-lane view staleness
-		// never changes which crossing is due here.)
+		// every earlier crossing.
 		if c.nextCross < len(c.view.cross) {
 			if cr := &c.view.cross[c.nextCross]; cr.AfterEvents == c.replayed {
 				if cr.OnEvent {
@@ -365,8 +274,8 @@ func (e *replayEngine) advance(c *laneCore) error {
 		}
 		// The next event is ordinal c.replayed: usually unpacked from the
 		// tape's decode cache (one 16-byte sequential read; the wb side
-		// list only when the event carries a writeback), else served from
-		// the shared streaming window (decode budget exhausted).
+		// list only when the event carries a writeback), else decoded
+		// from the packed buffer (decode budget exhausted).
 		if c.replayed < c.view.decCount {
 			de := &c.view.decPages[c.replayed>>decPageShift][c.replayed&decPageMask]
 			w0, w1 := de.w0, de.w1
@@ -390,7 +299,7 @@ func (e *replayEngine) advance(c *laneCore) error {
 			continue
 		}
 		if c.replayed < c.view.events {
-			if err := e.winEvent(c, c.replayed, &c.pend); err != nil {
+			if err := c.streamEvent(); err != nil {
 				return err
 			}
 			c.pendValid = true
@@ -400,145 +309,65 @@ func (e *replayEngine) advance(c *laneCore) error {
 		if c.view.complete {
 			return fmt.Errorf("cpu: replay core %d ran off its tape", c.index)
 		}
-		if err := e.refresh(c); err != nil {
+		if err := c.refresh(); err != nil {
 			return err
 		}
 	}
 }
 
+// streamEvent decodes event c.replayed from the packed buffer into
+// c.pend. The decode mirror stops for good once the decode budget runs
+// out, so decCount is fixed from the first streamed event on and the
+// view's overflow cursor, positioned there, is this core's stream.
+func (c *replayCore) streamEvent() error {
+	if !c.streaming {
+		c.streaming = true
+		c.stream = c.view.overflow
+	}
+	if got := c.stream.Decoded(); got != c.replayed {
+		return fmt.Errorf("cpu: replay core %d: stream at event %d, want %d",
+			c.index, got, c.replayed)
+	}
+	ok, err := c.stream.Next(&c.pend)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("cpu: replay core %d: packed tape short of event %d",
+			c.index, c.replayed)
+	}
+	return nil
+}
+
 // refresh pulls a fresh snapshot of c's tape, extending the recording
-// when this lane core has consumed everything recorded so far. With
-// several lanes only the leading one ever extends; the others find the
-// tape already long enough. The snapshot is stored per lane core, but
-// snapshots are append-only prefixes of each other, so lanes at
-// different freshness replay identical item streams.
-func (e *replayEngine) refresh(c *laneCore) error {
-	fr := c.fr
-	v, err := fr.tape.snapshot(c.replayed)
+// when this core has consumed everything recorded so far. When several
+// replays share the tape, only the leading one ever extends; the others
+// find the tape already long enough.
+func (c *replayCore) refresh() error {
+	v, err := c.tape.snapshot(c.replayed)
 	if err != nil {
 		return err
 	}
 	c.view = v
-	if e.parallel {
-		fr.mu.Lock()
-	}
-	if fr.winStreaming {
+	if c.streaming {
 		// A fresh snapshot is the longest yet (the tape only appends), so
-		// re-anchoring the shared cursor on it is safe for every lane.
-		fr.winCur.Rebase(v.buf, v.events)
-	}
-	if e.parallel {
-		fr.mu.Unlock()
+		// the stream keeps its position and sees the new bytes.
+		c.stream.Rebase(v.buf, v.events)
 	}
 	return nil
 }
 
-// winEvent copies event `ordinal` from the shared streaming window of
-// c's core front into out, varint-decoding each overflow event exactly
-// once no matter how many lanes replay it. Only the leading lane
-// appends; trailing lanes hit already-decoded slots. The event is
-// copied out (not returned by pointer) because trimWin shifts and
-// append may reallocate the window — in parallel mode a concurrent
-// lane could do either the moment the lock drops.
-func (e *replayEngine) winEvent(c *laneCore, ordinal uint64, out *trace.FilteredEvent) error {
-	fr := c.fr
-	if e.parallel {
-		fr.mu.Lock()
-		defer fr.mu.Unlock()
-		// Publish this core's position eagerly: streaming lanes spend
-		// whole batches in here, and trimWin (under this same lock, from
-		// any worker) must see the true position, not the one from the
-		// last batch boundary, to keep the window bounded.
-		atomic.StoreUint64(&c.pub, c.replayed)
-	}
-	if !fr.winStreaming {
-		// The mirror stops permanently once the decode budget runs out, so
-		// decCount is fixed from here on — every lane's view agrees on it
-		// — and anchors the window.
-		fr.winStreaming = true
-		fr.winBase = c.view.decCount
-		fr.winCur = c.view.overflow
-	}
-	if ordinal < fr.winBase {
-		return fmt.Errorf("cpu: replay core %d: event %d below streaming window base %d",
-			fr.index, ordinal, fr.winBase)
-	}
-	for ordinal >= fr.winBase+uint64(len(fr.win)) {
-		if len(fr.win) >= winTrimLen {
-			e.trimWin(fr)
-		}
-		var ev trace.FilteredEvent
-		ok, err := fr.winCur.Next(&ev)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("cpu: replay core %d: packed tape short of event %d",
-				fr.index, fr.winBase+uint64(len(fr.win)))
-		}
-		fr.win = append(fr.win, ev)
-	}
-	*out = fr.win[ordinal-fr.winBase]
-	return nil
-}
-
-// trimWin discards window slots every live lane has consumed. A lane's
-// position only moves forward, so the minimum over lanes is a safe
-// cut; stopped lanes never read again and are excluded. In parallel
-// mode other workers own their lanes' fields, so the minimum is taken
-// over the published positions instead — published values only lag the
-// truth, which makes the cut conservative, and a lagging position is
-// at most one batch old (winEvent republishes on every streaming
-// read), so the window stays bounded.
-func (e *replayEngine) trimWin(fr *coreFront) {
-	min := uint64(math.MaxUint64)
-	for li := range e.lanes {
-		c := &e.lanes[li].cores[fr.index]
-		var replayed uint64
-		var stopped bool
-		if e.parallel {
-			// Plain fields are owned by whichever worker holds the lane;
-			// only the published position may be read here.
-			v := atomic.LoadUint64(&c.pub)
-			replayed, stopped = v&^uint64(lanePubStopped), v&lanePubStopped != 0
-		} else {
-			replayed, stopped = c.replayed, c.stopped
-		}
-		if stopped {
-			continue
-		}
-		if replayed < min {
-			min = replayed
-		}
-	}
-	if min == math.MaxUint64 {
-		min = fr.winBase + uint64(len(fr.win))
-	}
-	if min <= fr.winBase {
-		return
-	}
-	keep := min - fr.winBase
-	if keep >= uint64(len(fr.win)) {
-		fr.winBase += uint64(len(fr.win))
-		fr.win = fr.win[:0]
-		return
-	}
-	n := copy(fr.win, fr.win[keep:])
-	fr.win = fr.win[:n]
-	fr.winBase = min
-}
-
-// playItem executes lane core c's next item: either a due crossing
-// (advance latched dueCross) or the pending event (with any on-event
-// crossings attached to it).
-func (e *replayEngine) playItem(l *replayLane, c *laneCore) {
+// playItem executes core c's next item: either a due crossing (advance
+// latched dueCross) or the pending event (with any on-event crossings
+// attached to it).
+func (rs *ReplaySystem) playItem(c *replayCore) {
 	if c.dueCross {
 		c.dueCross = false
-		l.applyCrossing(c, &c.view.cross[c.nextCross])
+		rs.applyCrossing(c, &c.view.cross[c.nextCross])
 		c.nextCross++
 		return
 	}
-	e.playEvent(l, c, &c.pend)
+	rs.playEvent(c, &c.pend)
 	c.pendValid = false
 	c.replayed++
 	for c.nextCross < len(c.view.cross) {
@@ -546,7 +375,7 @@ func (e *replayEngine) playItem(l *replayLane, c *laneCore) {
 		if cr.AfterEvents != c.replayed || !cr.OnEvent {
 			break
 		}
-		l.applyCrossing(c, cr)
+		rs.applyCrossing(c, cr)
 		c.nextCross++
 	}
 }
@@ -554,62 +383,61 @@ func (e *replayEngine) playItem(l *replayLane, c *laneCore) {
 // playEvent replays one LLC-bound event, mirroring the demand access,
 // DRAM traffic, prefetch fan-out and posted writeback of
 // (*System).accessLLC in that exact order.
-func (e *replayEngine) playEvent(l *replayLane, c *laneCore, ev *trace.FilteredEvent) {
+func (rs *ReplaySystem) playEvent(c *replayCore, ev *trace.FilteredEvent) {
 	addr := ev.Addr + uint64(c.index)<<coreAddrShift
 	pc := ev.PC | uint64(c.index)<<corePCShift
-	l.req = cache.Request{Addr: addr, PC: pc, Core: c.index, Kind: ev.Kind}
-	llcRes := l.llc.Access(&l.req)
+	rs.req = cache.Request{Addr: addr, PC: pc, Core: c.index, Kind: ev.Kind}
+	llcRes := rs.llc.Access(&rs.req)
 	var svc uint64
 	if llcRes.Hit {
-		svc = e.cfg.LLCLatency
-	} else if l.dram != nil {
-		svc = e.cfg.LLCLatency + l.dram.Access(addr)
+		svc = rs.cfg.LLCLatency
+	} else if rs.dram != nil {
+		svc = rs.cfg.LLCLatency + rs.dram.Access(addr)
 	} else {
-		svc = e.cfg.LLCLatency + e.cfg.MemLatency
+		svc = rs.cfg.LLCLatency + rs.cfg.MemLatency
 	}
-	if llcRes.EvictedValid && llcRes.Evicted.Dirty && l.dram != nil {
-		l.dram.Touch(llcRes.Evicted.Tag << 6)
+	if llcRes.EvictedValid && llcRes.Evicted.Dirty && rs.dram != nil {
+		rs.dram.Touch(llcRes.Evicted.Tag << 6)
 	}
-	for d := 1; d <= e.cfg.PrefetchDegree; d++ {
-		l.PrefetchIssued++
-		l.req = cache.Request{
-			Addr: addr + uint64(d)*uint64(e.cfg.LLC.LineBytes),
+	for d := 1; d <= rs.cfg.PrefetchDegree; d++ {
+		rs.PrefetchIssued++
+		rs.req = cache.Request{
+			Addr: addr + uint64(d)*uint64(rs.cfg.LLC.LineBytes),
 			PC:   pc, Core: c.index, Kind: trace.Load,
 		}
-		l.llc.Access(&l.req)
+		rs.llc.Access(&rs.req)
 	}
 	if ev.HasWB {
-		l.Writebacks++
-		l.req = cache.Request{
+		rs.Writebacks++
+		rs.req = cache.Request{
 			Addr: ev.WBAddr + uint64(c.index)<<coreAddrShift,
 			PC:   ev.WBPC | uint64(c.index)<<corePCShift,
 			Core: c.index, Kind: trace.Store,
 		}
-		l.llc.Access(&l.req)
+		rs.llc.Access(&rs.req)
 	}
 	c.svc += svc
 }
 
-func (l *replayLane) applyCrossing(c *laneCore, cr *trace.Crossing) {
+func (rs *ReplaySystem) applyCrossing(c *replayCore, cr *trace.Crossing) {
 	switch cr.Kind {
 	case trace.CrossWarmup:
-		c.base = l.snapshotAt(c, cr)
+		c.base = rs.snapshotAt(c, cr)
 	case trace.CrossRecord:
-		l.recordAt(c, cr)
+		rs.recordAt(c, cr)
 	case trace.CrossExhaust:
 		if !c.recorded {
-			l.recordAt(c, cr)
+			rs.recordAt(c, cr)
 		}
 		c.stopped = true
 	}
 }
 
 // snapshotAt reconstructs the direct engine's cumulative snapshot at a
-// crossing: the tape supplies the policy-independent counters, the
-// lane's LLC the per-core shared-cache counters, and the cycle count is
-// the recorded policy-independent clock plus this core's replayed
-// service.
-func (l *replayLane) snapshotAt(c *laneCore, cr *trace.Crossing) CoreResult {
+// crossing: the tape supplies the policy-independent counters, the LLC
+// the per-core shared-cache counters, and the cycle count is the
+// recorded policy-independent clock plus this core's replayed service.
+func (rs *ReplaySystem) snapshotAt(c *replayCore, cr *trace.Crossing) CoreResult {
 	return CoreResult{
 		Core:         c.index,
 		Instructions: cr.Instr,
@@ -617,18 +445,18 @@ func (l *replayLane) snapshotAt(c *laneCore, cr *trace.Crossing) CoreResult {
 		MemAccesses:  cr.Mem,
 		L1Hits:       cr.L1Hits,
 		L1Misses:     cr.L1Misses,
-		LLCAccesses:  l.llc.Stats.CoreAccesses[c.index],
-		LLCHits:      l.llc.Stats.CoreHits[c.index],
-		LLCMisses:    l.llc.Stats.CoreMisses[c.index],
+		LLCAccesses:  rs.llc.Stats.CoreAccesses[c.index],
+		LLCHits:      rs.llc.Stats.CoreHits[c.index],
+		LLCMisses:    rs.llc.Stats.CoreMisses[c.index],
 	}
 }
 
-func (l *replayLane) recordAt(c *laneCore, cr *trace.Crossing) {
+func (rs *ReplaySystem) recordAt(c *replayCore, cr *trace.Crossing) {
 	if !c.recorded {
-		l.recorded++
+		rs.recorded++
 	}
 	c.recorded = true
-	r := l.snapshotAt(c, cr)
+	r := rs.snapshotAt(c, cr)
 	b := c.base // zero when no warm-up
 	c.result = CoreResult{
 		Core:         c.index,
@@ -641,59 +469,4 @@ func (l *replayLane) recordAt(c *laneCore, cr *trace.Crossing) {
 		LLCHits:      r.LLCHits - b.LLCHits,
 		LLCMisses:    r.LLCMisses - b.LLCMisses,
 	}
-}
-
-// ReplaySystem is the single-policy replay: one engine lane. See the
-// package comment above for the timing reconstruction it relies on.
-type ReplaySystem struct {
-	eng replayEngine
-
-	// Writebacks and PrefetchIssued mirror the lane's counters after Run
-	// (see replayLane for their semantics vs the direct engine).
-	Writebacks     uint64
-	PrefetchIssued uint64
-}
-
-// Machine is the read surface shared by System, ReplaySystem and the
-// lanes of a MultiReplaySystem — everything result collection needs
-// after a run.
-type Machine interface {
-	LLC() *cache.Cache
-	DRAM() *memory.DRAM
-	Prefetches() uint64
-}
-
-// NewReplaySystem builds a replay over one tape per core. Tapes must
-// have been recorded for a config with the same front end (FrontEndKey);
-// the LLC, memory model and prefetch degree may differ freely.
-func NewReplaySystem(cfg Config, llcPolicy cache.Policy, tapes []*Tape) *ReplaySystem {
-	return &ReplaySystem{eng: newReplayEngine(cfg, []cache.Policy{llcPolicy}, tapes)}
-}
-
-// DRAM exposes the memory model when enabled (nil otherwise).
-func (rs *ReplaySystem) DRAM() *memory.DRAM { return rs.eng.lanes[0].dram }
-
-// LLC exposes the shared cache (policy inspection, stats).
-func (rs *ReplaySystem) LLC() *cache.Cache { return rs.eng.lanes[0].llc }
-
-// Prefetches returns the next-line prefetch count (Machine interface).
-func (rs *ReplaySystem) Prefetches() uint64 { return rs.eng.lanes[0].PrefetchIssued }
-
-// Run replays the simulation and returns per-core results identical to
-// the equivalent direct System.Run. An error means the replay could not
-// complete (tape budget exhausted or untaggable stream); the results are
-// then always nil — never partially populated — the LLC state is
-// unusable, and the caller should fall back to direct simulation.
-func (rs *ReplaySystem) Run() ([]CoreResult, error) {
-	e := &rs.eng
-	l := &e.lanes[0]
-	err := e.start()
-	for err == nil && !l.done {
-		err = e.runLane(l, math.MaxInt)
-	}
-	rs.Writebacks, rs.PrefetchIssued = l.Writebacks, l.PrefetchIssued
-	if err != nil {
-		return nil, err
-	}
-	return l.results()
 }

@@ -123,7 +123,7 @@ func SetTapeBudget(n int64) int64 { return tapeBudget.Swap(n) }
 // concurrent cursors; the packed buffer is append-only, so snapshots
 // handed to cursors stay valid as the tape grows.
 type Tape struct {
-	frontEnd string
+	frontEnd frontEnd
 
 	mu      sync.Mutex
 	rec     *recorder // also owns the decoded-event mirror pages
@@ -156,7 +156,7 @@ var tapeCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // one-off tapes.
 func NewTape(cfg Config, stream trace.Stream) *Tape {
 	return &Tape{
-		frontEnd: FrontEndKey(cfg),
+		frontEnd: frontEndOf(cfg),
 		rec:      newRecorder(cfg, stream),
 		chunk:    tapeChunkMin,
 	}
@@ -170,10 +170,30 @@ func NewTape(cfg Config, stream trace.Stream) *Tape {
 // excluded — they are replay-side — so one tape serves the whole policy
 // grid and every LLC sweep.
 func FrontEndKey(cfg Config) string {
-	return fmt.Sprintf("l1=%d/%d/%d,l2=%d/%d/%d,lat=%d+%d,warm=%d,budget=%d",
+	return frontEndOf(cfg).String()
+}
+
+// frontEnd is FrontEndKey's fields as a comparable value, so a replay
+// can check its tapes without formatting a key per replay.
+type frontEnd struct {
+	l1Size, l1Ways, l1Line int
+	l2Size, l2Ways, l2Line int
+	l1Lat, l2Lat           uint64
+	warm, budget           uint64
+}
+
+func frontEndOf(cfg Config) frontEnd {
+	return frontEnd{
 		cfg.L1.SizeBytes, cfg.L1.Ways, cfg.L1.LineBytes,
 		cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.LineBytes,
-		cfg.L1Latency, cfg.L2Latency, cfg.WarmupInstr, cfg.InstrBudget)
+		cfg.L1Latency, cfg.L2Latency, cfg.WarmupInstr, cfg.InstrBudget,
+	}
+}
+
+func (fe frontEnd) String() string {
+	return fmt.Sprintf("l1=%d/%d/%d,l2=%d/%d/%d,lat=%d+%d,warm=%d,budget=%d",
+		fe.l1Size, fe.l1Ways, fe.l1Line, fe.l2Size, fe.l2Ways, fe.l2Line,
+		fe.l1Lat, fe.l2Lat, fe.warm, fe.budget)
 }
 
 // AcquireTape returns the process-wide shared tape for (id, front end),

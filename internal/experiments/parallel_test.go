@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"nucache/internal/sim"
@@ -11,14 +10,19 @@ import (
 // TestGridMatchesSequential is the parallelization contract: the
 // scheduler-backed grid must reproduce, value for value, what direct
 // sequential mixMetrics calls compute — and therefore byte-identical
-// tables. A distinct budget keeps these keys out of other tests' cache
-// entries.
+// tables. Every cell is its own simulation, so the grid must not replay
+// whole policy rows (the multi-lane counter stays flat). A distinct
+// budget keeps these keys out of other tests' cache entries.
 func TestGridMatchesSequential(t *testing.T) {
 	o := Options{Budget: 170_000, Seed: 1, MixLimit: 2, Parallel: 4}.withDefaults()
 	specs := StandardPolicies()
 	mixes := o.mixes(2)
 
+	before := sim.MultiReplayRuns.Value()
 	grid := o.mixMetricsGrid(mixes, specs)
+	if got := sim.MultiReplayRuns.Value() - before; got != 0 {
+		t.Fatalf("grid replayed %d whole policy rows; cells must run one simulation each", got)
+	}
 
 	for i, m := range mixes {
 		for j, s := range specs {
@@ -28,90 +32,6 @@ func TestGridMatchesSequential(t *testing.T) {
 					m.Name, s.Name, grid[i][j], want)
 			}
 		}
-	}
-}
-
-// TestMultiReplayEngagementAndEscapeHatch pins the one-pass grid wiring
-// at the experiments layer: a policy-grid run must actually take the
-// multi-replay path (the expvar counter moves), DisableMultiReplay must
-// keep it off, and both modes must reproduce the direct sequential
-// mixMetrics values — so the two grid modes are transitively
-// byte-identical. Distinct budgets keep the two grids out of each
-// other's cache entries.
-func TestMultiReplayEngagementAndEscapeHatch(t *testing.T) {
-	specs := StandardPolicies()
-	check := func(o Options) {
-		t.Helper()
-		mixes := o.mixes(2)
-		grid := o.mixMetricsGrid(mixes, specs)
-		for i, m := range mixes {
-			for j, s := range specs {
-				if want := o.mixMetrics(m, s); !reflect.DeepEqual(grid[i][j], want) {
-					t.Fatalf("%s under %s (nomulti=%v): grid %+v != sequential %+v",
-						m.Name, s.Name, o.DisableMultiReplay, grid[i][j], want)
-				}
-			}
-		}
-	}
-
-	on := Options{Budget: 155_000, Seed: 1, MixLimit: 2, Parallel: 2}.withDefaults()
-	before := sim.MultiReplayRuns.Value()
-	check(on)
-	if sim.MultiReplayRuns.Value() == before {
-		t.Fatal("policy grid did not engage the one-pass multi-replay path")
-	}
-
-	off := Options{Budget: 165_000, Seed: 1, MixLimit: 2, Parallel: 2,
-		DisableMultiReplay: true}.withDefaults()
-	before = sim.MultiReplayRuns.Value()
-	check(off)
-	if got := sim.MultiReplayRuns.Value(); got != before {
-		t.Fatalf("DisableMultiReplay grid still ran %d one-pass grids", got-before)
-	}
-}
-
-// TestMultiReplayParallelLanesEngagementAndEscapeHatch pins the
-// parallel-lane wiring at the experiments layer: with spare scheduler
-// slots and GOMAXPROCS headroom a grid row must actually borrow lane
-// workers (the expvar counters move), DisableLaneParallel must keep
-// stepping serial, and both modes must reproduce the direct sequential
-// mixMetrics values. GOMAXPROCS is raised for the duration because the
-// borrow path intentionally degrades to serial on single-CPU boxes.
-func TestMultiReplayParallelLanesEngagementAndEscapeHatch(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	specs := StandardPolicies()
-	check := func(o Options) {
-		t.Helper()
-		mixes := o.mixes(2)
-		grid := o.mixMetricsGrid(mixes, specs)
-		for i, m := range mixes {
-			for j, s := range specs {
-				if want := o.mixMetrics(m, s); !reflect.DeepEqual(grid[i][j], want) {
-					t.Fatalf("%s under %s (nolanes=%v): grid %+v != sequential %+v",
-						m.Name, s.Name, o.DisableLaneParallel, grid[i][j], want)
-				}
-			}
-		}
-	}
-
-	// One mix: its row job is the only slot holder, so Parallel=8 leaves
-	// idle slots to borrow (blocked sibling cells hold at most 4 more).
-	on := Options{Budget: 157_000, Seed: 1, MixLimit: 1, Parallel: 8}.withDefaults()
-	runsBefore, workersBefore := sim.MultiReplayParallelRuns.Value(), sim.MultiReplayLaneWorkers.Value()
-	check(on)
-	if sim.MultiReplayParallelRuns.Value() == runsBefore {
-		t.Fatal("policy grid did not engage parallel lane stepping")
-	}
-	if sim.MultiReplayLaneWorkers.Value()-workersBefore < 2 {
-		t.Fatal("parallel grid row reported fewer than 2 lane workers")
-	}
-
-	off := Options{Budget: 167_000, Seed: 1, MixLimit: 1, Parallel: 8,
-		DisableLaneParallel: true}.withDefaults()
-	runsBefore = sim.MultiReplayParallelRuns.Value()
-	check(off)
-	if got := sim.MultiReplayParallelRuns.Value(); got != runsBefore {
-		t.Fatalf("DisableLaneParallel grid still ran %d parallel-lane grids", got-runsBefore)
 	}
 }
 

@@ -57,16 +57,6 @@ type Options struct {
 	// fast path (results are bit-identical either way; the switch exists
 	// for A/B debugging and the differential tests).
 	DisableReplay bool
-	// DisableMultiReplay keeps record/replay on but evaluates policy
-	// grids one (mix, policy) cell at a time instead of stepping a whole
-	// policy row through one tape walk (sim.RunMachineGrid). Bit-identical
-	// either way; the escape hatch for A/B-ing the one-pass grid engine.
-	DisableMultiReplay bool
-	// DisableLaneParallel keeps the one-pass grid walk but steps its
-	// policy lanes serially instead of borrowing idle scheduler workers
-	// to run them on goroutines. Bit-identical either way; the escape
-	// hatch for A/B-ing the parallel lane executor.
-	DisableLaneParallel bool
 	// Ctx, when non-nil, cancels scheduler-backed grids early: queued
 	// cells return the context error, in-flight cells run to completion
 	// (and still checkpoint), and the grid reports nil instead of
@@ -258,15 +248,10 @@ type MixMetrics struct {
 	MPKI float64
 }
 
+// mixMetrics simulates one (mix, policy) cell and scores its per-core
+// results against the mix members' alone runs.
 func (o Options) mixMetrics(m workload.Mix, spec PolicySpec) MixMetrics {
-	return o.metricsFromResults(m, o.runMix(m, spec))
-}
-
-// metricsFromResults scores one mix's per-core results against its
-// alone runs — the policy-independent tail of mixMetrics, shared with
-// the one-pass grid path (computeRow), which produces the per-core
-// results for a whole policy row at once.
-func (o Options) metricsFromResults(m workload.Mix, res []cpu.CoreResult) MixMetrics {
+	res := o.runMix(m, spec)
 	shared := make([]float64, len(res))
 	var misses, instr uint64
 	for i, r := range res {
@@ -289,59 +274,6 @@ func (o Options) metricsFromResults(m workload.Mix, res []cpu.CoreResult) MixMet
 		mm.MPKI = 1000 * float64(misses) / float64(instr)
 	}
 	return mm
-}
-
-// rowEntry shares one policy row's evaluation among its cell jobs: the
-// first cell of (mix, shape) to run computes every still-uncached lane
-// of the row in a single tape walk; sibling cells then read their lane.
-type rowEntry struct {
-	once sync.Once
-	mm   []*MixMetrics // per spec; nil = not computed by the row pass
-}
-
-// rowMetrics returns cell (m, specs[j]) via the shared row pass. Lanes
-// the row pass skipped (cached when it ran, or lost a race with another
-// grid) fall back to a plain single-cell evaluation — bit-identical,
-// just without the sharing.
-func (o Options) rowMetrics(row *rowEntry, m workload.Mix, specs []PolicySpec, j int, lanes sim.LaneBudget) MixMetrics {
-	row.once.Do(func() { o.computeRow(row, m, specs, lanes) })
-	if mm := row.mm[j]; mm != nil {
-		return *mm
-	}
-	return o.mixMetrics(m, specs[j])
-}
-
-// computeRow evaluates every uncached lane of one (mix, machine shape)
-// policy row through sim.RunMachineGrid — one multi-policy replay job
-// instead of len(specs) single-policy ones. Cells already in the grid
-// cache are carved out (the scheduler serves them without running their
-// jobs); a lane's scoring matches mixMetrics exactly.
-func (o Options) computeRow(row *rowEntry, m workload.Mix, specs []PolicySpec, lanes sim.LaneBudget) {
-	row.mm = make([]*MixMetrics, len(specs))
-	cfg := o.machine(m.Cores())
-	newPols := make([]func() cache.Policy, len(specs))
-	live := 0
-	for j, s := range specs {
-		var cached MixMetrics
-		if gridCache.Get(o.mixKey(m, s), &cached) {
-			continue
-		}
-		s := s
-		newPols[j] = func() cache.Policy { return s.New(cfg.Cores, cfg.LLC.Ways) }
-		live++
-	}
-	if live == 0 {
-		return
-	}
-	res, _, _ := sim.RunMachineGrid(cfg, newPols, m, o.Seed,
-		o.DisableReplay, o.DisableMultiReplay, lanes)
-	for j := range specs {
-		if res[j] == nil {
-			continue
-		}
-		mm := o.metricsFromResults(m, res[j])
-		row.mm[j] = &mm
-	}
 }
 
 // gridCache memoizes MixMetrics across experiments in this process,
@@ -456,36 +388,17 @@ func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]Mi
 		Cache:          gridCache,
 		DefaultTimeout: o.JobTimeout,
 	})
-	// One rowEntry per mix: the first cell job of a row to run evaluates
-	// the row's uncached lanes in a single multi-policy tape walk
-	// (computeRow); its siblings block on the once and then just read
-	// their lane. Cells stay the unit of scheduling, caching and
-	// journaling — each cell job still journals exactly its own cell —
-	// so resume and chaos behavior are unchanged.
-	rows := make([]rowEntry, len(mixes))
-	// The scheduler doubles as the lane budget: a row job holding one
-	// worker slot borrows idle slots to step its replay lanes in
-	// parallel, so lanes and cell jobs share the same Workers() bound.
-	var lanes sim.LaneBudget
-	if !o.DisableLaneParallel {
-		lanes = sched
-	}
 	jobs := make([]sim.Job, 0, len(mixes)*len(specs))
-	for i, m := range mixes {
-		for j, s := range specs {
-			i, j, m, s := i, j, m, s
+	for _, m := range mixes {
+		for _, s := range specs {
+			m, s := m, s
 			key := o.mixKey(m, s)
 			jobs = append(jobs, sim.Job{
 				Key:   key,
 				Label: fmt.Sprintf("%s under %s", m.Name, s.Name),
 				New:   func() any { return new(MixMetrics) },
 				Run: func(context.Context) (any, error) {
-					var mm MixMetrics
-					if o.DisableMultiReplay {
-						mm = o.mixMetrics(m, s)
-					} else {
-						mm = o.rowMetrics(&rows[i], m, specs, j, lanes)
-					}
+					mm := o.mixMetrics(m, s)
 					o.journalValue(key, &mm)
 					return &mm, nil
 				},

@@ -58,18 +58,19 @@ var (
 	// simulation (tape budget exhausted or untaggable stream).
 	TracesReplayed = expvar.NewInt("nucache_traces_replayed")
 	TraceFallbacks = expvar.NewInt("nucache_trace_fallbacks")
-	// MultiReplayRuns counts one-pass policy-grid replays (one per
-	// (mix, machine shape) row served by RunMachineGrid's multi path);
-	// MultiReplayLanes totals the policy lanes those runs stepped — each
-	// lane is one simulation that would otherwise have been a separate
-	// single-policy replay. Lanes also count in TracesReplayed.
+	// The nucache_multireplay_* counters describe RunMachineGrid, which
+	// only the benchmark's grid probes call; in a sweep or a server they
+	// stay at zero. MultiReplayRuns counts multi-lane replays (one per
+	// (mix, machine shape) row RunMachineGrid replayed as a whole);
+	// MultiReplayLanes totals the policy lanes those runs replayed. Lanes
+	// also count in TracesReplayed.
 	MultiReplayRuns  = expvar.NewInt("nucache_multireplay_runs")
 	MultiReplayLanes = expvar.NewInt("nucache_multireplay_lanes")
 	// MultiReplayParallelRuns counts the subset of MultiReplayRuns that
-	// stepped lanes on two or more worker goroutines (scheduler tokens
-	// were available and GOMAXPROCS allowed it);
-	// MultiReplayLaneWorkers totals the workers those runs used — the
-	// row's own slot plus every borrowed token.
+	// replayed lanes on two or more goroutines (scheduler tokens were
+	// available and GOMAXPROCS allowed it); MultiReplayLaneWorkers
+	// totals the workers those runs used — the row's own slot plus every
+	// borrowed token.
 	MultiReplayParallelRuns = expvar.NewInt("nucache_multireplay_parallel_runs")
 	MultiReplayLaneWorkers  = expvar.NewInt("nucache_multireplay_lane_workers")
 	// MRCProfilesBuilt counts MRC profiling passes actually executed

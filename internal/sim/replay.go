@@ -32,39 +32,12 @@ func SetReplayDisabled(v bool) { replayOff.Store(v) }
 // ReplayDisabled reports the process-wide toggle.
 func ReplayDisabled() bool { return replayOff.Load() }
 
-// multiOff is the process-wide kill switch for the one-pass multi-policy
-// grid path only (-nomultireplay); single-policy replay stays on.
-var multiOff atomic.Bool
-
-// SetMultiReplayDisabled turns the one-pass policy-grid path
-// (RunMachineGrid's multi lane walk) off or back on process-wide.
-// Grids then run one single-policy replay per lane — bit-identical by
-// construction, so this is the A/B escape hatch for the multi engine.
-func SetMultiReplayDisabled(v bool) { multiOff.Store(v) }
-
-// MultiReplayDisabled reports the process-wide toggle.
-func MultiReplayDisabled() bool { return multiOff.Load() }
-
-// laneOff is the process-wide kill switch for parallel lane stepping
-// within the one-pass grid path (-laneparallel=false); the one-pass
-// walk itself stays on, stepping lanes serially.
-var laneOff atomic.Bool
-
-// SetLaneParallelDisabled turns parallel lane stepping off (or back
-// on) process-wide. Grids then step lanes serially round-robin —
-// byte-identical by construction, so this is the A/B escape hatch for
-// the parallel executor, mirroring -nomultireplay one level down.
-func SetLaneParallelDisabled(v bool) { laneOff.Store(v) }
-
-// LaneParallelDisabled reports the process-wide toggle.
-func LaneParallelDisabled() bool { return laneOff.Load() }
-
-// LaneBudget grants temporary extra parallelism to a one-pass grid
+// LaneBudget grants temporary extra parallelism to a RunMachineGrid
 // row: TryBorrow acquires up to max extra worker tokens without
 // blocking (returning how many it got, possibly zero) and Return gives
 // them back. *Scheduler implements it over its worker semaphore; a nil
-// budget means no extra workers are ever available and grids step
-// lanes serially.
+// budget means no extra workers are ever available and the row's lanes
+// replay one after another. Only the benchmark's grid probe uses it.
 type LaneBudget interface {
 	TryBorrow(max int) int
 	Return(n int)
@@ -177,26 +150,25 @@ func tryReplay(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, see
 // RunMachineGrid runs one simulation of mix on cfg per policy lane — a
 // whole policy-grid row in one call. Lane i uses a policy built by
 // newPols[i]; a nil builder skips that lane (its results/machine/policy
-// come back nil), which is how callers carve already-cached cells out
-// of a row. When replay is available it steps every live lane through a
-// single tape walk (cpu.MultiReplaySystem — each filtered event decoded
-// once for all policies); otherwise each live lane independently takes
-// the same replay-or-direct path RunMachine would. Either way every
-// lane's results are bit-identical to a standalone RunMachine call, and
-// retired-instruction accounting is per computed lane, exactly as if
-// the lanes had been separate RunMachine calls.
+// come back nil). When replay is available the live lanes replay the
+// mix's tapes as one cpu.MultiReplaySystem; otherwise each live lane
+// independently takes the same replay-or-direct path RunMachine would.
+// Either way every lane's results are bit-identical to a standalone
+// RunMachine call, and retired-instruction accounting is per computed
+// lane, exactly as if the lanes had been separate RunMachine calls.
 //
-// The one-pass walk is skipped (per-lane fallback, still bit-identical)
-// when noMulti or SetMultiReplayDisabled, when replay as a whole is off,
-// when fewer than two lanes are live, or when tapes can't be acquired.
+// No program path calls it: each experiment grid cell is one
+// RunMachine call. It exists, with the nucache_multireplay_* expvars it
+// feeds, only for the benchmark's grid probes, which measure it against
+// per-cell replay. The multi-lane replay is skipped (per-lane fallback, still
+// bit-identical) when noMulti, when replay as a whole is off, when
+// fewer than two lanes are live, or when tapes can't be acquired.
 //
-// lanes is the optional worker budget for parallel lane stepping: when
-// non-nil (and SetLaneParallelDisabled is off), the multi walk borrows
-// idle scheduler tokens — capped at GOMAXPROCS-1 so a grid row never
-// oversubscribes the box — and steps lanes on that many extra worker
-// goroutines, returning the tokens when the row finishes. With a nil
-// budget, no free tokens, or a single spare CPU, it degrades to the
-// serial round-robin; results are byte-identical either way.
+// lanes is the optional worker budget: when non-nil, the row borrows
+// idle scheduler tokens — capped at GOMAXPROCS-1 so a row never
+// oversubscribes the box — and replays lanes on that many extra
+// goroutines, returning the tokens when the row finishes. Results are
+// byte-identical either way.
 func RunMachineGrid(cfg cpu.Config, newPols []func() cache.Policy, mix workload.Mix, seed uint64, noReplay, noMulti bool, lanes LaneBudget) ([][]cpu.CoreResult, []cpu.Machine, []cache.Policy) {
 	results := make([][]cpu.CoreResult, len(newPols))
 	machines := make([]cpu.Machine, len(newPols))
@@ -207,7 +179,7 @@ func RunMachineGrid(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 			live++
 		}
 	}
-	if live > 1 && !noReplay && !replayOff.Load() && !multiOff.Load() {
+	if live > 1 && !noReplay && !replayOff.Load() {
 		if tryMultiReplay(cfg, newPols, mix, seed, results, machines, pols, lanes) {
 			return results, machines, pols
 		}
@@ -221,7 +193,7 @@ func RunMachineGrid(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 	return results, machines, pols
 }
 
-// tryMultiReplay fills the grid outputs via one multi-policy tape walk.
+// tryMultiReplay fills the grid outputs via one multi-policy replay.
 // A false return means nothing was filled and the caller should run
 // lanes individually.
 func tryMultiReplay(cfg cpu.Config, newPols []func() cache.Policy, mix workload.Mix, seed uint64, results [][]cpu.CoreResult, machines []cpu.Machine, pols []cache.Policy, lanes LaneBudget) bool {
@@ -230,7 +202,7 @@ func tryMultiReplay(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 		return false
 	}
 	// The cpu.multireplay.run failpoint fails (or kills) the grid at the
-	// moment it commits to the one-pass path, once per live lane so a
+	// moment it commits to the multi-lane path, once per live lane so a
 	// kill lands mid-grid regardless of which lane ordinal is armed; an
 	// error degrades to per-lane replay, the same edge a dead tape would
 	// exercise.
@@ -253,12 +225,12 @@ func tryMultiReplay(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 		laneIdx = append(laneIdx, i)
 	}
 	ms := cpu.NewMultiReplaySystem(cfg, lanePols, tapes)
-	// The row's own worker slot steps lanes; extra workers come from
+	// The row's own worker slot replays lanes; extra workers come from
 	// borrowed scheduler tokens, bounded by the spare CPUs (GOMAXPROCS-1:
 	// the row's slot is already using one) and by the lanes that could
-	// run concurrently. Tokens are held only for the duration of the walk.
+	// run concurrently. Tokens are held only for the duration of the row.
 	workers := 1
-	if lanes != nil && !laneOff.Load() {
+	if lanes != nil {
 		want := len(lanePols) - 1
 		if spare := runtime.GOMAXPROCS(0) - 1; want > spare {
 			want = spare

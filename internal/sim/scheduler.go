@@ -132,8 +132,9 @@ func (s *Scheduler) Workers() int { return s.workers }
 
 // TryBorrow acquires up to max worker tokens without blocking and
 // returns how many it got (possibly zero). A running job that can use
-// extra parallelism internally — a grid row stepping replay lanes on
-// worker goroutines — borrows the idle slots queued jobs would
+// extra parallelism internally — a RunMachineGrid row replaying its
+// lanes on worker goroutines, which only the benchmark's grid probe
+// runs — borrows the idle slots queued jobs would
 // otherwise take, so the box never runs more than Workers() lanes plus
 // jobs at once. Borrowed tokens must be given back with Return; since
 // the borrow never blocks and the borrower already holds a slot,
