@@ -1,12 +1,13 @@
 package cpu
 
-// FuzzMultiReplayGrid extends the FuzzFilteredDecode family one layer
-// up: arbitrary (valid and bit-flipped) hand-built tapes are replayed
-// through a 3-lane policy grid. The contract under corruption: Run
-// returns an error with nil results — never a panic — and lanes are
-// isolated: each lane's outcome (results or failure) is identical to a
-// standalone single-policy replay of the same bytes, because the item
-// stream and every failure mode are policy-independent.
+// FuzzMultiReplayGrid replays arbitrary hand-built tapes — valid,
+// malformed (stray or out-of-range crossings) and bit-flipped after
+// sealing — through a 3-lane policy grid. The contract under corruption:
+// Run returns an error with nil results — never a panic, and never a
+// replay of flipped records — and lanes are isolated: each lane's
+// outcome (results or failure) is identical to a standalone
+// single-policy replay of the same tape, because the item stream and
+// every failure mode are policy-independent.
 
 import (
 	"reflect"
@@ -38,61 +39,74 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// buildFuzzTape hand-builds a complete tape: events derived from seed,
-// a record crossing at crossAfter, an exhaustion crossing at the end,
-// and optionally one flipped byte in the packed buffer. decCount stays
-// zero, so every replay stream-decodes through the shared window — the
-// multi-lane path under test.
-func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, mutPos, mutXor uint64) *Tape {
-	ft := &trace.FilteredTrace{}
+// buildFuzzTape hand-builds a complete tape through the recorder's page
+// writer: events derived from seed, a record crossing at crossAfter, an
+// exhaustion crossing at the end, one sealed frame over all of it, and
+// then — when mutXor's low byte is non-zero — one byte of the event or
+// writeback records flipped, as bit rot after sealing would. It reports
+// whether a byte was flipped.
+func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, mutPos, mutXor uint64) (*Tape, bool) {
+	r := &recorder{cfg: cfg}
 	var p uint64
 	for i := uint64(0); i < nEvents; i++ {
-		r := splitmix64(&seed)
+		x := splitmix64(&seed)
 		ev := trace.FilteredEvent{
-			Addr:     r & (1<<42 - 1) &^ 63,
-			PC:       splitmix64(&seed) & (1<<48 - 1),
+			Addr:     x & (1<<recAddrBits - 1) &^ 63,
+			PC:       splitmix64(&seed) & (1<<recPCBits - 1),
 			CycleGap: splitmix64(&seed) & 0xffff,
-			InstrGap: splitmix64(&seed) & 0xff,
 			Kind:     trace.Load,
 		}
-		if r&1 != 0 {
+		if x&1 != 0 {
 			ev.Kind = trace.Store
 		}
-		if r&2 != 0 {
+		if x&2 != 0 {
 			ev.HasWB = true
-			ev.WBAddr = splitmix64(&seed) & (1<<40 - 1) &^ 63
-			ev.WBPC = splitmix64(&seed) & (1<<48 - 1)
+			ev.WBAddr = splitmix64(&seed) & (1<<recAddrBits - 1) &^ 63
+			ev.WBPC = splitmix64(&seed) & (1<<recPCBits - 1)
 		}
 		p += ev.CycleGap
-		ft.AppendEvent(ev)
+		r.append(ev)
 	}
-	ft.AppendCrossing(trace.Crossing{
+	r.crossings = append(r.crossings, trace.Crossing{
 		Kind: trace.CrossRecord, AfterEvents: crossAfter, OnEvent: onEvent,
 		PStart: p, PEnd: p + 2, Instr: nEvents * 3, Mem: nEvents,
 		L1Hits: nEvents * 2, L1Misses: nEvents,
 	})
-	ft.AppendCrossing(trace.Crossing{
+	r.crossings = append(r.crossings, trace.Crossing{
 		Kind: trace.CrossExhaust, AfterEvents: nEvents, PStart: p + 3, PEnd: p + 3,
 	})
-	// MarkComplete before any replay: the recorder has no live stream, so
-	// an extension attempt would be a harness bug, not a decoder one.
-	ft.MarkComplete()
-	if mutXor&0xff != 0 {
-		if buf, _, _ := ft.Snapshot(); len(buf) > 0 {
-			buf[mutPos%uint64(len(buf))] ^= byte(mutXor)
-		}
+	// Complete before any replay: the recorder has no live stream, so an
+	// extension attempt would be a harness bug, not a replay one.
+	r.complete = true
+	t := &Tape{frontEnd: frontEndOf(cfg), rec: r, chunk: tapeChunkMin}
+	t.sealFrame()
+
+	recs := r.events + r.wbs
+	if mutXor&0xff == 0 || recs == 0 {
+		return t, false
 	}
-	return &Tape{frontEnd: frontEndOf(cfg), rec: &recorder{cfg: cfg, tr: ft}, chunk: tapeChunkMin}
+	i, byteOff := mutPos/16%recs, mutPos%16
+	var words [2]*uint64
+	if i < r.events {
+		e := &r.evPages[i>>evPageShift][i&evPageMask]
+		words = [2]*uint64{&e.w0, &e.w1}
+	} else {
+		i -= r.events
+		wb := &r.wbPages[i>>wbPageShift][i&wbPageMask]
+		words = [2]*uint64{&wb.addr, &wb.pc}
+	}
+	*words[byteOff/8] ^= (mutXor & 0xff) << (8 * (byteOff % 8))
+	return t, true
 }
 
 func FuzzMultiReplayGrid(f *testing.F) {
-	f.Add(uint64(64), uint64(1), uint64(64), false, uint64(0), uint64(0))      // valid, record at end
-	f.Add(uint64(64), uint64(2), uint64(64), true, uint64(0), uint64(0))       // valid, on-event record
-	f.Add(uint64(16), uint64(3), uint64(7), false, uint64(0), uint64(0))       // record mid-tape
-	f.Add(uint64(0), uint64(4), uint64(0), true, uint64(0), uint64(0))         // stray on-event crossing
-	f.Add(uint64(32), uint64(5), uint64(40), false, uint64(0), uint64(0))      // crossing past the tape
-	f.Add(uint64(64), uint64(6), uint64(64), false, uint64(10), uint64(128))   // continuation-bit flip
-	f.Add(uint64(64), uint64(7), uint64(64), false, uint64(900), uint64(0xff)) // flip near the tail
+	f.Add(uint64(64), uint64(1), uint64(64), false, uint64(0), uint64(0))       // valid, record at end
+	f.Add(uint64(64), uint64(2), uint64(64), true, uint64(0), uint64(0))        // valid, on-event record
+	f.Add(uint64(16), uint64(3), uint64(7), false, uint64(0), uint64(0))        // record mid-tape
+	f.Add(uint64(0), uint64(4), uint64(0), true, uint64(0), uint64(0))          // stray on-event crossing
+	f.Add(uint64(32), uint64(5), uint64(40), false, uint64(0), uint64(0))       // crossing past the tape
+	f.Add(uint64(64), uint64(6), uint64(64), false, uint64(10), uint64(128))    // flip in an event record
+	f.Add(uint64(64), uint64(7), uint64(64), false, uint64(1200), uint64(0xff)) // flip in a writeback record
 
 	f.Fuzz(func(t *testing.T, nEvents, seed, crossAfter uint64, onEvent bool, mutPos, mutXor uint64) {
 		nEvents %= 2048
@@ -107,12 +121,15 @@ func FuzzMultiReplayGrid(f *testing.F) {
 				policy.NewUCP(cfg.Cores, cfg.LLC.Ways),
 			}
 		}
-		tape := buildFuzzTape(cfg, nEvents, seed, crossAfter, onEvent, mutPos, mutXor)
+		tape, flipped := buildFuzzTape(cfg, nEvents, seed, crossAfter, onEvent, mutPos, mutXor)
 
 		ms := NewMultiReplaySystem(cfg, lanes(), tape0(tape))
 		mRes, mErr := ms.Run()
 		if mErr != nil && mRes != nil {
 			t.Fatalf("failed grid returned non-nil results: %+v", mRes)
+		}
+		if flipped && mErr == nil {
+			t.Fatal("grid replayed a tape flipped after sealing")
 		}
 
 		// Lane isolation: each lane must match a standalone single-policy
@@ -136,15 +153,14 @@ func tape0(t *Tape) []*Tape { return []*Tape{t} }
 // FuzzMultiReplayGridParallel is FuzzMultiReplayGrid with lanes run on
 // worker goroutines: the error-never-panic and lane-isolation contracts
 // must survive arbitrary corruption with one tape replayed concurrently
-// (decCount stays zero in these tapes, so every lane stream-decodes
-// every event from the shared packed buffer).
+// by every lane.
 func FuzzMultiReplayGridParallel(f *testing.F) {
 	f.Add(uint64(64), uint64(1), uint64(64), false, uint64(0), uint64(0))
 	f.Add(uint64(16), uint64(3), uint64(7), false, uint64(0), uint64(0))
 	f.Add(uint64(0), uint64(4), uint64(0), true, uint64(0), uint64(0))
 	f.Add(uint64(32), uint64(5), uint64(40), false, uint64(0), uint64(0))
 	f.Add(uint64(64), uint64(6), uint64(64), false, uint64(10), uint64(128))
-	f.Add(uint64(64), uint64(7), uint64(64), false, uint64(900), uint64(0xff))
+	f.Add(uint64(64), uint64(7), uint64(64), false, uint64(1200), uint64(0xff))
 
 	f.Fuzz(func(t *testing.T, nEvents, seed, crossAfter uint64, onEvent bool, mutPos, mutXor uint64) {
 		nEvents %= 2048
@@ -159,12 +175,15 @@ func FuzzMultiReplayGridParallel(f *testing.F) {
 				policy.NewUCP(cfg.Cores, cfg.LLC.Ways),
 			}
 		}
-		tape := buildFuzzTape(cfg, nEvents, seed, crossAfter, onEvent, mutPos, mutXor)
+		tape, flipped := buildFuzzTape(cfg, nEvents, seed, crossAfter, onEvent, mutPos, mutXor)
 
 		ms := NewMultiReplaySystem(cfg, lanes(), tape0(tape))
 		mRes, mErr := ms.RunParallel(3)
 		if mErr != nil && mRes != nil {
 			t.Fatalf("failed parallel grid returned non-nil results: %+v", mRes)
+		}
+		if flipped && mErr == nil {
+			t.Fatal("parallel grid replayed a tape flipped after sealing")
 		}
 
 		for li, pol := range lanes() {

@@ -1,10 +1,6 @@
 package cpu
 
-import (
-	"fmt"
-
-	"nucache/internal/trace"
-)
+import "nucache/internal/trace"
 
 // TapeVisitor consumes one core's LLC-bound access stream during a
 // profiling walk (WalkTape). Access is called once per LLC access in
@@ -26,8 +22,6 @@ func WalkTape(cfg Config, coreIndex int, t *Tape, v TapeVisitor) error {
 		view      tapeView
 		walked    uint64 // events delivered to the visitor
 		nextCross int
-		streaming bool
-		cur       trace.FilteredCursor
 		wbIdx     uint64
 		ev        trace.FilteredEvent
 	)
@@ -47,47 +41,21 @@ func WalkTape(cfg Config, coreIndex int, t *Tape, v TapeVisitor) error {
 				return nil
 			}
 		}
-		switch {
-		case walked < view.decCount:
-			e := &view.decPages[walked>>decPageShift][walked&decPageMask]
-			w0, w1 := e.w0, e.w1
-			ev.Addr = w0 & (1<<decAddrBits - 1)
-			ev.PC = w1 & (1<<decPCBits - 1)
-			ev.Kind = trace.Load
-			if w0&decStoreBit != 0 {
-				ev.Kind = trace.Store
+		if walked >= view.events {
+			if view.complete {
+				return nil
 			}
-			if w0&decWBBit != 0 {
-				wb := &view.wbPages[wbIdx>>wbPageShift][wbIdx&wbPageMask]
-				ev.HasWB, ev.WBAddr, ev.WBPC = true, wb.addr, wb.pc
-				wbIdx++
-			} else {
-				ev.HasWB = false
-			}
-		case walked < view.events:
-			if !streaming {
-				streaming = true
-				cur = view.overflow
-			}
-			ok, err := cur.Next(&ev)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("cpu: walk core %d: packed tape short of event %d", coreIndex, walked)
-			}
-		case view.complete:
-			return nil
-		default:
 			nv, err := t.snapshot(walked)
 			if err != nil {
 				return err
 			}
 			view = nv
-			if streaming {
-				cur.Rebase(nv.buf, nv.events)
-			}
 			continue
+		}
+		view.event(walked, &ev)
+		if ev.HasWB {
+			view.victim(wbIdx, &ev)
+			wbIdx++
 		}
 		// Mirror playEvent's LLC access order exactly.
 		addr := ev.Addr + addrTag

@@ -8,7 +8,7 @@ import (
 
 // The record pass: run one core's stream through its private L1/L2
 // hierarchy exactly as (*System).step does, but with no shared LLC, and
-// append everything the LLC would see to a trace.FilteredTrace. The
+// write everything the LLC would see onto the tape's event pages. The
 // private hierarchy is policy-independent — its hit/miss outcomes,
 // victims and timing contributions do not depend on what the shared
 // cache does — so one recording serves every LLC policy via
@@ -20,8 +20,9 @@ import (
 // engine re-applies the per-core tags. That keeps one tape reusable at
 // any core position of any mix. The guards below reject the (never
 // generated, but possible via custom streams) addresses for which
-// tagging would not commute with recording; the tape is then abandoned
-// and callers fall back to direct simulation.
+// tagging would not commute with recording, and the cycle gaps the
+// packed record cannot hold; the tape is then abandoned and callers fall
+// back to direct simulation.
 
 const (
 	// maxRawAddr keeps addr + core<<coreAddrShift carry-free and leaves
@@ -32,16 +33,15 @@ const (
 )
 
 // recorder advances one core's policy-independent front end and grows
-// its filtered tape on demand. It mirrors (*System).step statement for
-// statement on the private-hierarchy side (keep the two in sync), with
-// the private caches modeled by privCache — semantically identical to
-// the direct engine's cache.Cache + l1lru, but specialized for speed.
+// its tape on demand. It mirrors (*System).step statement for statement
+// on the private-hierarchy side (keep the two in sync), with the private
+// caches modeled by privCache — semantically identical to the direct
+// engine's cache.Cache + l1lru, but specialized for speed.
 type recorder struct {
 	cfg    Config
 	stream trace.Stream
 	l1     *privCache
 	l2     *privCache // nil when the private L2 is disabled
-	tr     *trace.FilteredTrace
 
 	// p accumulates the core's policy-independent cycles: workload gaps
 	// plus private-hierarchy latencies. The core's clock in a real run is
@@ -51,29 +51,22 @@ type recorder struct {
 	mem   uint64
 
 	// lastEvP / lastEvInstr are p and instr at the start of the previous
-	// event's step (delta bases for CycleGap/InstrGap).
+	// event's step (the CycleGap base, and the no-event guard's).
 	lastEvP     uint64
 	lastEvInstr uint64
 
-	// The decoded mirror: every event appended to the packed tape is
-	// also written, still in registers, into fixed-size pages of 16-byte
-	// packed records (writeback victims in a sequential side list) so
-	// replays never re-decode the varint stream — and touch a quarter of
-	// the cache lines a full struct mirror would. Mirroring stops
-	// (permanently for this tape) when the process-wide decode budget
-	// runs out or a field outruns the packed layout; stopOff/stopAddr/
-	// stopPC then let a ResumeCursor stream-decode the rest of the packed
-	// buffer from exactly that point. Mutated only under the owning
-	// Tape's lock.
-	decPages   [][]decEvent
-	wbPages    [][]wbRec
-	decCount   uint64
-	wbCount    uint64
-	decCounted int // bytes charged to decBytes
-	decStopped bool
-	stopOff    int
-	stopAddr   uint64
-	stopPC     uint64
+	// The tape itself: every event is written, still in registers, into
+	// fixed-size pages of 16-byte packed records (writeback victims in a
+	// sequential side list), and crossings into their own list. Mutated
+	// only under the owning Tape's lock; entries below events/wbs are
+	// immutable once written.
+	evPages   [][]evRec
+	wbPages   [][]wbRec
+	events    uint64
+	wbs       uint64
+	bytes     int // page bytes allocated
+	crossings []trace.Crossing
+	complete  bool // stream exhausted: the tape is final
 
 	warmed   bool
 	budgeted bool
@@ -85,7 +78,6 @@ func newRecorder(cfg Config, stream trace.Stream) *recorder {
 		cfg:    cfg,
 		stream: stream,
 		l1:     newPrivCache(cfg.L1),
-		tr:     &trace.FilteredTrace{},
 	}
 	if cfg.L2.SizeBytes > 0 {
 		r.l2 = newPrivCache(cfg.L2)
@@ -101,7 +93,7 @@ func newRecorder(cfg Config, stream trace.Stream) *recorder {
 // reaches the LLC and an unbounded extension would step forever; failing
 // the tape sends its replays to direct simulation instead.
 func (r *recorder) run(target uint64) error {
-	for r.err == nil && !r.tr.Complete() && r.tr.Events() < target {
+	for r.err == nil && !r.complete && r.events < target {
 		r.step()
 		if b := r.cfg.InstrBudget; b > 0 && r.instr-r.lastEvInstr >= b {
 			r.err = fmt.Errorf("cpu: front end retired %d instructions without an LLC event", r.instr-r.lastEvInstr)
@@ -113,13 +105,13 @@ func (r *recorder) run(target uint64) error {
 func (r *recorder) step() {
 	a, ok := r.stream.Next()
 	if !ok {
-		r.tr.AppendCrossing(trace.Crossing{
-			Kind: trace.CrossExhaust, AfterEvents: r.tr.Events(),
+		r.crossings = append(r.crossings, trace.Crossing{
+			Kind: trace.CrossExhaust, AfterEvents: r.events,
 			PStart: r.p, PEnd: r.p,
 			Instr: r.instr, Mem: r.mem,
 			L1Hits: r.l1.hits, L1Misses: r.l1.misses,
 		})
-		r.tr.MarkComplete()
+		r.complete = true
 		return
 	}
 	if a.Addr >= maxRawAddr || a.PC >= maxRawPC {
@@ -155,6 +147,12 @@ func (r *recorder) step() {
 			r.err = fmt.Errorf("cpu: writeback %#x/pc %#x outside the taggable range", ev.WBAddr, ev.WBPC)
 			return
 		}
+		if ev.CycleGap>>recGapBits != 0 {
+			// 2^38 simulated cycles between two LLC events: never produced
+			// by real workloads, and too large for the packed record.
+			r.err = fmt.Errorf("cpu: cycle gap %d between LLC events outside the packed range", ev.CycleGap)
+			return
+		}
 		r.append(ev)
 		r.lastEvP = pstart
 		r.lastEvInstr = r.instr
@@ -172,68 +170,35 @@ func (r *recorder) step() {
 	}
 }
 
-// append packs ev onto the tape and mirrors it into the decoded pages
-// (unless the decode budget stopped the mirror for good).
+// append writes ev's packed 16-byte record (and writeback side record)
+// into the tape's pages. The caller has checked that ev fits the layout.
 func (r *recorder) append(ev trace.FilteredEvent) {
-	if !r.decStopped {
-		r.mirror(ev)
+	if r.events&evPageMask == 0 {
+		r.evPages = append(r.evPages, make([]evRec, evPageSize))
+		r.bytes += evPageSize * evRecBytes
 	}
-	r.tr.AppendEvent(ev)
-}
-
-// mirror writes ev's packed 16-byte record (and writeback side record),
-// or latches decStopped — capturing the encoder position a ResumeCursor
-// needs — when the budget is exhausted or ev doesn't fit the layout.
-func (r *recorder) mirror(ev trace.FilteredEvent) {
-	if ev.CycleGap>>decGapBits != 0 {
-		// A gap too large for the packed record (2^38 simulated cycles
-		// between two LLC events) — never produced by real workloads.
-		r.stopMirror()
-		return
-	}
-	if r.decCount&decPageMask == 0 {
-		if decBytes.Load() >= tapeBudget.Load() {
-			r.stopMirror()
-			return
-		}
-		r.decPages = append(r.decPages, make([]decEvent, decPageSize))
-		r.charge(decPageSize * decEventBytes)
-	}
-	w0 := ev.Addr | (ev.CycleGap&(1<<decGapLowBits-1))<<decGapLowShift
+	w0 := ev.Addr | (ev.CycleGap&(1<<recGapLowBits-1))<<recGapLowShift
 	if ev.Kind == trace.Store {
-		w0 |= decStoreBit
+		w0 |= recStoreBit
 	}
 	if ev.HasWB {
-		w0 |= decWBBit
-		if r.wbCount&wbPageMask == 0 {
-			// Writeback pages are charged but not gated: the event-page
-			// check above bounds the mirror's growth between checks.
+		w0 |= recWBBit
+		if r.wbs&wbPageMask == 0 {
 			r.wbPages = append(r.wbPages, make([]wbRec, wbPageSize))
-			r.charge(wbPageSize * wbRecBytes)
+			r.bytes += wbPageSize * wbRecBytes
 		}
-		r.wbPages[r.wbCount>>wbPageShift][r.wbCount&wbPageMask] = wbRec{addr: ev.WBAddr, pc: ev.WBPC}
-		r.wbCount++
+		r.wbPages[r.wbs>>wbPageShift][r.wbs&wbPageMask] = wbRec{addr: ev.WBAddr, pc: ev.WBPC}
+		r.wbs++
 	}
-	w1 := ev.PC | (ev.CycleGap>>decGapLowBits)<<decPCBits
-	r.decPages[r.decCount>>decPageShift][r.decCount&decPageMask] = decEvent{w0: w0, w1: w1}
-	r.decCount++
-}
-
-func (r *recorder) stopMirror() {
-	r.decStopped = true
-	r.stopOff, r.stopAddr, r.stopPC = r.tr.Pos()
-}
-
-func (r *recorder) charge(n int) {
-	decBytes.Add(int64(n))
-	r.decCounted += n
+	w1 := ev.PC | (ev.CycleGap>>recGapLowBits)<<recPCBits
+	r.evPages[r.events>>evPageShift][r.events&evPageMask] = evRec{w0: w0, w1: w1}
+	r.events++
 }
 
 func (r *recorder) makeEvent(a trace.Access, pstart uint64, upper privResult) trace.FilteredEvent {
 	ev := trace.FilteredEvent{
 		Addr: a.Addr, PC: a.PC, Kind: a.Kind,
 		CycleGap: pstart - r.lastEvP,
-		InstrGap: r.instr - r.lastEvInstr,
 	}
 	if upper.evValid && upper.evDirty {
 		ev.HasWB = true
@@ -244,8 +209,8 @@ func (r *recorder) makeEvent(a trace.Access, pstart uint64, upper privResult) tr
 }
 
 func (r *recorder) cross(kind trace.CrossKind, onEvent bool, pstart uint64) {
-	r.tr.AppendCrossing(trace.Crossing{
-		Kind: kind, AfterEvents: r.tr.Events(), OnEvent: onEvent,
+	r.crossings = append(r.crossings, trace.Crossing{
+		Kind: kind, AfterEvents: r.events, OnEvent: onEvent,
 		PStart: pstart, PEnd: r.p,
 		Instr: r.instr, Mem: r.mem,
 		L1Hits: r.l1.hits, L1Misses: r.l1.misses,

@@ -41,19 +41,13 @@ type replayCore struct {
 	// (and the tape extended) when the core reaches its end.
 	view tapeView
 
-	// stream decodes the events past the tape's decode cache (decode
-	// budget exhausted) straight from the packed buffer; it is taken
-	// from the view's overflow cursor on the first such event.
-	stream    trace.FilteredCursor
-	streaming bool
-
 	nextCross int
 
 	replayed  uint64              // events replayed so far
 	pi        uint64              // policy-independent cycles at the pending event's step start
 	svc       uint64              // accumulated LLC/memory service cycles
-	wbIdx     uint64              // writeback side records consumed (mirror mode)
-	pend      trace.FilteredEvent // the pending event (InstrGap not reconstructed; replay never reads it)
+	wbIdx     uint64              // writeback side records consumed
+	pend      trace.FilteredEvent // the pending event
 	pendValid bool
 	dueCross  bool // next item is view.cross[nextCross], not pend
 	recorded  bool
@@ -272,35 +266,13 @@ func (rs *ReplaySystem) advance(c *replayCore) error {
 			c.time = c.pi + c.svc
 			return nil
 		}
-		// The next event is ordinal c.replayed: usually unpacked from the
-		// tape's decode cache (one 16-byte sequential read; the wb side
-		// list only when the event carries a writeback), else decoded
-		// from the packed buffer (decode budget exhausted).
-		if c.replayed < c.view.decCount {
-			de := &c.view.decPages[c.replayed>>decPageShift][c.replayed&decPageMask]
-			w0, w1 := de.w0, de.w1
-			gap := w0>>decGapLowShift | w1>>decPCBits<<decGapLowBits
-			c.pend.Addr = w0 & (1<<decAddrBits - 1)
-			c.pend.PC = w1 & (1<<decPCBits - 1)
-			c.pend.CycleGap = gap
-			c.pend.Kind = trace.Load
-			if w0&decStoreBit != 0 {
-				c.pend.Kind = trace.Store
-			}
-			if w0&decWBBit != 0 {
-				wb := &c.view.wbPages[c.wbIdx>>wbPageShift][c.wbIdx&wbPageMask]
-				c.pend.HasWB, c.pend.WBAddr, c.pend.WBPC = true, wb.addr, wb.pc
-				c.wbIdx++
-			} else {
-				c.pend.HasWB = false
-			}
-			c.pendValid = true
-			c.pi += gap
-			continue
-		}
+		// The next event is ordinal c.replayed: one 16-byte sequential
+		// read (the wb side list only when the event carries a writeback).
 		if c.replayed < c.view.events {
-			if err := c.streamEvent(); err != nil {
-				return err
+			c.view.event(c.replayed, &c.pend)
+			if c.pend.HasWB {
+				c.view.victim(c.wbIdx, &c.pend)
+				c.wbIdx++
 			}
 			c.pendValid = true
 			c.pi += c.pend.CycleGap
@@ -309,52 +281,16 @@ func (rs *ReplaySystem) advance(c *replayCore) error {
 		if c.view.complete {
 			return fmt.Errorf("cpu: replay core %d ran off its tape", c.index)
 		}
-		if err := c.refresh(); err != nil {
+		// Pull a fresh view, extending the recording when this core has
+		// consumed everything recorded so far. When several replays share
+		// the tape, only the leading one ever extends; the others find
+		// the tape already long enough.
+		v, err := c.tape.snapshot(c.replayed)
+		if err != nil {
 			return err
 		}
+		c.view = v
 	}
-}
-
-// streamEvent decodes event c.replayed from the packed buffer into
-// c.pend. The decode mirror stops for good once the decode budget runs
-// out, so decCount is fixed from the first streamed event on and the
-// view's overflow cursor, positioned there, is this core's stream.
-func (c *replayCore) streamEvent() error {
-	if !c.streaming {
-		c.streaming = true
-		c.stream = c.view.overflow
-	}
-	if got := c.stream.Decoded(); got != c.replayed {
-		return fmt.Errorf("cpu: replay core %d: stream at event %d, want %d",
-			c.index, got, c.replayed)
-	}
-	ok, err := c.stream.Next(&c.pend)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("cpu: replay core %d: packed tape short of event %d",
-			c.index, c.replayed)
-	}
-	return nil
-}
-
-// refresh pulls a fresh snapshot of c's tape, extending the recording
-// when this core has consumed everything recorded so far. When several
-// replays share the tape, only the leading one ever extends; the others
-// find the tape already long enough.
-func (c *replayCore) refresh() error {
-	v, err := c.tape.snapshot(c.replayed)
-	if err != nil {
-		return err
-	}
-	c.view = v
-	if c.streaming {
-		// A fresh snapshot is the longest yet (the tape only appends), so
-		// the stream keeps its position and sees the new bytes.
-		c.stream.Rebase(v.buf, v.events)
-	}
-	return nil
 }
 
 // playItem executes core c's next item: either a due crossing (advance

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"nucache/internal/failpoint"
 	"nucache/internal/trace"
@@ -27,54 +28,54 @@ const (
 	tapeChunkMax = 8 << 10
 )
 
-// DefaultTapeBudget caps the process-wide memory spent on filtered
-// tapes. Past the cap, new tapes are refused (callers fall back to
-// direct simulation); tapes already recording may grow to twice the cap
+// DefaultTapeBudget caps the process-wide memory spent on tape pages.
+// Past the cap, new tapes are refused (callers fall back to direct
+// simulation); tapes already recording may grow to twice the cap
 // before their replays are failed too, so in-flight work completes.
-const DefaultTapeBudget = 512 << 20
+const DefaultTapeBudget = 1 << 30
 
-// decEvent is one mirrored event, packed into 16 bytes so sequential
-// replay touches a quarter of the cache lines a trace.FilteredEvent
-// mirror would (the mirror working set of a many-core grid cell far
-// exceeds the LLC, so every line touched is a memory stall):
+// evRec is one recorded event, packed into 16 bytes so sequential
+// replay touches a quarter of the cache lines a page of
+// trace.FilteredEvent structs would (the tape working set of a
+// many-core grid cell far exceeds the LLC, so every line touched is a
+// memory stall):
 //
 //	w0: addr(40) | store(1) | wb(1) | cycleGapLow(22)
 //	w1: pc(48) | cycleGapHigh(16)
 //
 // The address and PC widths are exactly the record guards' maxRawAddr/
-// maxRawPC bounds (record.go), so packing never truncates; a cycle gap
-// over 2^38 stops the mirror instead (recorder.mirror). Writeback
-// victims live in a side list (wbRec) consumed sequentially: replay
-// always reads a tape front to back, so the i'th wb-flagged event is
-// the i'th wbRec.
-type decEvent struct{ w0, w1 uint64 }
+// maxRawPC bounds (record.go), and a cycle gap of 2^38 or more fails
+// the tape, so packing never truncates. Writeback victims live in a
+// side list (wbRec) consumed sequentially: replay always reads a tape
+// front to back, so the i'th wb-flagged event is the i'th wbRec.
+type evRec struct{ w0, w1 uint64 }
 
-// wbRec is the writeback victim of one wb-flagged mirrored event.
+// wbRec is the writeback victim of one wb-flagged event.
 type wbRec struct{ addr, pc uint64 }
 
 const (
-	decAddrBits = coreAddrShift // record guard: addr < 1<<40
-	decPCBits   = corePCShift   // record guard: pc < 1<<48
+	recAddrBits = coreAddrShift // record guard: addr < 1<<40
+	recPCBits   = corePCShift   // record guard: pc < 1<<48
 
-	decStoreBit    = 1 << decAddrBits
-	decWBBit       = 1 << (decAddrBits + 1)
-	decGapLowShift = decAddrBits + 2
-	decGapLowBits  = 64 - decGapLowShift
-	decGapBits     = decGapLowBits + 64 - decPCBits
+	recStoreBit    = 1 << recAddrBits
+	recWBBit       = 1 << (recAddrBits + 1)
+	recGapLowShift = recAddrBits + 2
+	recGapLowBits  = 64 - recGapLowShift
+	recGapBits     = recGapLowBits + 64 - recPCBits
 
-	decEventBytes = 16
-	wbRecBytes    = 16
+	evRecBytes = 16
+	wbRecBytes = 16
 )
 
-// decPageShift sizes the decode cache's pages (8192 events, 128KB;
+// evPageShift sizes the tape's event pages (8192 events, 128KB;
 // writeback side pages hold 4096 records, 64KB). Fixed-size pages are
-// written into place and never reallocated, so growing the cache copies
+// written into place and never reallocated, so growing a tape copies
 // nothing and the pages (pointer-free) cost the garbage collector
 // nothing to scan.
 const (
-	decPageShift = 13
-	decPageSize  = 1 << decPageShift
-	decPageMask  = decPageSize - 1
+	evPageShift = 13
+	evPageSize  = 1 << evPageShift
+	evPageMask  = evPageSize - 1
 
 	wbPageShift = 12
 	wbPageSize  = 1 << wbPageShift
@@ -87,13 +88,6 @@ var (
 	tapeBudget        atomic.Int64
 	tapeChecksumFails atomic.Int64
 
-	// decBytes accounts the decoded-event caches separately from the
-	// packed tapes. When it reaches the tape budget, tapes stop growing
-	// their decode caches and replays stream-decode the packed buffer
-	// instead — a transparent slowdown, never a fallback to direct
-	// simulation.
-	decBytes atomic.Int64
-
 	tapeMu   sync.Mutex
 	tapeMemo = map[string]*Tape{}
 )
@@ -104,8 +98,8 @@ func init() { tapeBudget.Store(DefaultTapeBudget) }
 // process (exported as the traces_recorded expvar).
 func TapesRecorded() int64 { return tapesRecorded.Load() }
 
-// TapeBytes returns the packed bytes held by all filtered tapes
-// (exported as the trace_bytes expvar).
+// TapeBytes returns the page bytes held by all tapes (exported as the
+// trace_bytes expvar).
 func TapeBytes() int64 { return tapeBytes.Load() }
 
 // TapeChecksumFails returns how many tape frames failed CRC
@@ -117,36 +111,37 @@ func TapeChecksumFails() int64 { return tapeChecksumFails.Load() }
 // the previous value. Intended for operators (flag) and tests.
 func SetTapeBudget(n int64) int64 { return tapeBudget.Swap(n) }
 
-// Tape is one core's recorded front end: a filtered trace plus the live
-// recorder that extends it on demand. A tape is written by at most one
+// Tape is one core's recorded front end: the event pages plus the live
+// recorder that extends them on demand. A tape is written by at most one
 // goroutine at a time (under mu) and replayed by any number of
-// concurrent cursors; the packed buffer is append-only, so snapshots
-// handed to cursors stay valid as the tape grows.
+// concurrent cursors; pages are append-only, so views handed to cursors
+// stay valid as the tape grows.
 type Tape struct {
 	frontEnd frontEnd
 
 	mu      sync.Mutex
-	rec     *recorder // also owns the decoded-event mirror pages
+	rec     *recorder // owns the pages and crossings
 	chunk   uint64
 	dead    error // non-nil: tape unusable; replays fail over to direct
 	counted int   // bytes already added to tapeBytes
 
-	// Integrity frames: each tape extension CRC-32Cs the bytes it
-	// appended, and frames are re-verified once, on the first snapshot
-	// after their creation (a watermark, so verification work totals
-	// O(tape) no matter how many replays share it). A mismatch — bit rot
-	// in a long-lived process's tape memory — kills the tape; replays
-	// degrade to direct simulation instead of replaying corrupt events.
+	// Integrity frames: each tape extension CRC-32Cs the event and
+	// writeback records it appended, and frames are re-verified once, on
+	// the first snapshot after their creation (a watermark, so
+	// verification work totals O(tape) no matter how many replays share
+	// it). A mismatch — bit rot in a long-lived process's tape memory —
+	// kills the tape; replays degrade to direct simulation instead of
+	// replaying corrupt events.
 	frames     []tapeFrame
-	frameEnd   int // bytes covered by frames
 	frameCheck int // frames verified so far
 }
 
-// tapeFrame is one extension's checksum: CRC-32C of the packed buffer
-// from the previous frame's end to this one's.
+// tapeFrame is one extension's checksum: CRC-32C of the event records
+// from the previous frame's watermarks to this one's, followed by the
+// writeback records over the same span.
 type tapeFrame struct {
-	end int
-	crc uint32
+	events, wbs uint64
+	crc         uint32
 }
 
 var tapeCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -238,8 +233,7 @@ func ResetTapes() {
 	for k, t := range tapeMemo {
 		t.mu.Lock()
 		tapeBytes.Add(-int64(t.counted))
-		decBytes.Add(-int64(t.rec.decCounted))
-		t.counted, t.rec.decCounted = 0, 0
+		t.counted = 0
 		t.dead = fmt.Errorf("cpu: tape reset")
 		t.mu.Unlock()
 		delete(tapeMemo, k)
@@ -247,25 +241,40 @@ func ResetTapes() {
 }
 
 // tapeView is one consistent snapshot of a tape handed to a replay core:
-// the decoded-event prefix, the packed buffer backing it, and the
-// crossing list. When the decode cache stopped short of the recorded
-// events (decode budget exhausted), overflow is a cursor positioned at
-// decCount for the core to stream-decode the rest itself.
+// the event and writeback pages, the event count they hold, and the
+// crossing list.
 type tapeView struct {
-	decPages [][]decEvent
+	evPages  [][]evRec
 	wbPages  [][]wbRec
-	decCount uint64
-	events   uint64 // events recorded in the packed buffer
-	buf      []byte
+	events   uint64
 	cross    []trace.Crossing
 	complete bool
-	overflow trace.FilteredCursor // valid iff decCount < events
+}
+
+// event unpacks event i into ev. An event with HasWB set takes its
+// victim from the next unread writeback record (victim).
+func (v *tapeView) event(i uint64, ev *trace.FilteredEvent) {
+	r := &v.evPages[i>>evPageShift][i&evPageMask]
+	ev.Addr = r.w0 & (1<<recAddrBits - 1)
+	ev.PC = r.w1 & (1<<recPCBits - 1)
+	ev.CycleGap = r.w0>>recGapLowShift | r.w1>>recPCBits<<recGapLowBits
+	ev.Kind = trace.Load
+	if r.w0&recStoreBit != 0 {
+		ev.Kind = trace.Store
+	}
+	ev.HasWB = r.w0&recWBBit != 0
+}
+
+// victim unpacks writeback record j into ev's victim fields.
+func (v *tapeView) victim(j uint64, ev *trace.FilteredEvent) {
+	r := &v.wbPages[j>>wbPageShift][j&wbPageMask]
+	ev.WBAddr, ev.WBPC = r.addr, r.pc
 }
 
 // snapshot returns the current readable state of the tape, extending it
-// first when the caller has consumed everything recorded so far. decoded
-// is the number of events the caller has already replayed.
-func (t *Tape) snapshot(decoded uint64) (tapeView, error) {
+// first when the caller has consumed everything recorded so far. consumed
+// is the number of events the caller has already read.
+func (t *Tape) snapshot(consumed uint64) (tapeView, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.dead != nil {
@@ -274,8 +283,8 @@ func (t *Tape) snapshot(decoded uint64) (tapeView, error) {
 	if err := t.verifyFrames(); err != nil {
 		return tapeView{}, err
 	}
-	tr := t.rec.tr
-	if tr.Events() <= decoded && !tr.Complete() {
+	r := t.rec
+	if r.events <= consumed && !r.complete {
 		// Growing tapes stop being extended at twice the budget; replays
 		// in flight fail over to direct simulation from here on.
 		if tapeBytes.Load() >= 2*tapeBudget.Load() {
@@ -286,68 +295,89 @@ func (t *Tape) snapshot(decoded uint64) (tapeView, error) {
 			t.dead = err
 			return tapeView{}, err
 		}
-		if err := t.rec.run(tr.Events() + t.chunk); err != nil {
+		if err := r.run(r.events + t.chunk); err != nil {
 			t.dead = err
 			return tapeView{}, err
 		}
 		if t.chunk < tapeChunkMax {
 			t.chunk *= 2
 		}
-		tapeBytes.Add(int64(tr.Bytes() - t.counted))
-		t.counted = tr.Bytes()
+		tapeBytes.Add(int64(r.bytes - t.counted))
+		t.counted = r.bytes
 		t.sealFrame()
 	}
-	buf, events, cross := tr.Snapshot()
-	v := tapeView{
-		decPages: t.rec.decPages, wbPages: t.rec.wbPages, decCount: t.rec.decCount,
-		events: events, buf: buf, cross: cross,
-		complete: tr.Complete(),
-	}
-	if v.decCount < events {
-		// The mirror stopped at the decode budget; hand out a cursor
-		// positioned exactly where it stopped for stream-decoding.
-		v.overflow = trace.ResumeCursor(t.rec.stopOff, t.rec.stopAddr, t.rec.stopPC, v.decCount)
-		v.overflow.Rebase(buf, events)
-	}
-	return v, nil
+	return tapeView{
+		evPages: r.evPages, wbPages: r.wbPages, events: r.events,
+		cross: r.crossings, complete: r.complete,
+	}, nil
 }
 
-// sealFrame checksums the bytes the extension just appended. Called
+// sealFrame checksums the records the extension just appended. Called
 // with t.mu held, right after the recorder ran.
 func (t *Tape) sealFrame() {
-	buf, _, _ := t.rec.tr.Snapshot()
-	if len(buf) <= t.frameEnd {
+	var prev tapeFrame
+	if n := len(t.frames); n > 0 {
+		prev = t.frames[n-1]
+	}
+	f := tapeFrame{events: t.rec.events, wbs: t.rec.wbs}
+	if f.events == prev.events {
 		return
 	}
-	t.frames = append(t.frames, tapeFrame{
-		end: len(buf),
-		crc: crc32.Checksum(buf[t.frameEnd:len(buf)], tapeCRCTable),
-	})
-	t.frameEnd = len(buf)
+	f.crc = t.rec.frameCRC(prev, f)
+	t.frames = append(t.frames, f)
+}
+
+// frameCRC checksums the records between two frames' watermarks.
+func (r *recorder) frameCRC(from, to tapeFrame) uint32 {
+	crc := pageCRC(0, r.evPages, evPageShift, from.events, to.events)
+	return pageCRC(crc, r.wbPages, wbPageShift, from.wbs, to.wbs)
+}
+
+// pageCRC folds records [lo, hi) of pages of 1<<shift records into crc,
+// reading the pointer-free records' memory in place.
+func pageCRC[T evRec | wbRec](crc uint32, pages [][]T, shift uint, lo, hi uint64) uint32 {
+	mask := uint64(1)<<shift - 1
+	for lo < hi {
+		p := pages[lo>>shift]
+		n := min(hi-lo, mask+1-lo&mask)
+		recs := p[lo&mask : lo&mask+n]
+		b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(recs))), len(recs)*int(unsafe.Sizeof(recs[0])))
+		crc = crc32.Update(crc, tapeCRCTable, b)
+		lo += n
+	}
+	return crc
 }
 
 // verifyFrames re-checks frames sealed by earlier extensions, each
 // exactly once (watermark). Called with t.mu held. On a mismatch the
-// tape is dead: cursors already holding snapshots of the corrupt bytes
+// tape is dead: cursors already holding views of the corrupt records
 // cannot be trusted either, so their replays error out and the whole
 // simulation falls back to the direct engine.
 func (t *Tape) verifyFrames() error {
-	buf, _, _ := t.rec.tr.Snapshot()
-	start := 0
-	if t.frameCheck > 0 {
-		start = t.frames[t.frameCheck-1].end
+	n, err := t.checkFrames(t.frameCheck)
+	t.frameCheck = n
+	return err
+}
+
+// checkFrames verifies frames from index i on and returns the index of
+// the first frame left unverified (len(frames) on success). Called with
+// t.mu held; a mismatch kills the tape.
+func (t *Tape) checkFrames(i int) (int, error) {
+	var prev tapeFrame
+	if i > 0 {
+		prev = t.frames[i-1]
 	}
-	for ; t.frameCheck < len(t.frames); t.frameCheck++ {
-		f := t.frames[t.frameCheck]
-		if got := crc32.Checksum(buf[start:f.end], tapeCRCTable); got != f.crc {
+	for ; i < len(t.frames); i++ {
+		f := t.frames[i]
+		if got := t.rec.frameCRC(prev, f); got != f.crc {
 			tapeChecksumFails.Add(1)
-			t.dead = fmt.Errorf("cpu: tape frame %d (bytes %d..%d) checksum mismatch: %#x, recorded %#x",
-				t.frameCheck, start, f.end, got, f.crc)
-			return t.dead
+			t.dead = fmt.Errorf("cpu: tape frame %d (events %d..%d) checksum mismatch: %#x, recorded %#x",
+				i, prev.events, f.events, got, f.crc)
+			return i, t.dead
 		}
-		start = f.end
+		prev = f
 	}
-	return nil
+	return i, nil
 }
 
 // Verify re-checks every sealed frame immediately, regardless of the
@@ -359,16 +389,6 @@ func (t *Tape) Verify() error {
 	if t.dead != nil {
 		return t.dead
 	}
-	buf, _, _ := t.rec.tr.Snapshot()
-	start := 0
-	for i, f := range t.frames {
-		if got := crc32.Checksum(buf[start:f.end], tapeCRCTable); got != f.crc {
-			tapeChecksumFails.Add(1)
-			t.dead = fmt.Errorf("cpu: tape frame %d (bytes %d..%d) checksum mismatch: %#x, recorded %#x",
-				i, start, f.end, got, f.crc)
-			return t.dead
-		}
-		start = f.end
-	}
-	return nil
+	_, err := t.checkFrames(0)
+	return err
 }

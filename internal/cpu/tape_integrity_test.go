@@ -1,10 +1,9 @@
 package cpu
 
 // Integrity tests for the checksummed tape frames: corruption of the
-// packed event buffer must be caught by the frame CRCs — killing the
-// tape so replays degrade to direct simulation — and must never be
-// replayed as truth. These are internal tests on purpose: corrupting a
-// tape requires reaching through the snapshot into the shared buffer.
+// event or writeback records that replays read must be caught by the
+// frame CRCs — killing the tape so replays degrade to direct simulation
+// — and must never be replayed as truth.
 
 import (
 	"errors"
@@ -29,60 +28,74 @@ func integrityConfig() Config {
 }
 
 // recordSome forces at least one extension so the tape has a sealed
-// frame, and returns the bytes currently on tape.
-func recordSome(t *testing.T, tape *Tape) []byte {
+// frame holding both event and writeback records.
+func recordSome(t *testing.T, tape *Tape) {
 	t.Helper()
 	if _, err := tape.snapshot(0); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	buf, _, _ := tape.rec.tr.Snapshot()
-	if len(buf) == 0 {
-		t.Fatal("tape recorded no bytes")
+	if events, wbs := TapeRecords(tape); events == 0 || wbs == 0 {
+		t.Fatalf("tape recorded %d events, %d writebacks; want both", events, wbs)
 	}
 	if len(tape.frames) == 0 {
 		t.Fatal("extension sealed no frame")
 	}
-	return buf
 }
+
+// pageKinds names the two record lists a frame covers.
+var pageKinds = []struct {
+	name string
+	wb   bool
+}{{"event", false}, {"writeback", true}}
 
 func TestTapeVerifyDetectsCorruption(t *testing.T) {
-	tape := NewTape(integrityConfig(), workload.MustByName("art-like").Stream(7))
-	buf := recordSome(t, tape)
-	if err := tape.Verify(); err != nil {
-		t.Fatalf("pristine tape failed verification: %v", err)
-	}
+	for _, k := range pageKinds {
+		t.Run(k.name, func(t *testing.T) {
+			tape := NewTape(integrityConfig(), workload.MustByName("swim-like").Stream(7))
+			recordSome(t, tape)
+			if err := tape.Verify(); err != nil {
+				t.Fatalf("pristine tape failed verification: %v", err)
+			}
 
-	before := TapeChecksumFails()
-	buf[len(buf)/2] ^= 0x04 // bit rot in the middle of the packed stream
-	err := tape.Verify()
-	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("Verify on corrupt tape = %v, want checksum mismatch", err)
-	}
-	if TapeChecksumFails() != before+1 {
-		t.Fatalf("TapeChecksumFails = %d, want %d", TapeChecksumFails(), before+1)
-	}
-	// The tape is dead: every later snapshot fails with the same error,
-	// so replays fall back to direct simulation instead of replaying
-	// corrupt events.
-	if _, serr := tape.snapshot(0); serr == nil {
-		t.Fatal("snapshot succeeded on a dead tape")
+			before := TapeChecksumFails()
+			events, wbs := TapeRecords(tape)
+			n := events
+			if k.wb {
+				n = wbs
+			}
+			FlipTapeBit(tape, k.wb, n/2, 3) // bit rot mid-tape
+			err := tape.Verify()
+			if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("Verify on corrupt tape = %v, want checksum mismatch", err)
+			}
+			if TapeChecksumFails() != before+1 {
+				t.Fatalf("TapeChecksumFails = %d, want %d", TapeChecksumFails(), before+1)
+			}
+			// The tape is dead: every later snapshot fails with the same
+			// error, so replays fall back to direct simulation instead of
+			// replaying corrupt events.
+			if _, serr := tape.snapshot(0); serr == nil {
+				t.Fatal("snapshot succeeded on a dead tape")
+			}
+		})
 	}
 }
 
-// TestTapeLazyFrameCheckCatchesCorruption corrupts the buffer between
-// two snapshots: the watermark verification on the next snapshot (not
-// an explicit Verify call) must catch it.
+// TestTapeLazyFrameCheckCatchesCorruption corrupts a record between two
+// snapshots: the watermark verification on the next snapshot (not an
+// explicit Verify call) must catch it.
 func TestTapeLazyFrameCheckCatchesCorruption(t *testing.T) {
-	tape := NewTape(integrityConfig(), workload.MustByName("ammp-like").Stream(3))
-	v, err := tape.snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, _, _ := tape.rec.tr.Snapshot()
-	buf[0] ^= 0x80
-	if _, err := tape.snapshot(v.events); err == nil ||
-		!strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("lazy frame check missed corruption: %v", err)
+	for _, k := range pageKinds {
+		t.Run(k.name, func(t *testing.T) {
+			tape := NewTape(integrityConfig(), workload.MustByName("hmmer-like").Stream(3))
+			recordSome(t, tape)
+			events, _ := TapeRecords(tape)
+			FlipTapeBit(tape, k.wb, 0, 63)
+			if _, err := tape.snapshot(events); err == nil ||
+				!strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("lazy frame check missed corruption: %v", err)
+			}
+		})
 	}
 }
 

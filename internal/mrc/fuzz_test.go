@@ -3,7 +3,7 @@ package mrc
 // Fuzz coverage for the profile artifact codec. Profiles transit the
 // content-addressed cache's disk tier, so DecodeProfile sees whatever
 // bytes a crashed or corrupted store hands back. The contract under
-// corruption mirrors the tape decoder's (FuzzFilteredDecode): return an
+// corruption mirrors the tape replay's (FuzzMultiReplayGrid): return an
 // error — never panic, and never hand a malformed profile to the model.
 // A decodable profile must be Validate-clean, and Predict over it must
 // answer (or refuse) without panicking.

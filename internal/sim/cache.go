@@ -135,19 +135,17 @@ func sealEnvelope(payload []byte) ([]byte, error) {
 	return json.Marshal(diskEnvelope{V: 1, SHA256: hex.EncodeToString(sum[:]), Payload: payload})
 }
 
-// openEnvelope extracts and verifies a disk entry's payload. Entries
-// written before the envelope existed (raw payload JSON, no checksum)
-// pass through unchanged — they lack the envelope's marker fields, and
-// no cached Result ever had a top-level "sha256" — so old caches keep
-// loading; checksum mismatches count in nucache_cache_checksum_fails
-// and surface as errors for the quarantine path.
+// openEnvelope extracts and verifies a disk entry's payload. Anything
+// that is not a complete v1 envelope is an error for the quarantine
+// path, as is a checksum mismatch (also counted in
+// nucache_cache_checksum_fails).
 func openEnvelope(data []byte) ([]byte, error) {
 	var env diskEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, err
 	}
-	if env.V == 0 || env.SHA256 == "" || env.Payload == nil {
-		return data, nil // legacy raw-payload entry
+	if env.V != 1 || env.SHA256 == "" || env.Payload == nil {
+		return nil, fmt.Errorf("sim: cache entry is not a v1 envelope (v=%d)", env.V)
 	}
 	sum := sha256.Sum256(env.Payload)
 	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {

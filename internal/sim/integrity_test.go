@@ -1,30 +1,19 @@
 package sim
 
 // End-to-end integrity tests for the disk result cache's sha256
-// envelope: corrupt-but-parseable entries (which the pre-envelope
-// format served as truth) must be detected by checksum, quarantined,
-// and recomputed; legacy raw-payload entries must still load.
+// envelope: corrupt-but-parseable entries — a damaged payload, checksum
+// or version — must be detected, quarantined, and recomputed.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"nucache/internal/failpoint"
 )
-
-func diskEntryPath(t *testing.T, c *Cache, key string) string {
-	t.Helper()
-	path := c.diskPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 func TestCacheEnvelopeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -59,29 +48,40 @@ func TestCacheEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCacheLegacyEntryStillLoads(t *testing.T) {
+// TestCacheVersionFlipQuarantined flips one bit of a sealed entry's
+// version ("v":1 -> "v":0): the file still parses, but it is no longer a
+// v1 envelope, so it must miss, be quarantined and be counted — never
+// be served as a raw payload.
+func TestCacheVersionFlipQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCache(4, dir)
 	key := Request{Bench: "art-like", Budget: 654}.Key()
-	// A pre-envelope entry: the raw value JSON, no checksum.
-	legacy, err := json.Marshal(Result{Mix: "legacy-format"})
+	if err := c.Put(key, Result{Mix: "sealed"}); err != nil {
+		t.Fatal(err)
+	}
+	path := c.diskPath(key)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(diskEntryPath(t, c, key), legacy, 0o644); err != nil {
+	flipped := strings.Replace(string(raw), `"v":1`, `"v":0`, 1)
+	if flipped == string(raw) {
+		t.Fatalf("no version field to flip in %s", raw)
+	}
+	if err := os.WriteFile(path, []byte(flipped), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	failsBefore := CacheChecksumFails.Value()
+
 	qBefore := CacheQuarantined.Value()
 	var got Result
-	if !c.Get(key, &got) {
-		t.Fatal("legacy entry missed")
+	if NewCache(4, dir).Get(key, &got) {
+		t.Fatalf("version-flipped entry served as a hit: %+v", got)
 	}
-	if got.Mix != "legacy-format" {
-		t.Fatalf("legacy decode: %+v", got)
+	if CacheQuarantined.Value() != qBefore+1 {
+		t.Fatal("version-flipped entry not counted as quarantined")
 	}
-	if CacheChecksumFails.Value() != failsBefore || CacheQuarantined.Value() != qBefore {
-		t.Fatal("legacy load miscounted as corruption")
+	if _, err := os.Stat(path + ".quarantined"); err != nil {
+		t.Fatalf("quarantined copy missing: %v", err)
 	}
 }
 

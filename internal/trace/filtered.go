@@ -1,31 +1,21 @@
 package trace
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
-// This file defines the L1-filtered trace: the compact, policy-independent
+// This file defines the L1-filtered event model: the policy-independent
 // record of everything a core's private cache hierarchy emits toward the
 // shared LLC. The CPU model's record pass (internal/cpu) runs the
-// generator and private L1/L2 once and appends events here; replay runs
-// drive only the shared LLC from the buffer, once per policy.
+// generator and private L1/L2 once and stores these events and crossings
+// on a tape; replay runs drive only the shared LLC from the tape, once
+// per policy.
 //
 // An event is one private-hierarchy miss: the demand access that reaches
 // the LLC, the dirty private victim (if any) that is written back behind
-// it, and the policy-independent cycle/instruction gap since the previous
-// event. Gaps are what make deterministic replay possible: the global
+// it, and the policy-independent cycle gap since the previous event.
+// Gaps are what make deterministic replay possible: the global
 // interleaving of LLC accesses in the direct simulator is fully determined
 // by each core's policy-independent cycles plus the policy-dependent LLC
 // service latencies, which replay re-derives per policy.
-//
-// Events are packed with delta/varint encoding (~9-12 bytes each against
-// the 16-byte budget): a flags byte, zig-zag address and PC deltas against
-// the previous event, cycle and instruction gap varints, and, for events
-// with a writeback, the victim's line address and PC as deltas against the
-// event's own address and PC.
 
-// FilteredEvent is one decoded LLC-bound event.
+// FilteredEvent is one LLC-bound event.
 type FilteredEvent struct {
 	// Addr and PC are the demand access, untagged (no core bits); the
 	// replay engine applies the per-core address/PC tagging.
@@ -39,8 +29,6 @@ type FilteredEvent struct {
 	// excluded and re-derived at replay time). For the first event it
 	// counts from cycle zero.
 	CycleGap uint64
-	// InstrGap is the instructions retired over the same interval.
-	InstrGap uint64
 	// HasWB reports that the deepest private level evicted a dirty line,
 	// which the LLC sees as a posted store right after the demand access.
 	HasWB bool
@@ -86,206 +74,4 @@ type Crossing struct {
 	// Instr, Mem, L1Hits and L1Misses are the core-cumulative counters at
 	// the snapshot (all policy-independent).
 	Instr, Mem, L1Hits, L1Misses uint64
-}
-
-// FilteredTrace is an append-only tape of events and crossings for one
-// core. It is written once by the record pass and read concurrently by
-// replay cursors; appended bytes are immutable, so cursors may keep
-// reading a stale slice header while the writer grows the tape (the
-// synchronization that publishes new bytes to readers lives in the
-// owner, internal/cpu's tape cache).
-type FilteredTrace struct {
-	buf       []byte
-	events    uint64
-	crossings []Crossing
-	complete  bool
-
-	// Encoder state: previous event for delta encoding.
-	prevAddr uint64
-	prevPC   uint64
-}
-
-// Events returns the number of events appended so far.
-func (t *FilteredTrace) Events() uint64 { return t.events }
-
-// Crossings returns the crossing list (append-only; do not mutate).
-func (t *FilteredTrace) Crossings() []Crossing { return t.crossings }
-
-// Bytes returns the current size of the packed event buffer.
-func (t *FilteredTrace) Bytes() int { return len(t.buf) }
-
-// Complete reports that the underlying stream was exhausted: the tape is
-// final and running off its end means the core genuinely stopped.
-func (t *FilteredTrace) Complete() bool { return t.complete }
-
-// MarkComplete finalizes the tape (stream exhausted).
-func (t *FilteredTrace) MarkComplete() { t.complete = true }
-
-const (
-	flagStore = 1 << 0
-	flagWB    = 1 << 1
-)
-
-// AppendEvent packs one event onto the tape.
-func (t *FilteredTrace) AppendEvent(ev FilteredEvent) {
-	flags := byte(0)
-	if ev.Kind == Store {
-		flags |= flagStore
-	}
-	if ev.HasWB {
-		flags |= flagWB
-	}
-	b := append(t.buf, flags)
-	b = appendUvarint(b, zigzag(int64(ev.Addr-t.prevAddr)))
-	b = appendUvarint(b, zigzag(int64(ev.PC-t.prevPC)))
-	b = appendUvarint(b, ev.CycleGap)
-	b = appendUvarint(b, ev.InstrGap)
-	if ev.HasWB {
-		b = appendUvarint(b, zigzag(int64(ev.WBAddr-ev.Addr)))
-		b = appendUvarint(b, zigzag(int64(ev.WBPC-ev.PC)))
-	}
-	t.buf = b
-	t.prevAddr, t.prevPC = ev.Addr, ev.PC
-	t.events++
-}
-
-// AppendCrossing records a measurement boundary.
-func (t *FilteredTrace) AppendCrossing(c Crossing) {
-	t.crossings = append(t.crossings, c)
-}
-
-// Pos reports the encoder's current position — packed length and the
-// delta bases the next AppendEvent will diff against — so a cursor can
-// later resume decoding from exactly here (ResumeCursor).
-func (t *FilteredTrace) Pos() (off int, prevAddr, prevPC uint64) {
-	return len(t.buf), t.prevAddr, t.prevPC
-}
-
-// Snapshot returns the current readable region of the tape for a cursor:
-// the packed buffer, the event count it holds, and the crossing list.
-// The returned slices are immutable prefixes; the writer only appends.
-func (t *FilteredTrace) Snapshot() (buf []byte, events uint64, crossings []Crossing) {
-	return t.buf, t.events, t.crossings
-}
-
-// FilteredCursor decodes events sequentially from a tape snapshot. When
-// it exhausts the snapshot the owner refreshes it with a newer one (same
-// tape, more bytes) via Rebase.
-type FilteredCursor struct {
-	buf      []byte
-	off      int
-	decoded  uint64 // events decoded so far
-	limit    uint64 // events available in buf
-	prevAddr uint64
-	prevPC   uint64
-}
-
-// Rebase points the cursor at a (possibly longer) snapshot of the same
-// tape. The decode offset is preserved: snapshots of an append-only tape
-// agree on every byte the cursor has already consumed.
-func (c *FilteredCursor) Rebase(buf []byte, events uint64) {
-	c.buf = buf
-	c.limit = events
-}
-
-// ResumeCursor builds a cursor positioned mid-tape at an encoder
-// position captured by Pos after `decoded` events had been appended.
-// The caller must Rebase it onto a snapshot before decoding.
-func ResumeCursor(off int, prevAddr, prevPC uint64, decoded uint64) FilteredCursor {
-	return FilteredCursor{off: off, decoded: decoded, prevAddr: prevAddr, prevPC: prevPC}
-}
-
-// Decoded returns the number of events decoded so far.
-func (c *FilteredCursor) Decoded() uint64 { return c.decoded }
-
-// Next decodes the next event into ev. It returns false when the current
-// snapshot is exhausted (Rebase with a longer snapshot and retry, or the
-// tape truly ended).
-func (c *FilteredCursor) Next(ev *FilteredEvent) (bool, error) {
-	if c.decoded >= c.limit {
-		return false, nil
-	}
-	buf := c.buf[c.off:]
-	if len(buf) == 0 {
-		return false, fmt.Errorf("trace: filtered tape truncated at event %d", c.decoded)
-	}
-	// Every varint read is bounds-checked individually: a truncated or
-	// bit-flipped tape must surface as an error (the caller falls back to
-	// direct simulation), never as a panic or a silent mis-decode. An
-	// unchecked k<=0 would leave n stuck (truncation) or drag it
-	// backwards (overlong varint ⇒ negative k ⇒ out-of-range index).
-	flags := buf[0]
-	n := 1
-	da, k := uvarint(buf, n)
-	if k <= 0 {
-		return false, fmt.Errorf("trace: corrupt filtered tape at event %d", c.decoded)
-	}
-	n += k
-	dp, k := uvarint(buf, n)
-	if k <= 0 {
-		return false, fmt.Errorf("trace: corrupt filtered tape at event %d", c.decoded)
-	}
-	n += k
-	cyc, k := uvarint(buf, n)
-	if k <= 0 {
-		return false, fmt.Errorf("trace: corrupt filtered tape at event %d", c.decoded)
-	}
-	n += k
-	ins, k := uvarint(buf, n)
-	if k <= 0 {
-		return false, fmt.Errorf("trace: corrupt filtered tape at event %d", c.decoded)
-	}
-	n += k
-	c.prevAddr += uint64(unzigzag(da))
-	c.prevPC += uint64(unzigzag(dp))
-	ev.Addr = c.prevAddr
-	ev.PC = c.prevPC
-	ev.Kind = Load
-	if flags&flagStore != 0 {
-		ev.Kind = Store
-	}
-	ev.CycleGap = cyc
-	ev.InstrGap = ins
-	ev.HasWB = flags&flagWB != 0
-	if ev.HasWB {
-		dwa, k2 := uvarint(buf, n)
-		if k2 <= 0 {
-			return false, fmt.Errorf("trace: corrupt filtered tape at event %d", c.decoded)
-		}
-		n += k2
-		dwp, k2 := uvarint(buf, n)
-		if k2 <= 0 {
-			return false, fmt.Errorf("trace: corrupt filtered tape at event %d", c.decoded)
-		}
-		n += k2
-		ev.WBAddr = ev.Addr + uint64(unzigzag(dwa))
-		ev.WBPC = ev.PC + uint64(unzigzag(dwp))
-	} else {
-		ev.WBAddr, ev.WBPC = 0, 0
-	}
-	c.off += n
-	c.decoded++
-	return true, nil
-}
-
-// uvarint is binary.Uvarint with a single-byte fast path: gap and delta
-// varints on the decode path are overwhelmingly one byte, and skipping
-// the general loop (and the sub-slice) for them is measurable under the
-// replay engine.
-func uvarint(buf []byte, off int) (uint64, int) {
-	if off < len(buf) {
-		if b := buf[off]; b < 0x80 {
-			return uint64(b), 1
-		}
-	}
-	return binary.Uvarint(buf[off:])
-}
-
-// appendUvarint is binary.AppendUvarint with the same single-byte fast
-// path on the encode side.
-func appendUvarint(b []byte, v uint64) []byte {
-	if v < 0x80 {
-		return append(b, byte(v))
-	}
-	return binary.AppendUvarint(b, v)
 }
