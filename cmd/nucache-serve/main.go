@@ -60,10 +60,8 @@ func main() {
 		retries  = flag.Int("retries", 1, "retries for transiently failed jobs (0 = none)")
 		backoff  = flag.Duration("retry-backoff", 100*time.Millisecond, "base jittered backoff between retries")
 		timeout  = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
-		noReplay = flag.Bool("noreplay", false, "disable the record/replay fast path (A/B debugging; results are bit-identical either way)")
 	)
 	flag.Parse()
-	sim.SetReplayDisabled(*noReplay)
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)

@@ -37,7 +37,6 @@ import (
 
 	"nucache/internal/experiments"
 	"nucache/internal/journal"
-	"nucache/internal/sim"
 )
 
 func main() {
@@ -48,12 +47,10 @@ func main() {
 		mixLimit = flag.Int("mixlimit", 0, "truncate the 4-core mix list (0 = all)")
 		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = NumCPU, 1 = sequential)")
 		jobTO    = flag.Duration("jobtimeout", 0, "per-(mix,policy) deadline; a stuck pair fails instead of hanging the sweep (0 = none)")
-		noReplay = flag.Bool("noreplay", false, "disable the record/replay fast path (A/B debugging; results are bit-identical either way)")
 		jpath    = flag.String("journal", "", "checkpoint journal path; completed cells are appended as they finish")
 		resume   = flag.Bool("resume", false, "replay the -journal file and skip cells it already holds")
 	)
 	flag.Parse()
-	sim.SetReplayDisabled(*noReplay)
 
 	if *resume && *jpath == "" {
 		fmt.Fprintln(os.Stderr, "nucache-sweep: -resume requires -journal")

@@ -63,9 +63,10 @@ func TestUnknownSweepExitsNonzero(t *testing.T) {
 
 // TestRemovedReplayFlagsAreUndefined: grid cells always replay one
 // simulation each, so the old grid-engine switches -nomultireplay and
-// -laneparallel are usage errors, and the binary names the flag.
+// -laneparallel are usage errors, as is the -noreplay A/B switch (replay
+// is bit-identical to direct simulation), and the binary names the flag.
 func TestRemovedReplayFlagsAreUndefined(t *testing.T) {
-	for _, flagName := range []string{"nomultireplay", "laneparallel"} {
+	for _, flagName := range []string{"nomultireplay", "laneparallel", "noreplay"} {
 		_, errOut, err := runMain(t, "-"+flagName, "-sweep", "deliways")
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {

@@ -132,11 +132,113 @@ const (
 	corePCShift = 48
 )
 
+// since re-bases cumulative counters r past the earlier snapshot b (the
+// warm-up baseline; zero when no warm-up was configured).
+func (r CoreResult) since(b CoreResult) CoreResult {
+	return CoreResult{
+		Core:         r.Core,
+		Instructions: r.Instructions - b.Instructions,
+		Cycles:       r.Cycles - b.Cycles,
+		MemAccesses:  r.MemAccesses - b.MemAccesses,
+		L1Hits:       r.L1Hits - b.L1Hits,
+		L1Misses:     r.L1Misses - b.L1Misses,
+		LLCAccesses:  r.LLCAccesses - b.LLCAccesses,
+		LLCHits:      r.LLCHits - b.LLCHits,
+		LLCMisses:    r.LLCMisses - b.LLCMisses,
+	}
+}
+
+// llcSide is the shared half of the machine: the LLC, the memory model
+// behind it and the traffic counters. System and ReplaySystem embed it
+// and send every private-hierarchy miss through serve, so the LLC
+// access order is written down once.
+type llcSide struct {
+	// cfg is the whole machine config; System and ReplaySystem read
+	// their own fields of it through the embedding.
+	cfg  Config
+	llc  *cache.Cache
+	dram *memory.DRAM // nil under the flat-latency model
+
+	// req is the scratch request reused for every LLC access: the cache
+	// and policies read it only during the Access call (never retain the
+	// pointer), and reusing it keeps the per-access path allocation-free
+	// — a fresh composite literal escapes through the policy interface
+	// and costs one heap object per access.
+	req cache.Request
+
+	// Writebacks counts dirty private victims drained into the LLC.
+	Writebacks uint64
+	// PrefetchIssued counts next-line prefetches sent to the LLC.
+	PrefetchIssued uint64
+}
+
+func newLLCSide(cfg Config, llcPolicy cache.Policy) llcSide {
+	if cfg.Cores <= 0 {
+		panic("cpu: non-positive core count")
+	}
+	llcCfg := cfg.LLC
+	if llcCfg.Name == "" {
+		llcCfg.Name = "LLC"
+	}
+	llcCfg.Cores = cfg.Cores
+	s := llcSide{cfg: cfg, llc: cache.New(llcCfg, llcPolicy)}
+	if cfg.DRAM != nil {
+		s.dram = memory.New(*cfg.DRAM)
+	}
+	return s
+}
+
+// DRAM exposes the memory model when enabled (nil otherwise).
+func (s *llcSide) DRAM() *memory.DRAM { return s.dram }
+
+// LLC exposes the shared cache (policy inspection, stats).
+func (s *llcSide) LLC() *cache.Cache { return s.llc }
+
+// Prefetches returns the next-line prefetch count (Machine interface).
+func (s *llcSide) Prefetches() uint64 { return s.PrefetchIssued }
+
+// serve services one private-hierarchy miss of core at the LLC and in
+// main memory, in this order: the demand access, the memory traffic it
+// causes, its next-line prefetches, then the posted writeback of the
+// private victim (when wb). Addresses and PCs arrive core-tagged. It
+// returns the cycles the core stalls for; prefetches and writebacks are
+// free in time.
+func (s *llcSide) serve(core int, addr, pc uint64, kind trace.Kind, wb bool, wbAddr, wbPC uint64) uint64 {
+	s.req = cache.Request{Addr: addr, PC: pc, Core: core, Kind: kind}
+	res := s.llc.Access(&s.req)
+	svc := s.cfg.LLCLatency
+	if !res.Hit {
+		if s.dram != nil {
+			svc += s.dram.Access(addr)
+		} else {
+			svc += s.cfg.MemLatency
+		}
+	}
+	// An evicted dirty LLC line is written to memory (posted; row state
+	// only matters under the DRAM model).
+	if res.EvictedValid && res.Evicted.Dirty && s.dram != nil {
+		s.dram.Touch(res.Evicted.Tag << 6)
+	}
+	for d := 1; d <= s.cfg.PrefetchDegree; d++ {
+		s.PrefetchIssued++
+		s.req = cache.Request{
+			Addr: addr + uint64(d)*uint64(s.cfg.LLC.LineBytes),
+			PC:   pc, Core: core, Kind: trace.Load,
+		}
+		s.llc.Access(&s.req)
+	}
+	if wb {
+		s.Writebacks++
+		s.req = cache.Request{Addr: wbAddr, PC: wbPC, Core: core, Kind: trace.Store}
+		s.llc.Access(&s.req)
+	}
+	return svc
+}
+
 type coreState struct {
 	index    int
 	stream   trace.Stream
-	l1       *cache.Cache
-	l2       *cache.Cache // nil when the private L2 is disabled
+	priv     privHier
 	time     uint64
 	instr    uint64
 	mem      uint64
@@ -149,10 +251,8 @@ type coreState struct {
 
 // System is a runnable multicore simulation.
 type System struct {
-	cfg   Config
+	llcSide
 	cores []*coreState
-	llc   *cache.Cache
-	dram  *memory.DRAM // nil under the flat-latency model
 
 	// cand caches the core nextCore returned last; rivalTime/rivalIndex
 	// are the best (time, index) among the other schedulable cores at the
@@ -162,70 +262,21 @@ type System struct {
 	cand       *coreState
 	rivalTime  uint64
 	rivalIndex int
-
-	// req is the scratch request reused for every cache access: the
-	// caches and policies read it only during the Access call (never
-	// retain the pointer), and reusing it keeps the per-access path
-	// allocation-free — a fresh composite literal escapes through the
-	// policy interface and costs one heap object per access.
-	req cache.Request
-
-	// Writebacks counts L1 dirty evictions forwarded to the LLC.
-	Writebacks uint64
-	// PrefetchIssued counts next-line prefetches sent to the LLC.
-	PrefetchIssued uint64
 }
 
 // NewSystem builds a system with one stream per core and the given LLC
 // policy. It panics on mismatched stream count or invalid geometry
 // (experiment-setup programming errors).
 func NewSystem(cfg Config, llcPolicy cache.Policy, streams []trace.Stream) *System {
-	if cfg.Cores <= 0 {
-		panic("cpu: non-positive core count")
-	}
 	if len(streams) != cfg.Cores {
 		panic(fmt.Sprintf("cpu: %d streams for %d cores", len(streams), cfg.Cores))
 	}
-	llcCfg := cfg.LLC
-	if llcCfg.Name == "" {
-		llcCfg.Name = "LLC"
-	}
-	llcCfg.Cores = cfg.Cores
-	s := &System{
-		cfg: cfg,
-		llc: cache.New(llcCfg, llcPolicy),
-	}
-	if cfg.DRAM != nil {
-		s.dram = memory.New(*cfg.DRAM)
-	}
+	s := &System{llcSide: newLLCSide(cfg, llcPolicy)}
 	for i := 0; i < cfg.Cores; i++ {
-		l1Cfg := cfg.L1
-		l1Cfg.Name = fmt.Sprintf("L1D-%d", i)
-		l1Cfg.Cores = 1
-		c := &coreState{
-			index:  i,
-			stream: streams[i],
-			l1:     cache.New(l1Cfg, newL1LRU()),
-		}
-		if cfg.L2.SizeBytes > 0 {
-			l2Cfg := cfg.L2
-			l2Cfg.Name = fmt.Sprintf("L2-%d", i)
-			l2Cfg.Cores = 1
-			c.l2 = cache.New(l2Cfg, newL1LRU())
-		}
-		s.cores = append(s.cores, c)
+		s.cores = append(s.cores, &coreState{index: i, stream: streams[i], priv: newPrivHier(cfg)})
 	}
 	return s
 }
-
-// DRAM exposes the memory model when enabled (nil otherwise).
-func (s *System) DRAM() *memory.DRAM { return s.dram }
-
-// LLC exposes the shared cache (policy inspection, stats).
-func (s *System) LLC() *cache.Cache { return s.llc }
-
-// Prefetches returns the next-line prefetch count (Machine interface).
-func (s *System) Prefetches() uint64 { return s.PrefetchIssued }
 
 // Run executes the simulation and returns per-core results. Each core's
 // statistics are snapshotted when it reaches the instruction budget, but
@@ -302,32 +353,11 @@ func (s *System) step(c *coreState) {
 	addr := a.Addr + uint64(c.index)<<coreAddrShift
 	pc := a.PC | uint64(c.index)<<corePCShift
 
-	c.time += uint64(a.Gap) // non-memory instructions, 1 cycle each
-
-	s.req = cache.Request{Addr: addr, PC: pc, Core: 0, Kind: a.Kind}
-	l1res := c.l1.Access(&s.req)
-	switch {
-	case l1res.Hit:
-		c.time += s.cfg.L1Latency
-	case c.l2 != nil:
-		c.time += s.cfg.L1Latency + s.cfg.L2Latency
-		s.req = cache.Request{Addr: addr, PC: pc, Core: 0, Kind: a.Kind}
-		l2res := c.l2.Access(&s.req)
-		// The L1 victim drains into the private L2 (posted).
-		if l1res.EvictedValid && l1res.Evicted.Dirty {
-			s.Writebacks++
-			s.req = cache.Request{
-				Addr: l1res.Evicted.Tag << 6, PC: l1res.Evicted.PC,
-				Core: 0, Kind: trace.Store,
-			}
-			c.l2.Access(&s.req)
-		}
-		if !l2res.Hit {
-			s.accessLLC(c, addr, pc, a.Kind, l2res)
-		}
-	default:
-		c.time += s.cfg.L1Latency
-		s.accessLLC(c, addr, pc, a.Kind, l1res)
+	cycles, deep, miss := c.priv.access(addr, pc, a.Kind == trace.Store)
+	c.time += uint64(a.Gap) + cycles // non-memory instructions, 1 cycle each
+	if miss {
+		c.time += s.serve(c.index, addr, pc, a.Kind,
+			deep.evValid && deep.evDirty, deep.evTag<<6, deep.evPC)
 	}
 
 	c.instr += uint64(a.Gap) + 1
@@ -341,44 +371,6 @@ func (s *System) step(c *coreState) {
 	}
 }
 
-// accessLLC services a private-hierarchy miss at the shared LLC (and main
-// memory beyond it), charging latency to the core and forwarding the
-// private victim's writeback. upper is the access result of the deepest
-// private level, whose victim must drain into the LLC.
-func (s *System) accessLLC(c *coreState, addr, pc uint64, kind trace.Kind, upper cache.AccessResult) {
-	s.req = cache.Request{Addr: addr, PC: pc, Core: c.index, Kind: kind}
-	llcRes := s.llc.Access(&s.req)
-	if llcRes.Hit {
-		c.time += s.cfg.LLCLatency
-	} else if s.dram != nil {
-		c.time += s.cfg.LLCLatency + s.dram.Access(addr)
-	} else {
-		c.time += s.cfg.LLCLatency + s.cfg.MemLatency
-	}
-	// An evicted dirty LLC line is written to memory (posted; row state
-	// only matters under the DRAM model).
-	if llcRes.EvictedValid && llcRes.Evicted.Dirty && s.dram != nil {
-		s.dram.Touch(llcRes.Evicted.Tag << 6)
-	}
-	for d := 1; d <= s.cfg.PrefetchDegree; d++ {
-		s.PrefetchIssued++
-		s.req = cache.Request{
-			Addr: addr + uint64(d)*uint64(s.cfg.LLC.LineBytes),
-			PC:   pc, Core: c.index, Kind: trace.Load,
-		}
-		s.llc.Access(&s.req)
-	}
-	if upper.EvictedValid && upper.Evicted.Dirty {
-		// Posted writeback: updates LLC state but does not stall.
-		s.Writebacks++
-		s.req = cache.Request{
-			Addr: upper.Evicted.Tag << 6, PC: upper.Evicted.PC,
-			Core: c.index, Kind: trace.Store,
-		}
-		s.llc.Access(&s.req)
-	}
-}
-
 // snapshot reads a core's cumulative counters.
 func (s *System) snapshot(c *coreState) CoreResult {
 	return CoreResult{
@@ -386,8 +378,8 @@ func (s *System) snapshot(c *coreState) CoreResult {
 		Instructions: c.instr,
 		Cycles:       c.time,
 		MemAccesses:  c.mem,
-		L1Hits:       c.l1.Stats.Hits,
-		L1Misses:     c.l1.Stats.Misses,
+		L1Hits:       c.priv.l1.hits,
+		L1Misses:     c.priv.l1.misses,
 		LLCAccesses:  s.llc.Stats.CoreAccesses[c.index],
 		LLCHits:      s.llc.Stats.CoreHits[c.index],
 		LLCMisses:    s.llc.Stats.CoreMisses[c.index],
@@ -398,63 +390,5 @@ func (s *System) snapshot(c *coreState) CoreResult {
 // re-based past the warm-up region when one was configured.
 func (s *System) record(c *coreState) {
 	c.recorded = true
-	r := s.snapshot(c)
-	b := c.base // zero when no warm-up
-	c.result = CoreResult{
-		Core:         c.index,
-		Instructions: r.Instructions - b.Instructions,
-		Cycles:       r.Cycles - b.Cycles,
-		MemAccesses:  r.MemAccesses - b.MemAccesses,
-		L1Hits:       r.L1Hits - b.L1Hits,
-		L1Misses:     r.L1Misses - b.L1Misses,
-		LLCAccesses:  r.LLCAccesses - b.LLCAccesses,
-		LLCHits:      r.LLCHits - b.LLCHits,
-		LLCMisses:    r.LLCMisses - b.LLCMisses,
-	}
-}
-
-// newL1LRU returns the fixed L1 replacement policy. L1s are always LRU;
-// the evaluated policies apply to the shared LLC only.
-func newL1LRU() cache.Policy { return l1lru{} }
-
-// l1lru is a small self-contained LRU so package cpu does not depend on
-// package policy (which would invert the dependency layering for tests).
-// It keeps a last-use stamp per way instead of a recency list: exact LRU
-// either way (stamps are unique, invalid ways stamp 0 and lose every
-// comparison, so fills take the first invalid way just like a
-// FindInvalid-first list), but touching one word per access instead of
-// memmoving a stack — this sits under every simulated instruction.
-type l1lru struct{}
-
-type l1State struct {
-	last [16]uint64 // last-use stamp per way; 0 = never filled
-	tick uint64
-}
-
-func (l1lru) Name() string { return "LRU" }
-
-func (l1lru) NewSetState(int) cache.SetState { return &l1State{} }
-
-func (l1lru) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	st := set.State.(*l1State)
-	st.tick++
-	st.last[way] = st.tick
-}
-
-func (l1lru) Victim(set *cache.Set, _ *cache.Request) int {
-	st := set.State.(*l1State)
-	way := 0
-	min := st.last[0]
-	for i := 1; i < len(set.Lines); i++ {
-		if st.last[i] < min {
-			way, min = i, st.last[i]
-		}
-	}
-	return way
-}
-
-func (l1lru) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	st := set.State.(*l1State)
-	st.tick++
-	st.last[way] = st.tick
+	c.result = s.snapshot(c).since(c.base)
 }

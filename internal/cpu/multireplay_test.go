@@ -51,7 +51,7 @@ func runGrid(t *testing.T, tc replayCase, names []string, tapes []*cpu.Tape) ([]
 // or a direct System): per-core results, full LLC statistics, prefetch
 // and writeback counters, and DRAM state.
 func compareLane(t *testing.T, ms *cpu.MultiReplaySystem, li int, laneRes []cpu.CoreResult,
-	refRes []cpu.CoreResult, ref cpu.Machine, refWB, refPF uint64, wbComparable bool) {
+	refRes []cpu.CoreResult, ref cpu.Machine, refWB, refPF uint64) {
 	t.Helper()
 	lane := ms.Lane(li)
 	if !reflect.DeepEqual(refRes, laneRes) {
@@ -63,7 +63,7 @@ func compareLane(t *testing.T, ms *cpu.MultiReplaySystem, li int, laneRes []cpu.
 	if refPF != lane.Prefetches() {
 		t.Errorf("lane %d prefetches diverge: ref %d, lane %d", li, refPF, lane.Prefetches())
 	}
-	if wbComparable && refWB != ms.LaneWritebacks(li) {
+	if refWB != ms.LaneWritebacks(li) {
 		t.Errorf("lane %d writebacks diverge: ref %d, lane %d", li, refWB, ms.LaneWritebacks(li))
 	}
 	rd, ld := ref.DRAM(), lane.DRAM()
@@ -93,12 +93,9 @@ func TestMultiReplayMatchesSingleAndDirect(t *testing.T) {
 			for li, polName := range names {
 				t.Run(polName, func(t *testing.T) {
 					sRes, s := runReplay(t, tc, polName, tapes)
-					compareLane(t, ms, li, res[li], sRes, s, s.Writebacks, s.PrefetchIssued, true)
+					compareLane(t, ms, li, res[li], sRes, s, s.Writebacks, s.PrefetchIssued)
 					dRes, d := runDirect(t, tc, polName)
-					// System.Writebacks counts L1-to-L2 drains too when a
-					// private L2 exists (see compareRuns).
-					compareLane(t, ms, li, res[li], dRes, d, d.Writebacks, d.PrefetchIssued,
-						tc.cfg.L2.SizeBytes == 0)
+					compareLane(t, ms, li, res[li], dRes, d, d.Writebacks, d.PrefetchIssued)
 				})
 			}
 		})
@@ -189,10 +186,9 @@ func TestMultiReplayParallelMatchesSerialAndSingle(t *testing.T) {
 							serial[li], par[li])
 					}
 					sRes, s := runReplay(t, tc, polName, tapes)
-					compareLane(t, ms, li, par[li], sRes, s, s.Writebacks, s.PrefetchIssued, true)
+					compareLane(t, ms, li, par[li], sRes, s, s.Writebacks, s.PrefetchIssued)
 					dRes, d := runDirect(t, tc, polName)
-					compareLane(t, ms, li, par[li], dRes, d, d.Writebacks, d.PrefetchIssued,
-						tc.cfg.L2.SizeBytes == 0)
+					compareLane(t, ms, li, par[li], dRes, d, d.Writebacks, d.PrefetchIssued)
 				})
 			}
 		})

@@ -6,16 +6,55 @@ import (
 	"nucache/internal/cache"
 )
 
-// privCache is the recorder's specialized model of a private L1/L2: a
-// set-associative LRU cache with exactly the semantics of cache.Cache
-// driven by l1lru, but with the generic machinery (request structs,
-// policy interface calls, per-core counters, observer hooks) compiled
-// away. The record pass runs every simulated access through this model,
-// so its constant factor bounds how fast tapes can be cut.
+// privHier is one core's private hierarchy: an L1 and an optional L2,
+// both LRU. The private levels do not depend on the LLC policy, so the
+// direct engine (System) and the tape recorder step the same model, and
+// replay needs none.
+type privHier struct {
+	l1    *privCache
+	l2    *privCache // nil when the private L2 is disabled
+	l1Lat uint64
+	l2Lat uint64
+}
+
+func newPrivHier(cfg Config) privHier {
+	h := privHier{l1: newPrivCache(cfg.L1), l1Lat: cfg.L1Latency, l2Lat: cfg.L2Latency}
+	if cfg.L2.SizeBytes > 0 {
+		h.l2 = newPrivCache(cfg.L2)
+	}
+	return h
+}
+
+// access runs one demand access through the private levels. It returns
+// the private-level latency, the result of the deepest level reached
+// (whose dirty victim the LLC must absorb) and whether the access
+// missed every private level and so goes to the LLC. With an L2, a
+// dirty L1 victim drains into the L2 (posted) after the demand access;
+// the drain's own L2 victim is dropped.
+func (h *privHier) access(addr, pc uint64, store bool) (cycles uint64, deepest privResult, miss bool) {
+	r := h.l1.access(addr, pc, store)
+	if r.hit {
+		return h.l1Lat, r, false
+	}
+	if h.l2 == nil {
+		return h.l1Lat, r, true
+	}
+	r2 := h.l2.access(addr, pc, store)
+	if r.evValid && r.evDirty {
+		h.l2.access(r.evTag<<6, r.evPC, true)
+	}
+	return h.l1Lat + h.l2Lat, r2, !r2.hit
+}
+
+// privCache is the model of one private cache level: a set-associative
+// LRU cache with the semantics of cache.Cache under an LRU policy, but
+// with the generic machinery (request structs, policy interface calls,
+// per-core counters, observer hooks) compiled away. Every simulated
+// access runs through it, so its constant factor bounds how fast the
+// direct engine runs and how fast tapes can be cut.
 //
-// Equivalence contract with cache.Cache + l1lru (checked by the replay
-// differential suite, which compares L1 statistics and every downstream
-// LLC outcome against the direct engine):
+// Equivalence contract with cache.Cache + policy.NewLRU() (pinned per
+// access by TestPrivHierMatchesCache):
 //   - lookup scans ways in index order and takes the first valid tag
 //     match;
 //   - a store hit marks the line dirty;
@@ -50,7 +89,12 @@ type privResult struct {
 	evPC    uint64
 }
 
+// newPrivCache panics on invalid geometry, like cache.New (a machine
+// setup programming error).
 func newPrivCache(cfg cache.Config) *privCache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	sets := cfg.Sets()
 	return &privCache{
 		ways:       cfg.Ways,

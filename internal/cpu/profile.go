@@ -57,7 +57,7 @@ func WalkTape(cfg Config, coreIndex int, t *Tape, v TapeVisitor) error {
 			view.victim(wbIdx, &ev)
 			wbIdx++
 		}
-		// Mirror playEvent's LLC access order exactly.
+		// Mirror llcSide.serve's LLC access order exactly.
 		addr := ev.Addr + addrTag
 		pc := ev.PC | pcTag
 		v.Access(addr, pc, ev.Kind, true)

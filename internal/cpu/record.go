@@ -1,14 +1,16 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 
 	"nucache/internal/trace"
 )
 
 // The record pass: run one core's stream through its private L1/L2
-// hierarchy exactly as (*System).step does, but with no shared LLC, and
-// write everything the LLC would see onto the tape's event pages. The
+// hierarchy (privHier, the model (*System).step also steps), but with no
+// shared LLC, and write everything the LLC would see onto the tape's
+// event pages. The
 // private hierarchy is policy-independent — its hit/miss outcomes,
 // victims and timing contributions do not depend on what the shared
 // cache does — so one recording serves every LLC policy via
@@ -32,16 +34,16 @@ const (
 	maxRawPC = 1 << corePCShift
 )
 
+// ErrNoLLCEvent is the error of a tape whose front end retired a whole
+// instruction budget without an LLC event (see recorder.run).
+var ErrNoLLCEvent = errors.New("cpu: front end retired an instruction budget without an LLC event")
+
 // recorder advances one core's policy-independent front end and grows
-// its tape on demand. It mirrors (*System).step statement for statement
-// on the private-hierarchy side (keep the two in sync), with the private
-// caches modeled by privCache — semantically identical to the direct
-// engine's cache.Cache + l1lru, but specialized for speed.
+// its tape on demand.
 type recorder struct {
 	cfg    Config
 	stream trace.Stream
-	l1     *privCache
-	l2     *privCache // nil when the private L2 is disabled
+	priv   privHier
 
 	// p accumulates the core's policy-independent cycles: workload gaps
 	// plus private-hierarchy latencies. The core's clock in a real run is
@@ -74,15 +76,7 @@ type recorder struct {
 }
 
 func newRecorder(cfg Config, stream trace.Stream) *recorder {
-	r := &recorder{
-		cfg:    cfg,
-		stream: stream,
-		l1:     newPrivCache(cfg.L1),
-	}
-	if cfg.L2.SizeBytes > 0 {
-		r.l2 = newPrivCache(cfg.L2)
-	}
-	return r
+	return &recorder{cfg: cfg, stream: stream, priv: newPrivHier(cfg)}
 }
 
 // run advances the front end until the tape holds at least target events
@@ -96,7 +90,7 @@ func (r *recorder) run(target uint64) error {
 	for r.err == nil && !r.complete && r.events < target {
 		r.step()
 		if b := r.cfg.InstrBudget; b > 0 && r.instr-r.lastEvInstr >= b {
-			r.err = fmt.Errorf("cpu: front end retired %d instructions without an LLC event", r.instr-r.lastEvInstr)
+			r.err = fmt.Errorf("%w (%d instructions)", ErrNoLLCEvent, r.instr-r.lastEvInstr)
 		}
 	}
 	return r.err
@@ -109,7 +103,7 @@ func (r *recorder) step() {
 			Kind: trace.CrossExhaust, AfterEvents: r.events,
 			PStart: r.p, PEnd: r.p,
 			Instr: r.instr, Mem: r.mem,
-			L1Hits: r.l1.hits, L1Misses: r.l1.misses,
+			L1Hits: r.priv.l1.hits, L1Misses: r.priv.l1.misses,
 		})
 		r.complete = true
 		return
@@ -119,33 +113,19 @@ func (r *recorder) step() {
 		return
 	}
 	pstart := r.p
-	r.p += uint64(a.Gap) // non-memory instructions, 1 cycle each
-
-	l1res := r.l1.access(a.Addr, a.PC, a.Kind == trace.Store)
-	var ev trace.FilteredEvent
-	isEvent := false
-	switch {
-	case l1res.hit:
-		r.p += r.cfg.L1Latency
-	case r.l2 != nil:
-		r.p += r.cfg.L1Latency + r.cfg.L2Latency
-		l2res := r.l2.access(a.Addr, a.PC, a.Kind == trace.Store)
-		// The L1 victim drains into the private L2 (posted); the drain's
-		// own L2 victim is dropped, exactly as in (*System).step.
-		if l1res.evValid && l1res.evDirty {
-			r.l2.access(l1res.evTag<<6, l1res.evPC, true)
-		}
-		if !l2res.hit {
-			ev, isEvent = r.makeEvent(a, pstart, l2res), true
-		}
-	default:
-		r.p += r.cfg.L1Latency
-		ev, isEvent = r.makeEvent(a, pstart, l1res), true
-	}
+	cycles, deep, isEvent := r.priv.access(a.Addr, a.PC, a.Kind == trace.Store)
+	r.p += uint64(a.Gap) + cycles // non-memory instructions, 1 cycle each
 	if isEvent {
-		if ev.HasWB && (ev.WBAddr >= maxRawAddr || ev.WBPC >= maxRawPC) {
-			r.err = fmt.Errorf("cpu: writeback %#x/pc %#x outside the taggable range", ev.WBAddr, ev.WBPC)
-			return
+		ev := trace.FilteredEvent{
+			Addr: a.Addr, PC: a.PC, Kind: a.Kind,
+			CycleGap: pstart - r.lastEvP,
+		}
+		if deep.evValid && deep.evDirty {
+			ev.HasWB, ev.WBAddr, ev.WBPC = true, deep.evTag<<6, deep.evPC
+			if ev.WBAddr >= maxRawAddr || ev.WBPC >= maxRawPC {
+				r.err = fmt.Errorf("cpu: writeback %#x/pc %#x outside the taggable range", ev.WBAddr, ev.WBPC)
+				return
+			}
 		}
 		if ev.CycleGap>>recGapBits != 0 {
 			// 2^38 simulated cycles between two LLC events: never produced
@@ -195,24 +175,11 @@ func (r *recorder) append(ev trace.FilteredEvent) {
 	r.events++
 }
 
-func (r *recorder) makeEvent(a trace.Access, pstart uint64, upper privResult) trace.FilteredEvent {
-	ev := trace.FilteredEvent{
-		Addr: a.Addr, PC: a.PC, Kind: a.Kind,
-		CycleGap: pstart - r.lastEvP,
-	}
-	if upper.evValid && upper.evDirty {
-		ev.HasWB = true
-		ev.WBAddr = upper.evTag << 6
-		ev.WBPC = upper.evPC
-	}
-	return ev
-}
-
 func (r *recorder) cross(kind trace.CrossKind, onEvent bool, pstart uint64) {
 	r.crossings = append(r.crossings, trace.Crossing{
 		Kind: kind, AfterEvents: r.events, OnEvent: onEvent,
 		PStart: pstart, PEnd: r.p,
 		Instr: r.instr, Mem: r.mem,
-		L1Hits: r.l1.hits, L1Misses: r.l1.misses,
+		L1Hits: r.priv.l1.hits, L1Misses: r.priv.l1.misses,
 	})
 }

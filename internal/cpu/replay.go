@@ -61,9 +61,7 @@ type replayCore struct {
 // ReplaySystem replays one LLC policy over one tape per core. See the
 // package comment above for the timing reconstruction it relies on.
 type ReplaySystem struct {
-	cfg   Config
-	llc   *cache.Cache
-	dram  *memory.DRAM
+	llcSide
 	cores []replayCore
 
 	// cand/rivalTime/rivalIndex implement the same cached-scheduler fast
@@ -76,19 +74,6 @@ type ReplaySystem struct {
 	// stop condition, kept as a counter so the per-item loop does not
 	// rescan every core.
 	recorded int
-
-	// req is the scratch request reused for every LLC access (same
-	// reasoning as System.req: nothing retains the pointer, and a fresh
-	// literal would heap-allocate per access).
-	req cache.Request
-
-	// Writebacks counts dirty private victims drained into the LLC. With
-	// a private L2 this intentionally differs from System.Writebacks,
-	// which also counts L1-to-L2 drains that never reach the LLC (those
-	// happen at record time here). LLC-level statistics are unaffected.
-	Writebacks uint64
-	// PrefetchIssued counts next-line prefetches sent to the LLC.
-	PrefetchIssued uint64
 }
 
 // Machine is the read surface shared by System, ReplaySystem and the
@@ -104,17 +89,6 @@ type Machine interface {
 // have been recorded for a config with the same front end (FrontEndKey);
 // the LLC, memory model and prefetch degree may differ freely.
 func NewReplaySystem(cfg Config, llcPolicy cache.Policy, tapes []*Tape) *ReplaySystem {
-	rs := new(ReplaySystem)
-	rs.init(cfg, llcPolicy, tapes)
-	return rs
-}
-
-// init builds rs in place, so MultiReplaySystem can keep its lanes in
-// one slice.
-func (rs *ReplaySystem) init(cfg Config, llcPolicy cache.Policy, tapes []*Tape) {
-	if cfg.Cores <= 0 {
-		panic("cpu: non-positive core count")
-	}
 	if len(tapes) != cfg.Cores {
 		panic(fmt.Sprintf("cpu: %d tapes for %d cores", len(tapes), cfg.Cores))
 	}
@@ -125,32 +99,14 @@ func (rs *ReplaySystem) init(cfg Config, llcPolicy cache.Policy, tapes []*Tape) 
 				i, t.frontEnd, fe))
 		}
 	}
-	llcCfg := cfg.LLC
-	if llcCfg.Name == "" {
-		llcCfg.Name = "LLC"
-	}
-	llcCfg.Cores = cfg.Cores
-	*rs = ReplaySystem{
-		cfg:   cfg,
-		llc:   cache.New(llcCfg, llcPolicy),
-		cores: make([]replayCore, cfg.Cores),
-	}
-	if cfg.DRAM != nil {
-		rs.dram = memory.New(*cfg.DRAM)
-	}
+	rs := new(ReplaySystem)
+	rs.llcSide = newLLCSide(cfg, llcPolicy)
+	rs.cores = make([]replayCore, cfg.Cores)
 	for i, t := range tapes {
 		rs.cores[i] = replayCore{index: i, tape: t}
 	}
+	return rs
 }
-
-// DRAM exposes the memory model when enabled (nil otherwise).
-func (rs *ReplaySystem) DRAM() *memory.DRAM { return rs.dram }
-
-// LLC exposes the shared cache (policy inspection, stats).
-func (rs *ReplaySystem) LLC() *cache.Cache { return rs.llc }
-
-// Prefetches returns the next-line prefetch count (Machine interface).
-func (rs *ReplaySystem) Prefetches() uint64 { return rs.PrefetchIssued }
 
 // Run replays the simulation and returns per-core results identical to
 // the equivalent direct System.Run. An error means the replay could not
@@ -316,43 +272,14 @@ func (rs *ReplaySystem) playItem(c *replayCore) {
 	}
 }
 
-// playEvent replays one LLC-bound event, mirroring the demand access,
-// DRAM traffic, prefetch fan-out and posted writeback of
-// (*System).accessLLC in that exact order.
+// playEvent replays one LLC-bound event: it re-applies the core's
+// address and PC tags and serves the miss exactly as the direct engine
+// does.
 func (rs *ReplaySystem) playEvent(c *replayCore, ev *trace.FilteredEvent) {
-	addr := ev.Addr + uint64(c.index)<<coreAddrShift
-	pc := ev.PC | uint64(c.index)<<corePCShift
-	rs.req = cache.Request{Addr: addr, PC: pc, Core: c.index, Kind: ev.Kind}
-	llcRes := rs.llc.Access(&rs.req)
-	var svc uint64
-	if llcRes.Hit {
-		svc = rs.cfg.LLCLatency
-	} else if rs.dram != nil {
-		svc = rs.cfg.LLCLatency + rs.dram.Access(addr)
-	} else {
-		svc = rs.cfg.LLCLatency + rs.cfg.MemLatency
-	}
-	if llcRes.EvictedValid && llcRes.Evicted.Dirty && rs.dram != nil {
-		rs.dram.Touch(llcRes.Evicted.Tag << 6)
-	}
-	for d := 1; d <= rs.cfg.PrefetchDegree; d++ {
-		rs.PrefetchIssued++
-		rs.req = cache.Request{
-			Addr: addr + uint64(d)*uint64(rs.cfg.LLC.LineBytes),
-			PC:   pc, Core: c.index, Kind: trace.Load,
-		}
-		rs.llc.Access(&rs.req)
-	}
-	if ev.HasWB {
-		rs.Writebacks++
-		rs.req = cache.Request{
-			Addr: ev.WBAddr + uint64(c.index)<<coreAddrShift,
-			PC:   ev.WBPC | uint64(c.index)<<corePCShift,
-			Core: c.index, Kind: trace.Store,
-		}
-		rs.llc.Access(&rs.req)
-	}
-	c.svc += svc
+	addrTag := uint64(c.index) << coreAddrShift
+	pcTag := uint64(c.index) << corePCShift
+	c.svc += rs.serve(c.index, ev.Addr+addrTag, ev.PC|pcTag, ev.Kind,
+		ev.HasWB, ev.WBAddr+addrTag, ev.WBPC|pcTag)
 }
 
 func (rs *ReplaySystem) applyCrossing(c *replayCore, cr *trace.Crossing) {
@@ -392,17 +319,5 @@ func (rs *ReplaySystem) recordAt(c *replayCore, cr *trace.Crossing) {
 		rs.recorded++
 	}
 	c.recorded = true
-	r := rs.snapshotAt(c, cr)
-	b := c.base // zero when no warm-up
-	c.result = CoreResult{
-		Core:         c.index,
-		Instructions: r.Instructions - b.Instructions,
-		Cycles:       r.Cycles - b.Cycles,
-		MemAccesses:  r.MemAccesses - b.MemAccesses,
-		L1Hits:       r.L1Hits - b.L1Hits,
-		L1Misses:     r.L1Misses - b.L1Misses,
-		LLCAccesses:  r.LLCAccesses - b.LLCAccesses,
-		LLCHits:      r.LLCHits - b.LLCHits,
-		LLCMisses:    r.LLCMisses - b.LLCMisses,
-	}
+	c.result = rs.snapshotAt(c, cr).since(c.base)
 }

@@ -156,7 +156,7 @@ func makeTapes(tc replayCase) []*cpu.Tape {
 
 // compareRuns asserts bit-identical outcomes between a direct system and
 // a replay over the same machine.
-func compareRuns(t *testing.T, tc replayCase, dRes, rRes []cpu.CoreResult, d *cpu.System, r *cpu.ReplaySystem) {
+func compareRuns(t *testing.T, dRes, rRes []cpu.CoreResult, d *cpu.System, r *cpu.ReplaySystem) {
 	t.Helper()
 	if !reflect.DeepEqual(dRes, rRes) {
 		t.Errorf("core results diverge\ndirect: %+v\nreplay: %+v", dRes, rRes)
@@ -167,10 +167,7 @@ func compareRuns(t *testing.T, tc replayCase, dRes, rRes []cpu.CoreResult, d *cp
 	if d.PrefetchIssued != r.PrefetchIssued {
 		t.Errorf("prefetches diverge: direct %d, replay %d", d.PrefetchIssued, r.PrefetchIssued)
 	}
-	if tc.cfg.L2.SizeBytes == 0 && d.Writebacks != r.Writebacks {
-		// With a private L2, System.Writebacks also counts L1-to-L2
-		// drains that never reach the LLC (a documented difference);
-		// without one the two counters must agree exactly.
+	if d.Writebacks != r.Writebacks {
 		t.Errorf("writebacks diverge: direct %d, replay %d", d.Writebacks, r.Writebacks)
 	}
 	dd, rd := d.DRAM(), r.DRAM()
@@ -194,7 +191,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 				t.Run(polName, func(t *testing.T) {
 					dRes, d := runDirect(t, tc, polName)
 					rRes, r := runReplay(t, tc, polName, tapes)
-					compareRuns(t, tc, dRes, rRes, d, r)
+					compareRuns(t, dRes, rRes, d, r)
 				})
 			}
 		})

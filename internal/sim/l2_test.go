@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -70,5 +73,38 @@ func TestPrivateL2ReplayTerminates(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProfileLLCQuietCoreIsInvalid: profiling walks a core's tape, and
+// an LLC-quiet core (hmmer-like behind a private L2) fails its tape for
+// good. That failure is a property of the request, not of the moment:
+// the scheduler must not retry it, and /v1/profile and /v1/advise must
+// answer 400.
+func TestProfileLLCQuietCoreIsInvalid(t *testing.T) {
+	req := ProfileRequest{Bench: "hmmer-like", L2: true, Budget: 200_000}
+	s := NewSchedulerWith(SchedulerConfig{
+		Workers: 1,
+		Retry:   RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+	})
+	out := s.Do(context.Background(), ProfileJobFor(req))
+	if out.Err == nil {
+		t.Fatal("profiling an LLC-quiet core succeeded")
+	}
+	if !errors.Is(out.Err, cpu.ErrNoLLCEvent) {
+		t.Errorf("error %v does not wrap cpu.ErrNoLLCEvent", out.Err)
+	}
+	if kind := Classify(out.Err); kind != KindInvalid || out.Attempts != 1 {
+		t.Errorf("kind %v after %d attempts, want invalid after 1", kind, out.Attempts)
+	}
+
+	ts := newTestServer(t)
+	spec := `"bench":"hmmer-like","l2":true,"budget":200000`
+	for _, path := range []string{"/v1/profile", "/v1/advise"} {
+		resp := postJSON(t, ts.URL+path, `{`+spec+`}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, http.StatusBadRequest)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"nucache/internal/cpu"
 	"nucache/internal/failpoint"
 	"nucache/internal/mrc"
-	"nucache/internal/trace"
 	"nucache/internal/workload"
 )
 
@@ -110,21 +110,16 @@ func ExecuteProfile(ctx context.Context, req ProfileRequest) (*mrc.Profile, erro
 		return nil, err
 	}
 	cfg := machineConfig(req.simRequest(), mix.Cores())
-	tapes := make([]*cpu.Tape, len(mix.Members))
-	for i, name := range mix.Members {
-		b, ok := workload.ByName(name)
-		if !ok {
-			return nil, invalid(fmt.Errorf("sim: unknown benchmark %q", name))
-		}
-		s := req.Seed + uint64(i)*mixSeedStride
-		id := fmt.Sprintf("%s@%d", name, s)
-		t, err := cpu.AcquireTape(id, cfg, func() trace.Stream { return b.Stream(s) })
-		if err != nil {
-			return nil, fmt.Errorf("sim: profile needs tape %s: %w", id, err)
-		}
-		tapes[i] = t
+	tapes, err := acquireMixTapes(cfg, mix, req.Seed, false)
+	if err != nil {
+		return nil, err
 	}
 	p, err := mrc.BuildFromTapes(cfg, mix.Name, mix.Members, req.Seed, tapes)
+	if errors.Is(err, cpu.ErrNoLLCEvent) {
+		// An LLC-quiet core: its tape is dead for good, so a retry
+		// would fail the same way.
+		return nil, invalid(err)
+	}
 	if err != nil {
 		return nil, err
 	}

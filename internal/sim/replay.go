@@ -43,12 +43,6 @@ type LaneBudget interface {
 	Return(n int)
 }
 
-// mixSeedStride matches workload.Mix.Streams: position i of a mix runs
-// its generator at seed + i*stride. Tapes are keyed by the derived seed,
-// so a benchmark running alone (position 0) shares its tape with every
-// mix that leads with it.
-const mixSeedStride = 0x9e3779b97f4a7c15
-
 // RunMachine runs one simulation of mix on cfg under a policy built by
 // newPol, replaying recorded front ends when possible and falling back
 // to direct simulation otherwise (replay disabled, tape budget
@@ -89,26 +83,28 @@ func runMachine(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, se
 }
 
 // acquireMixTapes resolves (and unless cachedOnly, records on demand)
-// one tape per mix member. A false return means the caller should fall
-// back to direct simulation; acquisition failures count TraceFallbacks
-// (name misses and shape mismatches don't — the direct path reports
-// those errors).
-func acquireMixTapes(cfg cpu.Config, mix workload.Mix, seed uint64, cachedOnly bool) ([]*cpu.Tape, bool) {
+// one tape per mix member. Tapes are keyed by the member's seed
+// (workload.MemberSeed), so a benchmark running alone shares its tape
+// with every mix that leads with it. Nil tapes with a nil error mean
+// there is nothing to replay: a member or core count the direct path
+// rejects with the real error, or a cachedOnly miss. An error means the
+// tape memo refused a tape.
+func acquireMixTapes(cfg cpu.Config, mix workload.Mix, seed uint64, cachedOnly bool) ([]*cpu.Tape, error) {
 	if len(mix.Members) != cfg.Cores {
-		return nil, false // direct path panics with the real error
+		return nil, nil
 	}
 	tapes := make([]*cpu.Tape, len(mix.Members))
 	for i, name := range mix.Members {
 		b, ok := workload.ByName(name)
 		if !ok {
-			return nil, false // direct path reports the error
+			return nil, nil
 		}
-		s := seed + uint64(i)*mixSeedStride
+		s := workload.MemberSeed(seed, i)
 		id := fmt.Sprintf("%s@%d", name, s)
 		if cachedOnly {
 			t := cpu.LookupTape(id, cfg)
 			if t == nil {
-				return nil, false // one-shot: direct beats record+replay-once
+				return nil, nil // one-shot: direct beats record+replay-once
 			}
 			tapes[i] = t
 			continue
@@ -116,17 +112,19 @@ func acquireMixTapes(cfg cpu.Config, mix workload.Mix, seed uint64, cachedOnly b
 		t, err := cpu.AcquireTape(id, cfg,
 			func() trace.Stream { return b.Stream(s) })
 		if err != nil {
-			TraceFallbacks.Add(1)
-			return nil, false
+			return nil, fmt.Errorf("sim: tape %s: %w", id, err)
 		}
 		tapes[i] = t
 	}
-	return tapes, true
+	return tapes, nil
 }
 
 func tryReplay(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, seed uint64, cachedOnly bool) ([]cpu.CoreResult, cpu.Machine, cache.Policy, bool) {
-	tapes, ok := acquireMixTapes(cfg, mix, seed, cachedOnly)
-	if !ok {
+	tapes, err := acquireMixTapes(cfg, mix, seed, cachedOnly)
+	if err != nil {
+		TraceFallbacks.Add(1)
+	}
+	if tapes == nil {
 		return nil, nil, nil, false
 	}
 	// The cpu.replay.run failpoint fails (or kills) a simulation at the
@@ -197,8 +195,11 @@ func RunMachineGrid(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 // A false return means nothing was filled and the caller should run
 // lanes individually.
 func tryMultiReplay(cfg cpu.Config, newPols []func() cache.Policy, mix workload.Mix, seed uint64, results [][]cpu.CoreResult, machines []cpu.Machine, pols []cache.Policy, lanes LaneBudget) bool {
-	tapes, ok := acquireMixTapes(cfg, mix, seed, false)
-	if !ok {
+	tapes, err := acquireMixTapes(cfg, mix, seed, false)
+	if err != nil {
+		TraceFallbacks.Add(1)
+	}
+	if tapes == nil {
 		return false
 	}
 	// The cpu.multireplay.run failpoint fails (or kills) the grid at the

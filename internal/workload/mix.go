@@ -34,9 +34,16 @@ func (m Mix) Streams(seed uint64) []trace.Stream {
 	bs := m.Benchmarks()
 	out := make([]trace.Stream, len(bs))
 	for i, b := range bs {
-		out[i] = b.Stream(seed + uint64(i)*0x9e3779b97f4a7c15)
+		out[i] = b.Stream(MemberSeed(seed, i))
 	}
 	return out
+}
+
+// MemberSeed is the generator seed of position i in a mix run at seed.
+// Position 0 runs at seed itself, so a benchmark running alone draws
+// the same stream as every mix that leads with it.
+func MemberSeed(seed uint64, i int) uint64 {
+	return seed + uint64(i)*0x9e3779b97f4a7c15
 }
 
 // Cores returns the mix width.
