@@ -95,7 +95,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments selected; use -exp E1..E15 or all")
+		fmt.Fprintln(os.Stderr, "no experiments selected; use -exp E1..E20 or all")
 		os.Exit(2)
 	}
 }

@@ -7,6 +7,8 @@
 //
 //	POST /v1/sim      one simulation, JSON in/out
 //	POST /v1/sweep    mixes×policies fan-out, NDJSON progress stream
+//	POST /v1/profile  miss-ratio-curve profile of a mix, JSON in/out
+//	POST /v1/advise   capacity-advisor answers from a mix's profile
 //	GET  /v1/catalog  benchmarks, standard mixes, policies
 //	GET  /healthz     pure liveness
 //	GET  /readyz      readiness: queue, cache disk

@@ -20,9 +20,7 @@ import (
 	"os"
 	"strings"
 
-	"nucache/internal/cache"
 	"nucache/internal/cpu"
-	"nucache/internal/memory"
 	"nucache/internal/metrics"
 	"nucache/internal/sim"
 	"nucache/internal/trace"
@@ -109,18 +107,9 @@ func runReplay(paths []string, polName string, budget, seed uint64, deliWays int
 	if err != nil {
 		return nil, err
 	}
-	cfg := cpu.DefaultConfig(mix.Cores())
-	cfg.InstrBudget = budget
-	cfg.PrefetchDegree = prefetch
-	cfg.WarmupInstr = warmup
-	if l2 {
-		cfg.L2 = cache.Config{SizeBytes: 256 << 10, Ways: 8, LineBytes: 64}
-		cfg.L2Latency = 6
-	}
-	if dram {
-		d := memory.DefaultConfig()
-		cfg.DRAM = &d
-	}
+	cfg := sim.MachineConfig(sim.Request{
+		Budget: budget, Prefetch: prefetch, Warmup: warmup, L2: l2, DRAM: dram,
+	}, mix.Cores())
 	if deliWays < 0 {
 		deliWays = 0
 	}

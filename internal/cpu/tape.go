@@ -108,7 +108,7 @@ func TapeBytes() int64 { return tapeBytes.Load() }
 func TapeChecksumFails() int64 { return tapeChecksumFails.Load() }
 
 // SetTapeBudget replaces the process-wide tape memory cap and returns
-// the previous value. Intended for operators (flag) and tests.
+// the previous value. Intended for tests and benchmarks.
 func SetTapeBudget(n int64) int64 { return tapeBudget.Swap(n) }
 
 // Tape is one core's recorded front end: the event pages plus the live

@@ -6,10 +6,9 @@ import (
 	"math"
 	"strconv"
 
+	"nucache/internal/cache"
 	"nucache/internal/core"
-	"nucache/internal/cpu"
 	"nucache/internal/metrics"
-	"nucache/internal/trace"
 	"nucache/internal/workload"
 )
 
@@ -18,15 +17,12 @@ import (
 // monitor accumulates the whole run — the setup behind the paper's
 // characterization figures.
 func (o Options) observeBench(b workload.Benchmark) *core.NUcache {
-	cfg := o.machine(1)
-	nuCfg := core.DefaultConfig(cfg.LLC.Ways)
+	nuCfg := core.DefaultConfig(o.machine(1).LLC.Ways)
 	nuCfg.DeliWays = 0
 	nuCfg.EpochMisses = math.MaxUint64 / 2
 	nuCfg.Candidates = 64
-	nu := core.MustNew(nuCfg)
-	sys := cpu.NewSystem(cfg, nu, []trace.Stream{b.Stream(o.Seed)})
-	sys.Run()
-	return nu
+	_, pol := o.runAlone(b, func() cache.Policy { return core.MustNew(nuCfg) })
+	return pol.(*core.NUcache)
 }
 
 // DelinquencyRow is one benchmark's miss-skew measurement.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nucache/internal/metrics"
-	"nucache/internal/stats"
 )
 
 // DRAMResult holds E18 (extension): do the conclusions survive a
@@ -18,28 +17,20 @@ type DRAMResult struct {
 	GainFlat, GainDRAM float64
 }
 
-// DRAMStudy runs experiment E18 on the 4-core mixes.
+// DRAMStudy runs experiment E18 on the 4-core mixes. Its flat-memory
+// cells are E7's LRU and NUcache cells, served from the grid cache once
+// E7 has run. It returns nil when Options.Ctx interrupts it.
 func DRAMStudy(o Options) *DRAMResult {
 	o = o.withDefaults()
 	res := &DRAMResult{Cores: 4}
-
-	measure := func(useDRAM bool) float64 {
-		opt := o
-		opt.UseDRAM = useDRAM
-		base := Baseline()
-		nu := NUcacheSpec()
-		var ratios []float64
-		for _, m := range opt.mixes(4) {
-			b := opt.mixMetrics(m, base).WS
-			if b > 0 {
-				ratios = append(ratios, opt.mixMetrics(m, nu).WS/b)
-			}
-		}
-		return stats.GeoMean(ratios)
+	var ok, okDRAM bool
+	o.UseDRAM = false
+	res.GainFlat, _, ok = o.nucacheGain()
+	o.UseDRAM = true
+	res.GainDRAM, _, okDRAM = o.nucacheGain()
+	if !ok || !okDRAM {
+		return nil
 	}
-
-	res.GainFlat = measure(false)
-	res.GainDRAM = measure(true)
 	return res
 }
 

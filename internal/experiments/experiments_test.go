@@ -3,6 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"nucache/internal/cache"
+	"nucache/internal/cpu"
+	"nucache/internal/policy"
+	"nucache/internal/sim"
+	"nucache/internal/trace"
+	"nucache/internal/workload"
 )
 
 // Small budgets keep the suite fast; shapes (not magnitudes) are asserted.
@@ -81,6 +88,42 @@ func TestPotentialShape(t *testing.T) {
 	}
 	if res.Table().NumRows() != len(res.Rows) {
 		t.Fatal("table mismatch")
+	}
+}
+
+// TestSingleCoreExperimentsReplayOneTape checks that the single-core
+// tables run through sim.RunMachine: Potential's three passes over a
+// benchmark record its front end once and replay that tape, and the
+// row still equals direct simulation miss for miss.
+func TestSingleCoreExperimentsReplayOneTape(t *testing.T) {
+	o := Options{Budget: 210_000, Seed: 1, Only: "art-like"}
+	cpu.ResetTapes()
+	recorded, replayed := cpu.TapesRecorded(), sim.TracesReplayed.Value()
+	res := Potential(o)
+	if n := cpu.TapesRecorded() - recorded; n != 1 {
+		t.Errorf("Potential recorded %d tapes, want 1", n)
+	}
+	if n := sim.TracesReplayed.Value() - replayed; n < 3 {
+		t.Errorf("Potential replayed %d times, want at least 3", n)
+	}
+
+	cfg := cpu.DefaultConfig(1)
+	cfg.InstrBudget = o.Budget
+	b := workload.MustByName("art-like")
+	direct := func(p cache.Policy) uint64 {
+		return cpu.NewSystem(cfg, p, []trace.Stream{b.Stream(o.Seed)}).Run()[0].LLCMisses
+	}
+	rec := policy.NewRecorder(policy.NewLRU())
+	want := PotentialRow{Bench: b.Name, LRUMisses: direct(rec)}
+	want.OPTMisses = direct(policy.NewOPT(policy.NextUseChain(rec.LineAddrs)))
+	want.NUMisses = direct(NUcacheSpec().New(1, cfg.LLC.Ways))
+	if len(res.Rows) != 1 {
+		t.Fatalf("%d rows, want 1", len(res.Rows))
+	}
+	got := res.Rows[0]
+	if got.Bench != want.Bench || got.LRUMisses != want.LRUMisses ||
+		got.OPTMisses != want.OPTMisses || got.NUMisses != want.NUMisses {
+		t.Fatalf("replayed row %+v, direct simulation %+v", got, want)
 	}
 }
 

@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"nucache/internal/cache"
 	"nucache/internal/core"
-	"nucache/internal/cpu"
 	"nucache/internal/metrics"
 	"nucache/internal/policy"
-	"nucache/internal/trace"
 )
 
 // IdealRow compares NUcache's PC-proxy retention against an oracle that
@@ -35,17 +34,17 @@ type IdealResult struct {
 func IdealRetention(o Options) *IdealResult {
 	o = o.withDefaults()
 	res := &IdealResult{}
+	cfg := o.machine(1)
+	nuCfg := core.DefaultConfig(cfg.LLC.Ways)
 	for _, b := range o.benchmarks() {
-		cfg := o.machine(1)
-		nuCfg := core.DefaultConfig(cfg.LLC.Ways)
-
 		// Pass 1: LRU baseline + recorded LLC line stream.
-		rec := policy.NewRecorder(policy.NewLRU())
-		lru := cpu.NewSystem(cfg, rec, []trace.Stream{b.Stream(o.Seed)}).Run()[0]
+		lru, pol := o.runAlone(b, func() cache.Policy {
+			return policy.NewRecorder(policy.NewLRU())
+		})
+		addrs := pol.(*policy.Recorder).LineAddrs
 
 		// Pass 2: NUcache.
-		nu := cpu.NewSystem(cfg, core.MustNew(nuCfg),
-			[]trace.Stream{b.Stream(o.Seed)}).Run()[0]
+		nu, _ := o.runAlone(b, func() cache.Policy { return core.MustNew(nuCfg) })
 
 		// Pass 3: oracle retention on the recorded stream. Window: the
 		// per-set DeliWays capacity times the set count, scaled by the
@@ -53,11 +52,12 @@ func IdealRetention(o Options) *IdealResult {
 		// NUcache's cost-benefit projects.
 		window := uint64(nuCfg.DeliWays * cfg.LLC.Sets())
 		if lru.LLCMisses > 0 {
-			window *= uint64(len(rec.LineAddrs))/lru.LLCMisses + 1
+			window *= uint64(len(addrs))/lru.LLCMisses + 1
 		}
-		oracle := policy.NewOracleRetention(nuCfg.MainWays(), nuCfg.DeliWays,
-			window, policy.NextUseChain(rec.LineAddrs))
-		orc := cpu.NewSystem(cfg, oracle, []trace.Stream{b.Stream(o.Seed)}).Run()[0]
+		orc, _ := o.runAlone(b, func() cache.Policy {
+			return policy.NewOracleRetention(nuCfg.MainWays(), nuCfg.DeliWays,
+				window, policy.NextUseChain(addrs))
+		})
 
 		row := IdealRow{
 			Bench:        b.Name,

@@ -92,6 +92,24 @@ func (r *MulticoreResult) Table() *metrics.Table {
 	return t
 }
 
+// nucacheGain evaluates LRU and NUcache on the 4-core mixes as one grid.
+// It returns NUcache's geometric-mean WS gain over LRU and LRU's mean
+// WS; ok is false when Options.Ctx interrupted the grid.
+func (o Options) nucacheGain() (gain, baseWS float64, ok bool) {
+	grid := o.mixMetricsGrid(o.mixes(4), []PolicySpec{Baseline(), NUcacheSpec()})
+	if grid == nil {
+		return 0, 0, false
+	}
+	var ratios, bases []float64
+	for _, row := range grid {
+		if b := row[0].WS; b > 0 {
+			ratios = append(ratios, row[1].WS/b)
+			bases = append(bases, b)
+		}
+	}
+	return stats.GeoMean(ratios), stats.Mean(bases), true
+}
+
 func expIDForCores(cores int) int {
 	switch cores {
 	case 2:

@@ -58,3 +58,30 @@ func TestSweepUsesSharedBaseline(t *testing.T) {
 		t.Fatalf("repeated sweep differs: %+v vs %+v", first, again)
 	}
 }
+
+// TestPrefetchAndDRAMStudiesShareGridCells checks that E17 and E18 run
+// through the cell driver: their no-prefetch and flat-memory halves are
+// E7's LRU and NUcache cells, so after E7 each study is served two cache
+// hits per mix. A fresh grid cache keeps other tests' cells out.
+func TestPrefetchAndDRAMStudiesShareGridCells(t *testing.T) {
+	saved := gridCache
+	gridCache = sim.NewCache(8192, "")
+	t.Cleanup(func() { gridCache = saved })
+
+	o := Options{Budget: 120_000, Seed: 1, MixLimit: 2}
+	MulticoreComparison(4, o)
+	want := int64(2 * len(o.mixes(4)))
+	for _, study := range []struct {
+		name string
+		run  func()
+	}{
+		{"PrefetchStudy", func() { PrefetchStudy(o) }},
+		{"DRAMStudy", func() { DRAMStudy(o) }},
+	} {
+		before := sim.CacheHits.Value()
+		study.run()
+		if got := sim.CacheHits.Value() - before; got != want {
+			t.Errorf("%s after MulticoreComparison: %d cache hits, want %d", study.name, got, want)
+		}
+	}
+}

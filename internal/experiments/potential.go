@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"nucache/internal/cpu"
+	"nucache/internal/cache"
 	"nucache/internal/metrics"
 	"nucache/internal/policy"
-	"nucache/internal/trace"
 )
 
 // PotentialRow is one benchmark's headroom measurement: LRU vs NUcache vs
@@ -32,23 +31,21 @@ type PotentialResult struct {
 func Potential(o Options) *PotentialResult {
 	o = o.withDefaults()
 	res := &PotentialResult{}
+	ways := o.machine(1).LLC.Ways
 	for _, b := range o.benchmarks() {
-		cfg := o.machine(1)
-
 		// Pass 1: LRU with a recorder capturing the LLC line stream.
-		rec := policy.NewRecorder(policy.NewLRU())
-		sys := cpu.NewSystem(cfg, rec, []trace.Stream{b.Stream(o.Seed)})
-		lru := sys.Run()[0]
+		lru, pol := o.runAlone(b, func() cache.Policy {
+			return policy.NewRecorder(policy.NewLRU())
+		})
+		addrs := pol.(*policy.Recorder).LineAddrs
 
 		// Pass 2: OPT over the recorded stream (same budget → same stream).
-		opt := policy.NewOPT(policy.NextUseChain(rec.LineAddrs))
-		sysOpt := cpu.NewSystem(cfg, opt, []trace.Stream{b.Stream(o.Seed)})
-		optRes := sysOpt.Run()[0]
+		optRes, _ := o.runAlone(b, func() cache.Policy {
+			return policy.NewOPT(policy.NextUseChain(addrs))
+		})
 
 		// Pass 3: NUcache.
-		sysNU := cpu.NewSystem(cfg, NUcacheSpec().New(1, cfg.LLC.Ways),
-			[]trace.Stream{b.Stream(o.Seed)})
-		nu := sysNU.Run()[0]
+		nu, _ := o.runAlone(b, func() cache.Policy { return NUcacheSpec().New(1, ways) })
 
 		row := PotentialRow{
 			Bench:     b.Name,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nucache/internal/metrics"
-	"nucache/internal/stats"
 )
 
 // PrefetchResult holds E17 (extension): does NUcache's benefit survive
@@ -22,30 +21,20 @@ type PrefetchResult struct {
 	BaseWSNoPf, BaseWSPf float64
 }
 
-// PrefetchStudy runs experiment E17 on the 4-core mixes.
+// PrefetchStudy runs experiment E17 on the 4-core mixes. Its
+// no-prefetch cells are E7's LRU and NUcache cells, served from the grid
+// cache once E7 has run. It returns nil when Options.Ctx interrupts it.
 func PrefetchStudy(o Options) *PrefetchResult {
 	o = o.withDefaults()
 	res := &PrefetchResult{Cores: 4}
-
-	measure := func(degree int) (gain, baseWS float64) {
-		opt := o
-		opt.PrefetchDegree = degree
-		base := Baseline()
-		nu := NUcacheSpec()
-		var ratios, bases []float64
-		for _, m := range opt.mixes(4) {
-			b := opt.mixMetrics(m, base).WS
-			n := opt.mixMetrics(m, nu).WS
-			if b > 0 {
-				ratios = append(ratios, n/b)
-				bases = append(bases, b)
-			}
-		}
-		return stats.GeoMean(ratios), stats.Mean(bases)
+	var ok, okPf bool
+	o.PrefetchDegree = 0
+	res.GainNoPf, res.BaseWSNoPf, ok = o.nucacheGain()
+	o.PrefetchDegree = 2
+	res.GainPf, res.BaseWSPf, okPf = o.nucacheGain()
+	if !ok || !okPf {
+		return nil
 	}
-
-	res.GainNoPf, res.BaseWSNoPf = measure(0)
-	res.GainPf, res.BaseWSPf = measure(2)
 	return res
 }
 

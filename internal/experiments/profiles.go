@@ -6,7 +6,6 @@ import (
 
 	"nucache/internal/mrc"
 	"nucache/internal/sim"
-	"nucache/internal/workload"
 )
 
 // ProfileCell is one mix's capacity-advisor summary: the even-split
@@ -25,14 +24,6 @@ type ProfileCell struct {
 	Evaluated int `json:"evaluated"`
 }
 
-// profileCellKey is the content address of one mix's advisor cell.
-func (o Options) profileCellKey(m workload.Mix) string {
-	return "profileadvisor/v1|" + sim.ProfileRequest{
-		Mix: m.Name, Budget: o.Budget, Seed: o.Seed,
-		Prefetch: o.PrefetchDegree, DRAM: o.UseDRAM,
-	}.Canonical()
-}
-
 // ProfileAdvisorSweep runs experiment E21: profile every 4-core mix once
 // (through the mrc.profile.build failpoint, so the chaos suite can kill
 // and resume it), then answer the partition search from the model alone.
@@ -40,29 +31,17 @@ func (o Options) profileCellKey(m workload.Mix) string {
 // best static partition over the even split.
 func ProfileAdvisorSweep(o Options) *SweepResult {
 	o = o.withDefaults()
-	ctx := o.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	mixes := o.mixes(4)
-	sched := sim.NewSchedulerWith(sim.SchedulerConfig{
-		Workers:        o.Parallel,
-		Cache:          gridCache,
-		DefaultTimeout: o.JobTimeout,
-	})
-	jobs := make([]sim.Job, 0, len(mixes))
-	for _, m := range mixes {
-		m := m
-		key := o.profileCellKey(m)
-		jobs = append(jobs, sim.Job{
-			Key:   key,
-			Label: "advisor over " + m.Name,
-			New:   func() any { return new(ProfileCell) },
-			Run: func(ctx context.Context) (any, error) {
-				req := sim.ProfileRequest{
-					Mix: m.Name, Budget: o.Budget, Seed: o.Seed,
-					Prefetch: o.PrefetchDegree, DRAM: o.UseDRAM,
-				}
+	cells := make([]cell[ProfileCell], len(mixes))
+	for i, m := range mixes {
+		req := sim.ProfileRequest{
+			Mix: m.Name, Budget: o.Budget, Seed: o.Seed,
+			Prefetch: o.PrefetchDegree, DRAM: o.UseDRAM,
+		}
+		cells[i] = cell[ProfileCell]{
+			key:   "profileadvisor/v1|" + req.Canonical(),
+			label: "advisor over " + m.Name,
+			run: func(ctx context.Context) (*ProfileCell, error) {
 				p, err := sim.ExecuteProfile(ctx, req)
 				if err != nil {
 					return nil, err
@@ -79,35 +58,28 @@ func ProfileAdvisorSweep(o Options) *SweepResult {
 				if err != nil {
 					return nil, err
 				}
-				cell := &ProfileCell{
+				return &ProfileCell{
 					BestAlloc:      best.Alloc,
 					EvenThroughput: even.Throughput,
 					BestThroughput: best.Throughput,
 					BestDeliWays:   bestD.DeliWays,
 					DeliThroughput: bestD.Throughput,
 					Evaluated:      best.Evaluated + bestD.Evaluated,
-				}
-				o.journalValue(key, cell)
-				return cell, nil
+				}, nil
 			},
-		})
+		}
 	}
-	outs := sched.RunAll(ctx, jobs)
+	vals := runCells(o, cells)
+	if vals == nil { // interrupted: completed cells are journaled
+		return nil
+	}
 	res := &SweepResult{
 		ID:     21,
 		Title:  "E21 (extension): capacity advisor, best static partition vs even split (4-core mixes)",
 		Column: "advisor partition gain",
 	}
 	for i, m := range mixes {
-		out := outs[i]
-		if out.Err != nil {
-			if ctx.Err() != nil {
-				// Interrupted, not broken: completed cells are journaled.
-				return nil
-			}
-			panic(fmt.Sprintf("experiments: advisor over %s: %v", m.Name, out.Err))
-		}
-		c := out.Value.(*ProfileCell)
+		c := vals[i]
 		ratio := 0.0
 		if c.EvenThroughput > 0 {
 			ratio = c.BestThroughput / c.EvenThroughput

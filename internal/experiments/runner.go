@@ -1,7 +1,9 @@
 // Package experiments contains one runner per table/figure of the NUcache
 // evaluation (the experiment index lives in DESIGN.md; measured-vs-paper
-// results in EXPERIMENTS.md). Each runner builds the machine, drives the
-// workloads, and renders a text table shaped like the paper's artifact.
+// results in EXPERIMENTS.md). Each runner describes its machine and
+// policies, simulates through sim.RunMachine (multicore cells through
+// one cell driver, runCells; single-core passes through runAlone), and
+// renders a text table shaped like the paper's artifact.
 package experiments
 
 import (
@@ -17,7 +19,6 @@ import (
 	"nucache/internal/core"
 	"nucache/internal/cpu"
 	"nucache/internal/journal"
-	"nucache/internal/memory"
 	"nucache/internal/metrics"
 	"nucache/internal/policy"
 	"nucache/internal/sim"
@@ -153,32 +154,33 @@ func StandardPolicies() []PolicySpec {
 }
 
 // machine returns the simulated machine for a core count with the
-// experiment budget applied.
+// experiment budget applied, through sim.MachineConfig, the mapping
+// every simulation path shares.
 func (o Options) machine(cores int) cpu.Config {
-	cfg := cpu.DefaultConfig(cores)
-	cfg.InstrBudget = o.Budget
-	cfg.PrefetchDegree = o.PrefetchDegree
-	if o.UseDRAM {
-		d := memory.DefaultConfig()
-		cfg.DRAM = &d
-	}
-	return cfg
+	return sim.MachineConfig(sim.Request{
+		Budget: o.Budget, Prefetch: o.PrefetchDegree, DRAM: o.UseDRAM,
+	}, cores)
 }
 
-// runMix simulates one mix under one policy and returns per-core
-// results. It goes through sim.RunMachine, so the policy-independent
-// front end is recorded once per (benchmark, seed, geometry) and
-// replayed per policy — bit-identical to direct simulation — and
-// retired-instruction accounting happens exactly once per computed run.
-func (o Options) runMix(m workload.Mix, spec PolicySpec) []cpu.CoreResult {
-	cfg := o.machine(m.Cores())
-	res, _, _ := sim.RunMachine(cfg, func() cache.Policy {
-		return spec.New(cfg.Cores, cfg.LLC.Ways)
-	}, m, o.Seed, o.DisableReplay)
-	return res
+// aloneMix is the one-member mix that runs bench by itself. Position 0
+// runs at the experiment seed (workload.MemberSeed(seed, 0) == seed), so
+// it draws the same stream as every mix that leads with bench.
+func aloneMix(bench string) workload.Mix {
+	return workload.Mix{Name: "alone/" + bench, Members: []string{bench}}
 }
 
-// runAlone simulates one benchmark alone on the same machine geometry
+// runAlone runs benchmark b alone on the one-core machine under a policy
+// built by newPol. It goes through sim.RunMachine, so every single-core
+// pass over b replays one recorded tape. It returns the core's result
+// and the policy RunMachine actually used: a failed replay rebuilds the
+// policy, so callers read recorded state (Recorder.LineAddrs, the
+// NUcache monitor) from the returned policy only.
+func (o Options) runAlone(b workload.Benchmark, newPol func() cache.Policy) (cpu.CoreResult, cache.Policy) {
+	res, _, pol := sim.RunMachine(o.machine(1), newPol, aloneMix(b.Name), o.Seed, o.DisableReplay)
+	return res[0], pol
+}
+
+// aloneIPC simulates one benchmark alone on the same machine geometry
 // (the denominator of weighted speedup). Results are memoized per
 // (benchmark, LLC size, budget, seed). Entries carry a sync.Once so
 // concurrent grid workers needing the same alone run compute it exactly
@@ -218,15 +220,13 @@ func (o Options) aloneIPC(bench string, cores int) float64 {
 	}
 	aloneMu.Unlock()
 	e.once.Do(func() {
-		// A single-member mix at position 0 derives the same stream seed
-		// as the shared-mode run, so when some mix leads with this
-		// benchmark the alone run replays the very tape that mix
-		// recorded. OneShot: an alone run replays once, so recording a
-		// fresh tape for it would cost more than simulating directly.
-		alone := workload.Mix{Name: "alone/" + bench, Members: []string{bench}}
+		// When some mix leads with this benchmark the alone run replays
+		// the very tape that mix recorded. OneShot: an alone run replays
+		// once, so recording a fresh tape for it would cost more than
+		// simulating directly.
 		res, _, _ := sim.RunMachineOneShot(cfg, func() cache.Policy {
 			return policy.NewLRU()
-		}, alone, o.Seed, o.DisableReplay)
+		}, aloneMix(bench), o.Seed, o.DisableReplay)
 		e.ipc = res[0].IPC()
 	})
 	return e.ipc
@@ -249,9 +249,15 @@ type MixMetrics struct {
 }
 
 // mixMetrics simulates one (mix, policy) cell and scores its per-core
-// results against the mix members' alone runs.
+// results against the mix members' alone runs. The simulation goes
+// through sim.RunMachine, so the policy-independent front end is
+// recorded once per (benchmark, seed, geometry) and replayed per
+// policy, and retired instructions are counted once per computed run.
 func (o Options) mixMetrics(m workload.Mix, spec PolicySpec) MixMetrics {
-	res := o.runMix(m, spec)
+	cfg := o.machine(m.Cores())
+	res, _, _ := sim.RunMachine(cfg, func() cache.Policy {
+		return spec.New(cfg.Cores, cfg.LLC.Ways)
+	}, m, o.Seed, o.DisableReplay)
 	shared := make([]float64, len(res))
 	var misses, instr uint64
 	for i, r := range res {
@@ -367,62 +373,94 @@ func OpenSweepJournal(path string, resume bool) (*journal.Journal, int, error) {
 	return j, seeded, nil
 }
 
-// mixMetricsGrid evaluates every (mix, spec) pair through the shared
-// scheduler: grid[i][j] pairs mixes[i] with specs[j]. Pairs run
-// concurrently on up to Options.Parallel workers but are collected in
-// submission order, and each pair is an independent deterministic
-// simulation, so the grid is identical to nested sequential mixMetrics
-// calls. Simulation panics surface as panics, as they would sequentially.
-// When Options.Ctx is cancelled mid-grid the remaining cells error out
-// and the grid returns nil (completed cells are already checkpointed);
-// any other cell failure still panics.
-func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]MixMetrics {
+// cell is one content-addressed unit of experiment work — a (mix,
+// policy) grid pair or an advisor mix — and the body that computes it.
+type cell[T any] struct {
+	key, label string
+	run        func(ctx context.Context) (*T, error)
+}
+
+// runCells is the one cell driver: it evaluates cells through a
+// scheduler over gridCache, so cells run concurrently on up to
+// Options.Parallel workers, repeated cells are served from the cache,
+// and each computed cell is checkpointed to Options.Journal. Values come
+// back in cell order, and each cell is an independent deterministic
+// computation, so the result does not depend on the worker count. When
+// Options.Ctx is cancelled mid-run the remaining cells error out and
+// runCells returns nil (completed cells are already checkpointed); any
+// other cell failure panics with the cell's label, as it would
+// sequentially.
+func runCells[T any](o Options, cells []cell[T]) []*T {
 	ctx := o.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Deadlines pass through to every pair; the queue stays unbounded
-	// because the grid submits all pairs up front by design.
+	// Deadlines pass through to every cell; the queue stays unbounded
+	// because the driver submits all cells up front by design.
 	sched := sim.NewSchedulerWith(sim.SchedulerConfig{
 		Workers:        o.Parallel,
 		Cache:          gridCache,
 		DefaultTimeout: o.JobTimeout,
 	})
-	jobs := make([]sim.Job, 0, len(mixes)*len(specs))
+	jobs := make([]sim.Job, len(cells))
+	for i, c := range cells {
+		jobs[i] = sim.Job{
+			Key:   c.key,
+			Label: c.label,
+			New:   func() any { return new(T) },
+			Run: func(ctx context.Context) (any, error) {
+				v, err := c.run(ctx)
+				if err != nil {
+					return nil, err
+				}
+				o.journalValue(c.key, v)
+				return v, nil
+			},
+		}
+	}
+	outs := sched.RunAll(ctx, jobs)
+	vals := make([]*T, len(outs))
+	for i, out := range outs {
+		if out.Err != nil {
+			if ctx.Err() != nil {
+				// Interrupted, not broken: the caller reports the
+				// partial sweep and points at -resume.
+				return nil
+			}
+			panic(fmt.Sprintf("experiments: %s: %v", cells[i].label, out.Err))
+		}
+		vals[i] = out.Value.(*T)
+	}
+	return vals
+}
+
+// mixMetricsGrid evaluates every (mix, spec) pair as one cell:
+// grid[i][j] pairs mixes[i] with specs[j], identical to nested
+// sequential mixMetrics calls. It returns nil when Options.Ctx is
+// cancelled mid-grid (see runCells).
+func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]MixMetrics {
+	cells := make([]cell[MixMetrics], 0, len(mixes)*len(specs))
 	for _, m := range mixes {
 		for _, s := range specs {
-			m, s := m, s
-			key := o.mixKey(m, s)
-			jobs = append(jobs, sim.Job{
-				Key:   key,
-				Label: fmt.Sprintf("%s under %s", m.Name, s.Name),
-				New:   func() any { return new(MixMetrics) },
-				Run: func(context.Context) (any, error) {
+			cells = append(cells, cell[MixMetrics]{
+				key:   o.mixKey(m, s),
+				label: fmt.Sprintf("%s under %s", m.Name, s.Name),
+				run: func(context.Context) (*MixMetrics, error) {
 					mm := o.mixMetrics(m, s)
-					o.journalValue(key, &mm)
 					return &mm, nil
 				},
 			})
 		}
 	}
-	outs := sched.RunAll(ctx, jobs)
+	vals := runCells(o, cells)
+	if vals == nil {
+		return nil
+	}
 	grid := make([][]MixMetrics, len(mixes))
-	k := 0
-	for i := range mixes {
+	for i := range grid {
 		grid[i] = make([]MixMetrics, len(specs))
-		for j := range specs {
-			out := outs[k]
-			k++
-			if out.Err != nil {
-				if ctx.Err() != nil {
-					// Interrupted, not broken: the caller reports the
-					// partial sweep and points at -resume.
-					return nil
-				}
-				panic(fmt.Sprintf("experiments: %s under %s: %v",
-					mixes[i].Name, specs[j].Name, out.Err))
-			}
-			grid[i][j] = *out.Value.(*MixMetrics)
+		for j := range grid[i] {
+			grid[i][j] = *vals[i*len(specs)+j]
 		}
 	}
 	return grid

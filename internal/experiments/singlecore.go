@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"nucache/internal/cache"
 	"nucache/internal/cpu"
 	"nucache/internal/metrics"
 	"nucache/internal/stats"
-	"nucache/internal/trace"
 	"nucache/internal/workload"
 )
 
@@ -33,12 +33,11 @@ func SingleCore(o Options) *SingleCoreResult {
 	o = o.withDefaults()
 	res := &SingleCoreResult{}
 	var speedups []float64
+	ways := o.machine(1).LLC.Ways
 	for _, b := range o.benchmarks() {
 		run := func(spec PolicySpec) cpu.CoreResult {
-			cfg := o.machine(1)
-			pol := spec.New(1, cfg.LLC.Ways)
-			sys := cpu.NewSystem(cfg, pol, []trace.Stream{b.Stream(o.Seed)})
-			return sys.Run()[0]
+			r, _ := o.runAlone(b, func() cache.Policy { return spec.New(1, ways) })
+			return r
 		}
 		base := run(Baseline())
 		nu := run(NUcacheSpec())

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"nucache/internal/core"
+	"nucache/internal/policy"
 	"nucache/internal/stats"
 )
 
@@ -77,7 +78,7 @@ func Predict(p *Profile, w WhatIf) (*Prediction, error) {
 	case PolicyPart, "":
 		alloc := w.Alloc
 		if len(alloc) == 0 {
-			alloc = evenSplit(p.Cores, p.Ways)
+			alloc = policy.EvenSplit(p.Cores, p.Ways)
 		}
 		if err := CheckAlloc(p, alloc); err != nil {
 			return nil, err
@@ -118,17 +119,6 @@ func CheckAlloc(p *Profile, alloc []int) error {
 		return fmt.Errorf("mrc: allocation sums to %d ways, cache has %d", total, p.Ways)
 	}
 	return nil
-}
-
-func evenSplit(cores, ways int) []int {
-	alloc := make([]int, cores)
-	for i := range alloc {
-		alloc[i] = ways / cores
-	}
-	for i := 0; i < ways%cores; i++ {
-		alloc[i]++
-	}
-	return alloc
 }
 
 // predictPart is the exact path: partition ≡ private LRU per core, so

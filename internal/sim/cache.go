@@ -30,8 +30,8 @@ import (
 // Disk entries are written inside an integrity envelope — the payload
 // plus its SHA-256 — so corruption that still parses as JSON (a bit
 // flip inside a float, a truncated-then-patched file) is detected by
-// checksum instead of being served as truth. Pre-envelope entries (raw
-// payload JSON) still load, so existing caches survive the upgrade.
+// checksum instead of being served as truth. An entry that is not a
+// complete v1 envelope is quarantined like any other corrupt entry.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int

@@ -32,7 +32,7 @@ func TestPrivateL2ReplayTerminates(t *testing.T) {
 	policies := []string{"LRU", "NUcache"}
 	for _, mix := range mixes {
 		t.Run(mix.Name, func(t *testing.T) {
-			cfg := machineConfig(Request{Budget: 100_000, L2: true}, mix.Cores())
+			cfg := MachineConfig(Request{Budget: 100_000, L2: true}, mix.Cores())
 			newPols := make([]func() cache.Policy, len(policies))
 			for i, name := range policies {
 				newPols[i] = func() cache.Policy {

@@ -109,7 +109,7 @@ func ExecuteProfile(ctx context.Context, req ProfileRequest) (*mrc.Profile, erro
 	if err := failpoint.Inject("mrc.profile.build"); err != nil {
 		return nil, err
 	}
-	cfg := machineConfig(req.simRequest(), mix.Cores())
+	cfg := MachineConfig(req.simRequest(), mix.Cores())
 	tapes, err := acquireMixTapes(cfg, mix, req.Seed, false)
 	if err != nil {
 		return nil, err

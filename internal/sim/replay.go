@@ -29,9 +29,6 @@ var replayOff atomic.Bool
 // are defined to be bit-identical.
 func SetReplayDisabled(v bool) { replayOff.Store(v) }
 
-// ReplayDisabled reports the process-wide toggle.
-func ReplayDisabled() bool { return replayOff.Load() }
-
 // LaneBudget grants temporary extra parallelism to a RunMachineGrid
 // row: TryBorrow acquires up to max extra worker tokens without
 // blocking (returning how many it got, possibly zero) and Return gives

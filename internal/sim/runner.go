@@ -30,7 +30,7 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := machineConfig(req, mix.Cores())
+	cfg := MachineConfig(req, mix.Cores())
 	if _, err := buildRequestPolicy(req, cfg); err != nil {
 		return nil, err
 	}
@@ -46,10 +46,10 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 	return Collect(mix, pol, cfg, req.Budget, req.Seed, results, m), nil
 }
 
-// machineConfig maps a normalized request's machine knobs onto the CPU
-// configuration — shared by the simulation and MRC-profiling paths so
-// both describe the same machine.
-func machineConfig(req Request, cores int) cpu.Config {
+// MachineConfig maps a normalized request's machine knobs onto the CPU
+// configuration. It is the one mapping: simulation, MRC profiling, the
+// experiments and trace-file replay all describe their machine with it.
+func MachineConfig(req Request, cores int) cpu.Config {
 	cfg := cpu.DefaultConfig(cores)
 	cfg.InstrBudget = req.Budget
 	cfg.PrefetchDegree = req.Prefetch
