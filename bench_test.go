@@ -233,53 +233,6 @@ func BenchmarkGridReplayParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkHotLookupMiss isolates the SWAR packed-tag probe on its
-// worst case: every access is a compulsory miss (strictly increasing
-// line addresses never repeat), so lookup scans the whole set's partial
-// words, finds no candidate, and Access falls through to fill+evict.
-func BenchmarkHotLookupMiss(b *testing.B) {
-	// 32-way: wide enough that Access probes through the filter rather
-	// than the narrow-cache linear scan (see swarMinWays). Random
-	// replacement because LRU's packed state caps at 16 ways. The
-	// prefill fills every set (high addresses that the timed loop never
-	// revisits), so each timed access is a full-set miss.
-	c := cache.New(cache.Config{
-		Name: "bench", SizeBytes: 1 << 20, Ways: 32, LineBytes: 64, Cores: 1,
-	}, policy.NewRandom(1))
-	req := cache.Request{Kind: trace.Load, PC: 0x400000}
-	sets := c.NumSets()
-	for i := 0; i < sets*32; i++ {
-		req.Addr = 1<<40 + uint64(i)*64
-		c.Access(&req)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Addr = uint64(i) * 64
-		c.Access(&req)
-	}
-}
-
-// BenchmarkHotLookupHit is the complementary probe: the working set
-// exactly fills capacity (sequential lines land 32 per set), so after
-// warmup every set is full and every access is a hit confirmed through
-// the partial-tag filter.
-func BenchmarkHotLookupHit(b *testing.B) {
-	c := cache.New(cache.Config{
-		Name: "bench", SizeBytes: 1 << 20, Ways: 32, LineBytes: 64, Cores: 1,
-	}, policy.NewRandom(1))
-	req := cache.Request{Kind: trace.Load, PC: 0x400000}
-	lines := c.NumSets() * 32
-	for i := 0; i < lines; i++ {
-		req.Addr = uint64(i) * 64
-		c.Access(&req)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Addr = uint64(i%lines) * 64
-		c.Access(&req)
-	}
-}
-
 // BenchmarkSystemThroughput measures end-to-end simulated accesses/sec of
 // the full hierarchy on a real workload model.
 func BenchmarkSystemThroughput(b *testing.B) {

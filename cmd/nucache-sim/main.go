@@ -32,7 +32,7 @@ func main() {
 		benchName = flag.String("bench", "", "single benchmark name (see -list)")
 		mixName   = flag.String("mix", "", "standard mix name (e.g. mix4-01)")
 		members   = flag.String("members", "", "comma-separated benchmark names forming an ad-hoc mix")
-		polName   = flag.String("policy", "NUcache", "LLC policy: LRU|NUcache|UCP|PIPP|TADIP|DIP|DRRIP|SRRIP|SHiP|SLRU|Hawkeye|NRU|Random")
+		polName   = flag.String("policy", "NUcache", "LLC policy: "+strings.Join(sim.Policies(), "|"))
 		budget    = flag.Uint64("budget", 5_000_000, "instruction budget per core")
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		deliWays  = flag.Int("deliways", 6, "NUcache DeliWays (of the LLC's 16 ways; 0 disables retention)")

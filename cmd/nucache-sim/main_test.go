@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"nucache/internal/sim"
 )
 
 // beBinary, when set, makes the test binary act as the real nucache-sim
@@ -102,5 +104,34 @@ func TestUnknownBenchExitsNonzero(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "no-such-bench") {
 		t.Errorf("stderr does not name the bad benchmark: %q", errOut)
+	}
+}
+
+// TestHelpListsEveryPolicy: the -policy usage line names exactly the
+// policies sim.BuildPolicy accepts, so a policy added to the catalog
+// shows up in -h without a second edit.
+func TestHelpListsEveryPolicy(t *testing.T) {
+	_, errOut, err := runMain(t, "-h")
+	if err != nil {
+		t.Fatalf("nucache-sim -h failed: %v\nstderr: %s", err, errOut)
+	}
+	_, usage, ok := strings.Cut(errOut, "-policy string\n")
+	if !ok {
+		t.Fatalf("-h output has no -policy flag:\n%s", errOut)
+	}
+	usage, _, _ = strings.Cut(usage, "\n")
+	usage, _, _ = strings.Cut(usage, " (default")
+	_, list, ok := strings.Cut(usage, "LLC policy: ")
+	if !ok {
+		t.Fatalf("-policy usage = %q, want an \"LLC policy: \" list", usage)
+	}
+	listed := map[string]bool{}
+	for _, name := range strings.Split(list, "|") {
+		listed[name] = true
+	}
+	for _, name := range sim.Policies() {
+		if !listed[name] {
+			t.Errorf("-policy usage %q omits %s", usage, name)
+		}
 	}
 }

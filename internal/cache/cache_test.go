@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nucache/internal/cache"
@@ -153,8 +154,7 @@ func TestCacheOccupancyBounded(t *testing.T) {
 
 // TestOccupancyMatchesLineScan pins the popcount Occupancy against the
 // per-line scan it replaced, across a random mix of fills, evictions
-// and invalidations on several geometries (including ways that don't
-// fill whole filter words).
+// and invalidations on several geometries.
 func TestOccupancyMatchesLineScan(t *testing.T) {
 	lineScan := func(c *cache.Cache) int {
 		n := 0
@@ -191,10 +191,11 @@ func TestOccupancyMatchesLineScan(t *testing.T) {
 	}
 }
 
-// TestAccessAgreesWithSetLookup pins the SWAR filtered lookup against
-// Set.Lookup (which scans Lines directly, bypassing both mirrors): for
-// every access the hit/miss outcome must match the ground truth,
-// across geometries with partial filter words and under invalidation.
+// TestAccessAgreesWithSetLookup pins Access's scan of the dense tag
+// mirror against Set.Lookup (which scans Lines directly, reading neither
+// the tags mirror nor validMask): for every access the hit/miss outcome
+// must match the ground truth, across narrow and wide geometries and
+// under invalidation, which leaves stale tags behind cleared valid bits.
 func TestAccessAgreesWithSetLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, ways := range []int{1, 3, 7, 8, 9, 16, 64} {
@@ -203,7 +204,7 @@ func TestAccessAgreesWithSetLookup(t *testing.T) {
 			pol = policy.NewRandom(3)
 		}
 		c := cache.New(cache.Config{
-			Name: "swar", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64, Cores: 1,
+			Name: "scan", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64, Cores: 1,
 		}, pol)
 		for op := 0; op < 3000; op++ {
 			addr := uint64(rng.Intn(32*ways)) * 64
@@ -220,29 +221,26 @@ func TestAccessAgreesWithSetLookup(t *testing.T) {
 	}
 }
 
-// TestLookupPartialTagCollisions drives resident lines whose 8-bit
-// partial tags collide (tags differ only above the filtered byte), so
-// the SWAR prefilter alone cannot distinguish them: full-tag
-// confirmation must. The cache is 32-way (> swarMinWays) with every
-// probed set full, so the filter path — not the narrow-cache linear
-// scan — is the one under test; Random's victim choice prefers invalid
-// ways, making the fill deterministic. Partially filled and
-// invalidated sets take the linear fallback, which
-// TestAccessAgreesWithSetLookup covers at ways=64.
+// TestLookupPartialTagCollisions drives a full 32-way set whose
+// resident tags agree in their low bytes and differ only higher up, so
+// the scan must compare every tag in full. A second cache fills the set
+// with tags whose low byte is zero, tag 0 included (the value every
+// empty mirror slot holds). Random's victim choice prefers invalid ways,
+// making the fills deterministic.
 func TestLookupPartialTagCollisions(t *testing.T) {
 	wide := func() *cache.Cache {
 		return cache.New(cache.Config{
 			Name:      "wide",
-			SizeBytes: 4 * 32 * 64, // 4 sets: pshift = 2, partial = uint8(tag >> 2)
+			SizeBytes: 4 * 32 * 64, // 4 sets: the low 2 tag bits are the set index
 			Ways:      32,
 			LineBytes: 64,
 			Cores:     1,
 		}, policy.NewRandom(9))
 	}
-	// Strides of sets*256 lines keep set index AND partial byte equal
-	// while the full tags differ; +0x100 makes the shared partial byte
-	// nonzero (1) so a match can't be confused with cleared filter
-	// lanes.
+	// Strides of sets*256 lines keep the set index and the tag's low
+	// byte above the index bits equal while the full tags differ; +0x100
+	// makes that shared byte nonzero (1) so no tag equals a cleared
+	// mirror slot.
 	const stride = uint64(4 * 256 * 64)
 
 	c := wide()
@@ -251,26 +249,24 @@ func TestLookupPartialTagCollisions(t *testing.T) {
 			t.Fatalf("cold access %d hit", i)
 		}
 	}
-	// Set 0 is now full of lines with identical partial tags: every
-	// probe flags all 32 filter bytes as candidates and only full-tag
-	// confirmation separates them.
+	// Set 0 is now full of lines that share that byte: only the full
+	// tag separates them.
 	for i := uint64(0); i < 32; i++ {
 		if !access(c, 0x100+i*stride).Hit {
 			t.Fatalf("colliding resident %d missed", i)
 		}
 	}
-	// A 33rd colliding line must still miss despite 32 partial matches.
+	// A 33rd line sharing the byte must still miss.
 	if access(c, 0x100+32*stride).Hit {
 		t.Fatal("absent colliding line hit")
 	}
 
-	// Zero partial tags, including tag 0 itself: a full set whose
-	// filter words are all-zero yet whose lines are valid — probes for
-	// residents must confirm through, and an absent zero-partial probe
-	// must still miss.
+	// Tags whose low byte is zero, including tag 0 itself: a full set of
+	// valid lines that share the zero byte. Probes for residents must
+	// hit, and an absent line with the same zero byte must still miss.
 	c2 := wide()
 	for i := uint64(0); i < 32; i++ {
-		access(c2, i*stride) // tag i*1024 -> partial 0 for all i
+		access(c2, i*stride) // tag i*1024: low byte 0 for all i
 	}
 	for i := uint64(0); i < 32; i++ {
 		if !access(c2, i*stride).Hit {
@@ -302,20 +298,33 @@ func TestCachePanicsOnBadConfig(t *testing.T) {
 	cache.New(cache.Config{Name: "bad", SizeBytes: 100, Ways: 3, LineBytes: 7}, policy.NewLRU())
 }
 
-// bypassPolicy always declines fills; used to test the bypass path.
-type bypassPolicy struct{ policy.LRU }
+// fixedVictimPolicy returns the same way from every Victim call.
+type fixedVictimPolicy struct {
+	policy.LRU
+	way int
+}
 
-func (*bypassPolicy) Victim(*cache.Set, *cache.Request) int { return -1 }
+func (*fixedVictimPolicy) Name() string { return "FixedVictim" }
 
-func TestCacheBypass(t *testing.T) {
-	c := cache.New(cache.Config{Name: "b", SizeBytes: 2 * 64 * 4, Ways: 2, LineBytes: 64},
-		&bypassPolicy{})
-	r := access(c, 0)
-	if r.Hit || !r.Bypassed || r.EvictedValid {
-		t.Fatalf("result = %+v", r)
-	}
-	if c.Stats.Bypasses != 1 || c.Occupancy() != 0 {
-		t.Fatal("bypass not recorded")
+func (p *fixedVictimPolicy) Victim(*cache.Set, *cache.Request) int { return p.way }
+
+// TestCacheRejectsOutOfRangeVictim: Victim must return a way in
+// [0, ways); a way on either side of that range panics with a message
+// naming the policy instead of skipping the fill or indexing past the set.
+func TestCacheRejectsOutOfRangeVictim(t *testing.T) {
+	const ways = 2
+	for _, way := range []int{-1, ways} {
+		c := cache.New(cache.Config{Name: "v", SizeBytes: 2 * 64 * ways, Ways: ways, LineBytes: 64},
+			&fixedVictimPolicy{way: way})
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `"FixedVictim"`) {
+					t.Errorf("way %d: panic = %q, want one naming the policy", way, msg)
+				}
+			}()
+			access(c, 0)
+		}()
 	}
 }
 

@@ -4,7 +4,10 @@ import "nucache/internal/trace"
 
 // Line is one physical cache line's bookkeeping (no data is modelled).
 // The layout packs to 32 bytes (from 40) so a 16-way set spans 8 cache
-// lines instead of 10 — the set scan is the simulator's hottest loop.
+// lines instead of 10. The hit/miss scan never walks Lines: it reads the
+// cache's dense tags mirror (8 bytes per way). Lines are touched only at
+// the resolved way — the dirty bit on a store hit, the victim and fill
+// on a miss — and by policies choosing a victim.
 type Line struct {
 	// Tag is the line address (Addr >> offsetBits), unique across the cache.
 	Tag uint64

@@ -74,7 +74,7 @@ func (o *OPT) Victim(set *cache.Set, req *cache.Request) int {
 			break
 		}
 	}
-	// True Belady also bypasses fills whose own next use is farther than
+	// True Belady also declines fills whose own next use is farther than
 	// every resident line's; classic OPT caches everything, which is what
 	// we model for a like-for-like replacement comparison.
 	return best

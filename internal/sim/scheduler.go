@@ -250,7 +250,7 @@ func (s *Scheduler) Do(ctx context.Context, job Job) Outcome {
 // attempt acquires a worker slot (shedding if the admission queue is
 // full) and executes the job once under its deadline.
 func (s *Scheduler) attempt(ctx context.Context, job Job, cacheable bool) Outcome {
-	// Fast path: a free worker slot bypasses the admission queue.
+	// Fast path: a free worker slot skips the admission queue.
 	acquired := false
 	select {
 	case s.sem <- struct{}{}:

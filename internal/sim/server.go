@@ -8,7 +8,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"time"
 
 	"nucache/internal/workload"
 )
@@ -23,9 +22,8 @@ import (
 // else 500. Error bodies are {"error": ..., "kind": ...} with kind from
 // the ErrKind taxonomy.
 type Server struct {
-	sched      *Scheduler
-	log        *slog.Logger
-	retryAfter time.Duration
+	sched *Scheduler
+	log   *slog.Logger
 }
 
 // ServerOption customizes a Server.
@@ -37,17 +35,9 @@ func WithLogger(l *slog.Logger) ServerOption {
 	return func(sv *Server) { sv.log = l }
 }
 
-// WithRetryAfter sets the base Retry-After hint returned with 429
-// responses (default 1s). The wire value is jittered uniformly over
-// [base, 2·base] in whole seconds so a shed worker pool spreads its
-// retries instead of stampeding back in lockstep.
-func WithRetryAfter(d time.Duration) ServerOption {
-	return func(sv *Server) { sv.retryAfter = d }
-}
-
 // NewServer builds a server on top of a scheduler.
 func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
-	sv := &Server{sched: sched, log: slog.Default(), retryAfter: time.Second}
+	sv := &Server{sched: sched, log: slog.Default()}
 	for _, o := range opts {
 		o(sv)
 	}
@@ -143,7 +133,7 @@ func (sv *Server) jobError(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	case KindOverload:
 		status = http.StatusTooManyRequests
-		sv.setRetryAfter(w)
+		setRetryAfter(w)
 	case KindDeadline:
 		status = http.StatusGatewayTimeout
 	case KindCanceled:
@@ -157,15 +147,15 @@ func (sv *Server) jobError(w http.ResponseWriter, err error) {
 	})
 }
 
-func (sv *Server) setRetryAfter(w http.ResponseWriter) {
-	base := int(sv.retryAfter.Round(time.Second) / time.Second)
-	if base < 1 {
-		base = 1
-	}
-	// Uniform over [base, 2·base]: a pool of shed clients that all obey
-	// Retry-After verbatim re-arrives spread across a full base window
-	// instead of as one synchronized wave.
-	secs := base + rand.N(base+1)
+// retryAfterBase is the base Retry-After hint, in seconds, returned
+// with 429 responses.
+const retryAfterBase = 1
+
+func setRetryAfter(w http.ResponseWriter) {
+	// Uniform over [base, 2·base] in whole seconds: a pool of shed
+	// clients that all obey Retry-After verbatim re-arrives spread
+	// across a full base window instead of as one synchronized wave.
+	secs := retryAfterBase + rand.N(retryAfterBase+1)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
@@ -257,7 +247,7 @@ func (sv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// jobs shed mid-stream surface as overload error events instead.
 	if sv.sched.Saturated() {
 		JobsShed.Add(int64(len(reqs)))
-		sv.setRetryAfter(w)
+		setRetryAfter(w)
 		writeJSON(w, http.StatusTooManyRequests, map[string]string{
 			"error": ErrOverloaded.Error(),
 			"kind":  KindOverload.String(),

@@ -141,12 +141,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.lowerBound(len(h.counts) - 1)
 }
 
-// LinearMax returns the number of linear buckets.
-func (h *Histogram) LinearMax() int { return h.linearMax }
-
-// Log2Buckets returns the number of power-of-two buckets.
-func (h *Histogram) Log2Buckets() int { return h.log2Max }
-
 // Counts returns a copy of the raw bucket counts (linear buckets, then
 // log2 buckets, then the overflow bucket).
 func (h *Histogram) Counts() []uint64 {

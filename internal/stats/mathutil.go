@@ -39,20 +39,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// HarmonicMean returns the harmonic mean of xs, ignoring non-positive
-// entries. It returns 0 if no positive entries exist.
-func HarmonicMean(xs []float64) float64 {
-	sum := 0.0
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += 1 / x
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(n) / sum
-}

@@ -81,26 +81,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p (support {1, 2, ...}). For p >= 1 it returns 1.
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		panic("stats: Geometric with non-positive p")
-	}
-	n := 1
-	for !r.Bool(p) {
-		n++
-		// Cap pathological tails so a bad p cannot hang the simulator.
-		if n >= 1<<20 {
-			break
-		}
-	}
-	return n
-}
-
 // Split returns a new generator deterministically derived from this one.
 // Useful for giving each core or benchmark an independent stream.
 func (r *RNG) Split() *RNG {

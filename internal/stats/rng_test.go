@@ -99,33 +99,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(17)
-	const n = 100000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.Geometric(0.25)
-	}
-	mean := float64(sum) / n
-	// E[geometric(p)] = 1/p = 4.
-	if math.Abs(mean-4) > 0.2 {
-		t.Fatalf("geometric mean %v, want ~4", mean)
-	}
-}
-
-func TestGeometricEdge(t *testing.T) {
-	r := NewRNG(19)
-	if got := r.Geometric(1); got != 1 {
-		t.Fatalf("Geometric(1) = %d, want 1", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for p<=0")
-		}
-	}()
-	r.Geometric(0)
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := NewRNG(23)
 	a := r.Split()
@@ -202,11 +175,5 @@ func TestMeans(t *testing.T) {
 	}
 	if got := GeoMean([]float64{-1, 0}); got != 0 {
 		t.Fatalf("GeoMean non-positive = %v", got)
-	}
-	if got := HarmonicMean([]float64{1, 1.0 / 3}); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("HarmonicMean = %v", got)
-	}
-	if got := HarmonicMean(nil); got != 0 {
-		t.Fatalf("HarmonicMean(nil) = %v", got)
 	}
 }

@@ -120,64 +120,8 @@ func (s *LimitStream) Next() (Access, bool) {
 	return a, true
 }
 
-// FilterStream yields only accesses for which keep returns true. Gaps of
-// dropped accesses are accumulated onto the next kept access so instruction
-// counts stay consistent.
-type FilterStream struct {
-	inner Stream
-	keep  func(Access) bool
-}
-
-// NewFilterStream wraps inner with a predicate.
-func NewFilterStream(inner Stream, keep func(Access) bool) *FilterStream {
-	return &FilterStream{inner: inner, keep: keep}
-}
-
-// Next implements Stream.
-func (s *FilterStream) Next() (Access, bool) {
-	var pendingGap uint64
-	for {
-		a, ok := s.inner.Next()
-		if !ok {
-			return Access{}, false
-		}
-		if s.keep(a) {
-			g := pendingGap + uint64(a.Gap)
-			if g > 1<<31 {
-				g = 1 << 31
-			}
-			a.Gap = uint32(g)
-			return a, true
-		}
-		// The dropped access itself counts as one instruction.
-		pendingGap += uint64(a.Gap) + 1
-	}
-}
-
 // FuncStream adapts a generator function to the Stream interface.
 type FuncStream func() (Access, bool)
 
 // Next implements Stream.
 func (f FuncStream) Next() (Access, bool) { return f() }
-
-// ConcatStream yields all accesses of each stream in turn.
-type ConcatStream struct {
-	streams []Stream
-}
-
-// NewConcatStream concatenates streams in order.
-func NewConcatStream(streams ...Stream) *ConcatStream {
-	return &ConcatStream{streams: streams}
-}
-
-// Next implements Stream.
-func (s *ConcatStream) Next() (Access, bool) {
-	for len(s.streams) > 0 {
-		a, ok := s.streams[0].Next()
-		if ok {
-			return a, true
-		}
-		s.streams = s.streams[1:]
-	}
-	return Access{}, false
-}

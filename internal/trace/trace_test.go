@@ -2,7 +2,6 @@ package trace
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func sample(n int) []Access {
@@ -73,25 +72,6 @@ func TestLimitStream(t *testing.T) {
 	}
 }
 
-func TestFilterStreamAccumulatesGaps(t *testing.T) {
-	in := []Access{
-		{PC: 1, Addr: 0, Gap: 2},
-		{PC: 2, Addr: 64, Gap: 3}, // dropped: contributes 3+1 to next gap
-		{PC: 1, Addr: 128, Gap: 1},
-	}
-	s := NewFilterStream(NewSliceStream(in), func(a Access) bool { return a.PC == 1 })
-	got := Collect(s, -1)
-	if len(got) != 2 {
-		t.Fatalf("kept %d", len(got))
-	}
-	if got[0].Gap != 2 {
-		t.Fatalf("first gap = %d", got[0].Gap)
-	}
-	if got[1].Gap != 1+3+1 {
-		t.Fatalf("second gap = %d, want 5", got[1].Gap)
-	}
-}
-
 func TestFuncStream(t *testing.T) {
 	n := 0
 	s := FuncStream(func() (Access, bool) {
@@ -106,59 +86,9 @@ func TestFuncStream(t *testing.T) {
 	}
 }
 
-func TestConcatStream(t *testing.T) {
-	a := NewSliceStream(sample(2))
-	b := NewSliceStream(sample(3))
-	s := NewConcatStream(a, b)
-	if got := len(Collect(s, -1)); got != 5 {
-		t.Fatalf("concat yielded %d", got)
-	}
-	empty := NewConcatStream()
-	if _, ok := empty.Next(); ok {
-		t.Fatal("empty concat yielded")
-	}
-}
-
-func TestQuickFilterNeverYieldsDropped(t *testing.T) {
-	if err := quick.Check(func(pcs []uint8) bool {
-		in := make([]Access, len(pcs))
-		for i, p := range pcs {
-			in[i] = Access{PC: uint64(p)}
-		}
-		s := NewFilterStream(NewSliceStream(in), func(a Access) bool { return a.PC%2 == 0 })
-		for {
-			a, ok := s.Next()
-			if !ok {
-				return true
-			}
-			if a.PC%2 != 0 {
-				return false
-			}
-		}
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLimitStreamZero(t *testing.T) {
 	s := NewLimitStream(NewSliceStream(sample(3)), 0)
 	if _, ok := s.Next(); ok {
 		t.Fatal("zero-limit stream yielded")
-	}
-}
-
-func TestFilterStreamGapSaturation(t *testing.T) {
-	// Dropping billions of accesses must saturate, not wrap, the gap.
-	in := make([]Access, 0, 3)
-	in = append(in, Access{PC: 2, Gap: 1<<31 - 1})
-	in = append(in, Access{PC: 2, Gap: 1<<31 - 1})
-	in = append(in, Access{PC: 1, Gap: 5})
-	s := NewFilterStream(NewSliceStream(in), func(a Access) bool { return a.PC == 1 })
-	a, ok := s.Next()
-	if !ok {
-		t.Fatal("kept access missing")
-	}
-	if a.Gap != 1<<31 {
-		t.Fatalf("gap = %d, want saturated 1<<31", a.Gap)
 	}
 }
