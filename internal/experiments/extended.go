@@ -44,7 +44,8 @@ type ExtendedResult struct {
 }
 
 // ExtendedComparison runs experiment E19: the full policy lineup
-// (partitioning + insertion-policy families) on the standard mixes.
+// (partitioning + insertion-policy families) on the standard mixes. It
+// returns nil when Options.Ctx interrupts the grid.
 func ExtendedComparison(cores int, o Options) *ExtendedResult {
 	o = o.withDefaults()
 	specs := ExtendedPolicies()
@@ -55,6 +56,9 @@ func ExtendedComparison(cores int, o Options) *ExtendedResult {
 	mixes := o.mixes(cores)
 	base := specs[0]
 	grid := o.mixMetricsGrid(mixes, specs)
+	if grid == nil { // interrupted: partial results are journaled
+		return nil
+	}
 	baseWS := make([]float64, len(mixes))
 	for i := range mixes {
 		baseWS[i] = grid[i][0].WS

@@ -28,7 +28,7 @@ type MulticoreResult struct {
 // E8 (cores=8): every standard mix under every standard policy. The
 // (mix, policy) grid fans out across the scheduler's worker pool (see
 // Options.Parallel); the assembled table is identical to a sequential
-// run.
+// run. It returns nil when Options.Ctx interrupts the grid.
 func MulticoreComparison(cores int, o Options) *MulticoreResult {
 	o = o.withDefaults()
 	specs := StandardPolicies()
@@ -38,6 +38,9 @@ func MulticoreComparison(cores int, o Options) *MulticoreResult {
 	}
 	res.Mixes = o.mixes(cores)
 	grid := o.mixMetricsGrid(res.Mixes, specs)
+	if grid == nil { // interrupted: partial results are journaled
+		return nil
+	}
 	for i := range res.Mixes {
 		row := map[string]MixMetrics{}
 		for j, s := range specs {
@@ -129,7 +132,8 @@ type FairnessResult struct {
 	ANTT, HS, Fairness map[string]float64
 }
 
-// FairnessComparison runs experiment E11 on the 4-core mixes.
+// FairnessComparison runs experiment E11 on the 4-core mixes. It
+// returns nil when Options.Ctx interrupts the grid.
 func FairnessComparison(cores int, o Options) *FairnessResult {
 	o = o.withDefaults()
 	specs := StandardPolicies()
@@ -143,6 +147,9 @@ func FairnessComparison(cores int, o Options) *FairnessResult {
 		res.Policies = append(res.Policies, s.Name)
 	}
 	grid := o.mixMetricsGrid(mixes, specs)
+	if grid == nil { // interrupted: partial results are journaled
+		return nil
+	}
 	for i := range mixes {
 		for j, s := range specs {
 			acc[s.Name] = append(acc[s.Name], grid[i][j])

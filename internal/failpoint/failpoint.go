@@ -23,7 +23,7 @@
 //
 // Example:
 //
-//	NUCACHE_FAILPOINTS='journal.append=exit@7' nucache-sweep -journal j
+//	NUCACHE_FAILPOINTS='journal.append=exit@7' nucache-bench -exp E7 -journal j
 package failpoint
 
 import (

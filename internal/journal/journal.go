@@ -35,7 +35,7 @@ import (
 const MaxRecord = 64 << 20
 
 // Journal expvars, published under /debug/vars in processes that serve
-// HTTP and reported in nucache-sweep's journal summary line.
+// HTTP and reported in nucache-bench's journal summary line.
 var (
 	// Records counts records appended by this process (all journals).
 	Records = expvar.NewInt("nucache_journal_records")

@@ -1,6 +1,6 @@
 // Package metrics implements the multiprogrammed-workload performance
 // metrics used by the evaluation — weighted speedup, average normalized
-// turnaround time (ANTT), harmonic mean of speedups, throughput, MPKI —
+// turnaround time (ANTT), harmonic mean of speedups and fairness —
 // plus a small text-table renderer for harness output.
 package metrics
 
@@ -51,15 +51,6 @@ func HarmonicSpeedup(shared, alone []float64) float64 {
 		return 0
 	}
 	return float64(n) / sum
-}
-
-// Throughput is Σ_i IPC_shared_i (instruction throughput of the chip).
-func Throughput(shared []float64) float64 {
-	sum := 0.0
-	for _, v := range shared {
-		sum += v
-	}
-	return sum
 }
 
 // Fairness is min_i(speedup_i) / max_i(speedup_i) where speedup_i =

@@ -46,10 +46,7 @@ func TestHarmonicSpeedup(t *testing.T) {
 	}
 }
 
-func TestThroughputAndFairness(t *testing.T) {
-	if got := Throughput([]float64{0.5, 1.5}); got != 2 {
-		t.Fatalf("throughput = %v", got)
-	}
+func TestFairness(t *testing.T) {
 	if got := Fairness([]float64{0.5, 1.0}, []float64{1, 1}); got != 0.5 {
 		t.Fatalf("fairness = %v", got)
 	}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -78,13 +77,6 @@ func (h *Histogram) Record(v uint64) {
 	h.counts[h.bucketOf(v)]++
 	h.total++
 	h.sum += v
-}
-
-// RecordN adds n observations of value v.
-func (h *Histogram) RecordN(v uint64, n uint64) {
-	h.counts[h.bucketOf(v)] += n
-	h.total += n
-	h.sum += v * n
 }
 
 // Total returns the number of recorded observations.
@@ -177,42 +169,6 @@ func HistogramFromCounts(linearMax, log2Buckets int, counts []uint64, sum uint64
 	return h, nil
 }
 
-// Reset clears all recorded observations, keeping the layout.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.sum = 0
-}
-
-// Clone returns a deep copy of the histogram.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{
-		linearMax: h.linearMax,
-		log2Max:   h.log2Max,
-		counts:    make([]uint64, len(h.counts)),
-		total:     h.total,
-		sum:       h.sum,
-	}
-	copy(c.counts, h.counts)
-	return c
-}
-
-// Merge adds the contents of other into h. The layouts must match.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h.linearMax != other.linearMax || h.log2Max != other.log2Max {
-		return fmt.Errorf("stats: histogram layout mismatch (%d/%d vs %d/%d)",
-			h.linearMax, h.log2Max, other.linearMax, other.log2Max)
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	return nil
-}
-
 // Buckets returns a copy of (lowerBound, count) pairs for non-empty buckets.
 func (h *Histogram) Buckets() []BucketCount {
 	out := make([]BucketCount, 0, 8)
@@ -246,36 +202,4 @@ func (h *Histogram) String() string {
 	}
 	b.WriteString("}")
 	return b.String()
-}
-
-// Percentiles is a convenience over sorted raw samples, used by tests and
-// experiment reports where exact quantiles matter.
-func Percentiles(samples []float64, qs ...float64) []float64 {
-	if len(samples) == 0 {
-		out := make([]float64, len(qs))
-		return out
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if q <= 0 {
-			out[i] = s[0]
-			continue
-		}
-		if q >= 1 {
-			out[i] = s[len(s)-1]
-			continue
-		}
-		idx := q * float64(len(s)-1)
-		lo := int(idx)
-		frac := idx - float64(lo)
-		if lo+1 < len(s) {
-			out[i] = s[lo]*(1-frac) + s[lo+1]*frac
-		} else {
-			out[i] = s[lo]
-		}
-	}
-	return out
 }
