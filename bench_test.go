@@ -297,7 +297,7 @@ func BenchmarkE18DRAM(b *testing.B) {
 	o := benchOpts()
 	o.MixLimit = 1
 	for i := 0; i < b.N; i++ {
-		if r := experiments.DRAMStudy(o); r.GainDRAM <= 0 {
+		if r := experiments.DRAMStudy(o); r.Points[1].Geomean <= 0 {
 			b.Fatal("bad result")
 		}
 	}
@@ -307,7 +307,7 @@ func BenchmarkE19Extended(b *testing.B) {
 	o := benchOpts()
 	o.MixLimit = 1
 	for i := 0; i < b.N; i++ {
-		if r := experiments.ExtendedComparison(2, o); len(r.Policies) == 0 {
+		if r := experiments.ExtendedComparison(2, o); len(r.Points) == 0 {
 			b.Fatal("empty result")
 		}
 	}
@@ -317,7 +317,7 @@ func BenchmarkE20Adaptive(b *testing.B) {
 	o := benchOpts()
 	o.MixLimit = 1
 	for i := 0; i < b.N; i++ {
-		if r := experiments.AdaptiveStudy(o); r.GainAdaptive <= 0 {
+		if r := experiments.AdaptiveStudy(o); r.Points[1].Geomean <= 0 {
 			b.Fatal("bad result")
 		}
 	}

@@ -69,7 +69,8 @@ func main() {
 	}
 	req.ProfileRequest = req.ProfileRequest.Normalize()
 	if err := req.ProfileRequest.Validate(); err != nil {
-		fatalf("%v", err)
+		fmt.Fprintln(os.Stderr, "nucache-advise:", err)
+		os.Exit(2)
 	}
 
 	ctx := context.Background()

@@ -101,9 +101,11 @@ func main() {
 }
 
 // runReplay drives trace files through a machine built from the same
-// flags; generator-backed runs go through sim.Execute instead.
+// flags; generator-backed runs go through sim.Execute instead. A trace
+// that fails to decode (cut mid-record, corrupt) fails the run, naming
+// the file, instead of replaying as a shorter one.
 func runReplay(paths []string, polName string, budget, seed uint64, deliWays int, l2, dram bool, prefetch int, warmup uint64) (*sim.Result, error) {
-	mix, streams, err := openTraces(paths)
+	mix, readers, err := openTraces(paths)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +119,17 @@ func runReplay(paths []string, polName string, budget, seed uint64, deliWays int
 	if err != nil {
 		return nil, err
 	}
+	streams := make([]trace.Stream, len(readers))
+	for i, r := range readers {
+		streams[i] = r
+	}
 	sys := cpu.NewSystem(cfg, pol, streams)
 	results := sys.Run()
+	for i, r := range readers {
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("%s: %w", paths[i], err)
+		}
+	}
 	return sim.Collect(mix, pol, cfg, budget, seed, results, sys), nil
 }
 
@@ -223,10 +234,10 @@ func recordTraces(prefix string, mix workload.Mix, streams []trace.Stream, n int
 	return nil
 }
 
-// openTraces builds replay streams from binary trace files.
-func openTraces(paths []string) (workload.Mix, []trace.Stream, error) {
+// openTraces opens one trace reader per binary trace file.
+func openTraces(paths []string) (workload.Mix, []*trace.Reader, error) {
 	mix := workload.Mix{Name: "replay"}
-	var streams []trace.Stream
+	var readers []*trace.Reader
 	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
@@ -239,8 +250,8 @@ func openTraces(paths []string) (workload.Mix, []trace.Stream, error) {
 		}
 		// Files stay open for the run's duration; the process exit
 		// releases them (replay runs are one-shot).
-		streams = append(streams, r)
+		readers = append(readers, r)
 		mix.Members = append(mix.Members, p)
 	}
-	return mix, streams, nil
+	return mix, readers, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -104,6 +105,36 @@ func TestUnknownBenchExitsNonzero(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "no-such-bench") {
 		t.Errorf("stderr does not name the bad benchmark: %q", errOut)
+	}
+}
+
+// TestReplayCutTraceFails: a recorded trace replays cleanly, and the
+// same trace cut mid-record (its last byte dropped) fails the replay
+// with exit status 1, naming the file, instead of printing the result of
+// a shorter run.
+func TestReplayCutTraceFails(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "art")
+	if _, errOut, err := runMain(t, "-bench", "art-like", "-record", prefix, "-recordn", "20000"); err != nil {
+		t.Fatalf("record failed: %v\nstderr: %s", err, errOut)
+	}
+	path := prefix + ".core0.trc"
+	if _, errOut, err := runMain(t, "-replay", path, "-policy", "LRU"); err != nil {
+		t.Fatalf("replay of the whole trace failed: %v\nstderr: %s", err, errOut)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, err := runMain(t, "-replay", path, "-policy", "LRU")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("cut trace: want exit 1, got %v\nstdout: %s", err, out)
+	}
+	if !strings.Contains(errOut, path) || out != "" {
+		t.Errorf("cut trace: stderr %q does not name %s, or a result was printed:\n%s", errOut, path, out)
 	}
 }
 

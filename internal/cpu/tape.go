@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -29,10 +30,16 @@ const (
 )
 
 // DefaultTapeBudget caps the process-wide memory spent on tape pages.
-// Past the cap, new tapes are refused (callers fall back to direct
-// simulation); tapes already recording may grow to twice the cap
-// before their replays are failed too, so in-flight work completes.
+// Past the cap, new tapes are refused (simulations fall back to direct
+// simulation, profile walks to a PrivateTape); tapes already recording
+// may grow to twice the cap before their replays are failed too, so
+// in-flight work completes.
 const DefaultTapeBudget = 1 << 30
+
+// ErrTapeBudget is wrapped by every error the tape memory cap causes: a
+// tape AcquireTape refuses, and a memo tape killed for growing past
+// twice the cap.
+var ErrTapeBudget = errors.New("cpu: tape budget exhausted")
 
 // evRec is one recorded event, packed into 16 bytes so sequential
 // replay touches a quarter of the cache lines a page of
@@ -124,6 +131,7 @@ type Tape struct {
 	chunk   uint64
 	dead    error // non-nil: tape unusable; replays fail over to direct
 	counted int   // bytes already added to tapeBytes
+	private bool  // PrivateTape: outside tapeBytes and the cap
 
 	// Integrity frames: each tape extension CRC-32Cs the event and
 	// writeback records it appended, and frames are re-verified once, on
@@ -155,6 +163,16 @@ func NewTape(cfg Config, stream trace.Stream) *Tape {
 		rec:      newRecorder(cfg, stream),
 		chunk:    tapeChunkMin,
 	}
+}
+
+// PrivateTape is NewTape for a tape outside the memory accounting: its
+// pages count against no cap, never show in TapeBytes, and are freed
+// with the tape. A profile walk, which has no direct path to fall back
+// on, records one when the memo is full.
+func PrivateTape(cfg Config, stream trace.Stream) *Tape {
+	t := NewTape(cfg, stream)
+	t.private = true
+	return t
 }
 
 // FrontEndKey canonicalizes the Config fields that determine a core's
@@ -204,8 +222,8 @@ func AcquireTape(id string, cfg Config, open func() trace.Stream) (*Tape, error)
 		return t, nil
 	}
 	if tapeBytes.Load() >= tapeBudget.Load() {
-		return nil, fmt.Errorf("cpu: tape budget exhausted (%d of %d bytes)",
-			tapeBytes.Load(), tapeBudget.Load())
+		return nil, fmt.Errorf("%w (%d of %d bytes)",
+			ErrTapeBudget, tapeBytes.Load(), tapeBudget.Load())
 	}
 	t := NewTape(cfg, open())
 	tapeMemo[key] = t
@@ -287,8 +305,8 @@ func (t *Tape) snapshot(consumed uint64) (tapeView, error) {
 	if r.events <= consumed && !r.complete {
 		// Growing tapes stop being extended at twice the budget; replays
 		// in flight fail over to direct simulation from here on.
-		if tapeBytes.Load() >= 2*tapeBudget.Load() {
-			t.dead = fmt.Errorf("cpu: tape budget exhausted while extending")
+		if !t.private && tapeBytes.Load() >= 2*tapeBudget.Load() {
+			t.dead = fmt.Errorf("%w while extending", ErrTapeBudget)
 			return tapeView{}, t.dead
 		}
 		if err := failpoint.Inject("cpu.tape.extend"); err != nil {
@@ -302,8 +320,10 @@ func (t *Tape) snapshot(consumed uint64) (tapeView, error) {
 		if t.chunk < tapeChunkMax {
 			t.chunk *= 2
 		}
-		tapeBytes.Add(int64(r.bytes - t.counted))
-		t.counted = r.bytes
+		if !t.private {
+			tapeBytes.Add(int64(r.bytes - t.counted))
+			t.counted = r.bytes
+		}
 		t.sealFrame()
 	}
 	return tapeView{

@@ -316,8 +316,13 @@ func TestPrefetchStudyShape(t *testing.T) {
 func TestDRAMStudyShape(t *testing.T) {
 	o := Options{Budget: 200_000, Seed: 1, MixLimit: 1}
 	res := DRAMStudy(o)
-	if res.GainFlat <= 0 || res.GainDRAM <= 0 {
-		t.Fatalf("gains %v / %v", res.GainFlat, res.GainDRAM)
+	if len(res.Points) != 2 {
+		t.Fatalf("%d points", len(res.Points))
+	}
+	for _, p := range res.Points {
+		if p.Geomean <= 0 {
+			t.Fatalf("%s gain %v", p.Label, p.Geomean)
+		}
 	}
 	if res.Table().NumRows() != 2 {
 		t.Fatal("table rows")
@@ -327,12 +332,12 @@ func TestDRAMStudyShape(t *testing.T) {
 func TestExtendedComparisonShape(t *testing.T) {
 	o := Options{Budget: 150_000, Seed: 1, MixLimit: 1}
 	res := ExtendedComparison(2, o)
-	if len(res.Policies) != 11 {
-		t.Fatalf("%d policies", len(res.Policies))
+	if res.Baseline != "LRU" || len(res.Points) != 10 {
+		t.Fatalf("baseline %q, %d points", res.Baseline, len(res.Points))
 	}
-	for _, p := range res.Policies {
-		if res.GeomeanNorm[p] <= 0 {
-			t.Fatalf("%s geomean %v", p, res.GeomeanNorm[p])
+	for _, p := range res.Points {
+		if p.Geomean <= 0 {
+			t.Fatalf("%s geomean %v", p.Label, p.Geomean)
 		}
 	}
 	if res.Table().NumRows() != 11 {
@@ -343,8 +348,13 @@ func TestExtendedComparisonShape(t *testing.T) {
 func TestAdaptiveStudyShape(t *testing.T) {
 	o := Options{Budget: 200_000, Seed: 1, MixLimit: 1}
 	res := AdaptiveStudy(o)
-	if res.GainFixed <= 0 || res.GainAdaptive <= 0 {
-		t.Fatalf("gains %v / %v", res.GainFixed, res.GainAdaptive)
+	if len(res.Points) != 2 {
+		t.Fatalf("%d points", len(res.Points))
+	}
+	for _, p := range res.Points {
+		if p.Geomean <= 0 {
+			t.Fatalf("%s gain %v", p.Label, p.Geomean)
+		}
 	}
 	if res.Table().NumRows() != 2 {
 		t.Fatal("table rows")

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"nucache/internal/cache"
-	"nucache/internal/metrics"
 	"nucache/internal/policy"
-	"nucache/internal/stats"
 )
 
 // ExtendedPolicies adds the replacement-side state of the art that the
@@ -35,62 +33,14 @@ func ExtendedPolicies() []PolicySpec {
 	)
 }
 
-// ExtendedResult holds E19.
-type ExtendedResult struct {
-	Cores    int
-	Policies []string
-	// GeomeanNorm is each policy's geometric-mean WS vs the LRU baseline.
-	GeomeanNorm map[string]float64
-}
-
 // ExtendedComparison runs experiment E19: the full policy lineup
 // (partitioning + insertion-policy families) on the standard mixes. It
 // returns nil when Options.Ctx interrupts the grid.
-func ExtendedComparison(cores int, o Options) *ExtendedResult {
-	o = o.withDefaults()
-	specs := ExtendedPolicies()
-	res := &ExtendedResult{Cores: cores, GeomeanNorm: map[string]float64{}}
-	for _, s := range specs {
-		res.Policies = append(res.Policies, s.Name)
-	}
-	mixes := o.mixes(cores)
-	base := specs[0]
-	grid := o.mixMetricsGrid(mixes, specs)
-	if grid == nil { // interrupted: partial results are journaled
-		return nil
-	}
-	baseWS := make([]float64, len(mixes))
-	for i := range mixes {
-		baseWS[i] = grid[i][0].WS
-	}
-	for j, s := range specs {
-		var ratios []float64
-		for i := range mixes {
-			if baseWS[i] <= 0 {
-				continue
-			}
-			if s.Name == base.Name {
-				ratios = append(ratios, 1)
-				continue
-			}
-			ratios = append(ratios, grid[i][j].WS/baseWS[i])
-		}
-		res.GeomeanNorm[s.Name] = stats.GeoMean(ratios)
-	}
-	return res
-}
-
-// Table renders E19.
-func (r *ExtendedResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("E19 (extension): full policy lineup, %d-core WS gain over LRU", r.Cores),
-		"policy", "WS gain over LRU")
-	for _, p := range r.Policies {
-		if p == r.Policies[0] {
-			t.AddRow(p, "1.000x")
-			continue
-		}
-		t.AddRow(p, metrics.Pct(r.GeomeanNorm[p]))
-	}
-	return t
+func ExtendedComparison(cores int, o Options) *SweepResult {
+	return o.sweep(cores, &SweepResult{
+		ID:       19,
+		Title:    fmt.Sprintf("E19 (extension): full policy lineup, %d-core WS gain over LRU", cores),
+		Label:    "policy",
+		Baseline: Baseline().Name,
+	}, ExtendedPolicies()[1:]) // sweep adds the lineup's LRU baseline itself
 }

@@ -48,15 +48,8 @@ func MulticoreComparison(cores int, o Options) *MulticoreResult {
 		}
 		res.WS = append(res.WS, row)
 	}
-	base := res.Policies[0]
-	for _, p := range res.Policies {
-		ratios := make([]float64, 0, len(res.WS))
-		for _, row := range res.WS {
-			if b := row[base].WS; b > 0 {
-				ratios = append(ratios, row[p].WS/b)
-			}
-		}
-		res.GeomeanNorm[p] = stats.GeoMean(ratios)
+	for j, g := range gainsOverBase(grid) {
+		res.GeomeanNorm[res.Policies[j]] = g
 	}
 	return res
 }
@@ -103,14 +96,32 @@ func (o Options) nucacheGain() (gain, baseWS float64, ok bool) {
 	if grid == nil {
 		return 0, 0, false
 	}
-	var ratios, bases []float64
+	var bases []float64
 	for _, row := range grid {
 		if b := row[0].WS; b > 0 {
-			ratios = append(ratios, row[1].WS/b)
 			bases = append(bases, b)
 		}
 	}
-	return stats.GeoMean(ratios), stats.Mean(bases), true
+	return gainsOverBase(grid)[1], stats.Mean(bases), true
+}
+
+// gainsOverBase returns, for each column of grid (one row per mix, at
+// least one mix), the geometric mean over mixes of its weighted speedup
+// relative to column 0 (1.096 = +9.6%). Mixes whose column-0 WS is not
+// positive are skipped.
+func gainsOverBase(grid [][]MixMetrics) []float64 {
+	gains := make([]float64, len(grid[0]))
+	ratios := make([]float64, 0, len(grid))
+	for j := range gains {
+		ratios = ratios[:0]
+		for _, row := range grid {
+			if b := row[0].WS; b > 0 {
+				ratios = append(ratios, row[j].WS/b)
+			}
+		}
+		gains[j] = stats.GeoMean(ratios)
+	}
+	return gains
 }
 
 func expIDForCores(cores int) int {

@@ -43,9 +43,9 @@ var Registry = []Experiment{
 	{"E15", OverheadTable},
 	{"E16", func(o Options) *metrics.Table { return table(IdealRetention(o), (*IdealResult).Table) }},
 	{"E17", func(o Options) *metrics.Table { return table(PrefetchStudy(o), (*PrefetchResult).Table) }},
-	{"E18", func(o Options) *metrics.Table { return table(DRAMStudy(o), (*DRAMResult).Table) }},
-	{"E19", func(o Options) *metrics.Table { return table(ExtendedComparison(4, o), (*ExtendedResult).Table) }},
-	{"E20", func(o Options) *metrics.Table { return table(AdaptiveStudy(o), (*AdaptiveResult).Table) }},
+	{"E18", func(o Options) *metrics.Table { return table(DRAMStudy(o), (*SweepResult).Table) }},
+	{"E19", func(o Options) *metrics.Table { return table(ExtendedComparison(4, o), (*SweepResult).Table) }},
+	{"E20", func(o Options) *metrics.Table { return table(AdaptiveStudy(o), (*SweepResult).Table) }},
 	{"E21", func(o Options) *metrics.Table { return table(ProfileAdvisorSweep(o), (*SweepResult).Table) }},
 }
 

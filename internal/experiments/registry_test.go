@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"nucache/internal/cpu"
 )
 
 // TestRegistryCancelledContext runs every registry entry with a context
@@ -24,6 +26,32 @@ func TestRegistryCancelledContext(t *testing.T) {
 			}
 			if !noGrid[e.ID] && tbl != nil {
 				t.Fatalf("interrupted grid rendered a table:\n%s", tbl.String())
+			}
+		})
+	}
+}
+
+// TestRegistryFullTapeMemo runs every registry entry at a tiny budget
+// with the tape cap lowered to one byte, so once the first tape records
+// the memo refuses every new tape and kills every growing one. The grids
+// fall back to direct simulation and E21's profiles to private tapes:
+// every entry renders its table, and the private tapes leave the memo's
+// byte count where it was.
+func TestRegistryFullTapeMemo(t *testing.T) {
+	saved := cpu.SetTapeBudget(1)
+	t.Cleanup(func() { cpu.SetTapeBudget(saved) })
+	o := Options{Budget: 20_000, Seed: 4343, MixLimit: 1, BenchLimit: 1}
+	for _, e := range Registry {
+		t.Run(strings.ReplaceAll(e.ID, "/", "+"), func(t *testing.T) {
+			before := cpu.TapeBytes()
+			if e.ID == "E21" && before < 1 {
+				t.Fatal("the earlier entries recorded no tape, so the memo is not full")
+			}
+			if tbl := e.Run(o); tbl == nil {
+				t.Fatal("nil table under a full tape memo")
+			}
+			if e.ID == "E21" && cpu.TapeBytes() != before {
+				t.Errorf("E21's profiles moved TapeBytes %d -> %d", before, cpu.TapeBytes())
 			}
 		})
 	}

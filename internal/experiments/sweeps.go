@@ -5,7 +5,6 @@ import (
 
 	"nucache/internal/core"
 	"nucache/internal/metrics"
-	"nucache/internal/stats"
 )
 
 // SweepPoint is one configuration's aggregate result in a sensitivity
@@ -16,42 +15,36 @@ type SweepPoint struct {
 	Geomean float64
 }
 
-// SweepResult holds one sensitivity experiment (E9/E10/E12/E13) or an
-// advisor study (E21).
+// SweepResult holds one gain-over-LRU table (the sensitivity sweeps
+// E9/E10/E12/E13 and the extension studies E18–E20) or an advisor study
+// (E21).
 type SweepResult struct {
 	ID    int
 	Title string
-	// Column overrides the value-column header ("" = the sensitivity
-	// sweeps' "WS gain over LRU").
-	Column string
-	Points []SweepPoint
+	// Label and Column override the label- and value-column headers
+	// ("" = "variant" and "WS gain over LRU").
+	Label, Column string
+	// Baseline, when set, names the policy every gain is relative to; it
+	// renders as a leading 1.000x row.
+	Baseline string
+	Points   []SweepPoint
 }
 
-// sweep evaluates NUcache variants against the shared LRU baseline on the
-// 4-core mixes. Baseline and variants fan out through the scheduler as
+// sweep evaluates variants against the shared LRU baseline on the
+// cores-wide mixes and fills res with one point per variant, labelled by
+// its spec name. Baseline and variants fan out through the scheduler as
 // one grid; the baseline's content-addressed results are shared across
-// every sweep in the process.
-func (o Options) sweep(id int, title string, variants []PolicySpec) *SweepResult {
+// every sweep in the process. It returns nil when Options.Ctx interrupts
+// the grid.
+func (o Options) sweep(cores int, res *SweepResult, variants []PolicySpec) *SweepResult {
 	o = o.withDefaults()
-	res := &SweepResult{ID: id, Title: title}
-	mixes := o.mixes(4)
-	specs := append([]PolicySpec{Baseline()}, variants...)
-	grid := o.mixMetricsGrid(mixes, specs)
+	grid := o.mixMetricsGrid(o.mixes(cores), append([]PolicySpec{Baseline()}, variants...))
 	if grid == nil { // interrupted: partial results are journaled
 		return nil
 	}
-	baseWS := make([]float64, len(mixes))
-	for i := range mixes {
-		baseWS[i] = grid[i][0].WS
-	}
+	gains := gainsOverBase(grid)
 	for j, v := range variants {
-		ratios := make([]float64, 0, len(mixes))
-		for i := range mixes {
-			if baseWS[i] > 0 {
-				ratios = append(ratios, grid[i][j+1].WS/baseWS[i])
-			}
-		}
-		res.Points = append(res.Points, SweepPoint{Label: v.Name, Geomean: stats.GeoMean(ratios)})
+		res.Points = append(res.Points, SweepPoint{Label: v.Name, Geomean: gains[j+1]})
 	}
 	return res
 }
@@ -68,7 +61,7 @@ func DeliWaysSweep(o Options) *SweepResult {
 			return cfg
 		}))
 	}
-	return o.sweep(9, "E9: DeliWays count (of 16 ways), 4-core WS gain over LRU", variants)
+	return o.sweep(4, &SweepResult{ID: 9, Title: "E9: DeliWays count (of 16 ways), 4-core WS gain over LRU"}, variants)
 }
 
 // PCCountSweep runs experiment E10: sensitivity to the candidate pool /
@@ -96,7 +89,7 @@ func PCCountSweep(o Options) *SweepResult {
 		cfg.PromoteOnDeliHit = false
 		return cfg
 	}))
-	return o.sweep(10, "E10: PC-selection ablations, 4-core WS gain over LRU", variants)
+	return o.sweep(4, &SweepResult{ID: 10, Title: "E10: PC-selection ablations, 4-core WS gain over LRU"}, variants)
 }
 
 // EpochSweep runs experiment E12: sensitivity to the selection epoch.
@@ -110,7 +103,7 @@ func EpochSweep(o Options) *SweepResult {
 			return cfg
 		}))
 	}
-	return o.sweep(12, "E12: selection epoch length (LLC misses), 4-core WS gain over LRU", variants)
+	return o.sweep(4, &SweepResult{ID: 12, Title: "E12: selection epoch length (LLC misses), 4-core WS gain over LRU"}, variants)
 }
 
 // SamplingSweep runs experiment E13: monitor set-sampling ratio.
@@ -124,65 +117,45 @@ func SamplingSweep(o Options) *SweepResult {
 			return cfg
 		}))
 	}
-	return o.sweep(13, "E13: monitor set sampling, 4-core WS gain over LRU", variants)
+	return o.sweep(4, &SweepResult{ID: 13, Title: "E13: monitor set sampling, 4-core WS gain over LRU"}, variants)
 }
 
 // Table renders a sweep.
 func (r *SweepResult) Table() *metrics.Table {
-	col := r.Column
+	label, col := r.Label, r.Column
+	if label == "" {
+		label = "variant"
+	}
 	if col == "" {
 		col = "WS gain over LRU"
 	}
-	t := metrics.NewTable(r.Title, "variant", col)
+	t := metrics.NewTable(r.Title, label, col)
+	if r.Baseline != "" {
+		t.AddRow(r.Baseline, "1.000x")
+	}
 	for _, p := range r.Points {
 		t.AddRow(p.Label, metrics.Pct(p.Geomean))
 	}
 	return t
 }
 
-// AdaptiveResult holds E20 (extension): fixed-D NUcache vs the adaptive
-// MainWays/DeliWays split.
-type AdaptiveResult struct {
-	// GainFixed / GainAdaptive are geometric-mean WS gains over LRU on
-	// the 4-core mixes.
-	GainFixed, GainAdaptive float64
-}
-
-// AdaptiveStudy runs experiment E20.
-func AdaptiveStudy(o Options) *AdaptiveResult {
-	o = o.withDefaults()
-	res := &AdaptiveResult{}
-	fixed := NUcacheSpec()
+// AdaptiveStudy runs experiment E20 (extension): fixed-D NUcache vs the
+// adaptive MainWays/DeliWays split on the 4-core mixes. It returns nil
+// when Options.Ctx interrupts the grid.
+func AdaptiveStudy(o Options) *SweepResult {
 	adaptive := NUcacheWith("NUcache-adaptive", func(ways int) core.Config {
 		cfg := core.DefaultConfig(ways)
 		cfg.DeliWays = 8 // maximum; the selection picks 2..8
 		cfg.AdaptiveDeliWays = true
 		return cfg
 	})
-	mixes := o.mixes(4)
-	grid := o.mixMetricsGrid(mixes, []PolicySpec{Baseline(), fixed, adaptive})
-	if grid == nil { // interrupted: partial results are journaled
-		return nil
+	res := o.sweep(4, &SweepResult{
+		ID:    20,
+		Title: "E20 (extension): fixed vs adaptive MainWays/DeliWays split (4-core mixes)",
+		Label: "configuration",
+	}, []PolicySpec{NUcacheSpec(), adaptive})
+	if res != nil {
+		res.Points[0].Label, res.Points[1].Label = "fixed D=6", "adaptive D in {2,4,6,8}"
 	}
-	var rFixed, rAdaptive []float64
-	for i := range mixes {
-		b := grid[i][0].WS
-		if b <= 0 {
-			continue
-		}
-		rFixed = append(rFixed, grid[i][1].WS/b)
-		rAdaptive = append(rAdaptive, grid[i][2].WS/b)
-	}
-	res.GainFixed = stats.GeoMean(rFixed)
-	res.GainAdaptive = stats.GeoMean(rAdaptive)
 	return res
-}
-
-// Table renders E20.
-func (r *AdaptiveResult) Table() *metrics.Table {
-	t := metrics.NewTable("E20 (extension): fixed vs adaptive MainWays/DeliWays split (4-core mixes)",
-		"configuration", "WS gain over LRU")
-	t.AddRow("fixed D=6", metrics.Pct(r.GainFixed))
-	t.AddRow("adaptive D in {2,4,6,8}", metrics.Pct(r.GainAdaptive))
-	return t
 }

@@ -338,17 +338,13 @@ func finish(p *Profile, pred *Prediction) {
 }
 
 // BestPartition searches the static-partition space for the maximum
-// summed IPC: exhaustive over all compositions of Ways into Cores
-// positive parts when that space is small (C(15,3)=455 for a 4-core
-// 16-way LLC), greedy way-by-way otherwise. Deterministic: ties keep
-// the lexicographically smallest allocation.
+// summed IPC, exhaustively over all compositions of Ways into Cores
+// positive parts (C(15,3)=455 for a 4-core 16-way LLC; Validate bounds
+// the count). Deterministic: ties keep the lexicographically smallest
+// allocation.
 func BestPartition(p *Profile) (*Prediction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	space := compositions(p.Ways-p.Cores, p.Cores)
-	if space > 200_000 {
-		return bestPartitionGreedy(p), nil
 	}
 	var best *Prediction
 	evaluated := 0
@@ -372,45 +368,6 @@ func BestPartition(p *Profile) (*Prediction, error) {
 	walk(0, p.Ways)
 	best.Evaluated = evaluated
 	return best, nil
-}
-
-// bestPartitionGreedy allocates one way at a time to the core whose
-// throughput gains most (UCP lookahead's shape, driven by the model).
-func bestPartitionGreedy(p *Profile) *Prediction {
-	alloc := make([]int, p.Cores)
-	for i := range alloc {
-		alloc[i] = 1
-	}
-	evaluated := 0
-	for used := p.Cores; used < p.Ways; used++ {
-		bestCore, bestT := 0, math.Inf(-1)
-		for i := range alloc {
-			alloc[i]++
-			t := predictPart(p, partialFill(alloc, p.Ways)).Throughput
-			evaluated++
-			if t > bestT {
-				bestCore, bestT = i, t
-			}
-			alloc[i]--
-		}
-		alloc[bestCore]++
-	}
-	pred := predictPart(p, alloc)
-	pred.Evaluated = evaluated + 1
-	return pred
-}
-
-// partialFill pads a partial allocation to the full way count by
-// handing the unassigned ways to the last core (the greedy search only
-// compares alternatives of equal fill, so the padding cancels).
-func partialFill(alloc []int, ways int) []int {
-	total := 0
-	for _, a := range alloc {
-		total += a
-	}
-	out := append([]int(nil), alloc...)
-	out[len(out)-1] += ways - total
-	return out
 }
 
 // BestDeliWays searches the NUcache split space (D = 0..Ways-1) for

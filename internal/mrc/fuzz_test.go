@@ -9,6 +9,7 @@ package mrc
 // answer (or refuse) without panicking.
 
 import (
+	"encoding/json"
 	"testing"
 )
 
@@ -133,5 +134,49 @@ func TestProfileRoundTrip(t *testing.T) {
 	bad.PerCore[0].DemandAccesses = bad.PerCore[0].Accesses + 1
 	if _, err := EncodeProfile(bad); err == nil {
 		t.Error("EncodeProfile accepted demand accesses > accesses")
+	}
+}
+
+// shapedProfile is a valid profile of the given machine shape.
+func shapedProfile(cores, ways int) *Profile {
+	p := fuzzProfile()
+	p.Cores, p.Ways = cores, ways
+	p.Members = make([]string, cores)
+	p.PerCore = make([]CoreProfile, cores)
+	for i := range p.PerCore {
+		p.Members[i] = "art-like"
+		p.PerCore[i] = CoreProfile{
+			Core: i, Benchmark: "art-like",
+			Instructions: 30_000, PICycles: 60_000,
+			Accesses: 100, DemandAccesses: 100,
+			PosHits: make([]uint64, ways), DemandPosHits: make([]uint64, ways),
+		}
+	}
+	return p
+}
+
+// TestValidateBoundsPartitionSearch: BestPartition searches every way
+// partition exhaustively, so Validate (and with it every decode) refuses
+// a shape with no partition at all (more cores than ways) or with more
+// partitions than the search allows. The widest shape the simulator
+// builds, 16 cores over 16 ways, and its largest search, 8 cores, pass.
+func TestValidateBoundsPartitionSearch(t *testing.T) {
+	for _, c := range []struct{ cores, ways int }{{17, 16}, {64, 16}, {32, 64}} {
+		data, err := json.Marshal(shapedProfile(c.cores, c.ways))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeProfile(data); err == nil {
+			t.Errorf("%d cores over %d ways decoded", c.cores, c.ways)
+		}
+	}
+	for _, cores := range []int{8, 16} {
+		p := shapedProfile(cores, 16)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%d cores over 16 ways: %v", cores, err)
+		}
+		if _, err := BestPartition(p); err != nil {
+			t.Errorf("BestPartition over %d cores: %v", cores, err)
+		}
 	}
 }

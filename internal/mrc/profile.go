@@ -47,6 +47,11 @@ const (
 	// maxCount bounds every event counter far below overflow so the
 	// model's integer arithmetic (counts times latencies) stays exact.
 	maxCount = 1 << 50
+	// maxPartitions bounds BestPartition's exhaustive search, which
+	// evaluates C(Ways-1, Cores-1) allocations; every profile the
+	// simulator builds (16 ways, at most 16 cores) has at most
+	// C(15,7) = 6,435.
+	maxPartitions = 200_000
 )
 
 // Profile is the content-addressed profiling artifact for one mix on
@@ -167,6 +172,14 @@ func (p *Profile) Validate() error {
 	}
 	if p.Ways < 1 || p.Ways > maxWays {
 		return fmt.Errorf("mrc: ways %d out of range", p.Ways)
+	}
+	// Every partition grants each core at least one way.
+	if p.Cores > p.Ways {
+		return fmt.Errorf("mrc: %d cores for %d ways", p.Cores, p.Ways)
+	}
+	if n := compositions(p.Ways-p.Cores, p.Cores); n > maxPartitions {
+		return fmt.Errorf("mrc: %d cores over %d ways make %d partitions (limit %d)",
+			p.Cores, p.Ways, n, maxPartitions)
 	}
 	if p.Sets < 1 || p.Sets > maxSets {
 		return fmt.Errorf("mrc: sets %d out of range", p.Sets)

@@ -147,12 +147,13 @@ func absDiff(a, b uint64) uint64 {
 // fetchProfile returns the mix's profile, preferring the scheduler's
 // content-addressed cache (no job is queued on a hit — the advisor
 // answers already-profiled mixes without touching the simulation
-// pipeline) and scheduling the profiling pass otherwise.
+// pipeline) and scheduling the profiling pass otherwise. The cache
+// validates the profiles it decodes, so an invalid cached entry is a
+// miss on both lookups: the cache drops it and the pass recomputes it.
 func (sv *Server) fetchProfile(ctx context.Context, req ProfileRequest) (*mrc.Profile, bool, error) {
-	key := req.Key()
 	if c := sv.sched.Cache(); c != nil {
 		p := new(mrc.Profile)
-		if c.Get(key, p) && p.Validate() == nil {
+		if c.Get(req.Key(), p) {
 			MRCProfileCacheHits.Add(1)
 			return p, true, nil
 		}

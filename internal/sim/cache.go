@@ -83,13 +83,15 @@ func (c *Cache) Persistent() bool { return c.dir != "" }
 // value into `into` (a pointer). A disk hit is promoted into memory. A
 // disk entry that fails to decode is quarantined so the next lookup for
 // the key recomputes instead of re-reading the corrupt file forever.
+// A value with a Validate method (mrc.Profile) that fails it has failed
+// to decode.
 func (c *Cache) Get(key string, into any) bool {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		data := el.Value.(*cacheEntry).data
 		c.mu.Unlock()
-		if json.Unmarshal(data, into) == nil {
+		if decode(data, into) == nil {
 			return true
 		}
 		// Memory entries are written by Put and should never be corrupt;
@@ -112,12 +114,27 @@ func (c *Cache) Get(key string, into any) bool {
 		c.quarantine(path, err)
 		return false
 	}
-	if err := json.Unmarshal(payload, into); err != nil {
+	if err := decode(payload, into); err != nil {
 		c.quarantine(path, err)
 		return false
 	}
 	c.putBytes(key, payload)
 	return true
+}
+
+// decode unmarshals a cached value and, when it can check itself,
+// validates it: an entry whose envelope is sound but whose value is not
+// (an invalid profile) must be dropped and recomputed, not served.
+// Validating after decoding, rather than in an UnmarshalJSON method,
+// costs the payload no extra JSON scan on the advisor's hot path.
+func decode(data []byte, into any) error {
+	if err := json.Unmarshal(data, into); err != nil {
+		return err
+	}
+	if v, ok := into.(interface{ Validate() error }); ok {
+		return v.Validate()
+	}
+	return nil
 }
 
 // diskEnvelope wraps a disk entry's payload with its own SHA-256 so

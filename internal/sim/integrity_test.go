@@ -8,7 +8,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -190,5 +193,44 @@ func TestSchedulerJobFailpoint(t *testing.T) {
 	}
 	if out := s.Do(context.Background(), job); out.Err != nil {
 		t.Fatalf("job 3: %v", out.Err)
+	}
+}
+
+// TestAdviseQuarantinesInvalidProfileEntry plants a disk entry whose
+// envelope is sound but whose payload is an invalid profile. Decoding a
+// profile validates it, so the cache read fails and quarantines the
+// entry, and /v1/advise recomputes the profile and answers 200 instead
+// of serving the bad entry on every request.
+func TestAdviseQuarantinesInvalidProfileEntry(t *testing.T) {
+	dir := t.TempDir()
+	c := NewCache(4, dir)
+	req := ProfileRequest{Mix: "mix2-01", Budget: 60_000, Seed: 7171}
+	sealed, err := sealEnvelope([]byte(`{"version":1,"mix":"mix2-01","cores":2,"ways":16}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := c.diskPath(req.Key())
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(NewScheduler(2, c)).Handler())
+	t.Cleanup(ts.Close)
+
+	qBefore := CacheQuarantined.Value()
+	resp := postJSON(t, ts.URL+"/v1/advise", `{"mix":"mix2-01","budget":60000,"seed":7171,"best":true}`)
+	var out AdviseResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || out.ProfileCached || out.Prediction == nil {
+		t.Fatalf("advise over a planted invalid profile: status %d, %v, %+v", resp.StatusCode, err, out)
+	}
+	if CacheQuarantined.Value() != qBefore+1 {
+		t.Error("planted entry not counted as quarantined")
+	}
+	if _, err := os.Stat(path + ".quarantined"); err != nil {
+		t.Errorf("quarantined copy missing: %v", err)
 	}
 }

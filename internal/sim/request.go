@@ -77,10 +77,17 @@ func (r Request) deliWays() int {
 	return r.DeliWays
 }
 
-// Validate checks workload and policy names on a normalized request.
+// Validate checks workload and policy names and the mix width (at most
+// one member per LLC way) on a normalized request.
 func (r Request) Validate() error {
-	if _, err := r.ResolveMix(); err != nil {
+	mix, err := r.ResolveMix()
+	if err != nil {
 		return err
+	}
+	// Every partitioning policy grants each core at least one way.
+	ways := cpu.DefaultConfig(mix.Cores()).LLC.Ways
+	if mix.Cores() > ways {
+		return fmt.Errorf("sim: %d members for a %d-way LLC", mix.Cores(), ways)
 	}
 	if !knownPolicy(r.Policy) {
 		return fmt.Errorf("sim: unknown policy %q", r.Policy)
@@ -98,11 +105,6 @@ func (r Request) Validate() error {
 		if !strings.EqualFold(r.Policy, "Part") {
 			return fmt.Errorf("sim: alloc is only valid with the Part policy")
 		}
-		mix, err := r.ResolveMix()
-		if err != nil {
-			return err
-		}
-		ways := cpu.DefaultConfig(mix.Cores()).LLC.Ways
 		if len(r.Alloc) != mix.Cores() {
 			return fmt.Errorf("sim: alloc has %d entries for %d cores", len(r.Alloc), mix.Cores())
 		}

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"nucache/internal/cpu"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -187,5 +189,67 @@ func TestServerCatalogAndHealth(t *testing.T) {
 	}
 	if health.Status != "ok" || health.Workers != 4 {
 		t.Fatalf("health %+v", health)
+	}
+}
+
+// TestServerProfileFullTapeMemo: once the tape memo is full, profiling
+// walks private tapes, both for a mix the memo has never seen (its tapes
+// are refused) and for the simulated mix (the memo killed one of its
+// tapes for growing past the cap). /v1/profile and /v1/advise answer 200
+// and leave the memo's byte count where it was.
+func TestServerProfileFullTapeMemo(t *testing.T) {
+	saved := cpu.SetTapeBudget(1)
+	t.Cleanup(func() { cpu.SetTapeBudget(saved) })
+	ts := newTestServer(t)
+	// One simulation records a tape, which fills the one-byte memo, and
+	// its other member's tape dies on its first extension.
+	resp := postJSON(t, ts.URL+"/v1/sim", `{"mix":"mix2-01","policy":"LRU","budget":50000,"seed":9191}`)
+	resp.Body.Close()
+	if cpu.TapeBytes() < 1 {
+		t.Fatalf("memo holds %d bytes after a simulation", cpu.TapeBytes())
+	}
+	before := cpu.TapeBytes()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/profile", `{"mix":"mix2-01","budget":50000,"seed":9191}`},
+		{"/v1/profile", `{"mix":"mix4-02","budget":50000,"seed":9191}`},
+		{"/v1/advise", `{"mix":"mix4-03","budget":50000,"seed":9191,"best":true}`},
+	} {
+		resp := postJSON(t, ts.URL+c.path, c.body)
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s under a full memo: status %d: %s", c.path, resp.StatusCode, buf.String())
+		}
+	}
+	if got := cpu.TapeBytes(); got != before {
+		t.Errorf("private tapes moved TapeBytes %d -> %d", before, got)
+	}
+}
+
+// TestServerRejectsMixWiderThanLLC: a mix with more members than the LLC
+// has ways cannot grant every core a way, so the endpoints that take
+// members answer 400 before any job runs (a partitioning policy's
+// constructor or the advisor's partition search would otherwise fail on
+// it).
+func TestServerRejectsMixWiderThanLLC(t *testing.T) {
+	ts := newTestServer(t)
+	members := `"members":[` + strings.TrimSuffix(strings.Repeat(`"art-like",`, 17), ",") + `],"budget":20000`
+	bodies := map[string]string{
+		"/v1/profile": `{` + members + `}`,
+		"/v1/advise":  `{` + members + `,"best":true}`,
+	}
+	for _, pol := range []string{"TADIP", "UCP", "PIPP", "Part"} {
+		bodies["/v1/sim "+pol] = `{` + members + `,"policy":"` + pol + `"}`
+	}
+	for name, body := range bodies {
+		path, _, _ := strings.Cut(name, " ")
+		resp := postJSON(t, ts.URL+path, body)
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if got := buf.String(); resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, "17 members") {
+			t.Errorf("%s: status %d: %.200s", name, resp.StatusCode, got)
+		}
 	}
 }
