@@ -99,12 +99,7 @@ func main() {
 		if err != nil {
 			fatalf("verify: %v", err)
 		}
-		hitsExact, maxAbs, maxRel, mrErr := sim.CompareVerify(pred, res)
-		resp.Verify = &sim.VerifyReport{
-			Key: vreq.Key(), Result: res,
-			HitsExact: hitsExact, MaxHitsAbsErr: maxAbs,
-			MaxIPCRelErr: maxRel, MissRateErr: mrErr,
-		}
+		resp.Verify = sim.CompareVerify(vreq, pred, res)
 	}
 
 	if *asJSON {

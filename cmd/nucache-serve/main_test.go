@@ -205,7 +205,7 @@ func TestSimEndpoint(t *testing.T) {
 
 	// The run above went through the record/replay fast path: the tape
 	// counters must be live on /debug/vars (operators watch these to
-	// confirm replay is on and to size the tape budget).
+	// confirm replay is on and that the memo holds its tapes).
 	dv, err := http.Get(base + "/debug/vars")
 	if err != nil {
 		t.Fatalf("GET /debug/vars: %v", err)
@@ -215,6 +215,9 @@ func TestSimEndpoint(t *testing.T) {
 		Recorded int64 `json:"nucache_traces_recorded"`
 		Replayed int64 `json:"nucache_traces_replayed"`
 		Bytes    int64 `json:"nucache_trace_bytes"`
+		// Published from process start; one sim is far below the
+		// memo's cap, so nothing is evicted.
+		Evicted *int64 `json:"nucache_traces_evicted"`
 		// Integrity counters are pointers: they must be *published* (nil
 		// means the var is missing entirely), but a healthy server keeps
 		// them at zero.
@@ -236,6 +239,9 @@ func TestSimEndpoint(t *testing.T) {
 	if vars.Recorded < 1 || vars.Replayed < 1 || vars.Bytes <= 0 {
 		t.Fatalf("trace expvars not live after a sim: recorded=%d replayed=%d bytes=%d",
 			vars.Recorded, vars.Replayed, vars.Bytes)
+	}
+	if vars.Evicted == nil || *vars.Evicted != 0 {
+		t.Fatalf("nucache_traces_evicted = %v after one sim; want a published 0", vars.Evicted)
 	}
 	if vars.ChecksumFails == nil || vars.TapeChecksums == nil || vars.FailpointsFired == nil {
 		t.Fatalf("integrity expvars missing from /debug/vars: cache=%v tape=%v failpoints=%v",

@@ -50,9 +50,9 @@ func (ms *MultiReplaySystem) LaneWritebacks(i int) uint64 {
 
 // Run replays every lane in turn and returns per-lane, per-core
 // results, each byte-identical to what a single-policy ReplaySystem
-// over the same tapes would return. An error in any lane (tape budget
-// exhausted, corrupt tape, untaggable stream) fails the whole grid and
-// the results are always nil, never partial.
+// over the same tapes would return. An error in any lane (a dead tape:
+// an LLC-quiet core, a corrupt frame, an untaggable stream) fails the
+// whole grid and the results are always nil, never partial.
 func (ms *MultiReplaySystem) Run() ([][]CoreResult, error) {
 	out := make([][]CoreResult, len(ms.lanes))
 	for i := range ms.lanes {

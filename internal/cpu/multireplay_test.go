@@ -15,8 +15,6 @@ import (
 	"nucache/internal/cache"
 	"nucache/internal/cpu"
 	"nucache/internal/sim"
-	"nucache/internal/trace"
-	"nucache/internal/workload"
 )
 
 // buildLanes constructs fresh policy instances for the named lanes
@@ -195,35 +193,59 @@ func TestMultiReplayParallelMatchesSerialAndSingle(t *testing.T) {
 	}
 }
 
-// TestMultiReplayParallelStreamingWindow lowers the tape memory cap so
-// that shared tapes meet it mid-tape while lanes on worker goroutines
-// extend them: every lane fails, the grid returns nil results (never
-// partial ones), and a serial grid over the same tapes fails the same
-// way. CI runs this by name under -race.
+// TestMultiReplayParallelStreamingWindow evicts a grid's shared memo
+// tapes while its lanes replay them, serially and on worker goroutines:
+// the first lane's policy evicts every tape on its 50th miss. Every lane
+// still finishes bit-identical to direct simulation, and any growth of
+// the detached tapes stays out of TapeBytes. On the serial grid the
+// tapes must grow after the eviction; on worker goroutines other lanes
+// may have recorded them to the end first. CI runs this by name under
+// -race.
 func TestMultiReplayParallelStreamingWindow(t *testing.T) {
-	defer cpu.SetTapeBudget(cpu.SetTapeBudget(cpu.TapeBytes()/2 + 600<<10))
-
 	tc := replayCase{
-		name:    "tape-cap",
+		name:    "evict",
 		cfg:     smallConfig(2),
 		streams: benchStreams("mcf-like", "milc-like"),
 	}
 	tc.cfg.InstrBudget = 120_000
-
 	names := sim.Policies()
-	tapes := makeTapes(tc)
-	ms := cpu.NewMultiReplaySystem(tc.cfg, buildLanes(t, tc, names), tapes)
-	if res, err := ms.RunParallel(len(names)); err == nil || res != nil {
-		t.Fatalf("parallel grid past the cap = %v, %v; want an error and nil results", res, err)
-	}
-	for i, tape := range tapes {
-		if events, _ := cpu.TapeRecords(tape); events == 0 {
-			t.Fatalf("tape %d: the cap refused its first extension; want it met mid-tape", i)
+	for _, workers := range []int{1, len(names)} {
+		coldMemo(t)
+		tapes := []*cpu.Tape{
+			acquireBench(tc.cfg, "mcf-like", 7),
+			acquireBench(tc.cfg, "milc-like", 8),
 		}
-	}
-	ms = cpu.NewMultiReplaySystem(tc.cfg, buildLanes(t, tc, names), tapes)
-	if res, err := ms.Run(); err == nil || res != nil {
-		t.Fatalf("serial grid over the capped tapes = %v, %v; want an error and nil results", res, err)
+		var evictedEvents []uint64
+		var evictedBytes int64
+		pols := append([]cache.Policy{&hookPolicy{Policy: newLRU(tc.cfg), n: 50, hook: func() {
+			evictAll(tc.cfg)
+			evictedEvents = make([]uint64, len(tapes))
+			evictedBytes = cpu.TapeBytes()
+			for i, tape := range tapes {
+				evictedEvents[i], _ = cpu.TapeRecords(tape)
+			}
+		}}}, buildLanes(t, tc, names)...)
+		ms := cpu.NewMultiReplaySystem(tc.cfg, pols, tapes)
+		res, err := ms.RunParallel(workers)
+		if err != nil {
+			t.Fatalf("%d workers: grid over evicted tapes: %v", workers, err)
+		}
+		if evictedEvents == nil {
+			t.Fatalf("%d workers: the eviction hook never ran", workers)
+		}
+		for li, polName := range append([]string{"LRU"}, names...) {
+			dRes, d := runDirect(t, tc, polName)
+			compareLane(t, ms, li, res[li], dRes, d, d.Writebacks, d.PrefetchIssued)
+		}
+		for i, tape := range tapes {
+			if events, _ := cpu.TapeRecords(tape); workers == 1 && events <= evictedEvents[i] {
+				t.Errorf("%d workers: tape %d held %d events at eviction and %d at the end; want it extended after eviction",
+					workers, i, evictedEvents[i], events)
+			}
+		}
+		if cpu.TapeBytes() != evictedBytes {
+			t.Errorf("%d workers: the detached tapes' growth moved TapeBytes %d -> %d", workers, evictedBytes, cpu.TapeBytes())
+		}
 	}
 }
 
@@ -246,14 +268,12 @@ func TestMultiReplayParallelWorkerCounts(t *testing.T) {
 // TestMultiReplayParallelNilResultsOnError pins the parallel error
 // contract: a failed grid returns nil results, never partial ones.
 func TestMultiReplayParallelNilResultsOnError(t *testing.T) {
-	old := cpu.SetTapeBudget(0) // recording dies immediately
-	defer cpu.SetTapeBudget(old)
 	cfg := smallConfig(1)
 	pols := buildLanes(t, replayCase{cfg: cfg}, []string{"LRU", "NUcache", "UCP"})
-	ms := cpu.NewMultiReplaySystem(cfg, pols, []*cpu.Tape{cpu.NewTape(cfg, workload.MustByName("art-like").Stream(1))})
+	ms := cpu.NewMultiReplaySystem(cfg, pols, []*cpu.Tape{cpu.NewTape(cfg, untaggableStream())})
 	res, err := ms.RunParallel(3)
 	if err == nil {
-		t.Fatal("parallel grid over a budget-starved tape should fail")
+		t.Fatal("parallel grid over an untaggable stream's tape should fail")
 	}
 	if res != nil {
 		t.Fatalf("failed parallel grid returned non-nil results: %+v", res)
@@ -264,18 +284,14 @@ func TestMultiReplayParallelNilResultsOnError(t *testing.T) {
 // paths: a failed replay returns nil results — never a partially
 // populated slice — so callers can trust `res != nil` as success.
 func TestReplayRunNilResultsOnError(t *testing.T) {
-	old := cpu.SetTapeBudget(0) // recording dies immediately
-	defer cpu.SetTapeBudget(old)
 	cfg := smallConfig(1)
-	newTape := func() *cpu.Tape {
-		return cpu.NewTape(cfg, workload.MustByName("art-like").Stream(1))
-	}
+	newTape := func() *cpu.Tape { return cpu.NewTape(cfg, untaggableStream()) }
 
 	pol, _ := sim.BuildPolicy("LRU", 1, cfg.LLC.Ways, 0)
 	rs := cpu.NewReplaySystem(cfg, pol, []*cpu.Tape{newTape()})
 	res, err := rs.Run()
 	if err == nil {
-		t.Fatal("replay over a budget-starved tape should fail")
+		t.Fatal("replay over an untaggable stream's tape should fail")
 	}
 	if res != nil {
 		t.Fatalf("failed Run returned non-nil results: %+v", res)
@@ -285,7 +301,7 @@ func TestReplayRunNilResultsOnError(t *testing.T) {
 	ms := cpu.NewMultiReplaySystem(cfg, mPols, []*cpu.Tape{newTape()})
 	mRes, err := ms.Run()
 	if err == nil {
-		t.Fatal("multi replay over a budget-starved tape should fail")
+		t.Fatal("multi replay over an untaggable stream's tape should fail")
 	}
 	if mRes != nil {
 		t.Fatalf("failed multi Run returned non-nil results: %+v", mRes)
@@ -297,10 +313,7 @@ func TestReplayRunNilResultsOnError(t *testing.T) {
 // with an error, never a panic or partial results.
 func TestMultiReplayUntaggableStream(t *testing.T) {
 	cfg := smallConfig(1)
-	bad := trace.NewSliceStream([]trace.Access{
-		{Addr: 1 << 45, PC: 0x400000, Kind: trace.Load},
-	})
-	tape := cpu.NewTape(cfg, bad)
+	tape := cpu.NewTape(cfg, untaggableStream())
 	pols := buildLanes(t, replayCase{cfg: cfg}, []string{"LRU", "NUcache", "UCP"})
 	ms := cpu.NewMultiReplaySystem(cfg, pols, []*cpu.Tape{tape})
 	res, err := ms.Run()

@@ -110,9 +110,10 @@ func NewReplaySystem(cfg Config, llcPolicy cache.Policy, tapes []*Tape) *ReplayS
 
 // Run replays the simulation and returns per-core results identical to
 // the equivalent direct System.Run. An error means the replay could not
-// complete (tape budget exhausted or untaggable stream); the results are
-// then always nil — never partially populated — the LLC state is
-// unusable, and the caller should fall back to direct simulation.
+// complete (a dead tape: an LLC-quiet core, an untaggable stream, a
+// corrupt frame); the results are then always nil — never partially
+// populated — the LLC state is unusable, and the caller should fall
+// back to direct simulation.
 func (rs *ReplaySystem) Run() ([]CoreResult, error) {
 	if err := rs.run(); err != nil {
 		return nil, err

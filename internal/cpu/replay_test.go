@@ -233,83 +233,245 @@ func TestReplayConcurrentTapeSharing(t *testing.T) {
 	}
 }
 
-// TestReplayTapeBudgetFallback: once the process tape budget is
-// exhausted, AcquireTape refuses new tapes (the sim layer then falls
-// back to direct simulation).
-func TestReplayTapeBudgetFallback(t *testing.T) {
-	old := cpu.SetTapeBudget(0) // nothing fits
-	defer cpu.SetTapeBudget(old)
-	if _, err := cpu.AcquireTape("budget-test@1", smallConfig(1), func() trace.Stream {
-		t.Fatal("open must not be called once the budget is exhausted")
-		return nil
-	}); err == nil {
-		t.Fatal("AcquireTape should refuse new tapes past the budget")
+// hookPolicy is the policy it wraps, except that its n'th Victim call
+// (the n'th LLC miss) first runs hook: a way to act on the tape memo at
+// a known point in the middle of a replay. The wrapped policy must
+// implement no optional cache interface (LRU implements none), or the
+// wrapper would hide it.
+type hookPolicy struct {
+	cache.Policy
+	n    int
+	hook func()
+}
+
+func (p *hookPolicy) Victim(set *cache.Set, req *cache.Request) int {
+	if p.n--; p.n == 0 {
+		p.hook()
 	}
-	// A tape that exists already (here: built directly) stops extending
-	// once the budget is gone; its replays must report an error instead
-	// of fabricating results.
-	tape := cpu.NewTape(smallConfig(1), workload.MustByName("art-like").Stream(1))
-	pol, _ := sim.BuildPolicy("LRU", 1, smallConfig(1).LLC.Ways, 0)
-	rs := cpu.NewReplaySystem(smallConfig(1), pol, []*cpu.Tape{tape})
-	if _, err := rs.Run(); err == nil {
-		t.Fatal("replay over a budget-starved tape should fail, not fabricate results")
+	return p.Policy.Victim(set, req)
+}
+
+// newLRU builds the LRU policy for cfg.
+func newLRU(cfg cpu.Config) cache.Policy {
+	p, _ := sim.BuildPolicy("LRU", cfg.Cores, cfg.LLC.Ways, 0)
+	return p
+}
+
+// tapeID is the memo id RunMachine gives a mix's first member.
+func tapeID(bench string, seed uint64) string { return fmt.Sprintf("%s@%d", bench, seed) }
+
+// acquireBench acquires the memo tape of bench's stream under seed.
+func acquireBench(cfg cpu.Config, bench string, seed uint64) *cpu.Tape {
+	return cpu.AcquireTape(tapeID(bench, seed), cfg,
+		func() trace.Stream { return workload.MustByName(bench).Stream(seed) })
+}
+
+// coldMemo empties the tape memo for one test and afterwards restores
+// the cap and empties the memo again.
+func coldMemo(t *testing.T) {
+	cpu.ResetTapes()
+	saved := cpu.SetTapeBudget(cpu.DefaultTapeBudget)
+	t.Cleanup(func() {
+		cpu.SetTapeBudget(saved)
+		cpu.ResetTapes()
+	})
+}
+
+// evictAll lowers the cap to one byte and acquires a fresh key, which
+// makes AcquireTape evict every tape in the memo.
+func evictAll(cfg cpu.Config) {
+	cpu.SetTapeBudget(1)
+	acquireBench(cfg, "swim-like", 1<<20)
+}
+
+// TestReplayTapeBudgetFallback: past the cap AcquireTape never refuses
+// a tape. It first evicts the least recently used idle tapes (a
+// LookupTape hit counts as a use) until the memo is under the cap, and
+// re-acquiring an evicted key records a fresh tape that replays
+// bit-identical to direct simulation.
+func TestReplayTapeBudgetFallback(t *testing.T) {
+	coldMemo(t)
+	cfg := smallConfig(1)
+	const seed = 3
+	benches := []string{"art-like", "mcf-like", "milc-like"}
+	run := func(bench string, noReplay bool) []cpu.CoreResult {
+		mix := workload.Mix{Name: "evict", Members: []string{bench}}
+		res, _, _ := sim.RunMachine(cfg, func() cache.Policy { return newLRU(cfg) }, mix, seed, noReplay)
+		return res
+	}
+	// Record the three tapes in full, noting what each adds to TapeBytes.
+	tapes := make([]*cpu.Tape, len(benches))
+	sizes := make([]int64, len(benches))
+	for i, b := range benches {
+		before := cpu.TapeBytes()
+		run(b, false)
+		sizes[i] = cpu.TapeBytes() - before
+		if tapes[i] = cpu.LookupTape(tapeID(b, seed), cfg); tapes[i] == nil || sizes[i] <= 0 {
+			t.Fatalf("%s: RunMachine memoized tape %p of %d bytes", b, tapes[i], sizes[i])
+		}
+	}
+	// Use the oldest tape again, so the middle one is least recently
+	// used, and lower the cap to one byte less than the memo would hold
+	// without it.
+	cpu.LookupTape(tapeID(benches[0], seed), cfg)
+	full := cpu.TapeBytes()
+	cpu.SetTapeBudget(full - sizes[1] + 1)
+	recorded, evicted := cpu.TapesRecorded(), cpu.TapesEvicted()
+	acquireBench(cfg, "equake-like", seed)
+	if got := cpu.TapesEvicted() - evicted; got != 1 {
+		t.Fatalf("admitting one tape evicted %d; want 1", got)
+	}
+	if cpu.TapesRecorded() != recorded+1 {
+		t.Fatal("the new tape was not recorded")
+	}
+	if got, want := cpu.TapeBytes(), full-sizes[1]; got != want {
+		t.Errorf("TapeBytes after the eviction = %d; want %d", got, want)
+	}
+	for i, b := range benches {
+		got := cpu.LookupTape(tapeID(b, seed), cfg)
+		if i == 1 && got != nil {
+			t.Errorf("%s, the least recently used tape, is still memoized", b)
+		}
+		if i != 1 && got != tapes[i] {
+			t.Errorf("%s was evicted; only the least recently used tape should be", b)
+		}
+	}
+
+	// The evicted key records afresh, and the new tape replays exactly.
+	opened := false
+	fresh := cpu.AcquireTape(tapeID(benches[1], seed), cfg, func() trace.Stream {
+		opened = true
+		return workload.MustByName(benches[1]).Stream(seed)
+	})
+	if !opened || fresh == tapes[1] {
+		t.Fatal("re-acquiring an evicted key reused the evicted tape")
+	}
+	fallbacks := sim.TraceFallbacks.Value()
+	if got, want := run(benches[1], false), run(benches[1], true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-recorded tape diverges from direct simulation\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if sim.TraceFallbacks.Value() != fallbacks {
+		t.Fatal("replay over the re-recorded tape fell back")
 	}
 }
 
-// TestReplayDecodeBudgetStreaming: a tape whose recording meets the
-// memory cap mid-tape (tapes die once all pages reach twice the cap)
-// fails its replays, which never fabricate results, and RunMachine,
-// whose tape dies the same way, returns exactly the direct simulation's
-// results. The tape's one cap covers the event pages that a separate
-// decode budget once bounded, so no replay streams past it.
+// TestReplayDecodeBudgetStreaming: a tape evicted in the middle of its
+// replay is detached, not killed. The replay keeps extending it and
+// finishes bit-identical to direct simulation with no fallback, its
+// later growth stays out of TapeBytes, and the next run records the
+// key afresh.
 func TestReplayDecodeBudgetStreaming(t *testing.T) {
+	coldMemo(t)
 	cfg := smallConfig(1)
 	cfg.InstrBudget = 120_000
 	const bench, seed = "mcf-like", 11
-	mix := workload.Mix{Name: "budget", Members: []string{bench}}
-	newPol := func() cache.Policy {
-		p, _ := sim.BuildPolicy("LRU", 1, cfg.LLC.Ways, 0)
-		return p
-	}
-	// Each phase leaves the tapes recorded so far room for two extensions
-	// (one 128KB event page plus one 64KB writeback page each) before the
-	// next one meets twice the cap.
-	lowerCap := func() { cpu.SetTapeBudget(cpu.TapeBytes()/2 + 200<<10) }
-	defer cpu.SetTapeBudget(cpu.SetTapeBudget(cpu.DefaultTapeBudget))
-	cpu.ResetTapes()
-	t.Cleanup(cpu.ResetTapes)
+	mix := workload.Mix{Name: "evict", Members: []string{bench}}
 
-	lowerCap()
-	tape := cpu.NewTape(cfg, workload.MustByName(bench).Stream(seed))
-	rs := cpu.NewReplaySystem(cfg, newPol(), []*cpu.Tape{tape})
-	if res, err := rs.Run(); err == nil || res != nil {
-		t.Fatalf("replay past the cap = %v, %v; want an error and nil results", res, err)
+	var (
+		tape          *cpu.Tape
+		evictedEvents uint64
+		evictedBytes  int64
+	)
+	hooked := func() cache.Policy {
+		return &hookPolicy{Policy: newLRU(cfg), n: 100, hook: func() {
+			tape = cpu.LookupTape(tapeID(bench, seed), cfg)
+			evictAll(cfg)
+			evictedEvents, _ = cpu.TapeRecords(tape)
+			evictedBytes = cpu.TapeBytes()
+		}}
 	}
-	if events, _ := cpu.TapeRecords(tape); events == 0 {
-		t.Fatal("the cap refused the first extension; want it met mid-tape")
+	replayed, fallbacks := sim.TracesReplayed.Value(), sim.TraceFallbacks.Value()
+	got, _, _ := sim.RunMachine(cfg, hooked, mix, seed, false)
+	if tape == nil {
+		t.Fatal("the hook found no memoized tape mid-replay")
 	}
-
-	// RunMachine keys a mix's first tape "bench@seed". Acquiring it under
-	// the default cap hands RunMachine an empty memoized tape, so its
-	// recording, not its acquisition, meets the lowered cap.
-	cpu.SetTapeBudget(cpu.DefaultTapeBudget)
-	memo, err := cpu.AcquireTape(fmt.Sprintf("%s@%d", bench, seed), cfg,
-		func() trace.Stream { return workload.MustByName(bench).Stream(seed) })
-	if err != nil {
-		t.Fatal(err)
+	if sim.TracesReplayed.Value() != replayed+1 || sim.TraceFallbacks.Value() != fallbacks {
+		t.Fatal("the evicted tape's replay fell back to direct simulation")
 	}
-	lowerCap()
-	fallbacks := sim.TraceFallbacks.Value()
-	got, _, _ := sim.RunMachine(cfg, newPol, mix, seed, false)
-	if sim.TraceFallbacks.Value() != fallbacks+1 {
-		t.Fatal("RunMachine did not fall back from the capped tape")
-	}
-	if events, _ := cpu.TapeRecords(memo); events == 0 {
-		t.Fatal("the memoized tape never recorded; want the cap met mid-tape")
-	}
-	want, _, _ := sim.RunMachine(cfg, newPol, mix, seed, true)
+	want, _, _ := sim.RunMachine(cfg, func() cache.Policy { return newLRU(cfg) }, mix, seed, true)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback diverges from direct simulation\ngot:  %+v\nwant: %+v", got, want)
+		t.Fatalf("replay over an evicted tape diverges from direct simulation\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if events, _ := cpu.TapeRecords(tape); events <= evictedEvents {
+		t.Fatalf("the tape held %d events at eviction and %d at the end; want it extended after eviction", evictedEvents, events)
+	}
+	if cpu.TapeBytes() != evictedBytes {
+		t.Errorf("the detached tape's growth moved TapeBytes %d -> %d", evictedBytes, cpu.TapeBytes())
+	}
+	if cpu.LookupTape(tapeID(bench, seed), cfg) != nil {
+		t.Fatal("the evicted tape is still memoized")
+	}
+	cpu.SetTapeBudget(cpu.DefaultTapeBudget)
+	recorded := cpu.TapesRecorded()
+	if again, _, _ := sim.RunMachine(cfg, func() cache.Policy { return newLRU(cfg) }, mix, seed, false); !reflect.DeepEqual(again, want) {
+		t.Fatal("the re-recorded tape diverges from direct simulation")
+	}
+	if cpu.TapesRecorded() != recorded+1 {
+		t.Fatal("the next run did not record the evicted key afresh")
+	}
+}
+
+// TestReplayEvictsIdleTapeMidReplay: admitting a tape while another
+// is being replayed evicts the idle, least recently used tape and
+// leaves the replaying one in the memo. The replay finishes
+// bit-identical to direct simulation, and its tape's growth after the
+// eviction still counts in TapeBytes.
+func TestReplayEvictsIdleTapeMidReplay(t *testing.T) {
+	coldMemo(t)
+	cfg := smallConfig(1)
+	cfg.InstrBudget = 120_000
+	const idle, busy, seed = "art-like", "mcf-like", 13
+	lru := func() cache.Policy { return newLRU(cfg) }
+	single := func(bench string) workload.Mix {
+		return workload.Mix{Name: "evict", Members: []string{bench}}
+	}
+
+	before := cpu.TapeBytes()
+	sim.RunMachine(cfg, lru, single(idle), seed, false)
+	idleBytes := cpu.TapeBytes() - before
+	idleTape := cpu.LookupTape(tapeID(idle, seed), cfg)
+	if idleTape == nil || idleBytes <= 0 {
+		t.Fatalf("RunMachine memoized idle tape %p of %d bytes", idleTape, idleBytes)
+	}
+
+	var busyTape *cpu.Tape
+	var afterEviction int64
+	evicted := cpu.TapesEvicted()
+	hooked := func() cache.Policy {
+		return &hookPolicy{Policy: lru(), n: 100, hook: func() {
+			// The replaying tape is the most recently used, so a cap at
+			// the memo's bytes evicts the idle tape alone.
+			held := cpu.TapeBytes()
+			cpu.SetTapeBudget(held)
+			acquireBench(cfg, "swim-like", seed)
+			if got := cpu.TapeBytes(); got != held-idleBytes {
+				t.Errorf("TapeBytes after evicting the idle tape = %d; want %d", got, held-idleBytes)
+			}
+			cpu.SetTapeBudget(cpu.DefaultTapeBudget)
+			afterEviction = cpu.TapeBytes()
+			busyTape = cpu.LookupTape(tapeID(busy, seed), cfg)
+		}}
+	}
+	fallbacks := sim.TraceFallbacks.Value()
+	got, _, _ := sim.RunMachine(cfg, hooked, single(busy), seed, false)
+	if cpu.TapesEvicted() != evicted+1 {
+		t.Fatalf("admission evicted %d tapes; want the idle one only", cpu.TapesEvicted()-evicted)
+	}
+	if cpu.LookupTape(tapeID(idle, seed), cfg) != nil {
+		t.Error("the idle tape is still memoized")
+	}
+	if busyTape == nil {
+		t.Fatal("the replaying tape was evicted")
+	}
+	if sim.TraceFallbacks.Value() != fallbacks {
+		t.Fatal("the replay fell back to direct simulation")
+	}
+	want, _, _ := sim.RunMachine(cfg, lru, single(busy), seed, true)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay diverges from direct simulation\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if cpu.TapeBytes() <= afterEviction {
+		t.Errorf("the replaying tape's growth after the eviction left TapeBytes at %d", cpu.TapeBytes())
 	}
 }
 
@@ -351,14 +513,19 @@ func TestTapePageBitFlipFallsBackToDirect(t *testing.T) {
 	}
 }
 
+// untaggableStream is one access outside the core-tagging range: a tape
+// of it dies on its first extension.
+func untaggableStream() trace.Stream {
+	return trace.NewSliceStream([]trace.Access{
+		{Addr: 1 << 45, PC: 0x400000, Kind: trace.Load},
+	})
+}
+
 // TestReplayUntaggableStreamFallback: streams outside the core-tagging
 // range poison the tape with an error instead of replaying wrong state.
 func TestReplayUntaggableStreamFallback(t *testing.T) {
 	cfg := smallConfig(1)
-	bad := trace.NewSliceStream([]trace.Access{
-		{Addr: 1 << 45, PC: 0x400000, Kind: trace.Load},
-	})
-	tape := cpu.NewTape(cfg, bad)
+	tape := cpu.NewTape(cfg, untaggableStream())
 	pol, _ := sim.BuildPolicy("LRU", 1, cfg.LLC.Ways, 0)
 	rs := cpu.NewReplaySystem(cfg, pol, []*cpu.Tape{tape})
 	if _, err := rs.Run(); err == nil {

@@ -1,7 +1,7 @@
 package cpu
 
 import (
-	"errors"
+	"container/list"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -29,17 +29,11 @@ const (
 	tapeChunkMax = 8 << 10
 )
 
-// DefaultTapeBudget caps the process-wide memory spent on tape pages.
-// Past the cap, new tapes are refused (simulations fall back to direct
-// simulation, profile walks to a PrivateTape); tapes already recording
-// may grow to twice the cap before their replays are failed too, so
-// in-flight work completes.
+// DefaultTapeBudget caps the page bytes of the process-wide tape memo.
+// AcquireTape admits a new tape only once TapeBytes is under the cap,
+// evicting the least recently acquired tapes first; past that, only the
+// tapes of running replays and profile walks grow.
 const DefaultTapeBudget = 1 << 30
-
-// ErrTapeBudget is wrapped by every error the tape memory cap causes: a
-// tape AcquireTape refuses, and a memo tape killed for growing past
-// twice the cap.
-var ErrTapeBudget = errors.New("cpu: tape budget exhausted")
 
 // evRec is one recorded event, packed into 16 bytes so sequential
 // replay touches a quarter of the cache lines a page of
@@ -91,12 +85,14 @@ const (
 
 var (
 	tapesRecorded     atomic.Int64
+	tapesEvicted      atomic.Int64
 	tapeBytes         atomic.Int64
 	tapeBudget        atomic.Int64
 	tapeChecksumFails atomic.Int64
 
-	tapeMu   sync.Mutex
-	tapeMemo = map[string]*Tape{}
+	tapeMu    sync.Mutex
+	tapeMemo  = map[string]*list.Element{}
+	tapeOrder = list.New() // of *Tape; front = most recently acquired
 )
 
 func init() { tapeBudget.Store(DefaultTapeBudget) }
@@ -105,8 +101,13 @@ func init() { tapeBudget.Store(DefaultTapeBudget) }
 // process (exported as the traces_recorded expvar).
 func TapesRecorded() int64 { return tapesRecorded.Load() }
 
-// TapeBytes returns the page bytes held by all tapes (exported as the
-// trace_bytes expvar).
+// TapesEvicted returns the number of tapes evicted from the memo
+// (exported as the traces_evicted expvar).
+func TapesEvicted() int64 { return tapesEvicted.Load() }
+
+// TapeBytes returns the page bytes held by the tape memo and by
+// NewTape's one-off tapes (exported as the trace_bytes expvar). An
+// evicted tape's pages leave it.
 func TapeBytes() int64 { return tapeBytes.Load() }
 
 // TapeChecksumFails returns how many tape frames failed CRC
@@ -125,13 +126,14 @@ func SetTapeBudget(n int64) int64 { return tapeBudget.Swap(n) }
 // stay valid as the tape grows.
 type Tape struct {
 	frontEnd frontEnd
+	key      string // AcquireTape's memo key; "" for NewTape's tapes
 
-	mu      sync.Mutex
-	rec     *recorder // owns the pages and crossings
-	chunk   uint64
-	dead    error // non-nil: tape unusable; replays fail over to direct
-	counted int   // bytes already added to tapeBytes
-	private bool  // PrivateTape: outside tapeBytes and the cap
+	mu       sync.Mutex
+	rec      *recorder // owns the pages and crossings
+	chunk    uint64
+	dead     error // non-nil: tape unusable; replays fail over to direct
+	counted  int   // bytes already added to tapeBytes
+	detached bool  // evicted: outside tapeBytes from here on
 
 	// Integrity frames: each tape extension CRC-32Cs the event and
 	// writeback records it appended, and frames are re-verified once, on
@@ -163,16 +165,6 @@ func NewTape(cfg Config, stream trace.Stream) *Tape {
 		rec:      newRecorder(cfg, stream),
 		chunk:    tapeChunkMin,
 	}
-}
-
-// PrivateTape is NewTape for a tape outside the memory accounting: its
-// pages count against no cap, never show in TapeBytes, and are freed
-// with the tape. A profile walk, which has no direct path to fall back
-// on, records one when the memo is full.
-func PrivateTape(cfg Config, stream trace.Stream) *Tape {
-	t := NewTape(cfg, stream)
-	t.private = true
-	return t
 }
 
 // FrontEndKey canonicalizes the Config fields that determine a core's
@@ -212,50 +204,68 @@ func (fe frontEnd) String() string {
 // AcquireTape returns the process-wide shared tape for (id, front end),
 // recording a new one on first use. id must identify the stream that
 // open returns — benchmark name plus derived seed — and open must build
-// a fresh stream (it is called at most once). Returns an error when the
-// tape memory budget is exhausted; the caller then simulates directly.
-func AcquireTape(id string, cfg Config, open func() trace.Stream) (*Tape, error) {
+// a fresh stream (it is called at most once per recording). Before it
+// admits a new tape, AcquireTape evicts the least recently acquired
+// tapes until TapeBytes is under the cap.
+func AcquireTape(id string, cfg Config, open func() trace.Stream) *Tape {
 	key := id + "|" + FrontEndKey(cfg)
 	tapeMu.Lock()
 	defer tapeMu.Unlock()
-	if t, ok := tapeMemo[key]; ok {
-		return t, nil
+	if el, ok := tapeMemo[key]; ok {
+		tapeOrder.MoveToFront(el)
+		return el.Value.(*Tape)
 	}
-	if tapeBytes.Load() >= tapeBudget.Load() {
-		return nil, fmt.Errorf("%w (%d of %d bytes)",
-			ErrTapeBudget, tapeBytes.Load(), tapeBudget.Load())
+	for tapeBytes.Load() >= tapeBudget.Load() && tapeOrder.Len() > 0 {
+		evictTape(tapeOrder.Back())
 	}
 	t := NewTape(cfg, open())
-	tapeMemo[key] = t
+	t.key = key
+	tapeMemo[key] = tapeOrder.PushFront(t)
 	tapesRecorded.Add(1)
-	return t, nil
+	return t
 }
 
 // LookupTape returns the memoized tape for (id, front end) when one has
-// already been recorded, and nil otherwise. It never records: callers
-// that will replay only once (alone-IPC denominators) use it to reuse a
-// tape some mix already paid for, falling back to direct simulation
-// instead of recording a tape nothing else would replay.
+// been recorded and not yet evicted, and nil otherwise; a hit counts as
+// a use for eviction. It never records: callers that will replay only
+// once (alone-IPC denominators) use it to reuse a tape some mix already
+// paid for, simulating directly instead of recording a tape nothing
+// else would replay.
 func LookupTape(id string, cfg Config) *Tape {
 	key := id + "|" + FrontEndKey(cfg)
 	tapeMu.Lock()
 	defer tapeMu.Unlock()
-	return tapeMemo[key]
+	el, ok := tapeMemo[key]
+	if !ok {
+		return nil
+	}
+	tapeOrder.MoveToFront(el)
+	return el.Value.(*Tape)
 }
 
-// ResetTapes drops the process-wide tape memo and its byte accounting.
-// For tests that need a cold cache.
+// ResetTapes evicts every tape in the memo. For tests and benchmarks
+// that need a cold memo.
 func ResetTapes() {
 	tapeMu.Lock()
 	defer tapeMu.Unlock()
-	for k, t := range tapeMemo {
-		t.mu.Lock()
-		tapeBytes.Add(-int64(t.counted))
-		t.counted = 0
-		t.dead = fmt.Errorf("cpu: tape reset")
-		t.mu.Unlock()
-		delete(tapeMemo, k)
+	for tapeOrder.Len() > 0 {
+		evictTape(tapeOrder.Back())
 	}
+}
+
+// evictTape drops one tape from the memo and detaches it: its pages
+// leave TapeBytes and its later growth goes uncharged. Replays and
+// profile walks already holding it finish on it, and its pages are
+// freed with the last of them. Called with tapeMu held.
+func evictTape(el *list.Element) {
+	t := tapeOrder.Remove(el).(*Tape)
+	delete(tapeMemo, t.key)
+	t.mu.Lock()
+	tapeBytes.Add(-int64(t.counted))
+	t.counted = 0
+	t.detached = true
+	t.mu.Unlock()
+	tapesEvicted.Add(1)
 }
 
 // tapeView is one consistent snapshot of a tape handed to a replay core:
@@ -303,12 +313,6 @@ func (t *Tape) snapshot(consumed uint64) (tapeView, error) {
 	}
 	r := t.rec
 	if r.events <= consumed && !r.complete {
-		// Growing tapes stop being extended at twice the budget; replays
-		// in flight fail over to direct simulation from here on.
-		if !t.private && tapeBytes.Load() >= 2*tapeBudget.Load() {
-			t.dead = fmt.Errorf("%w while extending", ErrTapeBudget)
-			return tapeView{}, t.dead
-		}
 		if err := failpoint.Inject("cpu.tape.extend"); err != nil {
 			t.dead = err
 			return tapeView{}, err
@@ -320,7 +324,7 @@ func (t *Tape) snapshot(consumed uint64) (tapeView, error) {
 		if t.chunk < tapeChunkMax {
 			t.chunk *= 2
 		}
-		if !t.private {
+		if !t.detached {
 			tapeBytes.Add(int64(r.bytes - t.counted))
 			t.counted = r.bytes
 		}

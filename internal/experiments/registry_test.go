@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nucache/internal/cpu"
+	"nucache/internal/sim"
 )
 
 // TestRegistryCancelledContext runs every registry entry with a context
@@ -32,28 +33,44 @@ func TestRegistryCancelledContext(t *testing.T) {
 }
 
 // TestRegistryFullTapeMemo runs every registry entry at a tiny budget
-// with the tape cap lowered to one byte, so once the first tape records
-// the memo refuses every new tape and kills every growing one. The grids
-// fall back to direct simulation and E21's profiles to private tapes:
-// every entry renders its table, and the private tapes leave the memo's
-// byte count where it was.
+// twice over a cold grid cache: at the default tape cap, and with the
+// cap lowered to one byte, so every tape admission evicts every tape
+// the memo holds, including tapes that running cells are replaying.
+// Each entry's table must come out byte-identical, and no simulation
+// may fall back to direct: eviction costs re-recording only.
 func TestRegistryFullTapeMemo(t *testing.T) {
-	saved := cpu.SetTapeBudget(1)
-	t.Cleanup(func() { cpu.SetTapeBudget(saved) })
 	o := Options{Budget: 20_000, Seed: 4343, MixLimit: 1, BenchLimit: 1}
+	savedCache, savedCap := gridCache, cpu.SetTapeBudget(cpu.DefaultTapeBudget)
+	t.Cleanup(func() {
+		gridCache = savedCache
+		cpu.SetTapeBudget(savedCap)
+	})
+	// render runs e under the given cap with a cold memo and grid
+	// cache, so every cell simulates.
+	render := func(t *testing.T, e Experiment, capBytes int64) string {
+		cpu.ResetTapes()
+		cpu.SetTapeBudget(capBytes)
+		gridCache = sim.NewCache(8192, "")
+		tbl := e.Run(o)
+		if tbl == nil {
+			t.Fatalf("nil table at a %d-byte tape cap", capBytes)
+		}
+		return tbl.String()
+	}
+	fallbacks, evicted := sim.TraceFallbacks.Value(), cpu.TapesEvicted()
 	for _, e := range Registry {
 		t.Run(strings.ReplaceAll(e.ID, "/", "+"), func(t *testing.T) {
-			before := cpu.TapeBytes()
-			if e.ID == "E21" && before < 1 {
-				t.Fatal("the earlier entries recorded no tape, so the memo is not full")
-			}
-			if tbl := e.Run(o); tbl == nil {
-				t.Fatal("nil table under a full tape memo")
-			}
-			if e.ID == "E21" && cpu.TapeBytes() != before {
-				t.Errorf("E21's profiles moved TapeBytes %d -> %d", before, cpu.TapeBytes())
+			want := render(t, e, cpu.DefaultTapeBudget)
+			if got := render(t, e, 1); got != want {
+				t.Errorf("table under a full tape memo:\n%s\nat the default cap:\n%s", got, want)
 			}
 		})
+	}
+	if got := sim.TraceFallbacks.Value() - fallbacks; got != 0 {
+		t.Errorf("%d simulations fell back to direct", got)
+	}
+	if cpu.TapesEvicted() == evicted {
+		t.Error("the one-byte cap evicted no tape")
 	}
 }
 

@@ -104,9 +104,11 @@ func (req AdviseRequest) VerifyRequest(pred *mrc.Prediction) Request {
 	return r.Normalize()
 }
 
-// CompareVerify computes the model-vs-simulation delta.
-func CompareVerify(pred *mrc.Prediction, res *Result) (hitsExact bool, maxHitsAbs uint64, maxIPCRel float64, missRateErr float64) {
-	hitsExact = true
+// CompareVerify reports the model-vs-simulation delta of a verified
+// advise: res is the result of simulating vreq, the request
+// VerifyRequest mapped pred onto.
+func CompareVerify(vreq Request, pred *mrc.Prediction, res *Result) *VerifyReport {
+	v := &VerifyReport{Key: vreq.Key(), Result: res, HitsExact: true}
 	for i := range pred.PerCore {
 		if i >= len(res.PerCore) {
 			break
@@ -114,16 +116,11 @@ func CompareVerify(pred *mrc.Prediction, res *Result) (hitsExact bool, maxHitsAb
 		p, s := &pred.PerCore[i], &res.PerCore[i]
 		d := absDiff(p.Hits, s.LLCHits)
 		if d != 0 {
-			hitsExact = false
+			v.HitsExact = false
 		}
-		if d > maxHitsAbs {
-			maxHitsAbs = d
-		}
+		v.MaxHitsAbsErr = max(v.MaxHitsAbsErr, d)
 		if s.IPC > 0 {
-			rel := math.Abs(p.IPC-s.IPC) / s.IPC
-			if rel > maxIPCRel {
-				maxIPCRel = rel
-			}
+			v.MaxIPCRelErr = max(v.MaxIPCRelErr, math.Abs(p.IPC-s.IPC)/s.IPC)
 		}
 	}
 	var simAcc, simMiss uint64
@@ -132,9 +129,9 @@ func CompareVerify(pred *mrc.Prediction, res *Result) (hitsExact bool, maxHitsAb
 		simMiss += res.PerCore[i].LLCMisses
 	}
 	if simAcc > 0 {
-		missRateErr = math.Abs(pred.MissRate - float64(simMiss)/float64(simAcc))
+		v.MissRateErr = math.Abs(pred.MissRate - float64(simMiss)/float64(simAcc))
 	}
-	return hitsExact, maxHitsAbs, maxIPCRel, missRateErr
+	return v
 }
 
 func absDiff(a, b uint64) uint64 {
@@ -238,14 +235,8 @@ func (sv *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			sv.jobError(w, out.Err)
 			return
 		}
-		res := out.Value.(*Result)
-		hitsExact, maxAbs, maxRel, mrErr := CompareVerify(pred, res)
-		recordVerifyErr(maxRel)
-		resp.Verify = &VerifyReport{
-			Key: vreq.Key(), Result: res,
-			HitsExact: hitsExact, MaxHitsAbsErr: maxAbs,
-			MaxIPCRelErr: maxRel, MissRateErr: mrErr,
-		}
+		resp.Verify = CompareVerify(vreq, pred, out.Value.(*Result))
+		recordVerifyErr(resp.Verify.MaxIPCRelErr)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

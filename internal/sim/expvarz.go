@@ -54,8 +54,9 @@ var (
 	// WallNanos totals wall-clock nanoseconds spent executing jobs.
 	WallNanos = expvar.NewInt("nucache_sim_wall_ns")
 	// TracesReplayed counts simulations served by the record/replay fast
-	// path; TraceFallbacks counts attempts that fell back to direct
-	// simulation (tape budget exhausted or untaggable stream).
+	// path; TraceFallbacks counts replays that fell back to direct
+	// simulation over a dead tape (an LLC-quiet core, an untaggable
+	// stream, a corrupt frame) or an injected failure.
 	TracesReplayed = expvar.NewInt("nucache_traces_replayed")
 	TraceFallbacks = expvar.NewInt("nucache_trace_fallbacks")
 	// The nucache_multireplay_* counters describe RunMachineGrid, which
@@ -101,6 +102,7 @@ func recordVerifyErr(relErr float64) {
 // the reverse); publish them here under the same nucache_ namespace.
 func init() {
 	expvar.Publish("nucache_traces_recorded", expvar.Func(func() any { return cpu.TapesRecorded() }))
+	expvar.Publish("nucache_traces_evicted", expvar.Func(func() any { return cpu.TapesEvicted() }))
 	expvar.Publish("nucache_trace_bytes", expvar.Func(func() any { return cpu.TapeBytes() }))
 	expvar.Publish("nucache_tape_checksum_fails", expvar.Func(func() any { return cpu.TapeChecksumFails() }))
 }

@@ -89,8 +89,7 @@ func (r ProfileRequest) Key() string {
 }
 
 // ExecuteProfile runs the profiling pass: acquire (or record) each
-// member's tape and walk it through the MRC profiler; past the tape
-// memo's cap it walks private tapes instead. The result is a
+// member's tape and walk it through the MRC profiler. The result is a
 // content-addressed artifact that transits the same cache/journal
 // machinery as simulation results.
 func ExecuteProfile(ctx context.Context, req ProfileRequest) (*mrc.Profile, error) {
@@ -111,22 +110,8 @@ func ExecuteProfile(ctx context.Context, req ProfileRequest) (*mrc.Profile, erro
 		return nil, err
 	}
 	cfg := MachineConfig(req.simRequest(), mix.Cores())
-	var p *mrc.Profile
-	tapes, err := acquireMixTapes(cfg, mix, req.Seed, false)
-	if err == nil {
-		p, err = mrc.BuildFromTapes(cfg, mix.Name, mix.Members, req.Seed, tapes)
-	}
-	if errors.Is(err, cpu.ErrTapeBudget) {
-		// The memo refused a member's tape, or killed one mid-walk for
-		// growing past its cap. A profile has no direct path to fall
-		// back on, so it records private tapes (outside the cap and
-		// TapeBytes), walks them once and drops them.
-		tapes = make([]*cpu.Tape, 0, len(mix.Members))
-		for _, st := range mix.Streams(req.Seed) {
-			tapes = append(tapes, cpu.PrivateTape(cfg, st))
-		}
-		p, err = mrc.BuildFromTapes(cfg, mix.Name, mix.Members, req.Seed, tapes)
-	}
+	tapes := acquireMixTapes(cfg, mix, req.Seed, false)
+	p, err := mrc.BuildFromTapes(cfg, mix.Name, mix.Members, req.Seed, tapes)
 	if errors.Is(err, cpu.ErrNoLLCEvent) {
 		// An LLC-quiet core: its tape is dead for good, so a retry
 		// would fail the same way.

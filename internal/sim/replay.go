@@ -42,11 +42,12 @@ type LaneBudget interface {
 
 // RunMachine runs one simulation of mix on cfg under a policy built by
 // newPol, replaying recorded front ends when possible and falling back
-// to direct simulation otherwise (replay disabled, tape budget
-// exhausted, or an untaggable stream). It returns the per-core results,
-// the machine for result collection, and the policy instance actually
-// used — on fallback after a failed replay attempt a fresh policy is
-// built, because the abandoned replay has already mutated the first.
+// to direct simulation otherwise (replay disabled, or a dead tape: an
+// LLC-quiet core, an untaggable stream, a corrupt frame). It returns
+// the per-core results, the machine for result collection, and the
+// policy instance actually used — on fallback after a failed replay
+// attempt a fresh policy is built, because the abandoned replay has
+// already mutated the first.
 //
 // RunMachine also owns retired-instruction accounting: it adds to
 // InstructionsRetired exactly once per simulation it computes. Callers
@@ -82,45 +83,42 @@ func runMachine(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, se
 // acquireMixTapes resolves (and unless cachedOnly, records on demand)
 // one tape per mix member. Tapes are keyed by the member's seed
 // (workload.MemberSeed), so a benchmark running alone shares its tape
-// with every mix that leads with it. Nil tapes with a nil error mean
-// there is nothing to replay: a member or core count the direct path
-// rejects with the real error, or a cachedOnly miss. An error means the
-// tape memo refused a tape.
-func acquireMixTapes(cfg cpu.Config, mix workload.Mix, seed uint64, cachedOnly bool) ([]*cpu.Tape, error) {
+// with every mix that leads with it. Nil tapes mean there is nothing
+// to replay: a member or core count the direct path rejects with the
+// real error, or a cachedOnly miss.
+func acquireMixTapes(cfg cpu.Config, mix workload.Mix, seed uint64, cachedOnly bool) []*cpu.Tape {
 	if len(mix.Members) != cfg.Cores {
-		return nil, nil
+		return nil
 	}
 	tapes := make([]*cpu.Tape, len(mix.Members))
 	for i, name := range mix.Members {
 		b, ok := workload.ByName(name)
 		if !ok {
-			return nil, nil
+			return nil
 		}
-		s := workload.MemberSeed(seed, i)
-		id := fmt.Sprintf("%s@%d", name, s)
+		id := memberTapeID(name, seed, i)
 		if cachedOnly {
 			t := cpu.LookupTape(id, cfg)
 			if t == nil {
-				return nil, nil // one-shot: direct beats record+replay-once
+				return nil // one-shot: direct beats record+replay-once
 			}
 			tapes[i] = t
 			continue
 		}
-		t, err := cpu.AcquireTape(id, cfg,
-			func() trace.Stream { return b.Stream(s) })
-		if err != nil {
-			return nil, fmt.Errorf("sim: tape %s: %w", id, err)
-		}
-		tapes[i] = t
+		tapes[i] = cpu.AcquireTape(id, cfg,
+			func() trace.Stream { return b.Stream(workload.MemberSeed(seed, i)) })
 	}
-	return tapes, nil
+	return tapes
+}
+
+// memberTapeID is the memo id of mix member i's tape: its benchmark and
+// derived seed.
+func memberTapeID(name string, seed uint64, i int) string {
+	return fmt.Sprintf("%s@%d", name, workload.MemberSeed(seed, i))
 }
 
 func tryReplay(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, seed uint64, cachedOnly bool) ([]cpu.CoreResult, cpu.Machine, cache.Policy, bool) {
-	tapes, err := acquireMixTapes(cfg, mix, seed, cachedOnly)
-	if err != nil {
-		TraceFallbacks.Add(1)
-	}
+	tapes := acquireMixTapes(cfg, mix, seed, cachedOnly)
 	if tapes == nil {
 		return nil, nil, nil, false
 	}
@@ -157,7 +155,7 @@ func tryReplay(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, see
 // feeds, only for the benchmark's grid probes, which measure it against
 // per-cell replay. The multi-lane replay is skipped (per-lane fallback, still
 // bit-identical) when noMulti, when replay as a whole is off, when
-// fewer than two lanes are live, or when tapes can't be acquired.
+// fewer than two lanes are live, or when the mix has no tapes.
 //
 // lanes is the optional worker budget: when non-nil, the row borrows
 // idle scheduler tokens — capped at GOMAXPROCS-1 so a row never
@@ -192,10 +190,7 @@ func RunMachineGrid(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 // A false return means nothing was filled and the caller should run
 // lanes individually.
 func tryMultiReplay(cfg cpu.Config, newPols []func() cache.Policy, mix workload.Mix, seed uint64, results [][]cpu.CoreResult, machines []cpu.Machine, pols []cache.Policy, lanes LaneBudget) bool {
-	tapes, err := acquireMixTapes(cfg, mix, seed, false)
-	if err != nil {
-		TraceFallbacks.Add(1)
-	}
+	tapes := acquireMixTapes(cfg, mix, seed, false)
 	if tapes == nil {
 		return false
 	}

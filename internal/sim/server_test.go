@@ -192,23 +192,16 @@ func TestServerCatalogAndHealth(t *testing.T) {
 	}
 }
 
-// TestServerProfileFullTapeMemo: once the tape memo is full, profiling
-// walks private tapes, both for a mix the memo has never seen (its tapes
-// are refused) and for the simulated mix (the memo killed one of its
-// tapes for growing past the cap). /v1/profile and /v1/advise answer 200
-// and leave the memo's byte count where it was.
+// TestServerProfileFullTapeMemo: under a one-byte tape cap every tape
+// admission evicts the tapes the memo holds, so profiling the simulated
+// mix, a fresh mix and an advised mix each answer 200 over tapes of
+// their own, and afterwards the memo holds only the advised mix's tapes.
 func TestServerProfileFullTapeMemo(t *testing.T) {
 	saved := cpu.SetTapeBudget(1)
 	t.Cleanup(func() { cpu.SetTapeBudget(saved) })
 	ts := newTestServer(t)
-	// One simulation records a tape, which fills the one-byte memo, and
-	// its other member's tape dies on its first extension.
 	resp := postJSON(t, ts.URL+"/v1/sim", `{"mix":"mix2-01","policy":"LRU","budget":50000,"seed":9191}`)
 	resp.Body.Close()
-	if cpu.TapeBytes() < 1 {
-		t.Fatalf("memo holds %d bytes after a simulation", cpu.TapeBytes())
-	}
-	before := cpu.TapeBytes()
 	for _, c := range []struct{ path, body string }{
 		{"/v1/profile", `{"mix":"mix2-01","budget":50000,"seed":9191}`},
 		{"/v1/profile", `{"mix":"mix4-02","budget":50000,"seed":9191}`},
@@ -222,9 +215,31 @@ func TestServerProfileFullTapeMemo(t *testing.T) {
 			t.Errorf("%s under a full memo: status %d: %s", c.path, resp.StatusCode, buf.String())
 		}
 	}
-	if got := cpu.TapeBytes(); got != before {
-		t.Errorf("private tapes moved TapeBytes %d -> %d", before, got)
+	for mix, want := range map[string]bool{"mix2-01": false, "mix4-02": false, "mix4-03": true} {
+		req := ProfileRequest{Mix: mix, Budget: 50000, Seed: 9191}
+		for i, held := range memoHolds(t, req) {
+			if held != want {
+				t.Errorf("%s member %d: memoized = %v; want %v", mix, i, held, want)
+			}
+		}
 	}
+}
+
+// memoHolds reports, per member of req's mix, whether the tape memo
+// holds that member's tape.
+func memoHolds(t *testing.T, req ProfileRequest) []bool {
+	t.Helper()
+	req = req.Normalize()
+	mix, err := req.ResolveMix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := MachineConfig(req.simRequest(), mix.Cores())
+	held := make([]bool, len(mix.Members))
+	for i, name := range mix.Members {
+		held[i] = cpu.LookupTape(memberTapeID(name, req.Seed, i), cfg) != nil
+	}
+	return held
 }
 
 // TestServerRejectsMixWiderThanLLC: a mix with more members than the LLC
