@@ -235,15 +235,15 @@ func (s *llcSide) serve(core int, addr, pc uint64, kind trace.Kind, wb bool, wbA
 	return svc
 }
 
+// coreState is one core of a direct run. Its clock is the System's
+// sched.times[index], unscheduled once its stream is exhausted.
 type coreState struct {
 	index    int
 	stream   trace.Stream
 	priv     privHier
-	time     uint64
 	instr    uint64
 	mem      uint64
 	recorded bool // statistics snapshotted at the instruction budget
-	stopped  bool // stream exhausted; no further issue
 	warmed   bool // warm-up baseline captured
 	base     CoreResult
 	result   CoreResult
@@ -253,15 +253,7 @@ type coreState struct {
 type System struct {
 	llcSide
 	cores []*coreState
-
-	// cand caches the core nextCore returned last; rivalTime/rivalIndex
-	// are the best (time, index) among the other schedulable cores at the
-	// last full scan. Between scans only cand's state changes (it is the
-	// only core that steps), so cand can be re-returned without a scan
-	// while it still beats the rival threshold.
-	cand       *coreState
-	rivalTime  uint64
-	rivalIndex int
+	sched schedule
 }
 
 // NewSystem builds a system with one stream per core and the given LLC
@@ -272,6 +264,7 @@ func NewSystem(cfg Config, llcPolicy cache.Policy, streams []trace.Stream) *Syst
 		panic(fmt.Sprintf("cpu: %d streams for %d cores", len(streams), cfg.Cores))
 	}
 	s := &System{llcSide: newLLCSide(cfg, llcPolicy)}
+	s.sched.init(cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		s.cores = append(s.cores, &coreState{index: i, stream: streams[i], priv: newPrivHier(cfg)})
 	}
@@ -311,31 +304,75 @@ func (s *System) allRecorded() bool {
 }
 
 // nextCore picks the still-issuing core with the smallest local clock
-// (ties broken by index for determinism). The cached fast path skips
-// the scan while the last-returned core still precedes every rival —
-// the common case whenever one core is on a run of short steps (and
-// always for a single-core machine).
+// (ties broken by index for determinism).
 func (s *System) nextCore() *coreState {
-	if c := s.cand; c != nil && !c.stopped &&
-		(c.time < s.rivalTime || (c.time == s.rivalTime && c.index < s.rivalIndex)) {
-		return c
+	if i := s.sched.next(); i >= 0 {
+		return s.cores[i]
 	}
-	var best, rival *coreState
-	for _, c := range s.cores {
-		if c.stopped {
-			continue
-		}
-		if best == nil || c.time < best.time {
-			best, rival = c, best
-		} else if rival == nil || c.time < rival.time {
-			rival = c
+	return nil
+}
+
+// unscheduled is the schedule time of a core that issues nothing more.
+const unscheduled = math.MaxUint64
+
+// schedule orders the steps of a run: both engines execute steps in
+// global (start time, core index) order. times holds every core's next
+// step time in one dense array, so picking the next core scans a few
+// words rather than the cores' state.
+//
+// cand caches the core next returned last; rivalTime/rivalIndex are the
+// best (time, index) among the other scheduled cores at the last full
+// scan. Between calls only cand's time changes (it is the only core
+// that runs), so cand is returned again without a scan while it still
+// beats the rival — the common case whenever one core is on a run of
+// short steps, and always on a single-core machine.
+type schedule struct {
+	times      []uint64
+	cand       int
+	rivalTime  uint64
+	rivalIndex int
+
+	// inline stores times for up to 8 cores inside the engine's own
+	// allocation.
+	inline [8]uint64
+}
+
+// init sizes the schedule for cores cores, all at time zero. The
+// schedule must not move afterwards (times may point into it).
+func (s *schedule) init(cores int) {
+	s.times, s.cand = s.inline[:], -1
+	if cores > len(s.inline) {
+		s.times = make([]uint64, cores)
+	}
+	s.times = s.times[:cores]
+}
+
+// next returns the index of the scheduled core with the smallest time,
+// ties to the lower index, or -1 when every core is unscheduled.
+func (s *schedule) next() int {
+	if c := s.cand; c >= 0 {
+		t := s.times[c]
+		if t < s.rivalTime || t == s.rivalTime && t != unscheduled && c < s.rivalIndex {
+			return c
 		}
 	}
-	s.cand = best
-	if rival != nil {
-		s.rivalTime, s.rivalIndex = rival.time, rival.index
-	} else {
-		s.rivalTime, s.rivalIndex = math.MaxUint64, math.MaxInt
+	return s.scan()
+}
+
+// scan is next's full pass over every core.
+func (s *schedule) scan() int {
+	best, rival := -1, -1
+	bestTime, rivalTime := uint64(unscheduled), uint64(unscheduled)
+	for i, t := range s.times {
+		if t < bestTime {
+			best, rival, bestTime, rivalTime = i, best, t, bestTime
+		} else if t < rivalTime {
+			rival, rivalTime = i, t
+		}
+	}
+	s.cand, s.rivalTime, s.rivalIndex = best, rivalTime, rival
+	if rival < 0 {
+		s.rivalIndex = math.MaxInt
 	}
 	return best
 }
@@ -347,18 +384,19 @@ func (s *System) step(c *coreState) {
 		if !c.recorded {
 			s.record(c)
 		}
-		c.stopped = true
+		s.sched.times[c.index] = unscheduled
 		return
 	}
 	addr := a.Addr + uint64(c.index)<<coreAddrShift
 	pc := a.PC | uint64(c.index)<<corePCShift
 
 	cycles, deep, miss := c.priv.access(addr, pc, a.Kind == trace.Store)
-	c.time += uint64(a.Gap) + cycles // non-memory instructions, 1 cycle each
+	cycles += uint64(a.Gap) // non-memory instructions, 1 cycle each
 	if miss {
-		c.time += s.serve(c.index, addr, pc, a.Kind,
+		cycles += s.serve(c.index, addr, pc, a.Kind,
 			deep.evValid && deep.evDirty, deep.evTag<<6, deep.evPC)
 	}
+	s.sched.times[c.index] += cycles
 
 	c.instr += uint64(a.Gap) + 1
 	c.mem++
@@ -376,7 +414,7 @@ func (s *System) snapshot(c *coreState) CoreResult {
 	return CoreResult{
 		Core:         c.index,
 		Instructions: c.instr,
-		Cycles:       c.time,
+		Cycles:       s.sched.times[c.index],
 		MemAccesses:  c.mem,
 		L1Hits:       c.priv.l1.hits,
 		L1Misses:     c.priv.l1.misses,

@@ -42,17 +42,21 @@ func splitmix64(x *uint64) uint64 {
 // buildFuzzTape hand-builds a complete tape through the recorder's page
 // writer: events derived from seed, a record crossing at crossAfter, an
 // exhaustion crossing at the end, one sealed frame over all of it, and
-// then — when mutXor's low byte is non-zero — one byte of the event or
-// writeback records flipped, as bit rot after sealing would. It reports
+// then — when mutXor's low byte is non-zero — one byte of one word
+// flipped, as bit rot after sealing would. Events draw their PCs from
+// 320 values, more than the PC table holds, and one in eight has a gap
+// of 2^20 cycles or more, so a long tape holds escaped event and
+// writeback words and the flipped byte may land in one. It reports
 // whether a byte was flipped.
 func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, mutPos, mutXor uint64) (*Tape, bool) {
 	r := &recorder{cfg: cfg}
+	pc := func() uint64 { return 0x400000 + 4*(splitmix64(&seed)%320) }
 	var p uint64
 	for i := uint64(0); i < nEvents; i++ {
 		x := splitmix64(&seed)
 		ev := trace.FilteredEvent{
-			Addr:     x & (1<<recAddrBits - 1) &^ 63,
-			PC:       splitmix64(&seed) & (1<<recPCBits - 1),
+			Addr:     x & (1<<coreAddrShift - 1) &^ 63,
+			PC:       pc(),
 			CycleGap: splitmix64(&seed) & 0xffff,
 			Kind:     trace.Load,
 		}
@@ -61,8 +65,11 @@ func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, m
 		}
 		if x&2 != 0 {
 			ev.HasWB = true
-			ev.WBAddr = splitmix64(&seed) & (1<<recAddrBits - 1) &^ 63
-			ev.WBPC = splitmix64(&seed) & (1<<recPCBits - 1)
+			ev.WBAddr = splitmix64(&seed) & (1<<coreAddrShift - 1) &^ 63
+			ev.WBPC = pc()
+		}
+		if x>>61 == 0 {
+			ev.CycleGap <<= 20
 		}
 		p += ev.CycleGap
 		r.append(ev)
@@ -81,21 +88,11 @@ func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, m
 	t := &Tape{frontEnd: frontEndOf(cfg), rec: r, chunk: tapeChunkMin}
 	t.sealFrame()
 
-	recs := r.events + r.wbs
-	if mutXor&0xff == 0 || recs == 0 {
+	if mutXor&0xff == 0 || r.words == 0 {
 		return t, false
 	}
-	i, byteOff := mutPos/16%recs, mutPos%16
-	var words [2]*uint64
-	if i < r.events {
-		e := &r.evPages[i>>evPageShift][i&evPageMask]
-		words = [2]*uint64{&e.w0, &e.w1}
-	} else {
-		i -= r.events
-		wb := &r.wbPages[i>>wbPageShift][i&wbPageMask]
-		words = [2]*uint64{&wb.addr, &wb.pc}
-	}
-	*words[byteOff/8] ^= (mutXor & 0xff) << (8 * (byteOff % 8))
+	i, byteOff := mutPos/8%r.words, mutPos%8
+	r.pages[i>>pageShift][i&pageMask] ^= (mutXor & 0xff) << (8 * byteOff)
 	return t, true
 }
 

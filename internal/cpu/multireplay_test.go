@@ -222,7 +222,7 @@ func TestMultiReplayParallelStreamingWindow(t *testing.T) {
 			evictedEvents = make([]uint64, len(tapes))
 			evictedBytes = cpu.TapeBytes()
 			for i, tape := range tapes {
-				evictedEvents[i], _ = cpu.TapeRecords(tape)
+				evictedEvents[i] = cpu.TapeWords(tape, cpu.EventWord)
 			}
 		}}}, buildLanes(t, tc, names)...)
 		ms := cpu.NewMultiReplaySystem(tc.cfg, pols, tapes)
@@ -238,7 +238,7 @@ func TestMultiReplayParallelStreamingWindow(t *testing.T) {
 			compareLane(t, ms, li, res[li], dRes, d, d.Writebacks, d.PrefetchIssued)
 		}
 		for i, tape := range tapes {
-			if events, _ := cpu.TapeRecords(tape); workers == 1 && events <= evictedEvents[i] {
+			if events := cpu.TapeWords(tape, cpu.EventWord); workers == 1 && events <= evictedEvents[i] {
 				t.Errorf("%d workers: tape %d held %d events at eviction and %d at the end; want it extended after eviction",
 					workers, i, evictedEvents[i], events)
 			}

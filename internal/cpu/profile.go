@@ -22,7 +22,7 @@ func WalkTape(cfg Config, coreIndex int, t *Tape, v TapeVisitor) error {
 		view      tapeView
 		walked    uint64 // events delivered to the visitor
 		nextCross int
-		wbIdx     uint64
+		word      uint64 // tape words read
 		ev        trace.FilteredEvent
 	)
 	addrTag := uint64(coreIndex) << coreAddrShift
@@ -52,11 +52,7 @@ func WalkTape(cfg Config, coreIndex int, t *Tape, v TapeVisitor) error {
 			view = nv
 			continue
 		}
-		view.event(walked, &ev)
-		if ev.HasWB {
-			view.victim(wbIdx, &ev)
-			wbIdx++
-		}
+		word = view.event(word, &ev)
 		// Mirror llcSide.serve's LLC access order exactly.
 		addr := ev.Addr + addrTag
 		pc := ev.PC | pcTag

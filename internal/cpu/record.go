@@ -22,9 +22,10 @@ import (
 // engine re-applies the per-core tags. That keeps one tape reusable at
 // any core position of any mix. The guards below reject the (never
 // generated, but possible via custom streams) addresses for which
-// tagging would not commute with recording, and the cycle gaps the
-// packed record cannot hold; the tape is then abandoned and callers fall
-// back to direct simulation.
+// tagging would not commute with recording, and the event addresses
+// the packed words cannot hold (not 64-byte aligned: byte-granular
+// traces); the tape is then abandoned and callers fall back to direct
+// simulation.
 
 const (
 	// maxRawAddr keeps addr + core<<coreAddrShift carry-free and leaves
@@ -58,14 +59,15 @@ type recorder struct {
 	lastEvInstr uint64
 
 	// The tape itself: every event is written, still in registers, into
-	// fixed-size pages of 16-byte packed records (writeback victims in a
-	// sequential side list), and crossings into their own list. Mutated
-	// only under the owning Tape's lock; entries below events/wbs are
-	// immutable once written.
-	evPages   [][]evRec
-	wbPages   [][]wbRec
+	// fixed-size pages of 8-byte words (tape.go), its PCs into the PC
+	// table, and crossings into their own list. Mutated only under the
+	// owning Tape's lock; words below words and table entries below npcs
+	// are immutable once written.
+	pages     []*tapePage
+	words     uint64
 	events    uint64
-	wbs       uint64
+	pcs       pcTable
+	npcs      int
 	bytes     int // page bytes allocated
 	crossings []trace.Crossing
 	complete  bool // stream exhausted: the tape is final
@@ -127,10 +129,8 @@ func (r *recorder) step() {
 				return
 			}
 		}
-		if ev.CycleGap>>recGapBits != 0 {
-			// 2^38 simulated cycles between two LLC events: never produced
-			// by real workloads, and too large for the packed record.
-			r.err = fmt.Errorf("cpu: cycle gap %d between LLC events outside the packed range", ev.CycleGap)
+		if ev.Addr&63 != 0 {
+			r.err = fmt.Errorf("cpu: LLC access %#x is not 64-byte aligned", ev.Addr)
 			return
 		}
 		r.append(ev)
@@ -150,29 +150,57 @@ func (r *recorder) step() {
 	}
 }
 
-// append writes ev's packed 16-byte record (and writeback side record)
-// into the tape's pages. The caller has checked that ev fits the layout.
+// append writes ev's words into the tape's pages. The caller has
+// checked that ev's addresses are taggable and 64-byte aligned.
 func (r *recorder) append(ev trace.FilteredEvent) {
-	if r.events&evPageMask == 0 {
-		r.evPages = append(r.evPages, make([]evRec, evPageSize))
-		r.bytes += evPageSize * evRecBytes
-	}
-	w0 := ev.Addr | (ev.CycleGap&(1<<recGapLowBits-1))<<recGapLowShift
+	w := ev.Addr >> 6
 	if ev.Kind == trace.Store {
-		w0 |= recStoreBit
+		w |= storeBit
 	}
 	if ev.HasWB {
-		w0 |= recWBBit
-		if r.wbs&wbPageMask == 0 {
-			r.wbPages = append(r.wbPages, make([]wbRec, wbPageSize))
-			r.bytes += wbPageSize * wbRecBytes
-		}
-		r.wbPages[r.wbs>>wbPageShift][r.wbs&wbPageMask] = wbRec{addr: ev.WBAddr, pc: ev.WBPC}
-		r.wbs++
+		w |= wbBit
 	}
-	w1 := ev.PC | (ev.CycleGap>>recGapLowBits)<<recPCBits
-	r.evPages[r.events>>evPageShift][r.events&evPageMask] = evRec{w0: w0, w1: w1}
+	if i := r.pcIndex(ev.PC); i != escIdx && ev.CycleGap < 1<<gapBits {
+		r.put(w | i<<pcIdxShift | ev.CycleGap<<gapShift)
+	} else {
+		r.put(w | escIdx<<pcIdxShift)
+		r.put(ev.PC)
+		r.put(ev.CycleGap)
+	}
+	if ev.HasWB {
+		i := r.pcIndex(ev.WBPC)
+		r.put(ev.WBAddr>>6 | i<<pcIdxShift)
+		if i == escIdx {
+			r.put(ev.WBPC)
+		}
+	}
 	r.events++
+}
+
+// put appends one word, opening a page when the last one is full.
+func (r *recorder) put(w uint64) {
+	if r.words&pageMask == 0 {
+		r.pages = append(r.pages, new(tapePage))
+		r.bytes += pageWords * wordBytes
+	}
+	r.pages[r.words>>pageShift][r.words&pageMask] = w
+	r.words++
+}
+
+// pcIndex returns pc's index in the PC table, adding pc while the table
+// has room, and escIdx once it is full.
+func (r *recorder) pcIndex(pc uint64) uint64 {
+	for i, p := range r.pcs[:r.npcs] {
+		if p == pc {
+			return uint64(i)
+		}
+	}
+	if r.npcs == pcTableSize {
+		return escIdx
+	}
+	r.pcs[r.npcs] = pc
+	r.npcs++
+	return uint64(r.npcs - 1)
 }
 
 func (r *recorder) cross(kind trace.CrossKind, onEvent bool, pstart uint64) {

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"math"
 
 	"nucache/internal/cache"
 	"nucache/internal/memory"
@@ -44,15 +43,13 @@ type replayCore struct {
 	nextCross int
 
 	replayed  uint64              // events replayed so far
+	word      uint64              // tape words read so far
 	pi        uint64              // policy-independent cycles at the pending event's step start
 	svc       uint64              // accumulated LLC/memory service cycles
-	wbIdx     uint64              // writeback side records consumed
 	pend      trace.FilteredEvent // the pending event
 	pendValid bool
 	dueCross  bool // next item is view.cross[nextCross], not pend
 	recorded  bool
-	stopped   bool
-	time      uint64 // schedule time of the next item (valid unless stopped)
 
 	base   CoreResult
 	result CoreResult
@@ -64,11 +61,9 @@ type ReplaySystem struct {
 	llcSide
 	cores []replayCore
 
-	// cand/rivalTime/rivalIndex implement the same cached-scheduler fast
-	// path as (*System).nextCore; see that comment.
-	cand       *replayCore
-	rivalTime  uint64
-	rivalIndex int
+	// sched holds each core's next item time; a stopped core is
+	// unscheduled.
+	sched schedule
 
 	// recorded counts cores whose measurement window has closed — the
 	// stop condition, kept as a counter so the per-item loop does not
@@ -102,6 +97,7 @@ func NewReplaySystem(cfg Config, llcPolicy cache.Policy, tapes []*Tape) *ReplayS
 	rs := new(ReplaySystem)
 	rs.llcSide = newLLCSide(cfg, llcPolicy)
 	rs.cores = make([]replayCore, cfg.Cores)
+	rs.sched.init(cfg.Cores)
 	for i, t := range tapes {
 		rs.cores[i] = replayCore{index: i, tape: t}
 	}
@@ -168,42 +164,19 @@ func (rs *ReplaySystem) results() ([]CoreResult, error) {
 }
 
 // nextItem picks the core whose next item has the smallest schedule
-// time, ties broken by index — the replay analogue of nextCore, with
-// the same cached fast path (only the last-played core's time has
-// changed).
+// time, ties broken by index — the replay analogue of nextCore.
 func (rs *ReplaySystem) nextItem() *replayCore {
-	if c := rs.cand; c != nil && !c.stopped &&
-		(c.time < rs.rivalTime || (c.time == rs.rivalTime && c.index < rs.rivalIndex)) {
-		return c
+	if i := rs.sched.next(); i >= 0 {
+		return &rs.cores[i]
 	}
-	var best, rival *replayCore
-	for i := range rs.cores {
-		c := &rs.cores[i]
-		if c.stopped {
-			continue
-		}
-		if best == nil || c.time < best.time {
-			best, rival = c, best
-		} else if rival == nil || c.time < rival.time {
-			rival = c
-		}
-	}
-	rs.cand = best
-	if rival != nil {
-		rs.rivalTime, rs.rivalIndex = rival.time, rival.index
-	} else {
-		rs.rivalTime, rs.rivalIndex = math.MaxUint64, math.MaxInt
-	}
-	return best
+	return nil
 }
 
 // advance computes core c's next item and its schedule time, fetching
 // (and if needed extending) the tape view.
 func (rs *ReplaySystem) advance(c *replayCore) error {
-	for {
-		if c.stopped {
-			return nil
-		}
+	next := &rs.sched.times[c.index]
+	for *next != unscheduled {
 		// A due crossing always precedes the pending event: its step came
 		// first, and the snapshot that contained the event also contained
 		// every earlier crossing.
@@ -215,25 +188,22 @@ func (rs *ReplaySystem) advance(c *replayCore) error {
 					return fmt.Errorf("cpu: replay core %d: stray on-event crossing", c.index)
 				}
 				c.dueCross = true
-				c.time = cr.PStart + c.svc
+				*next = cr.PStart + c.svc
 				return nil
 			}
 		}
-		if c.pendValid {
-			c.time = c.pi + c.svc
-			return nil
-		}
-		// The next event is ordinal c.replayed: one 16-byte sequential
-		// read (the wb side list only when the event carries a writeback).
-		if c.replayed < c.view.events {
-			c.view.event(c.replayed, &c.pend)
-			if c.pend.HasWB {
-				c.view.victim(c.wbIdx, &c.pend)
-				c.wbIdx++
-			}
+		// The next event is ordinal c.replayed, starting at word c.word:
+		// one sequential 8-byte read, two when it carries a writeback. No
+		// crossing is due before it (checked above), so its start time is
+		// the next item's.
+		if !c.pendValid && c.replayed < c.view.events {
+			c.word = c.view.event(c.word, &c.pend)
 			c.pendValid = true
 			c.pi += c.pend.CycleGap
-			continue
+		}
+		if c.pendValid {
+			*next = c.pi + c.svc
+			return nil
 		}
 		if c.view.complete {
 			return fmt.Errorf("cpu: replay core %d ran off its tape", c.index)
@@ -248,6 +218,7 @@ func (rs *ReplaySystem) advance(c *replayCore) error {
 		}
 		c.view = v
 	}
+	return nil
 }
 
 // playItem executes core c's next item: either a due crossing (advance
@@ -293,7 +264,7 @@ func (rs *ReplaySystem) applyCrossing(c *replayCore, cr *trace.Crossing) {
 		if !c.recorded {
 			rs.recordAt(c, cr)
 		}
-		c.stopped = true
+		rs.sched.times[c.index] = unscheduled
 	}
 }
 

@@ -376,7 +376,7 @@ func TestReplayDecodeBudgetStreaming(t *testing.T) {
 		return &hookPolicy{Policy: newLRU(cfg), n: 100, hook: func() {
 			tape = cpu.LookupTape(tapeID(bench, seed), cfg)
 			evictAll(cfg)
-			evictedEvents, _ = cpu.TapeRecords(tape)
+			evictedEvents = cpu.TapeWords(tape, cpu.EventWord)
 			evictedBytes = cpu.TapeBytes()
 		}}
 	}
@@ -392,7 +392,7 @@ func TestReplayDecodeBudgetStreaming(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay over an evicted tape diverges from direct simulation\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if events, _ := cpu.TapeRecords(tape); events <= evictedEvents {
+	if events := cpu.TapeWords(tape, cpu.EventWord); events <= evictedEvents {
 		t.Fatalf("the tape held %d events at eviction and %d at the end; want it extended after eviction", evictedEvents, events)
 	}
 	if cpu.TapeBytes() != evictedBytes {
@@ -494,10 +494,11 @@ func TestTapePageBitFlipFallsBackToDirect(t *testing.T) {
 	if tape == nil {
 		t.Fatal("RunMachine memoized no tape")
 	}
-	// Flip a set-index bit of the last event, in the frame the tape's
-	// last extension sealed: the next replay's first view re-verifies it.
-	events, _ := cpu.TapeRecords(tape)
-	cpu.FlipTapeBit(tape, false, events-1, 12)
+	// Flip a set-index bit of the last event's line, in the frame the
+	// tape's last extension sealed: the next replay's first view
+	// re-verifies it.
+	events := cpu.TapeWords(tape, cpu.EventWord)
+	cpu.FlipTapeBit(tape, cpu.EventWord, events-1, 3)
 
 	fallbacks := sim.TraceFallbacks.Value()
 	got, _, _ := sim.RunMachine(cfg, newPol, mix, seed, false)

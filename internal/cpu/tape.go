@@ -35,53 +35,55 @@ const (
 // tapes of running replays and profile walks grow.
 const DefaultTapeBudget = 1 << 30
 
-// evRec is one recorded event, packed into 16 bytes so sequential
-// replay touches a quarter of the cache lines a page of
-// trace.FilteredEvent structs would (the tape working set of a
-// many-core grid cell far exceeds the LLC, so every line touched is a
-// memory stall):
+// A tape is a sequence of 8-byte words in fixed-size pages. Each
+// recorded event is one event word, then the writeback word of its
+// private victim when the event carries one:
 //
-//	w0: addr(40) | store(1) | wb(1) | cycleGapLow(22)
-//	w1: pc(48) | cycleGapHigh(16)
+//	event:     line(34) | store(1) | wb(1) | pcIndex(8) | cycleGap(20)
+//	writeback: line(34) | 0(2)     | pcIndex(8) | 0(20)
 //
-// The address and PC widths are exactly the record guards' maxRawAddr/
-// maxRawPC bounds (record.go), and a cycle gap of 2^38 or more fails
-// the tape, so packing never truncates. Writeback victims live in a
-// side list (wbRec) consumed sequentially: replay always reads a tape
-// front to back, so the i'th wb-flagged event is the i'th wbRec.
-type evRec struct{ w0, w1 uint64 }
-
-// wbRec is the writeback victim of one wb-flagged event.
-type wbRec struct{ addr, pc uint64 }
-
+// (low bits first). A line is an address shifted right by 6: the
+// record guards (record.go) keep addresses below maxRawAddr < 2^40 and
+// fail a tape on an event address that is not 64-byte aligned, and
+// writeback victims are line addresses by construction. pcIndex names
+// an entry of the tape's PC table, which takes the first 255 distinct
+// PCs the recorder sees (real tapes have at most a handful).
+//
+// pcIndex 255 is an escape. An escaped event word's gap field is zero,
+// and its next two words hold the event's full PC and full cycle gap;
+// events escape when their PC is not in a full table or their gap is
+// 2^20 cycles or more. An escaped writeback word's next word holds the
+// victim's full PC. Readers keep a word cursor beside the event
+// ordinal, since an event spans one to five words.
 const (
-	recAddrBits = coreAddrShift // record guard: addr < 1<<40
-	recPCBits   = corePCShift   // record guard: pc < 1<<48
+	lineBits   = 34
+	lineMask   = 1<<lineBits - 1
+	storeBit   = 1 << lineBits
+	wbBit      = 1 << (lineBits + 1)
+	pcIdxShift = lineBits + 2
+	gapShift   = pcIdxShift + 8
+	gapBits    = 64 - gapShift
 
-	recStoreBit    = 1 << recAddrBits
-	recWBBit       = 1 << (recAddrBits + 1)
-	recGapLowShift = recAddrBits + 2
-	recGapLowBits  = 64 - recGapLowShift
-	recGapBits     = recGapLowBits + 64 - recPCBits
-
-	evRecBytes = 16
-	wbRecBytes = 16
+	escIdx      = 0xff // pcIndex of an escape
+	escBits     = escIdx << pcIdxShift
+	pcTableSize = escIdx // PCs a tape's table holds
+	wordBytes   = 8
 )
 
-// evPageShift sizes the tape's event pages (8192 events, 128KB;
-// writeback side pages hold 4096 records, 64KB). Fixed-size pages are
-// written into place and never reallocated, so growing a tape copies
-// nothing and the pages (pointer-free) cost the garbage collector
-// nothing to scan.
-const (
-	evPageShift = 13
-	evPageSize  = 1 << evPageShift
-	evPageMask  = evPageSize - 1
+// pcTable is a tape's PC table, sized so a uint8 pcIndex always lands
+// inside it (entry escIdx stays zero).
+type pcTable [escIdx + 1]uint64
 
-	wbPageShift = 12
-	wbPageSize  = 1 << wbPageShift
-	wbPageMask  = wbPageSize - 1
+// Pages hold 8192 words (64 KB). Fixed-size pages are written into
+// place and never reallocated, so growing a tape copies nothing, and
+// the pages (pointer-free) cost the garbage collector nothing to scan.
+const (
+	pageShift = 13
+	pageWords = 1 << pageShift
+	pageMask  = pageWords - 1
 )
+
+type tapePage [pageWords]uint64
 
 var (
 	tapesRecorded     atomic.Int64
@@ -135,8 +137,8 @@ type Tape struct {
 	counted  int   // bytes already added to tapeBytes
 	detached bool  // evicted: outside tapeBytes from here on
 
-	// Integrity frames: each tape extension CRC-32Cs the event and
-	// writeback records it appended, and frames are re-verified once, on
+	// Integrity frames: each tape extension CRC-32Cs the words and PC
+	// table entries it appended, and frames are re-verified once, on
 	// the first snapshot after their creation (a watermark, so
 	// verification work totals O(tape) no matter how many replays share
 	// it). A mismatch — bit rot in a long-lived process's tape memory —
@@ -146,12 +148,13 @@ type Tape struct {
 	frameCheck int // frames verified so far
 }
 
-// tapeFrame is one extension's checksum: CRC-32C of the event records
-// from the previous frame's watermarks to this one's, followed by the
-// writeback records over the same span.
+// tapeFrame is one extension's checksum: CRC-32C of the words from the
+// previous frame's watermarks to this one's, followed by the PC table
+// entries over the same span.
 type tapeFrame struct {
-	events, wbs uint64
-	crc         uint32
+	events, words uint64
+	pcs           int
+	crc           uint32
 }
 
 var tapeCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -269,34 +272,52 @@ func evictTape(el *list.Element) {
 }
 
 // tapeView is one consistent snapshot of a tape handed to a replay core:
-// the event and writeback pages, the event count they hold, and the
-// crossing list.
+// the pages, the PC table, the event count they hold, and the crossing
+// list.
 type tapeView struct {
-	evPages  [][]evRec
-	wbPages  [][]wbRec
+	pages    []*tapePage
+	pcs      *pcTable
 	events   uint64
 	cross    []trace.Crossing
 	complete bool
 }
 
-// event unpacks event i into ev. An event with HasWB set takes its
-// victim from the next unread writeback record (victim).
-func (v *tapeView) event(i uint64, ev *trace.FilteredEvent) {
-	r := &v.evPages[i>>evPageShift][i&evPageMask]
-	ev.Addr = r.w0 & (1<<recAddrBits - 1)
-	ev.PC = r.w1 & (1<<recPCBits - 1)
-	ev.CycleGap = r.w0>>recGapLowShift | r.w1>>recPCBits<<recGapLowBits
-	ev.Kind = trace.Load
-	if r.w0&recStoreBit != 0 {
-		ev.Kind = trace.Store
+// event decodes the event whose first word is word w into ev, its
+// writeback victim included when it has HasWB set, and returns the word
+// after it.
+func (v *tapeView) event(w uint64, ev *trace.FilteredEvent) uint64 {
+	x := v.word(w)
+	ev.Addr = x & lineMask << 6
+	ev.Kind = trace.Kind(x >> lineBits & 1)
+	ev.HasWB = x&wbBit != 0
+	ev.PC, ev.CycleGap = v.pcs[uint8(x>>pcIdxShift)], x>>gapShift
+	w++
+	if x&escBits == escBits {
+		ev.PC, ev.CycleGap = v.word(w), v.word(w+1)
+		w += 2
 	}
-	ev.HasWB = r.w0&recWBBit != 0
+	if !ev.HasWB {
+		return w
+	}
+	y := v.word(w)
+	ev.WBAddr = y & lineMask << 6
+	ev.WBPC = v.pcs[uint8(y>>pcIdxShift)]
+	w++
+	if y&escBits == escBits {
+		ev.WBPC = v.word(w)
+		w++
+	}
+	return w
 }
 
-// victim unpacks writeback record j into ev's victim fields.
-func (v *tapeView) victim(j uint64, ev *trace.FilteredEvent) {
-	r := &v.wbPages[j>>wbPageShift][j&wbPageMask]
-	ev.WBAddr, ev.WBPC = r.addr, r.pc
+// word returns word i. A well-formed tape never reads past its pages;
+// a word of a corrupt tape that does reads as zero rather than panic,
+// and the tape's frame check fails it at the next snapshot.
+func (v *tapeView) word(i uint64) uint64 {
+	if p := i >> pageShift; p < uint64(len(v.pages)) {
+		return v.pages[p][i&pageMask]
+	}
+	return 0
 }
 
 // snapshot returns the current readable state of the tape, extending it
@@ -331,19 +352,19 @@ func (t *Tape) snapshot(consumed uint64) (tapeView, error) {
 		t.sealFrame()
 	}
 	return tapeView{
-		evPages: r.evPages, wbPages: r.wbPages, events: r.events,
+		pages: r.pages, pcs: &r.pcs, events: r.events,
 		cross: r.crossings, complete: r.complete,
 	}, nil
 }
 
-// sealFrame checksums the records the extension just appended. Called
+// sealFrame checksums the words the extension just appended. Called
 // with t.mu held, right after the recorder ran.
 func (t *Tape) sealFrame() {
 	var prev tapeFrame
 	if n := len(t.frames); n > 0 {
 		prev = t.frames[n-1]
 	}
-	f := tapeFrame{events: t.rec.events, wbs: t.rec.wbs}
+	f := tapeFrame{events: t.rec.events, words: t.rec.words, pcs: t.rec.npcs}
 	if f.events == prev.events {
 		return
 	}
@@ -351,25 +372,21 @@ func (t *Tape) sealFrame() {
 	t.frames = append(t.frames, f)
 }
 
-// frameCRC checksums the records between two frames' watermarks.
+// frameCRC checksums the words and PC table entries between two
+// frames' watermarks, reading the pointer-free pages in place.
 func (r *recorder) frameCRC(from, to tapeFrame) uint32 {
-	crc := pageCRC(0, r.evPages, evPageShift, from.events, to.events)
-	return pageCRC(crc, r.wbPages, wbPageShift, from.wbs, to.wbs)
-}
-
-// pageCRC folds records [lo, hi) of pages of 1<<shift records into crc,
-// reading the pointer-free records' memory in place.
-func pageCRC[T evRec | wbRec](crc uint32, pages [][]T, shift uint, lo, hi uint64) uint32 {
-	mask := uint64(1)<<shift - 1
-	for lo < hi {
-		p := pages[lo>>shift]
-		n := min(hi-lo, mask+1-lo&mask)
-		recs := p[lo&mask : lo&mask+n]
-		b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(recs))), len(recs)*int(unsafe.Sizeof(recs[0])))
-		crc = crc32.Update(crc, tapeCRCTable, b)
+	var crc uint32
+	for lo := from.words; lo < to.words; {
+		n := min(to.words-lo, pageWords-lo&pageMask)
+		crc = crc32.Update(crc, tapeCRCTable, wordBytesOf(r.pages[lo>>pageShift][lo&pageMask:][:n]))
 		lo += n
 	}
-	return crc
+	return crc32.Update(crc, tapeCRCTable, wordBytesOf(r.pcs[from.pcs:to.pcs]))
+}
+
+// wordBytesOf returns the memory of ws as bytes.
+func wordBytesOf(ws []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), len(ws)*wordBytes)
 }
 
 // verifyFrames re-checks frames sealed by earlier extensions, each

@@ -1,7 +1,7 @@
 package cpu
 
-// Integrity tests for the checksummed tape frames: corruption of the
-// event or writeback records that replays read must be caught by the
+// Integrity tests for the checksummed tape frames: corruption of any
+// kind of word that replays read must be caught by the
 // frame CRCs — killing the tape so replays degrade to direct simulation
 // — and must never be replayed as truth.
 
@@ -12,6 +12,7 @@ import (
 
 	"nucache/internal/cache"
 	"nucache/internal/failpoint"
+	"nucache/internal/trace"
 	"nucache/internal/workload"
 )
 
@@ -27,43 +28,64 @@ func integrityConfig() Config {
 	}
 }
 
+// escapingStream stores with 300 distinct PCs to a stream of lines, and
+// every 64th access follows a 2^21-instruction gap: its tape holds
+// escaped event and writeback words beside plain ones. The gaps exceed
+// integrityConfig's budget, so tapes of it run with no budget.
+func escapingStream() trace.Stream {
+	var i uint64
+	return trace.FuncStream(func() (trace.Access, bool) {
+		i++
+		a := trace.Access{PC: 0x400000 + 4*(i%300), Addr: 0x100000 + 64*(i%4096), Kind: trace.Store}
+		if i%64 == 0 {
+			a.Gap = 1 << 21
+		}
+		return a, true
+	})
+}
+
+func unbudgeted(cfg Config) Config {
+	cfg.InstrBudget = 0
+	return cfg
+}
+
 // recordSome forces at least one extension so the tape has a sealed
-// frame holding both event and writeback records.
+// frame holding words of every kind.
 func recordSome(t *testing.T, tape *Tape) {
 	t.Helper()
 	if _, err := tape.snapshot(0); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if events, wbs := TapeRecords(tape); events == 0 || wbs == 0 {
-		t.Fatalf("tape recorded %d events, %d writebacks; want both", events, wbs)
+	for _, k := range wordKinds {
+		if TapeWords(tape, k.kind) == 0 {
+			t.Fatalf("tape recorded no %s words", k.name)
+		}
 	}
 	if len(tape.frames) == 0 {
 		t.Fatal("extension sealed no frame")
 	}
 }
 
-// pageKinds names the two record lists a frame covers.
-var pageKinds = []struct {
+// wordKinds names the kinds of word a frame covers.
+var wordKinds = []struct {
 	name string
-	wb   bool
-}{{"event", false}, {"writeback", true}}
+	kind TapeWord
+}{
+	{"event", EventWord}, {"event escape", EventEscapeWord},
+	{"writeback", WritebackWord}, {"writeback escape", WritebackEscapeWord},
+}
 
 func TestTapeVerifyDetectsCorruption(t *testing.T) {
-	for _, k := range pageKinds {
+	for _, k := range wordKinds {
 		t.Run(k.name, func(t *testing.T) {
-			tape := NewTape(integrityConfig(), workload.MustByName("swim-like").Stream(7))
+			tape := NewTape(unbudgeted(integrityConfig()), escapingStream())
 			recordSome(t, tape)
 			if err := tape.Verify(); err != nil {
 				t.Fatalf("pristine tape failed verification: %v", err)
 			}
 
 			before := TapeChecksumFails()
-			events, wbs := TapeRecords(tape)
-			n := events
-			if k.wb {
-				n = wbs
-			}
-			FlipTapeBit(tape, k.wb, n/2, 3) // bit rot mid-tape
+			FlipTapeBit(tape, k.kind, TapeWords(tape, k.kind)/2, 3) // bit rot mid-tape
 			err := tape.Verify()
 			if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("Verify on corrupt tape = %v, want checksum mismatch", err)
@@ -85,13 +107,12 @@ func TestTapeVerifyDetectsCorruption(t *testing.T) {
 // snapshots: the watermark verification on the next snapshot (not an
 // explicit Verify call) must catch it.
 func TestTapeLazyFrameCheckCatchesCorruption(t *testing.T) {
-	for _, k := range pageKinds {
+	for _, k := range wordKinds {
 		t.Run(k.name, func(t *testing.T) {
-			tape := NewTape(integrityConfig(), workload.MustByName("hmmer-like").Stream(3))
+			tape := NewTape(unbudgeted(integrityConfig()), escapingStream())
 			recordSome(t, tape)
-			events, _ := TapeRecords(tape)
-			FlipTapeBit(tape, k.wb, 0, 63)
-			if _, err := tape.snapshot(events); err == nil ||
+			FlipTapeBit(tape, k.kind, 0, 63)
+			if _, err := tape.snapshot(TapeWords(tape, EventWord)); err == nil ||
 				!strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("lazy frame check missed corruption: %v", err)
 			}

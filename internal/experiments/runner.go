@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -439,17 +440,32 @@ func runCells[T any](o Options, cells []cell[T]) []*T {
 // sequential mixMetrics calls. It returns nil when Options.Ctx is
 // cancelled mid-grid (see runCells).
 func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]MixMetrics {
-	cells := make([]cell[MixMetrics], 0, len(mixes)*len(specs))
-	for _, m := range mixes {
-		for _, s := range specs {
-			cells = append(cells, cell[MixMetrics]{
-				key:   o.mixKey(m, s),
-				label: fmt.Sprintf("%s under %s", m.Name, s.Name),
-				run: func(context.Context) (*MixMetrics, error) {
-					mm := o.mixMetrics(m, s)
-					return &mm, nil
-				},
-			})
+	// Cells start in submission order. Each window of as many mixes as
+	// there are workers goes spec by spec, so the workers start on
+	// different mixes and record their tapes in parallel (cells of one
+	// mix would wait on each other's recording), and a window's tapes
+	// are replayed by all its cells before the memo records the next
+	// window's.
+	w := o.Parallel
+	if w <= 0 {
+		w = runtime.NumCPU()
+	}
+	type at struct{ i, j int }
+	var order []at
+	var cells []cell[MixMetrics]
+	for lo := 0; lo < len(mixes); lo += w {
+		for j, s := range specs {
+			for i, m := range mixes[lo:min(lo+w, len(mixes))] {
+				order = append(order, at{lo + i, j})
+				cells = append(cells, cell[MixMetrics]{
+					key:   o.mixKey(m, s),
+					label: fmt.Sprintf("%s under %s", m.Name, s.Name),
+					run: func(context.Context) (*MixMetrics, error) {
+						mm := o.mixMetrics(m, s)
+						return &mm, nil
+					},
+				})
+			}
 		}
 	}
 	vals := runCells(o, cells)
@@ -459,9 +475,9 @@ func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]Mi
 	grid := make([][]MixMetrics, len(mixes))
 	for i := range grid {
 		grid[i] = make([]MixMetrics, len(specs))
-		for j := range grid[i] {
-			grid[i][j] = *vals[i*len(specs)+j]
-		}
+	}
+	for k, c := range order {
+		grid[c.i][c.j] = *vals[k]
 	}
 	return grid
 }

@@ -367,18 +367,17 @@ func sleepBackoff(ctx context.Context, rp RetryPolicy, attempt int) bool {
 
 // RunAll executes every job through the pool and returns outcomes in
 // submission order regardless of completion order, so fan-outs are
-// deterministic to consumers.
+// deterministic to consumers. Jobs start in submission order: one
+// feeder per worker takes them by index, so a grid submitted mix by
+// mix runs mix by mix (with one worker, strictly in order). A job that
+// has not started when ctx is cancelled still gets its Do call, which
+// returns the cancellation at once.
 func (s *Scheduler) RunAll(ctx context.Context, jobs []Job) []Outcome {
 	out := make([]Outcome, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = s.Do(ctx, jobs[i])
-		}(i)
-	}
-	wg.Wait()
+	feed(len(jobs), s.workers, func(i int) bool {
+		out[i] = s.Do(ctx, jobs[i])
+		return true
+	})
 	return out
 }
 
@@ -398,44 +397,42 @@ type IndexedOutcome struct {
 // sweep adds bounded pressure to the admission queue.
 func (s *Scheduler) RunStream(ctx context.Context, jobs []Job) <-chan IndexedOutcome {
 	ch := make(chan IndexedOutcome)
-	feeders := 2 * s.workers
-	if feeders > len(jobs) {
-		feeders = len(jobs)
-	}
-	if feeders < 1 {
-		feeders = 1
-	}
-	next := make(chan int)
 	go func() {
-		defer close(next)
-		for i := range jobs {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
+		defer close(ch)
+		feed(len(jobs), 2*s.workers, func(i int) bool {
+			if ctx.Err() != nil {
+				return false
 			}
-		}
+			out := s.Do(ctx, jobs[i])
+			select {
+			case ch <- IndexedOutcome{Index: i, Outcome: out}:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
 	}()
+	return ch
+}
+
+// feed calls fn(i) for i = 0..n-1 on up to feeders goroutines, each
+// taking the next index in order, and returns once every call has
+// returned. A feeder whose fn returns false stops taking indices.
+func feed(n, feeders int, fn func(i int) bool) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
+	for f := min(feeders, n); f > 0; f-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				out := s.Do(ctx, jobs[i])
-				select {
-				case ch <- IndexedOutcome{Index: i, Outcome: out}:
-				case <-ctx.Done():
+			for {
+				if i := int(next.Add(1)) - 1; i >= n || !fn(i) {
 					return
 				}
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
-	return ch
+	wg.Wait()
 }
 
 // labelOf names a job in errors.

@@ -244,6 +244,38 @@ func TestSchedulerResultOrdering(t *testing.T) {
 	}
 }
 
+// TestSchedulerRunAllSubmissionOrder: with one worker, RunAll starts
+// jobs in submission order, so a grid submitted mix by mix runs mix by
+// mix and records each mix's tapes once.
+func TestSchedulerRunAllSubmissionOrder(t *testing.T) {
+	s := NewSchedulerWith(SchedulerConfig{Workers: 1})
+	const n = 64
+	var mu sync.Mutex
+	var started []int
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{Run: func(context.Context) (any, error) {
+			mu.Lock()
+			started = append(started, i)
+			mu.Unlock()
+			return i, nil
+		}}
+	}
+	for i, o := range s.RunAll(context.Background(), jobs) {
+		if o.Err != nil || o.Value.(int) != i {
+			t.Fatalf("slot %d: %+v", i, o)
+		}
+	}
+	if len(started) != n {
+		t.Fatalf("%d of %d jobs started", len(started), n)
+	}
+	for i, j := range started {
+		if i != j {
+			t.Fatalf("job %d started %dth; start order %v", j, i, started)
+		}
+	}
+}
+
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	s := NewScheduler(workers, nil)
