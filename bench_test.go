@@ -13,6 +13,7 @@ import (
 	"nucache/internal/cpu"
 	"nucache/internal/experiments"
 	"nucache/internal/policy"
+	"nucache/internal/stats"
 	"nucache/internal/trace"
 	"nucache/internal/workload"
 )
@@ -256,6 +257,28 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHotZipf draws from the Zipf sampler at the four (n, s)
+// pairs the workload models use, one pair after another — the front
+// end's per-reference sampling cost, gated like the other Hot
+// benchmarks.
+func BenchmarkHotZipf(b *testing.B) {
+	rng := stats.NewRNG(1)
+	zs := []*stats.Zipf{
+		stats.NewZipf(rng.Split(), 4096, 0.6),  // sphinx-like
+		stats.NewZipf(rng.Split(), 24576, 0.9), // omnetpp-like
+		stats.NewZipf(rng.Split(), 3072, 1.1),  // twolf-like
+		stats.NewZipf(rng.Split(), 1536, 0.9),  // vpr-like
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		zipfSink += zs[i&3].Next()
+	}
+}
+
+// zipfSink keeps BenchmarkHotZipf's draws live.
+var zipfSink uint64
 
 // BenchmarkSelection isolates the cost-benefit PC selection.
 func BenchmarkSelection(b *testing.B) {

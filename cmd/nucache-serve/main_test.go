@@ -232,6 +232,10 @@ func TestSimEndpoint(t *testing.T) {
 		// /v1/sim leaves these at zero too.
 		ParallelRuns *int64 `json:"nucache_multireplay_parallel_runs"`
 		LaneWorkers  *int64 `json:"nucache_multireplay_lane_workers"`
+		// The fallback total and its split by cause, every cause key
+		// published from process start.
+		Fallbacks        *int64           `json:"nucache_trace_fallbacks"`
+		FallbacksByCause map[string]int64 `json:"nucache_trace_fallbacks_by_cause"`
 	}
 	if err := json.NewDecoder(dv.Body).Decode(&vars); err != nil {
 		t.Fatalf("expvars: %v", err)
@@ -246,6 +250,12 @@ func TestSimEndpoint(t *testing.T) {
 	if vars.ChecksumFails == nil || vars.TapeChecksums == nil || vars.FailpointsFired == nil {
 		t.Fatalf("integrity expvars missing from /debug/vars: cache=%v tape=%v failpoints=%v",
 			vars.ChecksumFails, vars.TapeChecksums, vars.FailpointsFired)
+	}
+	for _, cause := range []string{"quiet_core", "corrupt", "untaggable", "unaligned", "failpoint", "other"} {
+		if _, ok := vars.FallbacksByCause[cause]; !ok || vars.Fallbacks == nil {
+			t.Fatalf("nucache_trace_fallbacks_by_cause = %v (total %v); want a published %s key",
+				vars.FallbacksByCause, vars.Fallbacks, cause)
+		}
 	}
 	if vars.MultiRuns == nil || vars.MultiLanes == nil {
 		t.Fatalf("multireplay expvars missing from /debug/vars: runs=%v lanes=%v",

@@ -35,9 +35,20 @@ const (
 	maxRawPC = 1 << corePCShift
 )
 
-// ErrNoLLCEvent is the error of a tape whose front end retired a whole
-// instruction budget without an LLC event (see recorder.run).
-var ErrNoLLCEvent = errors.New("cpu: front end retired an instruction budget without an LLC event")
+// The errors a tape dies of, wrapped with the offending values. A
+// replay or profile walk over a dead tape returns one, and its callers
+// fall back to direct simulation. ErrCorruptTape is in tape.go.
+var (
+	// ErrNoLLCEvent: the front end retired a whole instruction budget
+	// without an LLC event (see recorder.run).
+	ErrNoLLCEvent = errors.New("cpu: front end retired an instruction budget without an LLC event")
+	// ErrUntaggable: an access or writeback lies outside the range where
+	// per-core tagging commutes with recording.
+	ErrUntaggable = errors.New("cpu: access outside the taggable range")
+	// ErrUnaligned: an LLC access is not 64-byte aligned, so the event
+	// word cannot hold it.
+	ErrUnaligned = errors.New("cpu: LLC access not 64-byte aligned")
+)
 
 // recorder advances one core's policy-independent front end and grows
 // its tape on demand.
@@ -111,7 +122,7 @@ func (r *recorder) step() {
 		return
 	}
 	if a.Addr >= maxRawAddr || a.PC >= maxRawPC {
-		r.err = fmt.Errorf("cpu: access %#x/pc %#x outside the taggable range", a.Addr, a.PC)
+		r.err = fmt.Errorf("%w: access %#x/pc %#x", ErrUntaggable, a.Addr, a.PC)
 		return
 	}
 	pstart := r.p
@@ -125,12 +136,12 @@ func (r *recorder) step() {
 		if deep.evValid && deep.evDirty {
 			ev.HasWB, ev.WBAddr, ev.WBPC = true, deep.evTag<<6, deep.evPC
 			if ev.WBAddr >= maxRawAddr || ev.WBPC >= maxRawPC {
-				r.err = fmt.Errorf("cpu: writeback %#x/pc %#x outside the taggable range", ev.WBAddr, ev.WBPC)
+				r.err = fmt.Errorf("%w: writeback %#x/pc %#x", ErrUntaggable, ev.WBAddr, ev.WBPC)
 				return
 			}
 		}
 		if ev.Addr&63 != 0 {
-			r.err = fmt.Errorf("cpu: LLC access %#x is not 64-byte aligned", ev.Addr)
+			r.err = fmt.Errorf("%w: %#x", ErrUnaligned, ev.Addr)
 			return
 		}
 		r.append(ev)

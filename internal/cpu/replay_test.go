@@ -8,6 +8,8 @@ package cpu_test
 // suite by name (with -race) before the full test run.
 
 import (
+	"errors"
+	"expvar"
 	"fmt"
 	"reflect"
 	"sync"
@@ -500,18 +502,26 @@ func TestTapePageBitFlipFallsBackToDirect(t *testing.T) {
 	events := cpu.TapeWords(tape, cpu.EventWord)
 	cpu.FlipTapeBit(tape, cpu.EventWord, events-1, 3)
 
-	fallbacks := sim.TraceFallbacks.Value()
+	fallbacks, corrupt := sim.TraceFallbacks.Value(), fallbacksBy("corrupt")
 	got, _, _ := sim.RunMachine(cfg, newPol, mix, seed, false)
 	if sim.TraceFallbacks.Value() != fallbacks+1 {
 		t.Fatal("RunMachine replayed a corrupt tape instead of falling back")
+	}
+	if fallbacksBy("corrupt") != corrupt+1 {
+		t.Error("the fallback was not counted under corrupt")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fallback diverges from the clean run\ngot:  %+v\nwant: %+v", got, want)
 	}
 	rs := cpu.NewReplaySystem(cfg, newPol(), []*cpu.Tape{tape})
-	if res, err := rs.Run(); err == nil || res != nil {
-		t.Fatalf("replay of a corrupt tape = %v, %v; want an error and nil results", res, err)
+	if res, err := rs.Run(); !errors.Is(err, cpu.ErrCorruptTape) || res != nil {
+		t.Fatalf("replay of a corrupt tape = %v, %v; want cpu.ErrCorruptTape and nil results", res, err)
 	}
+}
+
+// fallbacksBy reads one key of nucache_trace_fallbacks_by_cause.
+func fallbacksBy(cause string) int64 {
+	return sim.TraceFallbacksByCause.Get(cause).(*expvar.Int).Value()
 }
 
 // untaggableStream is one access outside the core-tagging range: a tape
@@ -529,7 +539,11 @@ func TestReplayUntaggableStreamFallback(t *testing.T) {
 	tape := cpu.NewTape(cfg, untaggableStream())
 	pol, _ := sim.BuildPolicy("LRU", 1, cfg.LLC.Ways, 0)
 	rs := cpu.NewReplaySystem(cfg, pol, []*cpu.Tape{tape})
-	if _, err := rs.Run(); err == nil {
-		t.Fatal("untaggable stream must fail the replay")
+	_, err := rs.Run()
+	if !errors.Is(err, cpu.ErrUntaggable) {
+		t.Fatalf("replay of an untaggable stream = %v; want cpu.ErrUntaggable", err)
+	}
+	if cause := sim.FallbackCause(err); cause != "untaggable" {
+		t.Errorf("the fallback counts under %q; want untaggable", cause)
 	}
 }

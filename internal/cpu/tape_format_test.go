@@ -6,6 +6,7 @@ package cpu_test
 // simulation bit for bit.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -109,8 +110,11 @@ func TestTapeUnalignedStreamFallsBack(t *testing.T) {
 	}
 	rs := cpu.NewReplaySystem(cfg, newLRU(cfg), []*cpu.Tape{cpu.NewTape(cfg, stream())})
 	res, err := rs.Run()
-	if err == nil || res != nil || !strings.Contains(err.Error(), "not 64-byte aligned") {
+	if !errors.Is(err, cpu.ErrUnaligned) || res != nil || !strings.Contains(err.Error(), "not 64-byte aligned") {
 		t.Fatalf("replay of an unaligned stream = %v, %v; want an alignment error and nil results", res, err)
+	}
+	if cause := sim.FallbackCause(err); cause != "unaligned" {
+		t.Errorf("the fallback counts under %q; want unaligned", cause)
 	}
 	if err := cpu.WalkTape(cfg, 0, cpu.NewTape(cfg, stream()), nopVisitor{}); err == nil ||
 		!strings.Contains(err.Error(), "not 64-byte aligned") {

@@ -8,14 +8,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"nucache/internal/cache"
+	"nucache/internal/cpu"
 	"nucache/internal/failpoint"
+	"nucache/internal/workload"
 )
 
 func TestCacheEnvelopeRoundTrip(t *testing.T) {
@@ -194,6 +199,38 @@ func TestSchedulerJobFailpoint(t *testing.T) {
 	if out := s.Do(context.Background(), job); out.Err != nil {
 		t.Fatalf("job 3: %v", out.Err)
 	}
+}
+
+// TestReplayFailpointFallsBack arms the cpu.replay.run site: the
+// simulation falls back to direct simulation with the clean results,
+// and the fallback counts under failpoint.
+func TestReplayFailpointFallsBack(t *testing.T) {
+	t.Cleanup(failpoint.Reset)
+	cfg := cpu.DefaultConfig(1)
+	cfg.InstrBudget = 50_000
+	mix := workload.Mix{Name: "failpoint", Members: []string{"art-like"}}
+	lru := func() cache.Policy {
+		p, _ := BuildPolicy("LRU", 1, cfg.LLC.Ways, 0)
+		return p
+	}
+	want, _, _ := RunMachine(cfg, lru, mix, 9, true)
+	if err := failpoint.Arm("cpu.replay.run", "error"); err != nil {
+		t.Fatal(err)
+	}
+	fallbacks, injected := TraceFallbacks.Value(), fallbacksBy("failpoint")
+	got, _, _ := RunMachine(cfg, lru, mix, 9, false)
+	if TraceFallbacks.Value() != fallbacks+1 || fallbacksBy("failpoint") != injected+1 {
+		t.Fatalf("fallbacks +%d, under failpoint +%d; want +1 each",
+			TraceFallbacks.Value()-fallbacks, fallbacksBy("failpoint")-injected)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fallback diverges from direct simulation\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// fallbacksBy reads one key of nucache_trace_fallbacks_by_cause.
+func fallbacksBy(cause string) int64 {
+	return TraceFallbacksByCause.Get(cause).(*expvar.Int).Value()
 }
 
 // TestAdviseQuarantinesInvalidProfileEntry plants a disk entry whose

@@ -50,10 +50,13 @@ func TestPrivateL2ReplayTerminates(t *testing.T) {
 				defer close(done)
 				for _, np := range newPols {
 					d, _, _ := RunMachine(cfg, np, mix, 3, true)
-					before := TraceFallbacks.Value()
+					before, quiet := TraceFallbacks.Value(), fallbacksBy("quiet_core")
 					r, _, _ := RunMachine(cfg, np, mix, 3, false)
 					if TraceFallbacks.Value() == before {
 						t.Error("replay neither hung nor counted a fallback to direct simulation")
+					}
+					if fallbacksBy("quiet_core") == quiet {
+						t.Error("the fallback was not counted under quiet_core")
 					}
 					direct, replayed = append(direct, d), append(replayed, r)
 				}

@@ -126,14 +126,14 @@ func tryReplay(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, see
 	// moment it commits to the replay path; an error here exercises the
 	// same fall-back-to-direct-simulation edge a dead tape would.
 	if err := failpoint.Inject("cpu.replay.run"); err != nil {
-		TraceFallbacks.Add(1)
+		countFallback(err)
 		return nil, nil, nil, false
 	}
 	pol := newPol()
 	rs := cpu.NewReplaySystem(cfg, pol, tapes)
 	results, err := rs.Run()
 	if err != nil {
-		TraceFallbacks.Add(1)
+		countFallback(err)
 		return nil, nil, nil, false
 	}
 	TracesReplayed.Add(1)
@@ -204,7 +204,7 @@ func tryMultiReplay(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 			continue
 		}
 		if err := failpoint.Inject("cpu.multireplay.run"); err != nil {
-			TraceFallbacks.Add(1)
+			countFallback(err)
 			return false
 		}
 	}
@@ -236,7 +236,7 @@ func tryMultiReplay(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 	}
 	laneRes, err := ms.RunParallel(workers)
 	if err != nil {
-		TraceFallbacks.Add(1)
+		countFallback(err)
 		return false
 	}
 	MultiReplayRuns.Add(1)

@@ -141,6 +141,8 @@ func TestZipfPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewZipf(r, 0, 1.2) },
 		func() { NewZipf(r, 10, 0) },
+		func() { NewZipf(r, 10, math.NaN()) },
+		func() { NewZipf(r, maxZipfN+1, 1.2) },
 	} {
 		func() {
 			defer func() {
