@@ -136,6 +136,10 @@ func BenchmarkHotAccessPIPP(b *testing.B) { accessLoop(b, policy.NewPIPP(1, 16, 
 func BenchmarkHotAccessDRRIP(b *testing.B) {
 	accessLoop(b, policy.NewDRRIP(1))
 }
+func BenchmarkHotAccessTADIP(b *testing.B) { accessLoop(b, policy.NewTADIP(2, 1)) }
+func BenchmarkHotAccessPart(b *testing.B) {
+	accessLoop(b, policy.NewStaticPart(policy.EvenSplit(1, 16)))
+}
 
 // BenchmarkHotReplayStep measures the replay half of the record/replay
 // engine: one fully recorded single-core tape, replayed under a fresh

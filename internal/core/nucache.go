@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nucache/internal/cache"
 )
 
@@ -233,30 +235,10 @@ func (p *NUcache) insertMain(st *setState, way int) {
 }
 
 // isChosen reports whether pc is in the chosen set. The set is a small
-// sorted slice (≤ MaxChosen entries, typically a handful): a linear scan
-// over contiguous memory beats both a map lookup and, for tiny sets, a
+// slice (at most MaxChosen ≤ Candidates entries, typically a handful): a
+// linear scan over contiguous memory beats both a map lookup and a
 // binary search on the per-demotion hot path.
-func (p *NUcache) isChosen(pc uint64) bool {
-	c := p.chosen
-	if len(c) > 16 {
-		lo, hi := 0, len(c)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if c[mid] < pc {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo < len(c) && c[lo] == pc
-	}
-	for _, v := range c {
-		if v == pc {
-			return true
-		}
-	}
-	return false
-}
+func (p *NUcache) isChosen(pc uint64) bool { return slices.Contains(p.chosen, pc) }
 
 // runSelection closes the epoch: rank candidates, run the cost-benefit
 // analysis, install the new chosen set and reset the monitor.

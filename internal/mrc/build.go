@@ -50,7 +50,7 @@ func BuildFromTapes(cfg cpu.Config, mixName string, members []string, seed uint6
 	}
 	for i, t := range tapes {
 		w := &coreWalker{
-			umon:       policy.NewUMONProfiler(ways),
+			umon:       policy.NewUMON(ways, 0),
 			mon:        core.NewMonitor(monCfg),
 			offsetBits: uint(bits.TrailingZeros(uint(cfg.LLC.LineBytes))),
 			setMask:    uint64(sets - 1),

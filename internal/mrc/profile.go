@@ -34,6 +34,10 @@ import (
 // Version is the profile artifact format version.
 const Version = 1
 
+// MaxPrefetch is the largest next-line prefetch degree a profile may
+// carry.
+const MaxPrefetch = 64
+
 // Limits on decoded artifacts: profiles transit the content-addressed
 // disk cache, so decoding must be total (error, never panic) and the
 // model must be safe to run on anything Validate accepts.
@@ -196,7 +200,7 @@ func (p *Profile) Validate() error {
 	if p.LLCLatency > 1<<20 || p.MemLatency > 1<<20 {
 		return fmt.Errorf("mrc: implausible latencies %d/%d", p.LLCLatency, p.MemLatency)
 	}
-	if p.Prefetch < 0 || p.Prefetch > 64 {
+	if p.Prefetch < 0 || p.Prefetch > MaxPrefetch {
 		return fmt.Errorf("mrc: prefetch degree %d out of range", p.Prefetch)
 	}
 	if len(p.PerCore) != p.Cores {

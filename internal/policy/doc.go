@@ -2,8 +2,8 @@
 // policies used as the baseline and the competition for NUcache:
 //
 //   - LRU, Random, NRU — classic replacement.
-//   - SRRIP, BRRIP, DRRIP — re-reference interval prediction
-//     (Jaleel et al., ISCA 2010), with set dueling for DRRIP.
+//   - SRRIP, DRRIP — re-reference interval prediction (Jaleel et al.,
+//     ISCA 2010); DRRIP set-duels SRRIP against bimodal insertion.
 //   - DIP and TADIP-F — (thread-aware) dynamic insertion policy
 //     (Qureshi et al. ISCA 2007; Jaleel et al. PACT 2008).
 //   - UCP — utility-based cache partitioning with UMON-DSS monitors and

@@ -25,9 +25,8 @@ const (
 	leaderB           // dedicated to the second policy (e.g. BRRIP, BIP)
 )
 
-// duelRoleOf returns the role of setIndex in owner's duel, given the
-// number of owners sharing the constituency space.
-func duelRoleOf(setIndex, owner, owners int) duelRole {
+// duelRoleOf returns the role of setIndex in owner's duel.
+func duelRoleOf(setIndex, owner int) duelRole {
 	off := setIndex % constituencySize
 	if off == 2*owner {
 		return leaderA
@@ -35,7 +34,6 @@ func duelRoleOf(setIndex, owner, owners int) duelRole {
 	if off == 2*owner+1 {
 		return leaderB
 	}
-	_ = owners
 	return follower
 }
 

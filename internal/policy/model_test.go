@@ -80,7 +80,6 @@ func TestPoliciesNeverCorruptOccupancy(t *testing.T) {
 		"Random": func() cache.Policy { return policy.NewRandom(1) },
 		"NRU":    func() cache.Policy { return policy.NewNRU() },
 		"SRRIP":  func() cache.Policy { return policy.NewSRRIP() },
-		"BRRIP":  func() cache.Policy { return policy.NewBRRIP(2) },
 		"DRRIP":  func() cache.Policy { return policy.NewDRRIP(3) },
 		"DIP":    func() cache.Policy { return policy.NewDIP(4) },
 		"TADIP":  func() cache.Policy { return policy.NewTADIP(4, 5) },

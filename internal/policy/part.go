@@ -15,8 +15,6 @@ import (
 // full-associativity ATD hit curve at stack positions < alloc[i] is,
 // by stack inclusion, precisely the hit count this policy delivers.
 type StaticPart struct {
-	cores int
-	ways  int
 	alloc []int
 	start []int
 }
@@ -35,22 +33,25 @@ func EvenSplit(cores, ways int) []int {
 }
 
 // NewStaticPart returns a static partition policy. Every core must get
-// at least one way.
+// at least one way, and the partitions cover at most 16 ways.
 func NewStaticPart(alloc []int) *StaticPart {
 	if len(alloc) == 0 {
 		panic("policy: StaticPart with no cores")
 	}
 	p := &StaticPart{
-		cores: len(alloc),
 		alloc: append([]int(nil), alloc...),
 		start: make([]int, len(alloc)),
 	}
+	ways := 0
 	for i, a := range alloc {
 		if a < 1 {
 			panic(fmt.Sprintf("policy: StaticPart core %d allocated %d ways", i, a))
 		}
-		p.start[i] = p.ways
-		p.ways += a
+		p.start[i] = ways
+		ways += a
+	}
+	if ways > len(stamps{}.last) {
+		panic(fmt.Sprintf("policy: StaticPart over %d ways", ways))
 	}
 	return p
 }
@@ -63,50 +64,22 @@ func (p *StaticPart) Allocations() []int {
 	return append([]int(nil), p.alloc...)
 }
 
-// partState is per-set stamp-LRU: last[w] is the tick of way w's most
-// recent touch; untouched (invalid) ways keep stamp 0 and lose every
-// min-comparison, so they are filled first without a validity scan.
-type partState struct {
-	last []uint64
-	tick uint64
-}
-
-// NewSetState implements cache.Policy.
-func (p *StaticPart) NewSetState(int) cache.SetState {
-	return &partState{last: make([]uint64, p.ways)}
-}
+// NewSetState implements cache.Policy. Never-filled ways keep stamp 0,
+// so Victim fills them first without a validity scan.
+func (*StaticPart) NewSetState(int) cache.SetState { return &stamps{} }
 
 // OnHit implements cache.Policy.
 func (*StaticPart) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	st := set.State.(*partState)
-	st.tick++
-	st.last[way] = st.tick
+	set.State.(*stamps).touch(way)
 }
 
 // Victim implements cache.Policy: LRU within the issuing core's range.
 func (p *StaticPart) Victim(set *cache.Set, req *cache.Request) int {
-	st := set.State.(*partState)
-	core := p.clampCore(req.Core)
-	lo := p.start[core]
-	victim, oldest := lo, st.last[lo]
-	for w := lo + 1; w < lo+p.alloc[core]; w++ {
-		if st.last[w] < oldest {
-			victim, oldest = w, st.last[w]
-		}
-	}
-	return victim
+	core := clampCore(req.Core, len(p.alloc))
+	return set.State.(*stamps).oldest(p.start[core], p.start[core]+p.alloc[core])
 }
 
 // OnInsert implements cache.Policy.
 func (*StaticPart) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	st := set.State.(*partState)
-	st.tick++
-	st.last[way] = st.tick
-}
-
-func (p *StaticPart) clampCore(c int) int {
-	if c < 0 || c >= p.cores {
-		return 0
-	}
-	return c
+	set.State.(*stamps).touch(way)
 }

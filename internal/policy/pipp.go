@@ -13,21 +13,12 @@ import (
 // cores (almost no reuse in their monitor) are demoted to bottom insertion
 // with a tiny promotion probability so they cannot pollute the cache.
 type PIPP struct {
-	cores int
-	ways  int
-	rng   *stats.RNG
-	umons []*UMON
-	alloc []int
-	strm  []bool
-
-	epochAccesses uint64
-	sinceRepart   uint64
+	partitioner
+	rng  *stats.RNG
+	strm []bool
 
 	pProm       float64
 	pPromStream float64
-
-	// Repartitions counts completed epochs (exposed for tests/reports).
-	Repartitions int
 }
 
 // PIPPOption customizes a PIPP policy.
@@ -40,28 +31,12 @@ func WithPIPPEpoch(accesses uint64) PIPPOption {
 
 // NewPIPP returns a PIPP policy for the given core count and associativity.
 func NewPIPP(cores, ways int, seed uint64, opts ...PIPPOption) *PIPP {
-	if cores <= 0 || ways < cores {
-		panic("policy: PIPP needs ways >= cores >= 1")
-	}
 	p := &PIPP{
-		cores:         cores,
-		ways:          ways,
-		rng:           stats.NewRNG(seed),
-		umons:         make([]*UMON, cores),
-		alloc:         make([]int, cores),
-		strm:          make([]bool, cores),
-		epochAccesses: 500_000,
-		pProm:         3.0 / 4,
-		pPromStream:   1.0 / 128,
-	}
-	for i := range p.umons {
-		p.umons[i] = NewUMON(ways, 5)
-	}
-	for i := range p.alloc {
-		p.alloc[i] = ways / cores
-	}
-	for i := 0; i < ways%cores; i++ {
-		p.alloc[i]++
+		partitioner: newPartitioner("PIPP", cores, ways),
+		rng:         stats.NewRNG(seed),
+		strm:        make([]bool, cores),
+		pProm:       3.0 / 4,
+		pPromStream: 1.0 / 128,
 	}
 	for _, o := range opts {
 		o(p)
@@ -71,13 +46,6 @@ func NewPIPP(cores, ways int, seed uint64, opts ...PIPPOption) *PIPP {
 
 // Name implements cache.Policy.
 func (*PIPP) Name() string { return "PIPP" }
-
-// Allocations returns the current target partition π.
-func (p *PIPP) Allocations() []int {
-	out := make([]int, len(p.alloc))
-	copy(out, p.alloc)
-	return out
-}
 
 type pippState struct {
 	prio *cache.WayList // front = highest priority, back = victim
@@ -90,29 +58,23 @@ func (*PIPP) NewSetState(int) cache.SetState {
 
 // ObserveAccess implements cache.AccessObserver.
 func (p *PIPP) ObserveAccess(setIndex int, tag uint64, req *cache.Request) {
-	core := p.clampCore(req.Core)
-	p.umons[core].Access(setIndex, tag)
-	p.sinceRepart++
-	if p.sinceRepart >= p.epochAccesses {
-		p.sinceRepart = 0
-		p.alloc = LookaheadPartition(p.umons, p.ways, 1)
-		for i, u := range p.umons {
-			// Streaming detection: essentially no reuse at any stack
-			// position despite plenty of traffic.
-			acc := u.Accesses()
-			hits := u.Utility(p.ways)
-			p.strm[i] = acc > 1000 && float64(hits) < float64(acc)/64
-			u.Reset()
-		}
-		p.Repartitions++
+	if !p.observe(setIndex, tag, clampCore(req.Core, p.cores)) {
+		return
 	}
+	for i, u := range p.umons {
+		// Streaming detection: essentially no reuse at any stack
+		// position despite plenty of traffic.
+		acc := u.Accesses()
+		p.strm[i] = acc > 1000 && float64(u.Utility(p.ways)) < float64(acc)/64
+	}
+	p.repartition()
 }
 
 // OnHit implements cache.Policy: single-step probabilistic promotion.
 func (p *PIPP) OnHit(set *cache.Set, way int, req *cache.Request) {
 	st := set.State.(*pippState)
 	prob := p.pProm
-	if p.strm[p.clampCore(req.Core)] {
+	if p.strm[clampCore(req.Core, p.cores)] {
 		prob = p.pPromStream
 	}
 	if p.rng.Bool(prob) {
@@ -134,7 +96,7 @@ func (p *PIPP) Victim(set *cache.Set, _ *cache.Request) int {
 func (p *PIPP) OnInsert(set *cache.Set, way int, req *cache.Request) {
 	st := set.State.(*pippState)
 	st.prio.Remove(way)
-	core := p.clampCore(req.Core)
+	core := clampCore(req.Core, p.cores)
 	pi := p.alloc[core]
 	if p.strm[core] {
 		pi = 1
@@ -143,11 +105,4 @@ func (p *PIPP) OnInsert(set *cache.Set, way int, req *cache.Request) {
 	// candidate), larger allocations insert higher.
 	pos := st.prio.Len() + 1 - pi
 	st.prio.InsertAt(pos, way)
-}
-
-func (p *PIPP) clampCore(c int) int {
-	if c < 0 || c >= p.cores {
-		return 0
-	}
-	return c
 }

@@ -9,14 +9,15 @@ import (
 // Using Re-Reference Interval Prediction", ISCA 2010). Each line carries a
 // re-reference prediction value (RRPV) in Line.Meta; the victim is a line
 // with the maximum RRPV (distant re-reference), aging all lines when none
-// qualifies. SRRIP inserts at maxRRPV-1; BRRIP inserts at maxRRPV except
-// with low probability; DRRIP set-duels between them.
+// qualifies. SRRIP inserts at maxRRPV-1; DRRIP set-duels it against
+// bimodal RRIP (BRRIP), which inserts at maxRRPV except with low
+// probability.
 
 const (
 	rrpvBits = 2
 	rrpvMax  = (1 << rrpvBits) - 1
-	// brripEpsilon is the probability BRRIP inserts with a long (rather
-	// than distant) re-reference prediction.
+	// brripEpsilon is the probability bimodal insertion (DRRIP's BRRIP
+	// leg, TADIP's BIP) takes the non-bimodal position instead.
 	brripEpsilon = 1.0 / 32
 )
 
@@ -62,37 +63,6 @@ func (*SRRIP) OnInsert(set *cache.Set, way int, _ *cache.Request) {
 	set.Lines[way].Meta = rrpvMax - 1
 }
 
-// BRRIP is bimodal RRIP: most insertions predict distant re-reference.
-type BRRIP struct {
-	rng *stats.RNG
-}
-
-// NewBRRIP returns a BRRIP policy with a deterministic stream.
-func NewBRRIP(seed uint64) *BRRIP { return &BRRIP{rng: stats.NewRNG(seed)} }
-
-// Name implements cache.Policy.
-func (*BRRIP) Name() string { return "BRRIP" }
-
-// NewSetState implements cache.Policy.
-func (*BRRIP) NewSetState(int) cache.SetState { return nil }
-
-// OnHit implements cache.Policy.
-func (*BRRIP) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	set.Lines[way].Meta = 0
-}
-
-// Victim implements cache.Policy.
-func (*BRRIP) Victim(set *cache.Set, _ *cache.Request) int { return rripVictim(set) }
-
-// OnInsert implements cache.Policy.
-func (b *BRRIP) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	if b.rng.Bool(brripEpsilon) {
-		set.Lines[way].Meta = rrpvMax - 1
-	} else {
-		set.Lines[way].Meta = rrpvMax
-	}
-}
-
 // DRRIP dynamically selects between SRRIP and BRRIP insertion via set
 // dueling (single PSEL; thread-oblivious).
 type DRRIP struct {
@@ -114,7 +84,7 @@ type drripState struct {
 
 // NewSetState implements cache.Policy.
 func (*DRRIP) NewSetState(setIndex int) cache.SetState {
-	return &drripState{role: duelRoleOf(setIndex, 0, 1)}
+	return &drripState{role: duelRoleOf(setIndex, 0)}
 }
 
 // OnHit implements cache.Policy.

@@ -72,19 +72,6 @@ func TestLRUThrashesUnderScan(t *testing.T) {
 	}
 }
 
-func TestBRRIPMostlyDistantInsertion(t *testing.T) {
-	c := oneSetCache(4, policy.NewBRRIP(1))
-	// Fill 4 lines, then insert many more; with distant insertion, a newly
-	// inserted line is usually the next victim, so earlier lines survive
-	// rarely but the cache stays full.
-	for i := uint64(0); i < 100; i++ {
-		load(c, 0, i*64)
-	}
-	if c.Occupancy() != 4 {
-		t.Fatalf("occupancy = %d", c.Occupancy())
-	}
-}
-
 func TestDRRIPDuelsTowardSRRIPOnReuse(t *testing.T) {
 	// A reuse-friendly workload across many sets: DRRIP must not do much
 	// worse than SRRIP.

@@ -51,47 +51,37 @@ func (p *TADIP) Name() string {
 // LLC access, so neither side can cross into the other within a run.
 const tadipTickBase = 1 << 40
 
-// tadipState keeps the set's recency order as per-way stamps (see
-// lruState): the victim is the minimum stamp, so a BIP insertion "at the
-// LRU end" is a stamp below every live one — and successive BIP
-// insertions take decreasing stamps, preserving the stack order where
-// the most recent LRU-insert is evicted first.
+// tadipState is the set's stamp recency plus the BIP stamp: a BIP
+// insertion "at the LRU end" takes a stamp below every live one, and
+// successive BIP insertions take decreasing stamps, preserving the stack
+// order where the most recent LRU-insert is evicted first.
 type tadipState struct {
-	last  [16]uint64
-	tick  uint64   // last MRU stamp handed out (counts up)
-	low   uint64   // last LRU stamp handed out (counts down)
-	owner int      // thread whose duel this set participates in (-1: none)
-	role  duelRole // leaderA = LRU-insertion leader, leaderB = BIP leader
+	stamps          // MRU touches count up from tadipTickBase
+	low    uint64   // last LRU stamp handed out (counts down)
+	owner  int      // thread whose duel this set participates in (-1: none)
+	role   duelRole // leaderA = LRU-insertion leader, leaderB = BIP leader
 }
 
 // NewSetState implements cache.Policy.
 func (p *TADIP) NewSetState(setIndex int) cache.SetState {
-	st := &tadipState{tick: tadipTickBase, low: tadipTickBase, owner: -1, role: follower}
-	off := setIndex % constituencySize
-	owner := off / 2
-	if owner < p.threads {
-		st.owner = owner
-		if off%2 == 0 {
-			st.role = leaderA
-		} else {
-			st.role = leaderB
-		}
+	st := &tadipState{low: tadipTickBase, owner: -1}
+	st.tick = tadipTickBase
+	if owner := setIndex % constituencySize / 2; owner < p.threads {
+		st.owner, st.role = owner, duelRoleOf(setIndex, owner)
 	}
 	return st
 }
 
 // OnHit implements cache.Policy.
 func (*TADIP) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	st := set.State.(*tadipState)
-	st.tick++
-	st.last[way] = st.tick
+	set.State.(*tadipState).touch(way)
 }
 
 // Victim implements cache.Policy.
 func (p *TADIP) Victim(set *cache.Set, req *cache.Request) int {
 	st := set.State.(*tadipState)
 	// A miss by the owning thread in its leader sets trains its PSEL.
-	if st.owner >= 0 && st.owner == p.threadOf(req) {
+	if st.owner >= 0 && st.owner == clampCore(req.Core, p.threads) {
 		switch st.role {
 		case leaderA:
 			p.psels[st.owner].missInA()
@@ -102,20 +92,13 @@ func (p *TADIP) Victim(set *cache.Set, req *cache.Request) int {
 	if inv := set.FindInvalid(); inv >= 0 {
 		return inv
 	}
-	way := 0
-	min := st.last[0]
-	for i := 1; i < len(set.Lines); i++ {
-		if st.last[i] < min {
-			way, min = i, st.last[i]
-		}
-	}
-	return way
+	return st.oldest(0, len(set.Lines))
 }
 
 // OnInsert implements cache.Policy.
 func (p *TADIP) OnInsert(set *cache.Set, way int, req *cache.Request) {
 	st := set.State.(*tadipState)
-	thread := p.threadOf(req)
+	thread := clampCore(req.Core, p.threads)
 	useBIP := false
 	if st.owner == thread {
 		useBIP = st.role == leaderB
@@ -126,15 +109,6 @@ func (p *TADIP) OnInsert(set *cache.Set, way int, req *cache.Request) {
 		st.low-- // LRU insertion: next victim unless reused
 		st.last[way] = st.low
 	} else {
-		st.tick++
-		st.last[way] = st.tick
+		st.touch(way)
 	}
-}
-
-func (p *TADIP) threadOf(req *cache.Request) int {
-	t := req.Core
-	if t < 0 || t >= p.threads {
-		return 0
-	}
-	return t
 }

@@ -7,17 +7,8 @@ import "nucache/internal/cache"
 // lookahead algorithm re-divides the ways; replacement enforces the
 // per-core way quotas within each set on top of LRU ordering.
 type UCP struct {
-	cores  int
-	ways   int
-	umons  []*UMON
-	alloc  []int
+	partitioner
 	states []*ucpState // per-set states by index, for eviction accounting
-
-	epochAccesses uint64 // repartition period, in LLC accesses
-	sinceRepart   uint64
-
-	// Repartitions counts completed epochs (exposed for tests/reports).
-	Repartitions int
 }
 
 // UCPOption customizes a UCP policy.
@@ -30,26 +21,7 @@ func WithUCPEpoch(accesses uint64) UCPOption {
 
 // NewUCP returns a UCP policy for the given core count and associativity.
 func NewUCP(cores, ways int, opts ...UCPOption) *UCP {
-	if cores <= 0 || ways < cores {
-		panic("policy: UCP needs ways >= cores >= 1")
-	}
-	u := &UCP{
-		cores:         cores,
-		ways:          ways,
-		umons:         make([]*UMON, cores),
-		alloc:         make([]int, cores),
-		epochAccesses: 500_000,
-	}
-	for i := range u.umons {
-		u.umons[i] = NewUMON(ways, 5) // 1-in-32 set sampling
-	}
-	// Start with an even split.
-	for i := range u.alloc {
-		u.alloc[i] = ways / cores
-	}
-	for i := 0; i < ways%cores; i++ {
-		u.alloc[i]++
-	}
+	u := &UCP{partitioner: newPartitioner("UCP", cores, ways)}
 	for _, o := range opts {
 		o(u)
 	}
@@ -58,13 +30,6 @@ func NewUCP(cores, ways int, opts ...UCPOption) *UCP {
 
 // Name implements cache.Policy.
 func (*UCP) Name() string { return "UCP" }
-
-// Allocations returns the current per-core way quotas.
-func (u *UCP) Allocations() []int {
-	out := make([]int, len(u.alloc))
-	copy(out, u.alloc)
-	return out
-}
 
 type ucpState struct {
 	stack *cache.WayList
@@ -87,22 +52,14 @@ func (u *UCP) NewSetState(setIndex int) cache.SetState {
 // ObserveEviction implements cache.EvictionObserver: a valid line left
 // the cache (replacement or invalidation), so its owner's count drops.
 func (u *UCP) ObserveEviction(setIndex int, line cache.Line) {
-	u.states[setIndex].owned[u.clampCore(int(line.Core))]--
+	u.states[setIndex].owned[clampCore(int(line.Core), u.cores)]--
 }
 
 // ObserveAccess implements cache.AccessObserver: it feeds the issuing
 // core's UMON and advances the repartitioning epoch.
 func (u *UCP) ObserveAccess(setIndex int, tag uint64, req *cache.Request) {
-	core := u.coreOf(req)
-	u.umons[core].Access(setIndex, tag)
-	u.sinceRepart++
-	if u.sinceRepart >= u.epochAccesses {
-		u.sinceRepart = 0
-		u.alloc = LookaheadPartition(u.umons, u.ways, 1)
-		for _, m := range u.umons {
-			m.Reset()
-		}
-		u.Repartitions++
+	if u.observe(setIndex, tag, clampCore(req.Core, u.cores)) {
+		u.repartition()
 	}
 }
 
@@ -118,13 +75,13 @@ func (u *UCP) Victim(set *cache.Set, req *cache.Request) int {
 		st.stack.Remove(inv)
 		return inv
 	}
-	core := u.coreOf(req)
+	core := clampCore(req.Core, u.cores)
 	owned := &st.owned
 	if int(owned[core]) < u.alloc[core] {
 		// Under quota: take the LRU line of any over-quota core.
 		for i := st.stack.Len() - 1; i >= 0; i-- {
 			w := st.stack.At(i)
-			oc := u.clampCore(int(set.Lines[w].Core))
+			oc := clampCore(int(set.Lines[w].Core), u.cores)
 			if oc != core && int(owned[oc]) > u.alloc[oc] {
 				return w
 			}
@@ -132,7 +89,7 @@ func (u *UCP) Victim(set *cache.Set, req *cache.Request) int {
 		// No over-quota owner (stale quotas): LRU among other cores.
 		for i := st.stack.Len() - 1; i >= 0; i-- {
 			w := st.stack.At(i)
-			if u.clampCore(int(set.Lines[w].Core)) != core {
+			if clampCore(int(set.Lines[w].Core), u.cores) != core {
 				return w
 			}
 		}
@@ -141,7 +98,7 @@ func (u *UCP) Victim(set *cache.Set, req *cache.Request) int {
 	// At/over quota: replace own LRU line.
 	for i := st.stack.Len() - 1; i >= 0; i-- {
 		w := st.stack.At(i)
-		if u.clampCore(int(set.Lines[w].Core)) == core {
+		if clampCore(int(set.Lines[w].Core), u.cores) == core {
 			return w
 		}
 	}
@@ -151,16 +108,7 @@ func (u *UCP) Victim(set *cache.Set, req *cache.Request) int {
 // OnInsert implements cache.Policy.
 func (u *UCP) OnInsert(set *cache.Set, way int, req *cache.Request) {
 	st := set.State.(*ucpState)
-	st.owned[u.coreOf(req)]++
+	st.owned[clampCore(req.Core, u.cores)]++
 	st.stack.Remove(way)
 	st.stack.PushFront(way)
-}
-
-func (u *UCP) coreOf(req *cache.Request) int { return u.clampCore(req.Core) }
-
-func (u *UCP) clampCore(c int) int {
-	if c < 0 || c >= u.cores {
-		return 0
-	}
-	return c
 }

@@ -5,19 +5,23 @@ package policy
 // a sampled subset of sets and managed pure-LRU, counting hits per LRU
 // stack position. The cumulative hit counts over positions give the
 // utility curve U(a) = hits the monitored core would see with a ways.
+//
+// The MRC profiler uses the same monitor unsampled (NewUMON(ways, 0)):
+// where UCP samples sets to stay hardware-cheap, the profiler wants the
+// exact hit count at every allocation, so it shadows the whole cache.
 type UMON struct {
 	ways        int
 	sampleShift uint
 	sets        []umonSet // sampled set i lives at index i>>sampleShift
 	hits        []uint64
-	demandHits  []uint64 // demand-only hit curve; nil unless profiling
+	demandHits  []uint64 // demand-only hit curve
 	misses      uint64
 	accesses    uint64
 }
 
 type umonSet struct {
 	tags []uint64 // MRU first; cap fixed at ways once allocated
-	pcs  []uint64 // parallel fill PCs; allocated only by AccessProfiled
+	pcs  []uint64 // parallel fill PCs
 }
 
 // NewUMON returns a monitor with the given associativity, sampling one in
@@ -26,10 +30,12 @@ func NewUMON(ways int, sampleShift uint) *UMON {
 	if ways <= 0 {
 		panic("policy: UMON with non-positive ways")
 	}
+	curves := make([]uint64, 2*ways) // hits, then demandHits
 	return &UMON{
 		ways:        ways,
 		sampleShift: sampleShift,
-		hits:        make([]uint64, ways),
+		hits:        curves[:ways:ways],
+		demandHits:  curves[ways:],
 	}
 }
 
@@ -38,12 +44,19 @@ func (u *UMON) Sampled(setIndex int) bool {
 	return setIndex&((1<<u.sampleShift)-1) == 0
 }
 
-// Access feeds one access (already known to be in a sampled set or not;
-// non-sampled accesses are ignored).
+// Access feeds one demand access; accesses to unsampled sets are ignored.
 func (u *UMON) Access(setIndex int, tag uint64) {
-	if !u.Sampled(setIndex) {
-		return
+	if u.Sampled(setIndex) {
+		u.AccessProfiled(setIndex, tag, 0, true)
 	}
+}
+
+// AccessProfiled feeds one access to a sampled set with its fill PC,
+// distinguishing demand accesses from prefetch/writeback traffic. It
+// returns the LRU stack position hit (-1 on miss) and, when the ATD was
+// full, the tag and fill PC of the line pushed off the stack — the
+// profiler's demotion signal.
+func (u *UMON) AccessProfiled(setIndex int, tag, pc uint64, demand bool) (pos int, evTag, evPC uint64, evicted bool) {
 	u.accesses++
 	// Dense sampled-set index: allocation-free once every sampled set has
 	// been touched (ATD tags are preallocated at full associativity).
@@ -53,50 +66,8 @@ func (u *UMON) Access(setIndex int, tag uint64) {
 	}
 	s := &u.sets[i]
 	if s.tags == nil {
-		s.tags = make([]uint64, 0, u.ways)
-	}
-	for i, t := range s.tags {
-		if t == tag {
-			u.hits[i]++
-			copy(s.tags[1:], s.tags[:i])
-			s.tags[0] = tag
-			return
-		}
-	}
-	u.misses++
-	if len(s.tags) < u.ways {
-		s.tags = append(s.tags, 0)
-	}
-	copy(s.tags[1:], s.tags)
-	s.tags[0] = tag
-}
-
-// NewUMONProfiler returns an unsampled monitor (every set tracked) that
-// additionally keeps the demand-only hit curve and a per-line fill-PC
-// mirror. It is the offline profiling variant of the runtime UMON: where
-// UCP samples sets to stay hardware-cheap, the MRC profiler wants the
-// exact hit count at every allocation, so it shadows the whole cache.
-func NewUMONProfiler(ways int) *UMON {
-	u := NewUMON(ways, 0)
-	u.demandHits = make([]uint64, ways)
-	return u
-}
-
-// AccessProfiled feeds one access with its fill PC, distinguishing demand
-// accesses from prefetch/writeback traffic. It returns the LRU stack
-// position hit (-1 on miss) and, when the ATD was full, the tag and fill
-// PC of the line pushed off the stack — the profiler's demotion signal.
-// Only valid on monitors built by NewUMONProfiler.
-func (u *UMON) AccessProfiled(setIndex int, tag, pc uint64, demand bool) (pos int, evTag, evPC uint64, evicted bool) {
-	u.accesses++
-	i := setIndex >> u.sampleShift
-	for len(u.sets) <= i {
-		u.sets = append(u.sets, umonSet{})
-	}
-	s := &u.sets[i]
-	if s.tags == nil {
-		s.tags = make([]uint64, 0, u.ways)
-		s.pcs = make([]uint64, 0, u.ways)
+		buf := make([]uint64, 2*u.ways) // one allocation for both
+		s.tags, s.pcs = buf[:0:u.ways], buf[u.ways:u.ways]
 	}
 	for j, t := range s.tags {
 		if t == tag {
@@ -126,22 +97,10 @@ func (u *UMON) AccessProfiled(setIndex int, tag, pc uint64, demand bool) (pos in
 }
 
 // Hits returns a copy of the per-stack-position hit counts.
-func (u *UMON) Hits() []uint64 {
-	out := make([]uint64, len(u.hits))
-	copy(out, u.hits)
-	return out
-}
+func (u *UMON) Hits() []uint64 { return append([]uint64(nil), u.hits...) }
 
-// DemandHits returns a copy of the demand-only per-position hit counts
-// (nil unless built by NewUMONProfiler).
-func (u *UMON) DemandHits() []uint64 {
-	if u.demandHits == nil {
-		return nil
-	}
-	out := make([]uint64, len(u.demandHits))
-	copy(out, u.demandHits)
-	return out
-}
+// DemandHits returns a copy of the demand-only per-position hit counts.
+func (u *UMON) DemandHits() []uint64 { return append([]uint64(nil), u.demandHits...) }
 
 // Utility returns the cumulative hits the core would get with a ways
 // (a clamped to [0, ways]).
@@ -217,4 +176,67 @@ func LookaheadPartition(umons []*UMON, totalWays, minPerCore int) []int {
 		balance -= bestK
 	}
 	return alloc
+}
+
+// partitioner is the UMON-driven way partitioning UCP and PIPP share: one
+// sampled UMON per core, and every epochAccesses LLC accesses UCP's
+// lookahead re-divides the ways from the monitors' utility curves.
+type partitioner struct {
+	cores int
+	ways  int
+	umons []*UMON
+	alloc []int // current per-core way quotas; starts as EvenSplit
+
+	epochAccesses uint64 // repartition period, in LLC accesses
+	sinceRepart   uint64
+
+	// Repartitions counts completed epochs (exposed for tests/reports).
+	Repartitions int
+}
+
+func newPartitioner(name string, cores, ways int) partitioner {
+	if cores <= 0 || ways < cores {
+		panic("policy: " + name + " needs ways >= cores >= 1")
+	}
+	p := partitioner{
+		cores:         cores,
+		ways:          ways,
+		umons:         make([]*UMON, cores),
+		alloc:         EvenSplit(cores, ways),
+		epochAccesses: 500_000,
+	}
+	for i := range p.umons {
+		p.umons[i] = NewUMON(ways, 5) // 1-in-32 set sampling
+	}
+	return p
+}
+
+// Allocations returns the current per-core way quotas.
+func (p *partitioner) Allocations() []int { return append([]int(nil), p.alloc...) }
+
+// observe feeds the access to core's UMON and reports whether it closed
+// the epoch; the caller then reads the monitors and calls repartition.
+func (p *partitioner) observe(setIndex int, tag uint64, core int) bool {
+	p.umons[core].Access(setIndex, tag)
+	p.sinceRepart++
+	return p.sinceRepart >= p.epochAccesses
+}
+
+// repartition re-divides the ways and ages every monitor.
+func (p *partitioner) repartition() {
+	p.sinceRepart = 0
+	p.alloc = LookaheadPartition(p.umons, p.ways, 1)
+	for _, m := range p.umons {
+		m.Reset()
+	}
+	p.Repartitions++
+}
+
+// clampCore maps a request's core to a per-core index in [0, cores);
+// anything outside (no owning core) counts as core 0.
+func clampCore(c, cores int) int {
+	if c < 0 || c >= cores {
+		return 0
+	}
+	return c
 }

@@ -1,9 +1,11 @@
 package policy_test
 
 import (
+	"reflect"
 	"testing"
 
 	"nucache/internal/policy"
+	"nucache/internal/stats"
 )
 
 func TestUMONUtilityCurve(t *testing.T) {
@@ -44,6 +46,25 @@ func TestUMONSampling(t *testing.T) {
 	}
 	if !u.Sampled(0) || u.Sampled(3) {
 		t.Fatal("sampling predicate wrong")
+	}
+
+	// The runtime monitor and the profiler's unsampled one run a single
+	// ATD walk: fed the same sampled-set stream, they see the same hits.
+	rt, prof := policy.NewUMON(4, 2), policy.NewUMON(4, 0)
+	rng := stats.NewRNG(5)
+	for i := 0; i < 20000; i++ {
+		set, tag := rng.Intn(64), rng.Uint64n(8)
+		rt.Access(set, tag)
+		if rt.Sampled(set) {
+			prof.AccessProfiled(set, tag, 0x400000+tag, true)
+		}
+	}
+	if !reflect.DeepEqual(rt.Hits(), prof.Hits()) || rt.Misses() != prof.Misses() {
+		t.Fatalf("runtime hits %v (%d misses), profiler hits %v (%d misses)",
+			rt.Hits(), rt.Misses(), prof.Hits(), prof.Misses())
+	}
+	if rt.Utility(4) == 0 {
+		t.Fatal("stream produced no hits")
 	}
 }
 

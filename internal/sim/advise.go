@@ -181,7 +181,7 @@ func (sv *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	req = req.Normalize()
 	if err := req.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		badRequest(w, err)
 		return
 	}
 	start := time.Now()
@@ -206,7 +206,7 @@ func (sv *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	req.ProfileRequest = req.ProfileRequest.Normalize()
 	if err := req.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		badRequest(w, err)
 		return
 	}
 	p, cached, err := sv.fetchProfile(r.Context(), req.ProfileRequest)

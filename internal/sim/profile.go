@@ -57,6 +57,9 @@ func (r ProfileRequest) simRequest() Request {
 
 // Validate checks a normalized profile request.
 func (r ProfileRequest) Validate() error {
+	if r.Prefetch > mrc.MaxPrefetch {
+		return fmt.Errorf("sim: prefetch degree %d above %d", r.Prefetch, mrc.MaxPrefetch)
+	}
 	return r.simRequest().Validate()
 }
 

@@ -172,7 +172,7 @@ func RunMachineGrid(cfg cpu.Config, newPols []func() cache.Policy, mix workload.
 			live++
 		}
 	}
-	if live > 1 && !noReplay && !replayOff.Load() {
+	if live > 1 && !noReplay && !noMulti && !replayOff.Load() {
 		if tryMultiReplay(cfg, newPols, mix, seed, results, machines, pols, lanes) {
 			return results, machines, pols
 		}

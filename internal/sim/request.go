@@ -77,8 +77,8 @@ func (r Request) deliWays() int {
 	return r.DeliWays
 }
 
-// Validate checks workload and policy names and the mix width (at most
-// one member per LLC way) on a normalized request.
+// Validate checks workload and policy names, the mix width (at most one
+// member per LLC way) and NUcache's deliways on a normalized request.
 func (r Request) Validate() error {
 	mix, err := r.ResolveMix()
 	if err != nil {
@@ -94,6 +94,10 @@ func (r Request) Validate() error {
 	}
 	if r.DeliWays < -1 {
 		return fmt.Errorf("sim: deliways %d out of range", r.DeliWays)
+	}
+	// Only NUcache reads deliways; it must leave at least one MainWay.
+	if strings.EqualFold(r.Policy, "NUcache") && r.deliWays() >= ways {
+		return fmt.Errorf("sim: deliways %d leaves no main ways in a %d-way LLC", r.DeliWays, ways)
 	}
 	if r.Prefetch < 0 {
 		return fmt.Errorf("sim: negative prefetch degree")

@@ -67,6 +67,29 @@ func TestRetiredAccountingReplayVsDirect(t *testing.T) {
 	if again := InstructionsRetired.Value() - before; again != directDelta {
 		t.Fatalf("second replay retired %d, want %d", again, directDelta)
 	}
+
+	// A two-lane grid row counts each lane once, and every lane equals
+	// the direct run, whether the row replays as one multi-lane system
+	// or, with noMulti, lane by lane (MultiReplayRuns stays put).
+	for _, noMulti := range []bool{true, false} {
+		before, runs := InstructionsRetired.Value(), MultiReplayRuns.Value()
+		grid, _, _ := RunMachineGrid(cfg, []func() cache.Policy{newPol, newPol}, mix, 99, false, noMulti, nil)
+		if got := InstructionsRetired.Value() - before; got != 2*directDelta {
+			t.Errorf("noMulti=%v: grid retired %d, want %d", noMulti, got, 2*directDelta)
+		}
+		wantRuns := int64(1)
+		if noMulti {
+			wantRuns = 0
+		}
+		if got := MultiReplayRuns.Value() - runs; got != wantRuns {
+			t.Errorf("noMulti=%v: %d multi-lane replays, want %d", noMulti, got, wantRuns)
+		}
+		for i, lane := range grid {
+			if !reflect.DeepEqual(lane, dRes) {
+				t.Errorf("noMulti=%v: lane %d diverges from direct\nlane:   %+v\ndirect: %+v", noMulti, i, lane, dRes)
+			}
+		}
+	}
 }
 
 // RunMachineOneShot replays only tapes some other run already recorded;

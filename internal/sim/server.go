@@ -85,7 +85,7 @@ func (sv *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	req = req.Normalize()
 	if err := req.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		badRequest(w, err)
 		return
 	}
 	out := sv.sched.Do(r.Context(), JobFor(req))
@@ -240,7 +240,7 @@ func (sv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	reqs, err := sw.expand()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		badRequest(w, err)
 		return
 	}
 	// Shed the whole sweep up front while headers can still say so;
@@ -387,7 +387,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("sim: bad request body: %w", err))
+		badRequest(w, fmt.Errorf("sim: bad request body: %w", err))
 		return err
 	}
 	return nil
@@ -399,6 +399,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// badRequest answers a request rejected before any job ran, with the
+// same error body and kind as a job failing validation.
+func badRequest(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusBadRequest, map[string]string{
+		"error": err.Error(),
+		"kind":  KindInvalid.String(),
+	})
 }

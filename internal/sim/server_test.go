@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"nucache/internal/cpu"
 )
@@ -86,20 +87,49 @@ func TestServerSimRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerSimRejectsBadRequests: malformed and out-of-range requests
+// answer 400 with kind "invalid" before any job runs, so nothing is
+// retried and no simulation or profile is attempted, even on a server
+// that retries failed jobs. A NUcache split with no MainWays and a
+// prefetch degree the profile format cannot hold are request-shape
+// errors too, not transient failures of the job.
 func TestServerSimRejectsBadRequests(t *testing.T) {
-	ts := newTestServer(t)
-	for _, body := range []string{
-		`{"mix":"mix9-99"}`,                    // unknown mix
-		`{"bench":"art-like","mix":"mix2-01"}`, // two workloads
-		`{"policy":"NUcache"}`,                 // no workload
-		`{"mix":"mix2-01","bogus":true}`,       // unknown field
-		`not json`,
+	ts := httptest.NewServer(NewServer(NewSchedulerWith(SchedulerConfig{
+		Workers: 2,
+		Cache:   NewCache(64, ""),
+		Retry:   RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
+	})).Handler())
+	t.Cleanup(ts.Close)
+	drainBackground(t)
+	jobs := func() int64 { return JobsDone.Value() + JobsFailed.Value() + JobsRetried.Value() }
+	before := jobs()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sim", `{"mix":"mix9-99"}`},                    // unknown mix
+		{"/v1/sim", `{"bench":"art-like","mix":"mix2-01"}`}, // two workloads
+		{"/v1/sim", `{"policy":"NUcache"}`},                 // no workload
+		{"/v1/sim", `{"mix":"mix2-01","bogus":true}`},       // unknown field
+		{"/v1/sim", `not json`},
+		{"/v1/sim", `{"bench":"art-like","policy":"NUcache","deliways":16}`},
+		{"/v1/sweep", `{"mixes":["mix2-01"],"policies":["LRU","NUcache"],"deliways":16}`},
+		{"/v1/profile", `{"bench":"art-like","prefetch":65,"budget":20000}`},
+		{"/v1/advise", `{"bench":"art-like","prefetch":65,"budget":20000,"best":true}`},
 	} {
-		resp := postJSON(t, ts.URL+"/v1/sim", body)
+		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		var body struct{ Error, Kind string }
+		err := json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d", body, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || err != nil || body.Kind != "invalid" {
+			t.Errorf("%s %s: status %d, body %+v (%v)", tc.path, tc.body, resp.StatusCode, body, err)
 		}
+	}
+	if ran := jobs() - before; ran != 0 {
+		t.Errorf("rejected requests ran or retried %d jobs", ran)
+	}
+	// Only NUcache reads deliways; other policies still simulate.
+	resp := postJSON(t, ts.URL+"/v1/sim", `{"bench":"art-like","policy":"LRU","deliways":16,"budget":20000}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("LRU with deliways 16: status %d", resp.StatusCode)
 	}
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/v1/sim")
