@@ -2,6 +2,8 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -160,4 +162,25 @@ func keys(m map[string]*Aggregate) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestParseFileRejectsEmptyLog: a log with no benchmark results (a bench
+// run that failed to build or panicked) is an error for base and head
+// alike, so the gate cannot pass with nothing compared.
+func TestParseFileRejectsEmptyLog(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.txt")
+	if err := os.WriteFile(empty, []byte("# nucache\nFAIL\tnucache [build failed]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseFile(empty); err == nil || !strings.Contains(err.Error(), "no benchmark results") {
+		t.Fatalf("empty log: err = %v", err)
+	}
+	full := filepath.Join(dir, "base.txt")
+	if err := os.WriteFile(full, []byte(sampleBase), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if runs, err := parseFile(full); err != nil || len(runs) != 3 {
+		t.Fatalf("sample log: %d benchmarks, err = %v", len(runs), err)
+	}
 }

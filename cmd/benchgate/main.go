@@ -9,7 +9,9 @@
 // Benchmarks present only in head are reported as new and never gated
 // (there is nothing to compare against); benchmarks present only in base
 // are reported as removed but do not fail the gate either — deleting a
-// benchmark is a review concern, not a perf regression.
+// benchmark is a review concern, not a perf regression. A log with no
+// results at all, on either side, is a usage error (exit 2): a failed
+// bench run must not pass the gate by comparing nothing.
 //
 // Usage:
 //
@@ -60,11 +62,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	if len(headRuns) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no benchmark results in %s\n", *head)
-		os.Exit(2)
-	}
-
 	report := Compare(baseRuns, headRuns, *threshold)
 
 	for _, r := range report.Results {
@@ -121,10 +118,15 @@ func countMissed(floors []FloorResult) int {
 	return n
 }
 
+// parseFile parses one bench log; a log without results is an error.
 func parseFile(path string) (map[string]*Aggregate, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return Parse(string(data)), nil
+	runs := Parse(string(data))
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("no benchmark results in %s", path)
+	}
+	return runs, nil
 }

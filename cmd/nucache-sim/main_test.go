@@ -138,6 +138,28 @@ func TestReplayCutTraceFails(t *testing.T) {
 	}
 }
 
+// TestReplayWiderThanLLCFails: a replay of more trace files than the
+// LLC has ways is refused with the same width error as -members, exit
+// status 1 and no result, under every policy — the partitioning ones
+// included, which would otherwise panic building their quotas.
+func TestReplayWiderThanLLCFails(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "art")
+	if _, errOut, err := runMain(t, "-bench", "art-like", "-record", prefix, "-recordn", "20000"); err != nil {
+		t.Fatalf("record failed: %v\nstderr: %s", err, errOut)
+	}
+	files := strings.TrimSuffix(strings.Repeat(prefix+".core0.trc,", 17), ",")
+	for _, pol := range []string{"LRU", "UCP", "PIPP", "Part", "TADIP"} {
+		out, errOut, err := runMain(t, "-replay", files, "-policy", pol)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s: want exit 1, got %v\nstderr: %s", pol, err, errOut)
+		}
+		if !strings.Contains(errOut, "17 members for a 16-way LLC") || strings.Contains(errOut, "panic") || out != "" {
+			t.Errorf("%s: stderr %q lacks the width error, or a result was printed:\n%s", pol, errOut, out)
+		}
+	}
+}
+
 // TestHelpListsEveryPolicy: the -policy usage line names exactly the
 // policies sim.BuildPolicy accepts, so a policy added to the catalog
 // shows up in -h without a second edit.

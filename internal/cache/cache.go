@@ -36,12 +36,6 @@ type AccessObserver interface {
 	ObserveAccess(setIndex int, tag uint64, req *Request)
 }
 
-// EvictionObserver is an optional Policy extension invoked when a valid
-// line leaves the cache (replaced or invalidated).
-type EvictionObserver interface {
-	ObserveEviction(setIndex int, line Line)
-}
-
 // Stats aggregates cache activity. Per-core slices are sized by
 // Config.Cores.
 type Stats struct {
@@ -69,20 +63,10 @@ type Cache struct {
 	cfg        Config
 	sets       []Set
 	policy     Policy
-	obs        AccessObserver   // non-nil iff policy observes accesses
-	evictObs   EvictionObserver // non-nil iff policy observes evictions
+	obs        AccessObserver // non-nil iff policy observes accesses
 	offsetBits uint
 	indexMask  uint64
-	ways       int // == cfg.Ways, hoisted out of the access path
 	seq        uint64
-
-	// tags mirrors the per-line Tag fields in a dense layout for the
-	// access-path lookup: scanning 8 bytes per way instead of a full
-	// 32-byte Line keeps the whole search inside one or two cache lines.
-	// Valid flags are mirrored in each Set's validMask. Only Access and
-	// Invalidate mutate either mirror (policies own Meta but never Tag
-	// or Valid), so they cannot drift.
-	tags []uint64 // sets*ways, indexed set*ways+way
 
 	// Stats is exported for cheap reading by the harness.
 	Stats Stats
@@ -115,7 +99,6 @@ func New(cfg Config, policy Policy) *Cache {
 		policy:     policy,
 		offsetBits: log2(cfg.LineBytes),
 		indexMask:  uint64(sets - 1),
-		ways:       cfg.Ways,
 		Stats: Stats{
 			CoreAccesses: perCore[:cores:cores],
 			CoreHits:     perCore[cores : 2*cores : 2*cores],
@@ -123,21 +106,16 @@ func New(cfg Config, policy Policy) *Cache {
 		},
 	}
 	lines := make([]Line, sets*cfg.Ways)
+	tags := make([]uint64, sets*cfg.Ways)
 	for i := range c.sets {
-		c.sets[i].Lines = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+		lo, hi := i*cfg.Ways, (i+1)*cfg.Ways
+		c.sets[i].Lines = lines[lo:hi:hi]
+		c.sets[i].tags = tags[lo:hi:hi]
 		c.sets[i].State = policy.NewSetState(i)
 	}
-	c.tags = make([]uint64, sets*cfg.Ways)
 	c.obs, _ = policy.(AccessObserver)
-	c.evictObs, _ = policy.(EvictionObserver)
 	return c
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Policy returns the attached replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
 
 // SetIndex maps an address to its set index.
 func (c *Cache) SetIndex(addr uint64) int {
@@ -157,9 +135,11 @@ func (c *Cache) NumSets() int { return len(c.sets) }
 type AccessResult struct {
 	// Hit reports whether the access hit.
 	Hit bool
-	// Evicted holds the displaced line when EvictedValid is true.
-	Evicted      Line
+	// EvictedValid reports that a miss displaced a valid line; Evicted
+	// and EvictedTag then hold that line and its tag.
 	EvictedValid bool
+	Evicted      Line
+	EvictedTag   uint64
 }
 
 // Access presents one request to the cache and returns the outcome.
@@ -183,8 +163,7 @@ func (c *Cache) Access(req *Request) AccessResult {
 		c.obs.ObserveAccess(setIdx, tag, req)
 	}
 
-	base := setIdx * c.ways
-	if way := c.lookup(base, set.validMask, tag); way >= 0 {
+	if way := set.Lookup(tag); way >= 0 {
 		c.Stats.Hits++
 		c.Stats.CoreHits[core]++
 		if req.Kind == trace.Store {
@@ -204,67 +183,29 @@ func (c *Cache) Access(req *Request) AccessResult {
 	}
 
 	res := AccessResult{}
-	if victim := &set.Lines[way]; victim.Valid {
+	if set.Valid(way) {
+		victim := &set.Lines[way]
 		res.Evicted = *victim
+		res.EvictedTag = set.tags[way]
 		res.EvictedValid = true
 		c.Stats.Evictions++
 		if victim.Dirty {
 			c.Stats.Writebacks++
 		}
-		if c.evictObs != nil {
-			c.evictObs.ObserveEviction(setIdx, *victim)
-		}
 	}
 
 	set.Lines[way] = Line{
-		Tag:   tag,
 		PC:    req.PC,
 		Core:  int32(req.Core),
-		Valid: true,
 		Dirty: req.Kind == trace.Store,
 	}
-	c.tags[base+way] = tag
+	set.tags[way] = tag
 	set.validMask |= 1 << uint(way)
 	c.policy.OnInsert(set, way, req)
 	return res
 }
 
-// lookup is Set.Lookup over the dense tag mirror — the simulator's single
-// hottest loop. base is the set's first index into the mirror, mask its
-// validMask (both already in hand at the call site).
-func (c *Cache) lookup(base int, mask uint64, tag uint64) int {
-	for i, t := range c.tags[base : base+c.ways] {
-		if t == tag && mask&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// Invalidate removes the line holding addr if present, returning it.
-// Used by tests and by hierarchy models that need back-invalidation.
-func (c *Cache) Invalidate(addr uint64) (Line, bool) {
-	setIdx := c.SetIndex(addr)
-	tag := c.Tag(addr)
-	set := &c.sets[setIdx]
-	way := set.Lookup(tag)
-	if way < 0 {
-		return Line{}, false
-	}
-	line := set.Lines[way]
-	if c.evictObs != nil {
-		c.evictObs.ObserveEviction(setIdx, line)
-	}
-	set.Lines[way] = Line{}
-	c.tags[setIdx*c.ways+way] = 0
-	set.validMask &^= 1 << uint(way)
-	return line, true
-}
-
 // Occupancy returns the number of valid lines (for tests and reports).
-// validMask mirrors the per-line Valid flags exactly (see the mirror
-// invariant on Cache.tags), so a popcount per set replaces the old
-// per-line scan; TestOccupancyMatchesLineScan pins the equivalence.
 func (c *Cache) Occupancy() int {
 	n := 0
 	for i := range c.sets {

@@ -48,8 +48,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	access(c, a)
 	access(c, b)
 	r := access(c, d) // must evict a (LRU)
-	if !r.EvictedValid || r.Evicted.Tag != c.Tag(a) {
-		t.Fatalf("evicted %+v, want tag of a", r.Evicted)
+	if !r.EvictedValid || r.EvictedTag != c.Tag(a) {
+		t.Fatalf("evicted tag %#x, want tag of a", r.EvictedTag)
 	}
 	if access(c, b).Hit != true {
 		t.Fatal("b should still hit")
@@ -120,25 +120,8 @@ func TestCacheLineMetadata(t *testing.T) {
 		t.Fatal("line not installed")
 	}
 	l := set.Lines[way]
-	if l.PC != 0xabc || l.Core != 1 || !l.Dirty || !l.Valid {
-		t.Fatalf("line = %+v", l)
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := tinyCache(t, 2)
-	access(c, 0x100)
-	if _, ok := c.Invalidate(0x100); !ok {
-		t.Fatal("invalidate missed present line")
-	}
-	if _, ok := c.Invalidate(0x100); ok {
-		t.Fatal("invalidate hit absent line")
-	}
-	if access(c, 0x100).Hit {
-		t.Fatal("access hit after invalidate")
-	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d", c.Occupancy())
+	if l.PC != 0xabc || l.Core != 1 || !l.Dirty || !set.Valid(way) || set.Tag(way) != c.Tag(0x40) {
+		t.Fatalf("line = %+v, valid %v, tag %#x", l, set.Valid(way), set.Tag(way))
 	}
 }
 
@@ -152,51 +135,12 @@ func TestCacheOccupancyBounded(t *testing.T) {
 	}
 }
 
-// TestOccupancyMatchesLineScan pins the popcount Occupancy against the
-// per-line scan it replaced, across a random mix of fills, evictions
-// and invalidations on several geometries.
-func TestOccupancyMatchesLineScan(t *testing.T) {
-	lineScan := func(c *cache.Cache) int {
-		n := 0
-		for i := 0; i < c.NumSets(); i++ {
-			for _, l := range c.Set(i).Lines {
-				if l.Valid {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	rng := rand.New(rand.NewSource(42))
-	for _, ways := range []int{1, 2, 3, 8, 12, 16} {
-		c := cache.New(cache.Config{
-			Name: "occ", SizeBytes: 8 * ways * 64, Ways: ways, LineBytes: 64, Cores: 1,
-		}, policy.NewLRU())
-		for op := 0; op < 2000; op++ {
-			addr := uint64(rng.Intn(64*ways)) * 64
-			if rng.Intn(4) == 0 {
-				c.Invalidate(addr)
-			} else {
-				access(c, addr)
-			}
-			if op%97 == 0 {
-				if got, want := c.Occupancy(), lineScan(c); got != want {
-					t.Fatalf("ways=%d op=%d: Occupancy=%d, line scan=%d", ways, op, got, want)
-				}
-			}
-		}
-		if got, want := c.Occupancy(), lineScan(c); got != want {
-			t.Fatalf("ways=%d final: Occupancy=%d, line scan=%d", ways, got, want)
-		}
-	}
-}
-
-// TestAccessAgreesWithSetLookup pins Access's scan of the dense tag
-// mirror against Set.Lookup (which scans Lines directly, reading neither
-// the tags mirror nor validMask): for every access the hit/miss outcome
-// must match the ground truth, across narrow and wide geometries and
-// under invalidation, which leaves stale tags behind cleared valid bits.
-func TestAccessAgreesWithSetLookup(t *testing.T) {
+// TestAccessAgreesWithResidentTags checks Access and Occupancy against
+// a model of the resident tags kept from the results alone: a miss adds
+// its tag, and each EvictedTag removes one. Every hit must find its tag
+// resident, every miss must not, and Occupancy must equal the model's
+// size, across narrow and wide geometries.
+func TestAccessAgreesWithResidentTags(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, ways := range []int{1, 3, 7, 8, 9, 16, 64} {
 		var pol cache.Policy = policy.NewLRU() // supports up to 16 ways
@@ -206,16 +150,27 @@ func TestAccessAgreesWithSetLookup(t *testing.T) {
 		c := cache.New(cache.Config{
 			Name: "scan", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64, Cores: 1,
 		}, pol)
+		resident := map[uint64]bool{}
 		for op := 0; op < 3000; op++ {
 			addr := uint64(rng.Intn(32*ways)) * 64
-			if rng.Intn(8) == 0 {
-				c.Invalidate(addr)
-				continue
+			tag := c.Tag(addr)
+			want := resident[tag]
+			r := access(c, addr)
+			if r.Hit != want {
+				t.Fatalf("ways=%d op=%d addr=%#x: Access hit=%v, resident=%v",
+					ways, op, addr, r.Hit, want)
 			}
-			want := c.Set(c.SetIndex(addr)).Lookup(c.Tag(addr)) >= 0
-			if got := access(c, addr).Hit; got != want {
-				t.Fatalf("ways=%d op=%d addr=%#x: Access hit=%v, Set.Lookup says %v",
-					ways, op, addr, got, want)
+			if !r.Hit {
+				resident[tag] = true
+			}
+			if r.EvictedValid {
+				if !resident[r.EvictedTag] || r.EvictedTag == tag {
+					t.Fatalf("ways=%d op=%d: evicted tag %#x was not resident", ways, op, r.EvictedTag)
+				}
+				delete(resident, r.EvictedTag)
+			}
+			if got := c.Occupancy(); got != len(resident) {
+				t.Fatalf("ways=%d op=%d: Occupancy=%d, resident tags=%d", ways, op, got, len(resident))
 			}
 		}
 	}
@@ -349,7 +304,7 @@ func TestNRUPolicyBasics(t *testing.T) {
 	// Touch line 0 so it is protected, then miss: victim must not be line 0.
 	access(c, 0)
 	r := access(c, 4*64)
-	if r.Evicted.Tag == c.Tag(0) {
+	if r.EvictedTag == c.Tag(0) {
 		t.Fatal("NRU evicted the just-referenced line")
 	}
 	if !access(c, 0).Hit {
@@ -358,37 +313,24 @@ func TestNRUPolicyBasics(t *testing.T) {
 }
 
 // observingPolicy counts observer callbacks to verify the cache honors
-// the optional interfaces.
+// the optional interface.
 type observingPolicy struct {
 	policy.LRU
-	accesses  int
-	evictions int
+	accesses int
 }
 
 func (o *observingPolicy) ObserveAccess(setIndex int, tag uint64, req *cache.Request) {
 	o.accesses++
 }
 
-func (o *observingPolicy) ObserveEviction(setIndex int, line cache.Line) {
-	o.evictions++
-}
-
 func TestObserverInterfacesInvoked(t *testing.T) {
 	obs := &observingPolicy{}
 	c := cache.New(cache.Config{Name: "o", SizeBytes: 2 * 64 * 4, Ways: 2, LineBytes: 64}, obs)
-	// 3 lines into a 2-way set: 3 accesses observed, 1 eviction.
+	// 3 lines into a 2-way set: 3 accesses observed.
 	for i := uint64(0); i < 3; i++ {
 		c.Access(&cache.Request{Addr: i * 4 * 64})
 	}
 	if obs.accesses != 3 {
 		t.Fatalf("observed %d accesses", obs.accesses)
-	}
-	if obs.evictions != 1 {
-		t.Fatalf("observed %d evictions", obs.evictions)
-	}
-	// Invalidate also reports an eviction.
-	c.Invalidate(1 * 4 * 64)
-	if obs.evictions != 2 {
-		t.Fatalf("invalidate not observed: %d", obs.evictions)
 	}
 }

@@ -3,14 +3,12 @@ package cache
 import "nucache/internal/trace"
 
 // Line is one physical cache line's bookkeeping (no data is modelled).
-// The layout packs to 32 bytes (from 40) so a 16-way set spans 8 cache
-// lines instead of 10. The hit/miss scan never walks Lines: it reads the
-// cache's dense tags mirror (8 bytes per way). Lines are touched only at
-// the resolved way — the dirty bit on a store hit, the victim and fill
-// on a miss — and by policies choosing a victim.
+// The tag and the valid bit are not here: they live once, in the set's
+// tag array and valid mask (Set.Tag, Set.Valid), which the hit/miss
+// scan reads. That leaves a 24-byte Line, touched only at the resolved
+// way — the dirty bit on a store hit, the victim and fill on a miss —
+// and by policies choosing a victim.
 type Line struct {
-	// Tag is the line address (Addr >> offsetBits), unique across the cache.
-	Tag uint64
 	// PC is the program counter of the instruction whose miss filled the
 	// line; PC-indexed mechanisms (NUcache) key off this.
 	PC uint64
@@ -18,10 +16,8 @@ type Line struct {
 	// (RRPV, Belady next-use, ...).
 	Meta uint64
 	// Core is the index of the core that filled the line. int32 keeps the
-	// struct at 32 bytes; core counts are tiny.
+	// struct at 24 bytes; core counts are tiny.
 	Core int32
-	// Valid marks the line as present.
-	Valid bool
 	// Dirty marks the line as modified (fills by stores, hit stores).
 	Dirty bool
 }

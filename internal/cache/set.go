@@ -5,21 +5,32 @@ import "math/bits"
 // SetState is opaque per-set replacement state owned by the policy.
 type SetState interface{}
 
-// Set is one cache set: the physical lines plus the policy's logical
-// organization of them.
+// Set is one cache set: the physical lines, their tags and valid bits,
+// and the policy's logical organization of them.
 type Set struct {
 	// Lines are the physical ways.
 	Lines []Line
 	// State is the policy's per-set state (may be nil).
 	State SetState
 
-	// validMask mirrors the Valid flags as a bitmask (bit i set iff
-	// Lines[i].Valid). Cache maintains it on insert and invalidate; it
-	// lets FindInvalid answer in one bit operation instead of scanning
-	// the lines — every policy's Victim asks, and in steady state the
-	// set is full.
+	// tags holds each way's tag (the line address, Addr >> offsetBits),
+	// a slice of one cache-wide array: the hit/miss scan reads 8 bytes
+	// per way instead of a whole Line. A tag counts only while its
+	// validMask bit is set.
+	tags []uint64
+	// validMask has bit i set iff way i holds a line. The cache sets a
+	// bit on each fill and never clears one, so FindInvalid — which
+	// every policy's Victim asks, and which in steady state finds a
+	// full set — is one bit operation.
 	validMask uint64
 }
+
+// Tag returns the tag of the line in way; it is meaningful only while
+// Valid(way).
+func (s *Set) Tag(way int) uint64 { return s.tags[way] }
+
+// Valid reports whether way holds a line.
+func (s *Set) Valid(way int) bool { return s.validMask&(1<<uint(way)) != 0 }
 
 // FindInvalid returns the index of the first invalid way, or -1.
 func (s *Set) FindInvalid() int {
@@ -30,10 +41,11 @@ func (s *Set) FindInvalid() int {
 	return bits.TrailingZeros64(free)
 }
 
-// Lookup returns the way holding tag, or -1.
+// Lookup returns the way holding tag, or -1. It is the cache's one
+// lookup, and the simulator's hottest loop.
 func (s *Set) Lookup(tag uint64) int {
-	for i := range s.Lines {
-		if s.Lines[i].Valid && s.Lines[i].Tag == tag {
+	for i, t := range s.tags {
+		if t == tag && s.validMask&(1<<uint(i)) != 0 {
 			return i
 		}
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestWayListBasics(t *testing.T) {
@@ -147,15 +148,17 @@ func TestWayListNoDuplicatesProperty(t *testing.T) {
 }
 
 func TestSetHelpers(t *testing.T) {
-	s := &Set{Lines: make([]Line, 4)}
+	s := &Set{Lines: make([]Line, 4), tags: make([]uint64, 4)}
 	if got := s.FindInvalid(); got != 0 {
 		t.Fatalf("FindInvalid = %d", got)
 	}
-	s.Lines[0] = Line{Tag: 10, Valid: true}
-	s.Lines[1] = Line{Tag: 11, Valid: true}
-	s.validMask = 0b11 // Cache maintains this mirror on real sets
+	s.tags[0], s.tags[1] = 10, 11
+	s.validMask = 0b11 // Cache.Access sets these on real sets
 	if got := s.FindInvalid(); got != 2 {
 		t.Fatalf("FindInvalid = %d", got)
+	}
+	if !s.Valid(1) || s.Valid(2) || s.Tag(1) != 11 {
+		t.Fatalf("Valid(1)=%v Valid(2)=%v Tag(1)=%d", s.Valid(1), s.Valid(2), s.Tag(1))
 	}
 	if got := s.Lookup(11); got != 1 {
 		t.Fatalf("Lookup = %d", got)
@@ -163,7 +166,7 @@ func TestSetHelpers(t *testing.T) {
 	if got := s.Lookup(99); got != -1 {
 		t.Fatalf("Lookup missing = %d", got)
 	}
-	s.Lines[2] = Line{Tag: 99} // invalid: must not match
+	s.tags[2] = 99 // invalid: must not match
 	if got := s.Lookup(99); got != -1 {
 		t.Fatalf("Lookup invalid tag matched: %d", got)
 	}
@@ -187,5 +190,13 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("config %q validated", c.Name)
 		}
+	}
+}
+
+// TestLineSize pins the packed Line layout: the tag and the valid bit
+// live in the set's tag array and valid mask, not in each Line.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 24 {
+		t.Fatalf("sizeof(Line) = %d, want 24", got)
 	}
 }

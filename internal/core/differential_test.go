@@ -60,9 +60,9 @@ func TestNUcacheDeliZeroMatchesLRU(t *testing.T) {
 						i, addr, resNU.Hit, resLRU.Hit)
 				}
 				if resNU.EvictedValid != resLRU.EvictedValid ||
-					(resNU.EvictedValid && resNU.Evicted.Tag != resLRU.Evicted.Tag) {
+					(resNU.EvictedValid && resNU.EvictedTag != resLRU.EvictedTag) {
 					t.Fatalf("access %d (addr %#x): eviction diverged (NUcache %+v, LRU %+v)",
-						i, addr, resNU.Evicted, resLRU.Evicted)
+						i, addr, resNU, resLRU)
 				}
 			}
 			if cNU.Stats.Hits != cLRU.Stats.Hits || cNU.Stats.Misses != cLRU.Stats.Misses ||

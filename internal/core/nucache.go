@@ -131,13 +131,9 @@ func (p *NUcache) OnHit(set *cache.Set, way int, _ *cache.Request) {
 		st.main.PushFront(way)
 		return
 	}
+	// Every valid way is in exactly one list, so a hit outside the
+	// MainWays is a DeliWay hit.
 	idx := st.deli.IndexOf(way)
-	if idx < 0 {
-		// A way untracked by either list (only possible after external
-		// invalidation): adopt it into the MainWays.
-		p.insertMain(st, way)
-		return
-	}
 	p.DeliHits++
 	if !p.cfg.PromoteOnDeliHit {
 		return
@@ -178,12 +174,10 @@ func (p *NUcache) Victim(set *cache.Set, req *cache.Request) int {
 	// Room in the MainWays: fill a free physical way.
 	if st.main.Len() < capMain {
 		if inv := set.FindInvalid(); inv >= 0 {
-			st.main.Remove(inv)
-			st.deli.Remove(inv)
 			return inv
 		}
 		// All ways valid yet MainWays under capacity: fall through to
-		// normal replacement (post-fallback transition or invalidation).
+		// normal replacement (the post-fallback transition).
 	}
 
 	// Demote MainWays LRU lines until one frees a physical way: an
@@ -192,11 +186,11 @@ func (p *NUcache) Victim(set *cache.Set, req *cache.Request) int {
 	// also drains an oversized MainWays after a fallback epoch ends.
 	for st.main.Len() > 0 {
 		victimWay := st.main.PopBack()
-		victim := &set.Lines[victimWay]
+		pc := set.Lines[victimWay].PC
 		p.Demotions++
-		p.mon.OnDemotion(st.setIndex, victim.Tag, victim.PC)
+		p.mon.OnDemotion(st.setIndex, set.Tag(victimWay), pc)
 
-		if p.curDeli > 0 && p.isChosen(victim.PC) {
+		if p.curDeli > 0 && p.isChosen(pc) {
 			st.deli.PushBack(victimWay)
 			p.DeliInsertions++
 			if st.deli.Len() > p.curDeli {
@@ -212,7 +206,7 @@ func (p *NUcache) Victim(set *cache.Set, req *cache.Request) int {
 		return victimWay
 	}
 
-	// Degenerate (every line retained or external invalidation churn).
+	// Degenerate: every line retained in the DeliWays.
 	if inv := set.FindInvalid(); inv >= 0 {
 		return inv
 	}
@@ -223,15 +217,10 @@ func (p *NUcache) Victim(set *cache.Set, req *cache.Request) int {
 }
 
 // OnInsert implements cache.Policy: new fills always enter the MainWays
-// at MRU.
-func (p *NUcache) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	p.insertMain(set.State.(*setState), way)
-}
-
-func (p *NUcache) insertMain(st *setState, way int) {
-	st.main.Remove(way)
-	st.deli.Remove(way)
-	st.main.PushFront(way)
+// at MRU. Victim returned a way that is in neither list: an invalid way
+// (lists track only valid ones) or one it popped.
+func (*NUcache) OnInsert(set *cache.Set, way int, _ *cache.Request) {
+	set.State.(*setState).main.PushFront(way)
 }
 
 // isChosen reports whether pc is in the chosen set. The set is a small

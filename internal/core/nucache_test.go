@@ -163,7 +163,7 @@ func TestNUcacheMainDeliPartitionInvariant(t *testing.T) {
 		set := c.Set(s)
 		valid := 0
 		for i := range set.Lines {
-			if set.Lines[i].Valid {
+			if set.Valid(i) {
 				valid++
 			}
 		}

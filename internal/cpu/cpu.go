@@ -217,7 +217,7 @@ func (s *llcSide) serve(core int, addr, pc uint64, kind trace.Kind, wb bool, wbA
 	// An evicted dirty LLC line is written to memory (posted; row state
 	// only matters under the DRAM model).
 	if res.EvictedValid && res.Evicted.Dirty && s.dram != nil {
-		s.dram.Touch(res.Evicted.Tag << 6)
+		s.dram.Touch(res.EvictedTag << 6)
 	}
 	for d := 1; d <= s.cfg.PrefetchDegree; d++ {
 		s.PrefetchIssued++

@@ -24,7 +24,7 @@ func (h *refHier) access(addr, pc uint64, kind trace.Kind) (l1res, deepest cache
 	}
 	deepest = h.l2.Access(&cache.Request{Addr: addr, PC: pc, Kind: kind})
 	if l1res.EvictedValid && l1res.Evicted.Dirty {
-		h.l2.Access(&cache.Request{Addr: l1res.Evicted.Tag << 6, PC: l1res.Evicted.PC, Kind: trace.Store})
+		h.l2.Access(&cache.Request{Addr: l1res.EvictedTag << 6, PC: l1res.Evicted.PC, Kind: trace.Store})
 	}
 	return l1res, deepest, !deepest.Hit
 }
@@ -79,7 +79,7 @@ func TestPrivHierMatchesCache(t *testing.T) {
 					if gotMiss != wantMiss || got.hit != want.Hit || cycles != wantCycles ||
 						got.evValid != want.EvictedValid ||
 						(want.EvictedValid && (got.evDirty != want.Evicted.Dirty ||
-							got.evTag != want.Evicted.Tag || got.evPC != want.Evicted.PC)) {
+							got.evTag != want.EvictedTag || got.evPC != want.Evicted.PC)) {
 						t.Fatalf("access %d (%#x pc %d %v): privHier %+v miss=%v cycles=%d; cache %+v miss=%v cycles=%d",
 							i, addr, pc, kind, got, gotMiss, cycles, want, wantMiss, wantCycles)
 					}

@@ -124,14 +124,14 @@ func TestPoliciesNeverCorruptOccupancy(t *testing.T) {
 			for s := 0; s < c.NumSets(); s++ {
 				set := c.Set(s)
 				seen := map[uint64]bool{}
-				for _, l := range set.Lines {
-					if !l.Valid {
+				for w := range set.Lines {
+					if !set.Valid(w) {
 						continue
 					}
-					if seen[l.Tag] {
-						t.Fatalf("set %d holds tag %#x twice", s, l.Tag)
+					if seen[set.Tag(w)] {
+						t.Fatalf("set %d holds tag %#x twice", s, set.Tag(w))
 					}
-					seen[l.Tag] = true
+					seen[set.Tag(w)] = true
 				}
 			}
 			if st := c.Stats; st.Hits+st.Misses != st.Accesses {

@@ -97,8 +97,6 @@ func (o *OracleRetention) Victim(set *cache.Set, req *cache.Request) int {
 	st := set.State.(*oracleState)
 	if st.main.Len() < o.mainWays {
 		if inv := set.FindInvalid(); inv >= 0 {
-			st.main.Remove(inv)
-			st.deli.Remove(inv)
 			return inv
 		}
 	}

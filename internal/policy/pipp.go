@@ -86,7 +86,6 @@ func (p *PIPP) OnHit(set *cache.Set, way int, req *cache.Request) {
 func (p *PIPP) Victim(set *cache.Set, _ *cache.Request) int {
 	st := set.State.(*pippState)
 	if inv := set.FindInvalid(); inv >= 0 {
-		st.prio.Remove(inv)
 		return inv
 	}
 	return st.prio.Back()

@@ -59,8 +59,6 @@ func (p *SLRU) OnHit(set *cache.Set, way int, _ *cache.Request) {
 func (*SLRU) Victim(set *cache.Set, _ *cache.Request) int {
 	st := set.State.(*slruState)
 	if inv := set.FindInvalid(); inv >= 0 {
-		st.prob.Remove(inv)
-		st.prot.Remove(inv)
 		return inv
 	}
 	if st.prob.Len() > 0 {

@@ -8,7 +8,6 @@ import "nucache/internal/cache"
 // per-core way quotas within each set on top of LRU ordering.
 type UCP struct {
 	partitioner
-	states []*ucpState // per-set states by index, for eviction accounting
 }
 
 // UCPOption customizes a UCP policy.
@@ -33,26 +32,16 @@ func (*UCP) Name() string { return "UCP" }
 
 type ucpState struct {
 	stack *cache.WayList
-	// owned counts the set's valid lines per (clamped) owner core,
-	// maintained by OnInsert/ObserveEviction so Victim's quota check
-	// does not rescan the set's lines on every miss.
+	// owned counts the set's valid lines per (clamped) owner core: each
+	// fill adds one for its core, and Victim removes one for the owner of
+	// a valid line it evicts. Victim's quota check thus does not rescan
+	// the set's lines on every miss.
 	owned [16]uint8
 }
 
 // NewSetState implements cache.Policy.
-func (u *UCP) NewSetState(setIndex int) cache.SetState {
-	st := &ucpState{stack: cache.NewWayList(16)}
-	for len(u.states) <= setIndex {
-		u.states = append(u.states, nil)
-	}
-	u.states[setIndex] = st
-	return st
-}
-
-// ObserveEviction implements cache.EvictionObserver: a valid line left
-// the cache (replacement or invalidation), so its owner's count drops.
-func (u *UCP) ObserveEviction(setIndex int, line cache.Line) {
-	u.states[setIndex].owned[clampCore(int(line.Core), u.cores)]--
+func (*UCP) NewSetState(int) cache.SetState {
+	return &ucpState{stack: cache.NewWayList(16)}
 }
 
 // ObserveAccess implements cache.AccessObserver: it feeds the issuing
@@ -68,14 +57,20 @@ func (*UCP) OnHit(set *cache.Set, way int, _ *cache.Request) {
 	set.State.(*ucpState).stack.MoveToFront(way)
 }
 
-// Victim implements cache.Policy: quota-aware LRU.
+// Victim implements cache.Policy: quota-aware LRU. With no invalid way
+// the chosen line leaves the cache, so its owner's count drops.
 func (u *UCP) Victim(set *cache.Set, req *cache.Request) int {
 	st := set.State.(*ucpState)
 	if inv := set.FindInvalid(); inv >= 0 {
-		st.stack.Remove(inv)
 		return inv
 	}
-	core := clampCore(req.Core, u.cores)
+	w := u.quotaVictim(set, st, clampCore(req.Core, u.cores))
+	st.owned[clampCore(int(set.Lines[w].Core), u.cores)]--
+	return w
+}
+
+// quotaVictim picks the way a full set gives up to core's miss.
+func (u *UCP) quotaVictim(set *cache.Set, st *ucpState, core int) int {
 	owned := &st.owned
 	if int(owned[core]) < u.alloc[core] {
 		// Under quota: take the LRU line of any over-quota core.

@@ -84,10 +84,9 @@ func (r Request) Validate() error {
 	if err != nil {
 		return err
 	}
-	// Every partitioning policy grants each core at least one way.
 	ways := cpu.DefaultConfig(mix.Cores()).LLC.Ways
-	if mix.Cores() > ways {
-		return fmt.Errorf("sim: %d members for a %d-way LLC", mix.Cores(), ways)
+	if err := checkWidth(mix.Cores(), ways); err != nil {
+		return err
 	}
 	if !knownPolicy(r.Policy) {
 		return fmt.Errorf("sim: unknown policy %q", r.Policy)
@@ -122,6 +121,17 @@ func (r Request) Validate() error {
 		if total != ways {
 			return fmt.Errorf("sim: alloc sums to %d ways, cache has %d", total, ways)
 		}
+	}
+	return nil
+}
+
+// checkWidth is the mix-width rule: every partitioning policy grants
+// each core at least one way, so a mix has at most one member per LLC
+// way. Validate applies it to requests and BuildPolicy to every machine
+// it builds a policy for, trace-file replay included.
+func checkWidth(cores, ways int) error {
+	if cores > ways {
+		return fmt.Errorf("sim: %d members for a %d-way LLC", cores, ways)
 	}
 	return nil
 }

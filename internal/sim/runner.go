@@ -98,10 +98,13 @@ func knownPolicy(name string) bool {
 }
 
 // BuildPolicy constructs a shared-LLC policy by name for a machine with
-// the given core count and associativity. deliWays applies to NUcache
-// only. Stochastic policies use a fixed seed so results stay
-// content-addressable.
+// the given core count and associativity; a machine with more cores
+// than ways is an error. deliWays applies to NUcache only. Stochastic
+// policies use a fixed seed so results stay content-addressable.
 func BuildPolicy(name string, cores, ways, deliWays int) (cache.Policy, error) {
+	if err := checkWidth(cores, ways); err != nil {
+		return nil, err
+	}
 	switch strings.ToUpper(name) {
 	case "LRU":
 		return policy.NewLRU(), nil

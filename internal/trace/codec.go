@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary trace format:
@@ -108,6 +109,11 @@ func (r *Reader) Next() (Access, bool) {
 	gk, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		r.err = fmt.Errorf("%w: truncated record: %v", ErrBadFormat, err)
+		return Access{}, false
+	}
+	if gk>>1 > math.MaxUint32 {
+		// Writer cannot produce this: Access.Gap is 32 bits.
+		r.err = fmt.Errorf("%w: gap %d exceeds 32 bits", ErrBadFormat, gk>>1)
 		return Access{}, false
 	}
 	r.prevPC += uint64(unzigzag(dpc))

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -132,6 +134,35 @@ func TestReaderTruncatedRecord(t *testing.T) {
 	// Next after error keeps returning false.
 	if _, ok := r.Next(); ok {
 		t.Fatal("stream continued after error")
+	}
+}
+
+// TestReaderRejectsWideGap: a record whose gap field exceeds 32 bits,
+// which Writer cannot produce, fails the stream instead of decoding a
+// truncated gap. The widest gap Writer can write still round-trips.
+func TestReaderRejectsWideGap(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	if err := w.Write(Access{PC: 1, Addr: 64, Gap: math.MaxUint32}); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	// A second record with zero deltas and a 33-bit gap.
+	rec := binary.AppendUvarint(nil, 0)
+	rec = binary.AppendUvarint(rec, 0)
+	rec = binary.AppendUvarint(rec, uint64(math.MaxUint32+1)<<1)
+	r, err := NewReader(bytes.NewReader(append(buf.Bytes(), rec...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, ok := r.Next(); !ok || a.Gap != math.MaxUint32 {
+		t.Fatalf("widest writable gap: got %+v ok=%v err=%v", a, ok, r.Err())
+	}
+	if a, ok := r.Next(); ok {
+		t.Fatalf("33-bit gap decoded as %+v", a)
+	}
+	if !errors.Is(r.Err(), ErrBadFormat) {
+		t.Fatalf("Err = %v", r.Err())
 	}
 }
 
