@@ -13,6 +13,8 @@
 //	GET  /healthz     pure liveness
 //	GET  /readyz      readiness: queue, cache disk
 //	GET  /debug/vars  runtime counters (expvar)
+//	GET  /debug/pprof/  runtime profiles (net/http/pprof), e.g.
+//	                    /debug/pprof/heap?debug=1
 //
 // Fault tolerance: every job runs under a deadline (-deadline, or a
 // per-request "timeout_ms" override) so a runaway simulation frees its

@@ -273,6 +273,18 @@ func TestSimEndpoint(t *testing.T) {
 		t.Fatalf("integrity counters moved on a healthy server: cache=%d tape=%d failpoints=%d",
 			*vars.ChecksumFails, *vars.TapeChecksums, *vars.FailpointsFired)
 	}
+
+	// The running server answers a heap profile without a patched
+	// binary: net/http/pprof is mounted beside /debug/vars.
+	hp, err := http.Get(base + "/debug/pprof/heap?debug=1")
+	if err != nil {
+		t.Fatalf("GET /debug/pprof/heap: %v", err)
+	}
+	defer hp.Body.Close()
+	prof, err := io.ReadAll(hp.Body)
+	if err != nil || hp.StatusCode != http.StatusOK || !strings.HasPrefix(string(prof), "heap profile:") {
+		t.Fatalf("GET /debug/pprof/heap?debug=1: status %d, err %v, body starts %.80q", hp.StatusCode, err, prof)
+	}
 }
 
 // serveVars is the expvar slice the advisor tests watch.
@@ -420,7 +432,7 @@ func TestProfileAdviseFlow(t *testing.T) {
 	for _, e := range cat.Endpoints {
 		have[e] = true
 	}
-	if !have["POST /v1/profile"] || !have["POST /v1/advise"] {
-		t.Fatalf("catalog does not advertise the advisor endpoints: %v", cat.Endpoints)
+	if !have["POST /v1/profile"] || !have["POST /v1/advise"] || !have["GET /debug/pprof/"] {
+		t.Fatalf("catalog does not advertise the advisor and profiling endpoints: %v", cat.Endpoints)
 	}
 }

@@ -101,17 +101,23 @@ func main() {
 }
 
 // runReplay drives trace files through a machine built from the same
-// flags; generator-backed runs go through sim.Execute instead. A trace
-// that fails to decode (cut mid-record, corrupt) fails the run, naming
-// the file, instead of replaying as a shorter one.
+// flags, held to the same shape rules as a request; generator-backed
+// runs go through sim.Execute instead. A trace that fails to decode (cut
+// mid-record, corrupt) fails the run, naming the file, instead of
+// replaying as a shorter one.
 func runReplay(paths []string, polName string, budget, seed uint64, deliWays int, l2, dram bool, prefetch int, warmup uint64) (*sim.Result, error) {
 	mix, readers, err := openTraces(paths)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.MachineConfig(sim.Request{
+	req := sim.Request{
+		Policy: polName, DeliWays: deliWays,
 		Budget: budget, Prefetch: prefetch, Warmup: warmup, L2: l2, DRAM: dram,
-	}, mix.Cores())
+	}
+	if err := req.CheckShape(mix.Cores()); err != nil {
+		return nil, err
+	}
+	cfg := sim.MachineConfig(req, mix.Cores())
 	if deliWays < 0 {
 		deliWays = 0
 	}

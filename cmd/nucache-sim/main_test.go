@@ -160,6 +160,36 @@ func TestReplayWiderThanLLCFails(t *testing.T) {
 	}
 }
 
+// TestReplayKeepsShapeRules: a replay is held to the same shape rules
+// as a generator-backed run (prefetch degree, deliways range, NUcache
+// keeping a MainWay), refused with the same message and no result
+// instead of running with the flag silently dropped.
+func TestReplayKeepsShapeRules(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "art")
+	if _, errOut, err := runMain(t, "-bench", "art-like", "-record", prefix, "-recordn", "20000"); err != nil {
+		t.Fatalf("record failed: %v\nstderr: %s", err, errOut)
+	}
+	for _, flags := range [][]string{
+		{"-policy", "Part", "-prefetch", "-3"},
+		{"-policy", "NUcache", "-deliways", "-5"},
+		{"-policy", "NUcache", "-deliways", "16"},
+	} {
+		_, benchErr, err := runMain(t, append([]string{"-bench", "art-like"}, flags...)...)
+		if err == nil {
+			t.Fatalf("%v: -bench run accepted", flags)
+		}
+		msg := strings.TrimSpace(strings.TrimPrefix(benchErr, "nucache-sim: "))
+		out, errOut, err := runMain(t, append([]string{"-replay", prefix + ".core0.trc"}, flags...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: replay wants exit 1, got %v\nstdout: %s", flags, err, out)
+		}
+		if !strings.HasPrefix(msg, "sim: ") || !strings.Contains(errOut, msg) || out != "" {
+			t.Errorf("%v: replay stderr %q lacks -bench's %q, or a result was printed:\n%s", flags, errOut, msg, out)
+		}
+	}
+}
+
 // TestHelpListsEveryPolicy: the -policy usage line names exactly the
 // policies sim.BuildPolicy accepts, so a policy added to the catalog
 // shows up in -h without a second edit.

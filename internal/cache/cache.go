@@ -131,16 +131,29 @@ func (c *Cache) Set(i int) *Set { return &c.sets[i] }
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return len(c.sets) }
 
-// AccessResult describes the outcome of one access.
+// AccessResult describes the outcome of one access. It keeps to four
+// fields and 32 bytes so the compiler returns it in registers.
 type AccessResult struct {
 	// Hit reports whether the access hit.
 	Hit bool
-	// EvictedValid reports that a miss displaced a valid line; Evicted
-	// and EvictedTag then hold that line and its tag.
-	EvictedValid bool
-	Evicted      Line
-	EvictedTag   uint64
+	// evicted holds the evictedValid and evictedDirty bits.
+	evicted uint8
+	// EvictedTag and EvictedPC are the displaced line's tag and PC when
+	// EvictedValid reports one.
+	EvictedTag uint64
+	EvictedPC  uint64
 }
+
+const (
+	evictedValid = 1 << iota
+	evictedDirty
+)
+
+// EvictedValid reports that a miss displaced a valid line.
+func (r AccessResult) EvictedValid() bool { return r.evicted&evictedValid != 0 }
+
+// EvictedDirty reports that a miss displaced a valid, dirty line.
+func (r AccessResult) EvictedDirty() bool { return r.evicted&evictedDirty != 0 }
 
 // Access presents one request to the cache and returns the outcome.
 // The cache assigns req.Seq.
@@ -182,14 +195,13 @@ func (c *Cache) Access(req *Request) AccessResult {
 			c.cfg.Name, c.policy.Name(), way, len(set.Lines)))
 	}
 
-	res := AccessResult{}
+	var res AccessResult
 	if set.Valid(way) {
 		victim := &set.Lines[way]
-		res.Evicted = *victim
-		res.EvictedTag = set.tags[way]
-		res.EvictedValid = true
+		res = AccessResult{evicted: evictedValid, EvictedTag: set.tags[way], EvictedPC: victim.PC}
 		c.Stats.Evictions++
 		if victim.Dirty {
+			res.evicted |= evictedDirty
 			c.Stats.Writebacks++
 		}
 	}

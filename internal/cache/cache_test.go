@@ -48,7 +48,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	access(c, a)
 	access(c, b)
 	r := access(c, d) // must evict a (LRU)
-	if !r.EvictedValid || r.EvictedTag != c.Tag(a) {
+	if !r.EvictedValid() || r.EvictedTag != c.Tag(a) {
 		t.Fatalf("evicted tag %#x, want tag of a", r.EvictedTag)
 	}
 	if access(c, b).Hit != true {
@@ -78,7 +78,7 @@ func TestCacheDirtyWriteback(t *testing.T) {
 	c := tinyCache(t, 1)
 	c.Access(&cache.Request{Addr: 0, Kind: trace.Store})
 	r := c.Access(&cache.Request{Addr: 256, Kind: trace.Load})
-	if !r.EvictedValid || !r.Evicted.Dirty {
+	if !r.EvictedValid() || !r.EvictedDirty() {
 		t.Fatalf("expected dirty eviction, got %+v", r)
 	}
 	if c.Stats.Writebacks != 1 {
@@ -88,7 +88,7 @@ func TestCacheDirtyWriteback(t *testing.T) {
 	c.Access(&cache.Request{Addr: 512, Kind: trace.Load})
 	c.Access(&cache.Request{Addr: 512, Kind: trace.Store})
 	r = c.Access(&cache.Request{Addr: 768, Kind: trace.Load})
-	if !r.Evicted.Dirty {
+	if !r.EvictedDirty() {
 		t.Fatal("store hit did not dirty line")
 	}
 }
@@ -163,7 +163,7 @@ func TestAccessAgreesWithResidentTags(t *testing.T) {
 			if !r.Hit {
 				resident[tag] = true
 			}
-			if r.EvictedValid {
+			if r.EvictedValid() {
 				if !resident[r.EvictedTag] || r.EvictedTag == tag {
 					t.Fatalf("ways=%d op=%d: evicted tag %#x was not resident", ways, op, r.EvictedTag)
 				}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -198,5 +199,14 @@ func TestConfigValidate(t *testing.T) {
 func TestLineSize(t *testing.T) {
 	if got := unsafe.Sizeof(Line{}); got != 24 {
 		t.Fatalf("sizeof(Line) = %d, want 24", got)
+	}
+}
+
+// TestAccessResultSize pins AccessResult at four fields and 32 bytes, the
+// most the compiler returns in registers.
+func TestAccessResultSize(t *testing.T) {
+	typ := reflect.TypeOf(AccessResult{})
+	if typ.NumField() > 4 || typ.Size() > 32 {
+		t.Fatalf("AccessResult has %d fields in %d bytes, want at most 4 in 32", typ.NumField(), typ.Size())
 	}
 }

@@ -59,8 +59,8 @@ func TestNUcacheDeliZeroMatchesLRU(t *testing.T) {
 					t.Fatalf("access %d (addr %#x): NUcache hit=%v, LRU hit=%v",
 						i, addr, resNU.Hit, resLRU.Hit)
 				}
-				if resNU.EvictedValid != resLRU.EvictedValid ||
-					(resNU.EvictedValid && resNU.EvictedTag != resLRU.EvictedTag) {
+				if resNU.EvictedValid() != resLRU.EvictedValid() ||
+					(resNU.EvictedValid() && resNU.EvictedTag != resLRU.EvictedTag) {
 					t.Fatalf("access %d (addr %#x): eviction diverged (NUcache %+v, LRU %+v)",
 						i, addr, resNU, resLRU)
 				}

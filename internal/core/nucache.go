@@ -206,14 +206,11 @@ func (p *NUcache) Victim(set *cache.Set, req *cache.Request) int {
 		return victimWay
 	}
 
-	// Degenerate: every line retained in the DeliWays.
-	if inv := set.FindInvalid(); inv >= 0 {
-		return inv
-	}
-	if st.deli.Len() > 0 {
-		return st.deli.PopFront()
-	}
-	return 0
+	// Unreachable: lines are never invalidated, so every valid way sits
+	// in exactly one list, and the DeliWays FIFO never holds more than
+	// curDeli < Ways of them. A full set therefore always keeps a MainWay
+	// for the loop to return; reaching here means that invariant broke.
+	panic("core: NUcache set has no MainWays line to evict")
 }
 
 // OnInsert implements cache.Policy: new fills always enter the MainWays

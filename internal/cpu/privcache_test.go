@@ -23,8 +23,8 @@ func (h *refHier) access(addr, pc uint64, kind trace.Kind) (l1res, deepest cache
 		return l1res, l1res, !l1res.Hit
 	}
 	deepest = h.l2.Access(&cache.Request{Addr: addr, PC: pc, Kind: kind})
-	if l1res.EvictedValid && l1res.Evicted.Dirty {
-		h.l2.Access(&cache.Request{Addr: l1res.EvictedTag << 6, PC: l1res.Evicted.PC, Kind: trace.Store})
+	if l1res.EvictedValid() && l1res.EvictedDirty() {
+		h.l2.Access(&cache.Request{Addr: l1res.EvictedTag << 6, PC: l1res.EvictedPC, Kind: trace.Store})
 	}
 	return l1res, deepest, !deepest.Hit
 }
@@ -77,9 +77,9 @@ func TestPrivHierMatchesCache(t *testing.T) {
 						wantCycles += cfg.L2Latency
 					}
 					if gotMiss != wantMiss || got.hit != want.Hit || cycles != wantCycles ||
-						got.evValid != want.EvictedValid ||
-						(want.EvictedValid && (got.evDirty != want.Evicted.Dirty ||
-							got.evTag != want.EvictedTag || got.evPC != want.Evicted.PC)) {
+						got.evValid != want.EvictedValid() ||
+						(want.EvictedValid() && (got.evDirty != want.EvictedDirty() ||
+							got.evTag != want.EvictedTag || got.evPC != want.EvictedPC)) {
 						t.Fatalf("access %d (%#x pc %d %v): privHier %+v miss=%v cycles=%d; cache %+v miss=%v cycles=%d",
 							i, addr, pc, kind, got, gotMiss, cycles, want, wantMiss, wantCycles)
 					}

@@ -114,13 +114,10 @@ func (o *OracleRetention) Victim(set *cache.Set, req *cache.Request) int {
 		}
 		return w
 	}
-	if inv := set.FindInvalid(); inv >= 0 {
-		return inv
-	}
-	if st.deli.Len() > 0 {
-		return st.deli.PopFront()
-	}
-	return 0
+	// Unreachable, as in NUcache.Victim: with no invalidation every
+	// valid way is in one list and the FIFO holds at most deliWays of
+	// them, fewer than the set's ways, so a MainWays line always remains.
+	panic("policy: OracleRetention set has no MainWays line to evict")
 }
 
 // OnInsert implements cache.Policy.

@@ -77,29 +77,16 @@ func (r Request) deliWays() int {
 	return r.DeliWays
 }
 
-// Validate checks workload and policy names, the mix width (at most one
-// member per LLC way) and NUcache's deliways on a normalized request.
+// Validate checks workload and policy names, the machine shape (see
+// CheckShape), the deadline and a Part allocation on a normalized
+// request.
 func (r Request) Validate() error {
 	mix, err := r.ResolveMix()
 	if err != nil {
 		return err
 	}
-	ways := cpu.DefaultConfig(mix.Cores()).LLC.Ways
-	if err := checkWidth(mix.Cores(), ways); err != nil {
+	if err := r.CheckShape(mix.Cores()); err != nil {
 		return err
-	}
-	if !knownPolicy(r.Policy) {
-		return fmt.Errorf("sim: unknown policy %q", r.Policy)
-	}
-	if r.DeliWays < -1 {
-		return fmt.Errorf("sim: deliways %d out of range", r.DeliWays)
-	}
-	// Only NUcache reads deliways; it must leave at least one MainWay.
-	if strings.EqualFold(r.Policy, "NUcache") && r.deliWays() >= ways {
-		return fmt.Errorf("sim: deliways %d leaves no main ways in a %d-way LLC", r.DeliWays, ways)
-	}
-	if r.Prefetch < 0 {
-		return fmt.Errorf("sim: negative prefetch degree")
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("sim: negative timeout_ms")
@@ -118,17 +105,43 @@ func (r Request) Validate() error {
 			}
 			total += a
 		}
-		if total != ways {
+		if ways := cpu.DefaultConfig(mix.Cores()).LLC.Ways; total != ways {
 			return fmt.Errorf("sim: alloc sums to %d ways, cache has %d", total, ways)
 		}
 	}
 	return nil
 }
 
+// CheckShape holds the request rules that need no named mix, for a
+// machine of the given width: the mix width, a known policy, the
+// deliways range, NUcache keeping at least one MainWay and a
+// non-negative prefetch degree. Validate applies it to requests and
+// nucache-sim to trace-file replay, which has no mix to resolve.
+func (r Request) CheckShape(cores int) error {
+	ways := cpu.DefaultConfig(cores).LLC.Ways
+	if err := checkWidth(cores, ways); err != nil {
+		return err
+	}
+	if !knownPolicy(r.Policy) {
+		return fmt.Errorf("sim: unknown policy %q", r.Policy)
+	}
+	if r.DeliWays < -1 {
+		return fmt.Errorf("sim: deliways %d out of range", r.DeliWays)
+	}
+	// Only NUcache reads deliways; it must leave at least one MainWay.
+	if strings.EqualFold(r.Policy, "NUcache") && r.deliWays() >= ways {
+		return fmt.Errorf("sim: deliways %d leaves no main ways in a %d-way LLC", r.DeliWays, ways)
+	}
+	if r.Prefetch < 0 {
+		return fmt.Errorf("sim: negative prefetch degree")
+	}
+	return nil
+}
+
 // checkWidth is the mix-width rule: every partitioning policy grants
 // each core at least one way, so a mix has at most one member per LLC
-// way. Validate applies it to requests and BuildPolicy to every machine
-// it builds a policy for, trace-file replay included.
+// way. CheckShape applies it to requests and trace-file replay, and
+// BuildPolicy to every machine it builds a policy for.
 func checkWidth(cores, ways int) error {
 	if cores > ways {
 		return fmt.Errorf("sim: %d members for a %d-way LLC", cores, ways)

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 
 	"nucache/internal/workload"
@@ -54,6 +55,12 @@ func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
 //	GET  /healthz     pure liveness (the process answers)
 //	GET  /readyz      readiness: queue, cache-disk
 //	GET  /debug/vars  expvar counters
+//	GET  /debug/pprof/  runtime profiles (net/http/pprof): the index, the
+//	                    named profiles (heap, allocs, goroutine, ...) and
+//	                    cmdline, profile, symbol and trace
+//
+// The profiles are exposed exactly as far as /debug/vars is: to anyone
+// who can reach the listener.
 func (sv *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sim", sv.handleSim)
@@ -64,6 +71,12 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", sv.handleHealth)
 	mux.HandleFunc("GET /readyz", sv.handleReady)
 	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -328,7 +341,10 @@ func (sv *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 		Endpoints: []string{
 			"POST /v1/sim", "POST /v1/sweep", "POST /v1/profile",
 			"POST /v1/advise", "GET /v1/catalog", "GET /healthz",
-			"GET /readyz", "GET /debug/vars",
+			"GET /readyz", "GET /debug/vars", "GET /debug/pprof/",
+			"GET /debug/pprof/cmdline", "GET /debug/pprof/profile",
+			"GET /debug/pprof/symbol", "POST /debug/pprof/symbol",
+			"GET /debug/pprof/trace",
 		},
 	}
 	for _, b := range workload.All() {

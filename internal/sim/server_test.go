@@ -204,6 +204,15 @@ func TestServerCatalogAndHealth(t *testing.T) {
 		t.Fatalf("sparse catalog: %d benches, %d mixes, %d policies",
 			len(cat.Benchmarks), len(cat.Mixes), len(cat.Policies))
 	}
+	// Every advertised endpoint is a route the mux mounts, under that
+	// exact pattern.
+	mux := NewServer(NewScheduler(1, NewCache(1, ""))).Handler().(*http.ServeMux)
+	for _, e := range cat.Endpoints {
+		method, path, _ := strings.Cut(e, " ")
+		if _, pattern := mux.Handler(httptest.NewRequest(method, path, nil)); pattern != e {
+			t.Errorf("catalog endpoint %q is routed to pattern %q", e, pattern)
+		}
+	}
 
 	h, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -29,22 +29,16 @@ var artLike = register(Benchmark{
 		hotA, hotB := siteAt(0, 2), siteAt(1, 2)
 		scanS := siteAt(2, 1)
 		accS := siteAt(3, 3)
-		var round uint64
-		return newRoundStream(hashName("art-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			half := hot.lines / 2
-			for i := uint64(0); i < half; i++ {
-				e.load(hotA, hot.addr(i))
-			}
+			e.scan(hotA, hot, 0, half)
 			e.scan(scanS, weights, 0, weights.lines/2)
-			for i := uint64(0); i < half; i++ {
-				e.load(hotB, hot.addr(half+i))
-			}
+			e.scan(hotB, hot, half, half)
 			e.scan(scanS, weights, weights.lines/2, weights.lines/2)
 			// Small accumulator writes (L1-resident).
 			for i := uint64(0); i < 64; i++ {
 				e.store(accS, 0x100000+(i%32)*lineBytes)
 			}
-			round++
 		})
 	},
 })
@@ -64,12 +58,10 @@ var ammpLike = register(Benchmark{
 		scratch := regionAt(2, 16<<10)
 		const scanLines = (768 << 10) / lineBytes
 		var window uint64
-		return newRoundStream(hashName("ammp-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			third := hot.lines / 3
 			for p, s := range sites {
-				for i := uint64(0); i < third; i++ {
-					e.load(s, hot.addr(uint64(p)*third+i))
-				}
+				e.scan(s, hot, uint64(p)*third, third)
 			}
 			e.scan(scanS, nbr, window, scanLines)
 			window = (window + scanLines) % nbr.lines
@@ -92,7 +84,7 @@ var sphinxLike = register(Benchmark{
 		rng := stats.NewRNG(hashName("sphinx-like", seed))
 		z := stats.NewZipf(rng.Split(), model.lines, 0.6)
 		var featPos uint64
-		return newRoundStream(rng.Uint64(), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for i := 0; i < 3072; i++ {
 				e.load(modelS1, model.addr(z.Next()))
 				if i%2 == 0 {
@@ -119,7 +111,7 @@ var omnetppLike = register(Benchmark{
 		rng := stats.NewRNG(hashName("omnetpp-like", seed))
 		z := stats.NewZipf(rng.Split(), heap.lines, 0.9)
 		var pos uint64
-		return newRoundStream(rng.Uint64(), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for i := 0; i < 4096; i++ {
 				e.load(heapS1, heap.addr(z.Next()))
 				e.store(heapS2, heap.addr(z.Next()))
@@ -145,7 +137,8 @@ var soplexLike = register(Benchmark{
 		rng := stats.NewRNG(hashName("soplex-like", seed))
 		const blockLines = (256 << 10) / lineBytes
 		var block uint64
-		return newRoundStream(rng.Uint64(), func(e *emitter) {
+		rng.Uint64() // skipped: the gathers start at the second draw (TestStreamsPinned)
+		return newRoundStream(func(e *emitter) {
 			start := (block % 8) * blockLines
 			for pass := 0; pass < 4; pass++ {
 				e.scan(blockS, matrix, start, blockLines)
@@ -170,7 +163,7 @@ var bzip2Like = register(Benchmark{
 		writeS := siteAt(1, 5)
 		var window uint64
 		const blockLines = (640 << 10) / lineBytes
-		return newRoundStream(hashName("bzip2-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for pass := 0; pass < 6; pass++ {
 				e.scan(passS, data, window, blockLines)
 			}
@@ -192,7 +185,7 @@ var gccLike = register(Benchmark{
 		irS1, irS2 := siteAt(0, 4), siteAt(1, 5)
 		passS := siteAt(2, 2)
 		var round uint64
-		return newRoundStream(hashName("gcc-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			if round%21 == 20 {
 				e.scan(passS, unit, 0, unit.lines)
 			} else {
@@ -221,7 +214,7 @@ var mcfLike = register(Benchmark{
 		next := permCycle(rng.Split(), int(nodes.lines))
 		pos := uint32(0)
 		var arcPos uint64
-		return newRoundStream(rng.Uint64(), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for i := 0; i < 2048; i++ {
 				e.load(chaseS, nodes.addr(uint64(pos)))
 				pos = next[pos]
@@ -244,11 +237,8 @@ var libquantumLike = register(Benchmark{
 		state := regionAt(0, 2<<20)
 		loadS := siteAt(0, 1)
 		storeS := siteAt(1, 1)
-		return newRoundStream(hashName("libquantum-like", seed), func(e *emitter) {
-			for i := uint64(0); i < state.lines; i++ {
-				e.load(loadS, state.addr(i))
-				e.store(storeS, state.addr(i))
-			}
+		return newRoundStream(func(e *emitter) {
+			e.scanRMW(loadS, storeS, state, 0, state.lines)
 		})
 	},
 })
@@ -267,7 +257,7 @@ var swimLike = register(Benchmark{
 		p := regionAt(2, 8<<20)
 		uS, vS, pS := siteAt(0, 1), siteAt(1, 1), siteAt(2, 2)
 		var pos uint64
-		return newRoundStream(hashName("swim-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for i := 0; i < 4096; i++ {
 				e.load(uS, u.addr(pos))
 				e.load(vS, v.addr(pos))
@@ -288,7 +278,7 @@ var milcLike = register(Benchmark{
 		loadS := siteAt(0, 2)
 		storeS := siteAt(1, 2)
 		var pos uint64
-		return newRoundStream(hashName("milc-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for i := 0; i < 4096; i++ {
 				e.load(loadS, lattice.addr(pos))
 				e.store(storeS, lattice.addr(pos))
@@ -313,7 +303,7 @@ var twolfLike = register(Benchmark{
 		rng := stats.NewRNG(hashName("twolf-like", seed))
 		z := stats.NewZipf(rng.Split(), cells.lines, 1.1)
 		var pos uint64
-		return newRoundStream(rng.Uint64(), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for i := 0; i < 2048; i++ {
 				e.load(s1, cells.addr(z.Next()))
 				e.store(s2, cells.addr(z.Next()))
@@ -337,7 +327,7 @@ var vprLike = register(Benchmark{
 		s1, s2 := siteAt(0, 6), siteAt(1, 7)
 		rng := stats.NewRNG(hashName("vpr-like", seed))
 		z := stats.NewZipf(rng.Split(), rr.lines, 0.9)
-		return newRoundStream(rng.Uint64(), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for i := 0; i < 2048; i++ {
 				e.load(s1, rr.addr(z.Next()))
 				if i%3 == 0 {
@@ -357,7 +347,7 @@ var hmmerLike = register(Benchmark{
 		tables := regionAt(0, 48<<10)
 		s1, s2 := siteAt(0, 12), siteAt(1, 12)
 		var pos uint64
-		return newRoundStream(hashName("hmmer-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			for i := uint64(0); i < 2048; i++ {
 				e.load(s1, tables.addr(pos+i))
 				if i%2 == 0 {
@@ -381,7 +371,7 @@ var facerecLike = register(Benchmark{
 		galS1, galS2 := siteAt(0, 2), siteAt(1, 3)
 		probeS := siteAt(2, 1)
 		var probePos uint64
-		return newRoundStream(hashName("facerec-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			half := gallery.lines / 2
 			e.scan(galS1, gallery, 0, half)
 			e.scan(probeS, probes, probePos, 2048)
@@ -406,7 +396,7 @@ var equakeLike = register(Benchmark{
 		waveS := siteAt(2, 1)
 		const sweepLines = (640 << 10) / lineBytes
 		var window uint64
-		return newRoundStream(hashName("equake-like", seed), func(e *emitter) {
+		return newRoundStream(func(e *emitter) {
 			half := structure.lines / 2
 			e.scan(colS, structure, 0, half)
 			e.scan(valS, structure, half, half)

@@ -54,9 +54,9 @@ type Benchmark struct {
 }
 
 // Stream returns a fresh unbounded access stream. Equal seeds give
-// identical streams; benchmarks fold their name into the seed so mixes of
-// the same benchmark at different positions still diverge via the caller's
-// per-core seed.
+// identical streams. Randomized models fold their name into the seed so
+// mixes of the same benchmark at different positions still diverge via
+// the caller's per-core seed; purely sequential models ignore the seed.
 func (b Benchmark) Stream(seed uint64) trace.Stream {
 	if b.build == nil {
 		panic(fmt.Sprintf("workload: benchmark %q has no generator", b.Name))
