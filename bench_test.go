@@ -169,6 +169,42 @@ func BenchmarkHotReplayStep(b *testing.B) {
 	}
 }
 
+// BenchmarkHotRecord measures the record half of the record/replay
+// engine: each iteration records a fresh tape of omnetpp-like, a model
+// that draws its references from the Zipf sampler, up to its budget
+// crossing — the workload generator and the private hierarchy, walked
+// by a visitor that only counts. Also reports ns/event per LLC-bound
+// event delivered; the last chunk's overshoot past the crossing is
+// recorded too, so the figure slightly overstates a recorded event's
+// cost.
+func BenchmarkHotRecord(b *testing.B) {
+	cfg := cpu.DefaultConfig(1)
+	cfg.InstrBudget = 1_000_000
+	bench := workload.MustByName("omnetpp-like")
+	var v recordVisitor
+	for i := 0; i < b.N; i++ {
+		v.events = 0
+		if err := cpu.WalkTape(cfg, 0, cpu.NewTape(cfg, bench.Stream(1)), &v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if v.events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(v.events), "ns/event")
+	}
+}
+
+// recordVisitor counts the demand accesses of a tape walk and stops it
+// at the budget crossing.
+type recordVisitor struct{ events uint64 }
+
+func (v *recordVisitor) Access(_, _ uint64, _ trace.Kind, demand bool) {
+	if demand {
+		v.events++
+	}
+}
+
+func (v *recordVisitor) Crossing(cr trace.Crossing) bool { return cr.Kind != trace.CrossRecord }
+
 // gridBenchSetup records an E6-shaped dual-core tape set (the first
 // standard 2-core mix at bench budget) and returns builders for the
 // standard policy lineup — the workload of the grid replay gate.

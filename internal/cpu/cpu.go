@@ -132,6 +132,15 @@ const (
 	corePCShift = 48
 )
 
+// tag returns core's LLC-side address and PC. Only the LLC and the
+// memory model see tagged values: the private levels run on untagged
+// ones, which is exact, because adding core<<coreAddrShift is
+// injective mod 2^64 and changes no set-index or line-offset bit, and
+// PCs are only payload below the LLC.
+func tag(core int, addr, pc uint64) (uint64, uint64) {
+	return addr + uint64(core)<<coreAddrShift, pc | uint64(core)<<corePCShift
+}
+
 // since re-bases cumulative counters r past the earlier snapshot b (the
 // warm-up baseline; zero when no warm-up was configured).
 func (r CoreResult) since(b CoreResult) CoreResult {
@@ -149,9 +158,8 @@ func (r CoreResult) since(b CoreResult) CoreResult {
 }
 
 // llcSide is the shared half of the machine: the LLC, the memory model
-// behind it and the traffic counters. System and ReplaySystem embed it
-// and send every private-hierarchy miss through serve, so the LLC
-// access order is written down once.
+// behind it and the traffic counters. Every private-hierarchy miss goes
+// through serve, so the LLC access order is written down once.
 type llcSide struct {
 	// cfg is the whole machine config; System and ReplaySystem read
 	// their own fields of it through the embedding.
@@ -172,22 +180,6 @@ type llcSide struct {
 	PrefetchIssued uint64
 }
 
-func newLLCSide(cfg Config, llcPolicy cache.Policy) llcSide {
-	if cfg.Cores <= 0 {
-		panic("cpu: non-positive core count")
-	}
-	llcCfg := cfg.LLC
-	if llcCfg.Name == "" {
-		llcCfg.Name = "LLC"
-	}
-	llcCfg.Cores = cfg.Cores
-	s := llcSide{cfg: cfg, llc: cache.New(llcCfg, llcPolicy)}
-	if cfg.DRAM != nil {
-		s.dram = memory.New(*cfg.DRAM)
-	}
-	return s
-}
-
 // DRAM exposes the memory model when enabled (nil otherwise).
 func (s *llcSide) DRAM() *memory.DRAM { return s.dram }
 
@@ -200,10 +192,11 @@ func (s *llcSide) Prefetches() uint64 { return s.PrefetchIssued }
 // serve services one private-hierarchy miss of core at the LLC and in
 // main memory, in this order: the demand access, the memory traffic it
 // causes, its next-line prefetches, then the posted writeback of the
-// private victim (when wb). Addresses and PCs arrive core-tagged. It
-// returns the cycles the core stalls for; prefetches and writebacks are
-// free in time.
+// private victim (when wb). Addresses and PCs arrive untagged; serve
+// tags them. It returns the cycles the core stalls for; prefetches and
+// writebacks are free in time.
 func (s *llcSide) serve(core int, addr, pc uint64, kind trace.Kind, wb bool, wbAddr, wbPC uint64) uint64 {
+	addr, pc = tag(core, addr, pc)
 	s.req = cache.Request{Addr: addr, PC: pc, Core: core, Kind: kind}
 	res := s.llc.Access(&s.req)
 	svc := s.cfg.LLCLatency
@@ -229,31 +222,170 @@ func (s *llcSide) serve(core int, addr, pc uint64, kind trace.Kind, wb bool, wbA
 	}
 	if wb {
 		s.Writebacks++
+		wbAddr, wbPC = tag(core, wbAddr, wbPC)
 		s.req = cache.Request{Addr: wbAddr, PC: wbPC, Core: core, Kind: trace.Store}
 		s.llc.Access(&s.req)
 	}
 	return svc
 }
 
-// coreState is one core of a direct run. Its clock is the System's
-// sched.times[index], unscheduled once its stream is exhausted.
-type coreState struct {
-	index    int
-	stream   trace.Stream
-	priv     privHier
-	instr    uint64
-	mem      uint64
-	recorded bool // statistics snapshotted at the instruction budget
-	warmed   bool // warm-up baseline captured
-	base     CoreResult
-	result   CoreResult
+// engine is what System and ReplaySystem share: the LLC side, the
+// schedule of steps and the measurement windows. Both engines close a
+// window the same way, by applying a trace.Crossing — the direct
+// engine builds its crossings on the spot, replay reads them off the
+// tapes — so a core's result is computed in one place.
+type engine struct {
+	llcSide
+
+	// sched holds each core's next step time; a core whose stream ran
+	// dry is unscheduled.
+	sched schedule
+
+	// closed counts cores whose measurement window has closed — the
+	// stop condition, kept as a counter so the per-step loop does not
+	// rescan every core.
+	closed int
 }
 
-// System is a runnable multicore simulation.
+// init builds the LLC side and sizes the schedule. The engine must not
+// move afterwards (the schedule may point into itself).
+func (e *engine) init(cfg Config, llcPolicy cache.Policy) {
+	if cfg.Cores <= 0 {
+		panic("cpu: non-positive core count")
+	}
+	llcCfg := cfg.LLC
+	if llcCfg.Name == "" {
+		llcCfg.Name = "LLC"
+	}
+	llcCfg.Cores = cfg.Cores
+	e.llcSide = llcSide{cfg: cfg, llc: cache.New(llcCfg, llcPolicy)}
+	if cfg.DRAM != nil {
+		e.dram = memory.New(*cfg.DRAM)
+	}
+	e.sched.init(cfg.Cores)
+}
+
+// window is one core's measurement window and its policy-dependent
+// clock: the LLC/memory service cycles the core has stalled for. The
+// core's clock is its front end's policy-independent cycles plus svc.
+type window struct {
+	svc    uint64
+	closed bool
+	base   CoreResult // warm-up baseline
+	result CoreResult
+}
+
+// cross applies core's crossing cr to its window: the warm-up crossing
+// takes the baseline, the budget crossing closes the window, and
+// exhaustion closes it when still open and unschedules the core. The
+// crossing supplies the policy-independent counters, the LLC the
+// per-core shared-cache counters, and the cycle count is the crossing
+// step's policy-independent end plus the service cycles so far — the
+// core's clock at the end of that step.
+func (e *engine) cross(core int, w *window, cr *trace.Crossing) {
+	if cr.Kind == trace.CrossExhaust {
+		e.sched.times[core] = unscheduled
+	}
+	if w.closed {
+		return
+	}
+	snap := CoreResult{
+		Core:         core,
+		Instructions: cr.Instr,
+		Cycles:       cr.PEnd + w.svc,
+		MemAccesses:  cr.Mem,
+		L1Hits:       cr.L1Hits,
+		L1Misses:     cr.L1Misses,
+		LLCAccesses:  e.llc.Stats.CoreAccesses[core],
+		LLCHits:      e.llc.Stats.CoreHits[core],
+		LLCMisses:    e.llc.Stats.CoreMisses[core],
+	}
+	if cr.Kind == trace.CrossWarmup {
+		w.base = snap
+		return
+	}
+	w.closed = true
+	e.closed++
+	w.result = snap.since(w.base)
+}
+
+// coreFront is one core's front end: its stream, its private hierarchy
+// and the policy-independent half of its clock and counters. None of
+// it depends on the LLC policy, so the direct engine (System) and the
+// tape recorder step the same front end, and replay needs none.
+type coreFront struct {
+	stream trace.Stream
+	priv   privHier
+
+	// p accumulates the core's policy-independent cycles: workload gaps
+	// plus private-hierarchy latencies.
+	p     uint64
+	instr uint64
+	mem   uint64
+
+	// warmAt and budgetAt are the warm-up and budget thresholds in
+	// retired instructions, never when not configured; warmed and
+	// budgeted latch once each is crossed.
+	warmAt, budgetAt uint64
+	warmed, budgeted bool
+}
+
+// never is a threshold no instruction count reaches.
+const never = math.MaxUint64
+
+func newCoreFront(cfg Config, stream trace.Stream) coreFront {
+	f := coreFront{stream: stream, priv: newPrivHier(cfg), warmAt: never, budgetAt: never}
+	if cfg.WarmupInstr > 0 {
+		f.warmAt = cfg.WarmupInstr
+	}
+	if cfg.InstrBudget > 0 {
+		f.budgetAt = cfg.InstrBudget
+	}
+	return f
+}
+
+// retire accounts one memory access that spent cycles in the private
+// levels after gap non-memory instructions (one cycle each), and
+// reports whether this step crossed the warm-up or the budget
+// threshold.
+func (f *coreFront) retire(gap, cycles uint64) (warm, record bool) {
+	f.p += gap + cycles
+	f.instr += gap + 1
+	f.mem++
+	if !f.warmed && f.instr >= f.warmAt {
+		f.warmed, warm = true, true
+	}
+	if !f.budgeted && f.instr >= f.budgetAt {
+		f.budgeted, record = true, true
+	}
+	return warm, record
+}
+
+// crossing is the crossing of kind on the step that started at pstart,
+// with the front end's counters as they stand now and events LLC
+// events behind it (onEvent: the step was one of them).
+func (f *coreFront) crossing(kind trace.CrossKind, events uint64, onEvent bool, pstart uint64) trace.Crossing {
+	return trace.Crossing{
+		Kind: kind, AfterEvents: events, OnEvent: onEvent,
+		PStart: pstart, PEnd: f.p,
+		Instr: f.instr, Mem: f.mem,
+		L1Hits: f.priv.l1.hits, L1Misses: f.priv.l1.misses,
+	}
+}
+
+// System is a runnable multicore simulation: every core's front end
+// stepped in lockstep with the shared LLC, one access at a time. It is
+// the reference that replay (ReplaySystem) must reproduce.
 type System struct {
-	llcSide
-	cores []*coreState
-	sched schedule
+	engine
+	cores []directCore
+}
+
+// directCore is one core of a direct run. Its clock, front.p + win.svc,
+// is also the System's sched.times[core] until its stream runs dry.
+type directCore struct {
+	front coreFront
+	win   window
 }
 
 // NewSystem builds a system with one stream per core and the given LLC
@@ -263,10 +395,11 @@ func NewSystem(cfg Config, llcPolicy cache.Policy, streams []trace.Stream) *Syst
 	if len(streams) != cfg.Cores {
 		panic(fmt.Sprintf("cpu: %d streams for %d cores", len(streams), cfg.Cores))
 	}
-	s := &System{llcSide: newLLCSide(cfg, llcPolicy)}
-	s.sched.init(cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, &coreState{index: i, stream: streams[i], priv: newPrivHier(cfg)})
+	s := new(System)
+	s.init(cfg, llcPolicy)
+	s.cores = make([]directCore, cfg.Cores)
+	for i := range s.cores {
+		s.cores[i].front = newCoreFront(cfg, streams[i])
 	}
 	return s
 }
@@ -275,41 +408,49 @@ func NewSystem(cfg Config, llcPolicy cache.Policy, streams []trace.Stream) *Syst
 // statistics are snapshotted when it reaches the instruction budget, but
 // the core keeps issuing until every core has been snapshotted, so the
 // slowest core experiences full contention over its entire measured
-// window (the standard multiprogrammed-workload methodology).
+// window (the standard multiprogrammed-workload methodology). A core
+// whose stream runs dry closes its window there. Steps run in global
+// (clock, core index) order.
 func (s *System) Run() []CoreResult {
-	for !s.allRecorded() {
-		c := s.nextCore()
-		if c == nil {
-			break // every stream exhausted
-		}
-		s.step(c)
+	for s.closed < len(s.cores) {
+		s.step(s.sched.next())
 	}
 	out := make([]CoreResult, len(s.cores))
-	for i, c := range s.cores {
-		if !c.recorded {
-			s.record(c)
-		}
-		out[i] = c.result
+	for i := range s.cores {
+		out[i] = s.cores[i].win.result
 	}
 	return out
 }
 
-func (s *System) allRecorded() bool {
-	for _, c := range s.cores {
-		if !c.recorded {
-			return false
-		}
+// step advances core i by one memory access, or closes its window when
+// its stream is exhausted. The direct engine applies each crossing on
+// the step that makes it, so the crossing's tape position
+// (AfterEvents) goes unused.
+func (s *System) step(i int) {
+	c := &s.cores[i]
+	f := &c.front
+	a, ok := f.stream.Next()
+	if !ok {
+		cr := f.crossing(trace.CrossExhaust, 0, false, f.p)
+		s.cross(i, &c.win, &cr)
+		return
 	}
-	return true
-}
-
-// nextCore picks the still-issuing core with the smallest local clock
-// (ties broken by index for determinism).
-func (s *System) nextCore() *coreState {
-	if i := s.sched.next(); i >= 0 {
-		return s.cores[i]
+	pstart := f.p
+	cycles, deep, miss := f.priv.access(a.Addr, a.PC, a.Kind == trace.Store)
+	if miss {
+		c.win.svc += s.serve(i, a.Addr, a.PC, a.Kind,
+			deep.evValid && deep.evDirty, deep.evTag<<6, deep.evPC)
 	}
-	return nil
+	warm, record := f.retire(uint64(a.Gap), cycles)
+	s.sched.times[i] = f.p + c.win.svc
+	if warm {
+		cr := f.crossing(trace.CrossWarmup, 0, miss, pstart)
+		s.cross(i, &c.win, &cr)
+	}
+	if record {
+		cr := f.crossing(trace.CrossRecord, 0, miss, pstart)
+		s.cross(i, &c.win, &cr)
+	}
 }
 
 // unscheduled is the schedule time of a core that issues nothing more.
@@ -375,58 +516,4 @@ func (s *schedule) scan() int {
 		s.rivalIndex = math.MaxInt
 	}
 	return best
-}
-
-// step advances one memory access on core c.
-func (s *System) step(c *coreState) {
-	a, ok := c.stream.Next()
-	if !ok {
-		if !c.recorded {
-			s.record(c)
-		}
-		s.sched.times[c.index] = unscheduled
-		return
-	}
-	addr := a.Addr + uint64(c.index)<<coreAddrShift
-	pc := a.PC | uint64(c.index)<<corePCShift
-
-	cycles, deep, miss := c.priv.access(addr, pc, a.Kind == trace.Store)
-	cycles += uint64(a.Gap) // non-memory instructions, 1 cycle each
-	if miss {
-		cycles += s.serve(c.index, addr, pc, a.Kind,
-			deep.evValid && deep.evDirty, deep.evTag<<6, deep.evPC)
-	}
-	s.sched.times[c.index] += cycles
-
-	c.instr += uint64(a.Gap) + 1
-	c.mem++
-	if s.cfg.WarmupInstr > 0 && !c.warmed && c.instr >= s.cfg.WarmupInstr {
-		c.warmed = true
-		c.base = s.snapshot(c)
-	}
-	if s.cfg.InstrBudget > 0 && !c.recorded && c.instr >= s.cfg.InstrBudget {
-		s.record(c)
-	}
-}
-
-// snapshot reads a core's cumulative counters.
-func (s *System) snapshot(c *coreState) CoreResult {
-	return CoreResult{
-		Core:         c.index,
-		Instructions: c.instr,
-		Cycles:       s.sched.times[c.index],
-		MemAccesses:  c.mem,
-		L1Hits:       c.priv.l1.hits,
-		L1Misses:     c.priv.l1.misses,
-		LLCAccesses:  s.llc.Stats.CoreAccesses[c.index],
-		LLCHits:      s.llc.Stats.CoreHits[c.index],
-		LLCMisses:    s.llc.Stats.CoreMisses[c.index],
-	}
-}
-
-// record snapshots a core's statistics at its measurement endpoint,
-// re-based past the warm-up region when one was configured.
-func (s *System) record(c *coreState) {
-	c.recorded = true
-	c.result = s.snapshot(c).since(c.base)
 }

@@ -49,7 +49,7 @@ func splitmix64(x *uint64) uint64 {
 // writeback words and the flipped byte may land in one. It reports
 // whether a byte was flipped.
 func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, mutPos, mutXor uint64) (*Tape, bool) {
-	r := &recorder{cfg: cfg}
+	r := &recorder{}
 	pc := func() uint64 { return 0x400000 + 4*(splitmix64(&seed)%320) }
 	var p uint64
 	for i := uint64(0); i < nEvents; i++ {

@@ -99,3 +99,55 @@ func TestPrivHierMatchesCache(t *testing.T) {
 		}
 	}
 }
+
+// TestPrivHierTagInvariant pins what lets both engines run the private
+// levels on untagged addresses and tag at the LLC: a hierarchy fed
+// core-tagged accesses (addr+core<<40, pc|core<<48) and one fed the
+// same accesses untagged agree on every access's cycles, hit/miss and
+// LLC-bound flag, and the tagged run's victim is the untagged run's
+// victim, tagged. Addresses reach above 2^40 (up to the top of the
+// address space, where the tag wraps) and PCs above 2^48.
+func TestPrivHierTagInvariant(t *testing.T) {
+	for _, withL2 := range []bool{false, true} {
+		for _, core := range []int{1, 3, 255} {
+			t.Run(fmt.Sprintf("l2=%v/core=%d", withL2, core), func(t *testing.T) {
+				cfg := Config{
+					L1:        cache.Config{SizeBytes: 2 << 10, Ways: 2, LineBytes: 64},
+					L1Latency: 1,
+				}
+				if withL2 {
+					cfg.L2 = cache.Config{SizeBytes: 8 << 10, Ways: 4, LineBytes: 64}
+					cfg.L2Latency = 6
+				}
+				tagged, plain := newPrivHier(cfg), newPrivHier(cfg)
+				bases := []uint64{0, 7 << 40, 0xffff_ff00_0000_0000, 1<<63 | 5<<40}
+				rng := rand.New(rand.NewSource(int64(core)))
+				var misses, victims int
+				for i := 0; i < 100_000; i++ {
+					addr := bases[rng.Intn(len(bases))] + uint64(rng.Intn(1<<10))<<6 | uint64(rng.Intn(64))
+					pc := uint64(rng.Intn(4))<<48 | uint64(rng.Intn(2))<<63 | uint64(rng.Intn(32))
+					store := rng.Intn(3) == 0
+					tAddr, tPC := tag(core, addr, pc)
+
+					tCycles, tr, tMiss := tagged.access(tAddr, tPC, store)
+					pCycles, pr, pMiss := plain.access(addr, pc, store)
+					vAddr, vPC := tag(core, pr.evTag<<6, pr.evPC)
+					if tCycles != pCycles || tMiss != pMiss || tr.hit != pr.hit || tr.evValid != pr.evValid ||
+						tr.evValid && (tr.evDirty != pr.evDirty || tr.evTag<<6 != vAddr || tr.evPC != vPC) {
+						t.Fatalf("access %d (%#x pc %#x store=%v): tagged %+v miss=%v cycles=%d; untagged %+v miss=%v cycles=%d",
+							i, addr, pc, store, tr, tMiss, tCycles, pr, pMiss, pCycles)
+					}
+					if pMiss {
+						misses++
+					}
+					if pr.evValid && pr.evDirty {
+						victims++
+					}
+				}
+				if misses == 0 || victims == 0 {
+					t.Fatalf("stream produced %d LLC-bound accesses and %d dirty victims", misses, victims)
+				}
+			})
+		}
+	}
+}

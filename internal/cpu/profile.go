@@ -25,8 +25,6 @@ func WalkTape(cfg Config, coreIndex int, t *Tape, v TapeVisitor) error {
 		word      uint64 // tape words read
 		ev        trace.FilteredEvent
 	)
-	addrTag := uint64(coreIndex) << coreAddrShift
-	pcTag := uint64(coreIndex) << corePCShift
 	lineBytes := uint64(cfg.LLC.LineBytes)
 	for {
 		// Deliver every crossing due at or before the current position:
@@ -54,14 +52,14 @@ func WalkTape(cfg Config, coreIndex int, t *Tape, v TapeVisitor) error {
 		}
 		word = view.event(word, &ev)
 		// Mirror llcSide.serve's LLC access order exactly.
-		addr := ev.Addr + addrTag
-		pc := ev.PC | pcTag
+		addr, pc := tag(coreIndex, ev.Addr, ev.PC)
 		v.Access(addr, pc, ev.Kind, true)
 		for d := 1; d <= cfg.PrefetchDegree; d++ {
 			v.Access(addr+uint64(d)*lineBytes, pc, trace.Load, false)
 		}
 		if ev.HasWB {
-			v.Access(ev.WBAddr+addrTag, ev.WBPC|pcTag, trace.Store, false)
+			wbAddr, wbPC := tag(coreIndex, ev.WBAddr, ev.WBPC)
+			v.Access(wbAddr, wbPC, trace.Store, false)
 		}
 		walked++
 	}

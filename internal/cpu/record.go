@@ -7,33 +7,24 @@ import (
 	"nucache/internal/trace"
 )
 
-// The record pass: run one core's stream through its private L1/L2
-// hierarchy (privHier, the model (*System).step also steps), but with no
-// shared LLC, and write everything the LLC would see onto the tape's
-// event pages. The
-// private hierarchy is policy-independent — its hit/miss outcomes,
-// victims and timing contributions do not depend on what the shared
-// cache does — so one recording serves every LLC policy via
-// ReplaySystem.
+// The record pass: step one core's front end (coreFront, the model the
+// direct engine System steps too) with no shared LLC, and write
+// everything the LLC would see onto the tape's event pages. The front
+// end is policy-independent — its hit/miss outcomes, victims and timing
+// contributions do not depend on what the shared cache does — so one
+// recording serves every LLC policy via ReplaySystem.
 //
-// Addresses and PCs are recorded untagged (no core bits). The private
-// caches behave identically on untagged addresses because core tagging
-// adds bits far above any set-index or line-offset bit, and the replay
-// engine re-applies the per-core tags. That keeps one tape reusable at
-// any core position of any mix. The guards below reject the (never
-// generated, but possible via custom streams) addresses for which
-// tagging would not commute with recording, and the event addresses
-// the packed words cannot hold (not 64-byte aligned: byte-granular
-// traces); the tape is then abandoned and callers fall back to direct
-// simulation.
+// Addresses and PCs are recorded untagged (no core bits), just as the
+// direct engine runs its private levels, and both engines tag them at
+// the LLC (llcSide.serve). That keeps one tape reusable at any core
+// position of any mix. A tape fails, and its callers fall back to
+// direct simulation, on an access its words cannot hold: an address of
+// 2^40 or more (beyond the 34-bit line field) or an LLC access that is
+// not 64-byte aligned (byte-granular traces). PCs are stored whole, and
+// every private victim comes from an access already checked.
 
-const (
-	// maxRawAddr keeps addr + core<<coreAddrShift carry-free and leaves
-	// headroom for next-line prefetch addresses derived at replay time.
-	maxRawAddr = 1<<coreAddrShift - 1<<20
-	// maxRawPC keeps pc | core<<corePCShift equal to addition.
-	maxRawPC = 1 << corePCShift
-)
+// maxRawAddr is the first address a tape's line field cannot hold.
+const maxRawAddr = 1 << (lineBits + 6)
 
 // The errors a tape dies of, wrapped with the offending values. A
 // replay or profile walk over a dead tape returns one, and its callers
@@ -42,30 +33,21 @@ var (
 	// ErrNoLLCEvent: the front end retired a whole instruction budget
 	// without an LLC event (see recorder.run).
 	ErrNoLLCEvent = errors.New("cpu: front end retired an instruction budget without an LLC event")
-	// ErrUntaggable: an access or writeback lies outside the range where
-	// per-core tagging commutes with recording.
+	// ErrUntaggable: an access address lies beyond the tape's 40-bit
+	// address field.
 	ErrUntaggable = errors.New("cpu: access outside the taggable range")
 	// ErrUnaligned: an LLC access is not 64-byte aligned, so the event
 	// word cannot hold it.
 	ErrUnaligned = errors.New("cpu: LLC access not 64-byte aligned")
 )
 
-// recorder advances one core's policy-independent front end and grows
-// its tape on demand.
+// recorder advances one core's front end and grows its tape on demand.
 type recorder struct {
-	cfg    Config
-	stream trace.Stream
-	priv   privHier
+	front coreFront
 
-	// p accumulates the core's policy-independent cycles: workload gaps
-	// plus private-hierarchy latencies. The core's clock in a real run is
-	// p plus the LLC/memory service cycles of its replayed events.
-	p     uint64
-	instr uint64
-	mem   uint64
-
-	// lastEvP / lastEvInstr are p and instr at the start of the previous
-	// event's step (the CycleGap base, and the no-event guard's).
+	// lastEvP / lastEvInstr are front.p and front.instr at the start of
+	// the previous event's step (the CycleGap base, and the no-event
+	// guard's).
 	lastEvP     uint64
 	lastEvInstr uint64
 
@@ -83,86 +65,71 @@ type recorder struct {
 	crossings []trace.Crossing
 	complete  bool // stream exhausted: the tape is final
 
-	warmed   bool
-	budgeted bool
-	err      error
+	err error
 }
 
 func newRecorder(cfg Config, stream trace.Stream) *recorder {
-	return &recorder{cfg: cfg, stream: stream, priv: newPrivHier(cfg)}
+	return &recorder{front: newCoreFront(cfg, stream)}
 }
 
 // run advances the front end until the tape holds at least target events
 // or the stream is exhausted. A non-nil error means the tape must not be
-// used: the tagging guard tripped, or the front end retired a whole
-// instruction budget without an LLC event. Workload streams never end,
-// so once a core's working set fits in its private caches no access
+// used: an access did not fit a tape word, or the front end retired a
+// whole instruction budget without an LLC event. Workload streams never
+// end, so once a core's working set fits in its private caches no access
 // reaches the LLC and an unbounded extension would step forever; failing
 // the tape sends its replays to direct simulation instead.
 func (r *recorder) run(target uint64) error {
 	for r.err == nil && !r.complete && r.events < target {
 		r.step()
-		if b := r.cfg.InstrBudget; b > 0 && r.instr-r.lastEvInstr >= b {
-			r.err = fmt.Errorf("%w (%d instructions)", ErrNoLLCEvent, r.instr-r.lastEvInstr)
+		if q := r.front.instr - r.lastEvInstr; q >= r.front.budgetAt {
+			r.err = fmt.Errorf("%w (%d instructions)", ErrNoLLCEvent, q)
 		}
 	}
 	return r.err
 }
 
 func (r *recorder) step() {
-	a, ok := r.stream.Next()
+	f := &r.front
+	a, ok := f.stream.Next()
 	if !ok {
-		r.crossings = append(r.crossings, trace.Crossing{
-			Kind: trace.CrossExhaust, AfterEvents: r.events,
-			PStart: r.p, PEnd: r.p,
-			Instr: r.instr, Mem: r.mem,
-			L1Hits: r.priv.l1.hits, L1Misses: r.priv.l1.misses,
-		})
+		r.crossings = append(r.crossings, f.crossing(trace.CrossExhaust, r.events, false, f.p))
 		r.complete = true
 		return
 	}
-	if a.Addr >= maxRawAddr || a.PC >= maxRawPC {
-		r.err = fmt.Errorf("%w: access %#x/pc %#x", ErrUntaggable, a.Addr, a.PC)
+	if a.Addr >= maxRawAddr {
+		r.err = fmt.Errorf("%w: access %#x", ErrUntaggable, a.Addr)
 		return
 	}
-	pstart := r.p
-	cycles, deep, isEvent := r.priv.access(a.Addr, a.PC, a.Kind == trace.Store)
-	r.p += uint64(a.Gap) + cycles // non-memory instructions, 1 cycle each
+	pstart := f.p
+	cycles, deep, isEvent := f.priv.access(a.Addr, a.PC, a.Kind == trace.Store)
 	if isEvent {
+		if a.Addr&63 != 0 {
+			r.err = fmt.Errorf("%w: %#x", ErrUnaligned, a.Addr)
+			return
+		}
 		ev := trace.FilteredEvent{
 			Addr: a.Addr, PC: a.PC, Kind: a.Kind,
 			CycleGap: pstart - r.lastEvP,
 		}
 		if deep.evValid && deep.evDirty {
 			ev.HasWB, ev.WBAddr, ev.WBPC = true, deep.evTag<<6, deep.evPC
-			if ev.WBAddr >= maxRawAddr || ev.WBPC >= maxRawPC {
-				r.err = fmt.Errorf("%w: writeback %#x/pc %#x", ErrUntaggable, ev.WBAddr, ev.WBPC)
-				return
-			}
-		}
-		if ev.Addr&63 != 0 {
-			r.err = fmt.Errorf("%w: %#x", ErrUnaligned, ev.Addr)
-			return
 		}
 		r.append(ev)
 		r.lastEvP = pstart
-		r.lastEvInstr = r.instr
+		r.lastEvInstr = f.instr
 	}
-
-	r.instr += uint64(a.Gap) + 1
-	r.mem++
-	if r.cfg.WarmupInstr > 0 && !r.warmed && r.instr >= r.cfg.WarmupInstr {
-		r.warmed = true
-		r.cross(trace.CrossWarmup, isEvent, pstart)
+	warm, record := f.retire(uint64(a.Gap), cycles)
+	if warm {
+		r.crossings = append(r.crossings, f.crossing(trace.CrossWarmup, r.events, isEvent, pstart))
 	}
-	if r.cfg.InstrBudget > 0 && !r.budgeted && r.instr >= r.cfg.InstrBudget {
-		r.budgeted = true
-		r.cross(trace.CrossRecord, isEvent, pstart)
+	if record {
+		r.crossings = append(r.crossings, f.crossing(trace.CrossRecord, r.events, isEvent, pstart))
 	}
 }
 
 // append writes ev's words into the tape's pages. The caller has
-// checked that ev's addresses are taggable and 64-byte aligned.
+// checked that ev's address fits a line field and is 64-byte aligned.
 func (r *recorder) append(ev trace.FilteredEvent) {
 	w := ev.Addr >> 6
 	if ev.Kind == trace.Store {
@@ -212,13 +179,4 @@ func (r *recorder) pcIndex(pc uint64) uint64 {
 	r.pcs[r.npcs] = pc
 	r.npcs++
 	return uint64(r.npcs - 1)
-}
-
-func (r *recorder) cross(kind trace.CrossKind, onEvent bool, pstart uint64) {
-	r.crossings = append(r.crossings, trace.Crossing{
-		Kind: kind, AfterEvents: r.events, OnEvent: onEvent,
-		PStart: pstart, PEnd: r.p,
-		Instr: r.instr, Mem: r.mem,
-		L1Hits: r.priv.l1.hits, L1Misses: r.priv.l1.misses,
-	})
 }

@@ -45,30 +45,18 @@ type replayCore struct {
 	replayed  uint64              // events replayed so far
 	word      uint64              // tape words read so far
 	pi        uint64              // policy-independent cycles at the pending event's step start
-	svc       uint64              // accumulated LLC/memory service cycles
 	pend      trace.FilteredEvent // the pending event
 	pendValid bool
 	dueCross  bool // next item is view.cross[nextCross], not pend
-	recorded  bool
 
-	base   CoreResult
-	result CoreResult
+	win window
 }
 
 // ReplaySystem replays one LLC policy over one tape per core. See the
 // package comment above for the timing reconstruction it relies on.
 type ReplaySystem struct {
-	llcSide
+	engine
 	cores []replayCore
-
-	// sched holds each core's next item time; a stopped core is
-	// unscheduled.
-	sched schedule
-
-	// recorded counts cores whose measurement window has closed — the
-	// stop condition, kept as a counter so the per-item loop does not
-	// rescan every core.
-	recorded int
 }
 
 // Machine is the read surface shared by System, ReplaySystem and the
@@ -95,9 +83,8 @@ func NewReplaySystem(cfg Config, llcPolicy cache.Policy, tapes []*Tape) *ReplayS
 		}
 	}
 	rs := new(ReplaySystem)
-	rs.llcSide = newLLCSide(cfg, llcPolicy)
+	rs.init(cfg, llcPolicy)
 	rs.cores = make([]replayCore, cfg.Cores)
-	rs.sched.init(cfg.Cores)
 	for i, t := range tapes {
 		rs.cores[i] = replayCore{index: i, tape: t}
 	}
@@ -114,16 +101,20 @@ func (rs *ReplaySystem) Run() ([]CoreResult, error) {
 	if err := rs.run(); err != nil {
 		return nil, err
 	}
-	return rs.results()
+	out := make([]CoreResult, len(rs.cores))
+	for i := range rs.cores {
+		out[i] = rs.cores[i].win.result
+	}
+	return out, nil
 }
 
-// run plays items until every core has recorded, preserving the exact
-// execution order of the direct engine. That engine checks "everyone
-// recorded" before each step, so the step that records the last core is
-// also the last step executed. Mirror that exactly: test the condition
-// before picking an item, and defer recomputing the played core's next
-// item (which could extend its tape past anything a replay needs) until
-// the loop continues.
+// run plays items until every core's window has closed, preserving the
+// exact execution order of the direct engine. That engine checks its
+// stop condition before each step, so the step that closes the last
+// window is also the last step executed. Mirror that exactly: test the
+// condition before picking an item, and defer recomputing the played
+// core's next item (which could extend its tape past anything a replay
+// needs) until the loop continues.
 func (rs *ReplaySystem) run() error {
 	for i := range rs.cores {
 		if err := rs.advance(&rs.cores[i]); err != nil {
@@ -131,43 +122,14 @@ func (rs *ReplaySystem) run() error {
 		}
 	}
 	var last *replayCore
-	for rs.recorded < len(rs.cores) {
+	for rs.closed < len(rs.cores) {
 		if last != nil {
 			if err := rs.advance(last); err != nil {
 				return err
 			}
 		}
-		c := rs.nextItem()
-		if c == nil {
-			// Every stream exhausted; results() reports unrecorded cores.
-			return nil
-		}
-		rs.playItem(c)
-		last = c
-	}
-	return nil
-}
-
-// results collects the per-core results after the replay finished.
-func (rs *ReplaySystem) results() ([]CoreResult, error) {
-	out := make([]CoreResult, len(rs.cores))
-	for i := range rs.cores {
-		c := &rs.cores[i]
-		if !c.recorded {
-			// Unreachable for well-formed tapes (exhaustion records), but
-			// fail safe rather than return partial results.
-			return nil, fmt.Errorf("cpu: replay core %d ended unrecorded", i)
-		}
-		out[i] = c.result
-	}
-	return out, nil
-}
-
-// nextItem picks the core whose next item has the smallest schedule
-// time, ties broken by index — the replay analogue of nextCore.
-func (rs *ReplaySystem) nextItem() *replayCore {
-	if i := rs.sched.next(); i >= 0 {
-		return &rs.cores[i]
+		last = &rs.cores[rs.sched.next()]
+		rs.playItem(last)
 	}
 	return nil
 }
@@ -188,7 +150,7 @@ func (rs *ReplaySystem) advance(c *replayCore) error {
 					return fmt.Errorf("cpu: replay core %d: stray on-event crossing", c.index)
 				}
 				c.dueCross = true
-				*next = cr.PStart + c.svc
+				*next = cr.PStart + c.win.svc
 				return nil
 			}
 		}
@@ -202,7 +164,7 @@ func (rs *ReplaySystem) advance(c *replayCore) error {
 			c.pi += c.pend.CycleGap
 		}
 		if c.pendValid {
-			*next = c.pi + c.svc
+			*next = c.pi + c.win.svc
 			return nil
 		}
 		if c.view.complete {
@@ -227,11 +189,12 @@ func (rs *ReplaySystem) advance(c *replayCore) error {
 func (rs *ReplaySystem) playItem(c *replayCore) {
 	if c.dueCross {
 		c.dueCross = false
-		rs.applyCrossing(c, &c.view.cross[c.nextCross])
+		rs.cross(c.index, &c.win, &c.view.cross[c.nextCross])
 		c.nextCross++
 		return
 	}
-	rs.playEvent(c, &c.pend)
+	ev := &c.pend
+	c.win.svc += rs.serve(c.index, ev.Addr, ev.PC, ev.Kind, ev.HasWB, ev.WBAddr, ev.WBPC)
 	c.pendValid = false
 	c.replayed++
 	for c.nextCross < len(c.view.cross) {
@@ -239,57 +202,7 @@ func (rs *ReplaySystem) playItem(c *replayCore) {
 		if cr.AfterEvents != c.replayed || !cr.OnEvent {
 			break
 		}
-		rs.applyCrossing(c, cr)
+		rs.cross(c.index, &c.win, cr)
 		c.nextCross++
 	}
-}
-
-// playEvent replays one LLC-bound event: it re-applies the core's
-// address and PC tags and serves the miss exactly as the direct engine
-// does.
-func (rs *ReplaySystem) playEvent(c *replayCore, ev *trace.FilteredEvent) {
-	addrTag := uint64(c.index) << coreAddrShift
-	pcTag := uint64(c.index) << corePCShift
-	c.svc += rs.serve(c.index, ev.Addr+addrTag, ev.PC|pcTag, ev.Kind,
-		ev.HasWB, ev.WBAddr+addrTag, ev.WBPC|pcTag)
-}
-
-func (rs *ReplaySystem) applyCrossing(c *replayCore, cr *trace.Crossing) {
-	switch cr.Kind {
-	case trace.CrossWarmup:
-		c.base = rs.snapshotAt(c, cr)
-	case trace.CrossRecord:
-		rs.recordAt(c, cr)
-	case trace.CrossExhaust:
-		if !c.recorded {
-			rs.recordAt(c, cr)
-		}
-		rs.sched.times[c.index] = unscheduled
-	}
-}
-
-// snapshotAt reconstructs the direct engine's cumulative snapshot at a
-// crossing: the tape supplies the policy-independent counters, the LLC
-// the per-core shared-cache counters, and the cycle count is the
-// recorded policy-independent clock plus this core's replayed service.
-func (rs *ReplaySystem) snapshotAt(c *replayCore, cr *trace.Crossing) CoreResult {
-	return CoreResult{
-		Core:         c.index,
-		Instructions: cr.Instr,
-		Cycles:       cr.PEnd + c.svc,
-		MemAccesses:  cr.Mem,
-		L1Hits:       cr.L1Hits,
-		L1Misses:     cr.L1Misses,
-		LLCAccesses:  rs.llc.Stats.CoreAccesses[c.index],
-		LLCHits:      rs.llc.Stats.CoreHits[c.index],
-		LLCMisses:    rs.llc.Stats.CoreMisses[c.index],
-	}
-}
-
-func (rs *ReplaySystem) recordAt(c *replayCore, cr *trace.Crossing) {
-	if !c.recorded {
-		rs.recorded++
-	}
-	c.recorded = true
-	c.result = rs.snapshotAt(c, cr).since(c.base)
 }

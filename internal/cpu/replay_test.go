@@ -8,12 +8,14 @@ package cpu_test
 // suite by name (with -race) before the full test run.
 
 import (
+	"context"
 	"errors"
 	"expvar"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"nucache/internal/cache"
 	"nucache/internal/cpu"
@@ -479,7 +481,10 @@ func TestReplayEvictsIdleTapeMidReplay(t *testing.T) {
 
 // TestTapePageBitFlipFallsBackToDirect: one flipped bit in the event
 // records of a memoized tape fails every replay of it, and RunMachine
-// falls back to direct simulation with the clean run's results.
+// falls back to direct simulation with the clean run's results. The
+// corrupt tape then leaves the memo: the next RunMachine records a new
+// tape and replays it, and LookupTape of a tape found corrupt answers
+// nil.
 func TestTapePageBitFlipFallsBackToDirect(t *testing.T) {
 	cfg := smallConfig(1)
 	const bench, seed = "art-like", 5
@@ -516,6 +521,123 @@ func TestTapePageBitFlipFallsBackToDirect(t *testing.T) {
 	rs := cpu.NewReplaySystem(cfg, newPol(), []*cpu.Tape{tape})
 	if res, err := rs.Run(); !errors.Is(err, cpu.ErrCorruptTape) || res != nil {
 		t.Fatalf("replay of a corrupt tape = %v, %v; want cpu.ErrCorruptTape and nil results", res, err)
+	}
+
+	fallbacks, recorded := sim.TraceFallbacks.Value(), cpu.TapesRecorded()
+	again, _, _ := sim.RunMachine(cfg, newPol, mix, seed, false)
+	if sim.TraceFallbacks.Value() != fallbacks {
+		t.Fatal("RunMachine fell back again after the corrupt tape was found")
+	}
+	if cpu.TapesRecorded() != recorded+1 {
+		t.Fatal("RunMachine did not record a new tape in place of the corrupt one")
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Fatalf("the new tape's replay diverges from the clean run\ngot:  %+v\nwant: %+v", again, want)
+	}
+	fresh := cpu.LookupTape(tapeID(bench, seed), cfg)
+	if fresh == nil || fresh == tape {
+		t.Fatalf("memo holds %p after the re-record; want a new tape, not %p", fresh, tape)
+	}
+
+	cpu.FlipTapeBit(fresh, cpu.EventWord, 0, 3)
+	if err := fresh.Verify(); !errors.Is(err, cpu.ErrCorruptTape) {
+		t.Fatalf("Verify of a flipped tape = %v; want cpu.ErrCorruptTape", err)
+	}
+	evicted := cpu.TapesEvicted()
+	if got := cpu.LookupTape(tapeID(bench, seed), cfg); got != nil {
+		t.Fatal("LookupTape returned a tape known to be corrupt")
+	}
+	if cpu.TapesEvicted() != evicted+1 {
+		t.Error("LookupTape did not evict the corrupt tape")
+	}
+}
+
+// TestTapeCorruptConcurrentAcquire: simulations racing over a memoized
+// tape that turns out corrupt each either replay it or fall back, all
+// with the clean run's results, and the memo ends up holding one sound
+// tape (run under -race in CI).
+func TestTapeCorruptConcurrentAcquire(t *testing.T) {
+	cfg := smallConfig(1)
+	const bench, seed = "mcf-like", 9
+	mix := workload.Mix{Name: "race", Members: []string{bench}}
+	newPol := func() cache.Policy { return newLRU(cfg) }
+	cpu.ResetTapes()
+	t.Cleanup(cpu.ResetTapes)
+
+	want, _, _ := sim.RunMachine(cfg, newPol, mix, seed, false)
+	tape := cpu.LookupTape(tapeID(bench, seed), cfg)
+	cpu.FlipTapeBit(tape, cpu.EventWord, cpu.TapeWords(tape, cpu.EventWord)-1, 3)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if got, _, _ := sim.RunMachine(cfg, newPol, mix, seed, false); !reflect.DeepEqual(got, want) {
+					t.Error("a run over the corrupt tape's key diverges from the clean run")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	fresh := cpu.LookupTape(tapeID(bench, seed), cfg)
+	if fresh == nil || fresh == tape {
+		t.Fatalf("memo holds %p; want a new tape in place of %p", fresh, tape)
+	}
+	if err := fresh.Verify(); err != nil {
+		t.Fatalf("the re-recorded tape: %v", err)
+	}
+}
+
+// TestTapeCorruptProfileRecordsAfresh: a profile walk that finds its
+// memoized tape corrupt fails, but the tape leaves the memo, so the
+// next ExecuteProfile records a new tape and returns the clean profile,
+// and a scheduled profile job recovers on its transient retry.
+func TestTapeCorruptProfileRecordsAfresh(t *testing.T) {
+	cpu.ResetTapes()
+	t.Cleanup(cpu.ResetTapes)
+	req := sim.ProfileRequest{Bench: "art-like", Budget: 200_000, Seed: 3}
+	cfg := sim.MachineConfig(sim.Request{Budget: req.Budget}, 1)
+	id := tapeID(req.Bench, workload.MemberSeed(req.Seed, 0))
+	ctx := context.Background()
+	// flip corrupts the last event of the memoized tape, in the frame its
+	// last extension sealed, so the next walk's first view finds it.
+	flip := func() {
+		t.Helper()
+		tape := cpu.LookupTape(id, cfg)
+		if tape == nil {
+			t.Fatal("ExecuteProfile memoized no tape")
+		}
+		cpu.FlipTapeBit(tape, cpu.EventWord, cpu.TapeWords(tape, cpu.EventWord)-1, 3)
+	}
+
+	want, err := sim.ExecuteProfile(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip()
+	if _, err := sim.ExecuteProfile(ctx, req); !errors.Is(err, cpu.ErrCorruptTape) {
+		t.Fatalf("profile over a corrupt tape = %v; want cpu.ErrCorruptTape", err)
+	}
+	got, err := sim.ExecuteProfile(ctx, req)
+	if err != nil {
+		t.Fatalf("profile after the corrupt tape was found: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the re-recorded tape's profile differs from the clean one")
+	}
+
+	flip()
+	s := sim.NewSchedulerWith(sim.SchedulerConfig{
+		Workers: 1,
+		Retry:   sim.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
+	})
+	out := s.Do(ctx, sim.ProfileJobFor(req))
+	if out.Err != nil || out.Attempts != 2 {
+		t.Fatalf("scheduled profile over a corrupt tape: err %v after %d attempts; want success on the retry", out.Err, out.Attempts)
+	}
+	if !reflect.DeepEqual(out.Value, want) {
+		t.Fatal("the retried profile differs from the clean one")
 	}
 }
 

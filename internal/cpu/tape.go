@@ -44,11 +44,11 @@ const DefaultTapeBudget = 1 << 30
 //	writeback: line(34) | 0(2)     | pcIndex(8) | 0(20)
 //
 // (low bits first). A line is an address shifted right by 6: the
-// record guards (record.go) keep addresses below maxRawAddr < 2^40 and
-// fail a tape on an event address that is not 64-byte aligned, and
-// writeback victims are line addresses by construction. pcIndex names
-// an entry of the tape's PC table, which takes the first 255 distinct
-// PCs the recorder sees (real tapes have at most a handful).
+// record guards (record.go) fail a tape on an address of 2^40 or more
+// and on an event address that is not 64-byte aligned, and writeback
+// victims are line addresses by construction. pcIndex names an entry
+// of the tape's PC table, which takes the first 255 distinct PCs the
+// recorder sees (real tapes have at most a handful).
 //
 // pcIndex 255 is an escape. An escaped event word's gap field is zero,
 // and its next two words hold the event's full PC and full cycle gap;
@@ -147,6 +147,10 @@ type Tape struct {
 	// replaying corrupt events.
 	frames     []tapeFrame
 	frameCheck int // frames verified so far
+
+	// corrupt is set, with dead, when a frame fails its check. It is
+	// read without mu, so a memo hit never waits on an extension.
+	corrupt atomic.Bool
 }
 
 // tapeFrame is one extension's checksum: CRC-32C of the words from the
@@ -209,18 +213,18 @@ func (fe frontEnd) String() string {
 }
 
 // AcquireTape returns the process-wide shared tape for (id, front end),
-// recording a new one on first use. id must identify the stream that
-// open returns — benchmark name plus derived seed — and open must build
-// a fresh stream (it is called at most once per recording). Before it
-// admits a new tape, AcquireTape evicts the least recently acquired
-// tapes until TapeBytes is under the cap.
+// recording a new one on first use and in place of a memoized tape that
+// failed its checksum. id must identify the stream that open returns —
+// benchmark name plus derived seed — and open must build a fresh stream
+// (it is called at most once per recording). Before it admits a new
+// tape, AcquireTape evicts the least recently acquired tapes until
+// TapeBytes is under the cap.
 func AcquireTape(id string, cfg Config, open func() trace.Stream) *Tape {
 	key := id + "|" + FrontEndKey(cfg)
 	tapeMu.Lock()
 	defer tapeMu.Unlock()
-	if el, ok := tapeMemo[key]; ok {
-		tapeOrder.MoveToFront(el)
-		return el.Value.(*Tape)
+	if t := memoHit(key); t != nil {
+		return t
 	}
 	for tapeBytes.Load() >= tapeBudget.Load() && tapeOrder.Len() > 0 {
 		evictTape(tapeOrder.Back())
@@ -242,12 +246,27 @@ func LookupTape(id string, cfg Config) *Tape {
 	key := id + "|" + FrontEndKey(cfg)
 	tapeMu.Lock()
 	defer tapeMu.Unlock()
+	return memoHit(key)
+}
+
+// memoHit returns the memoized tape for key and marks it used, or nil
+// when there is none. A tape that failed its checksum is evicted
+// instead: a fresh recording of the same stream is sound, whereas a
+// tape dead for any other reason (an LLC-quiet core, an address no tape
+// word holds) would die the same way again and stays as the cached
+// answer. Called with tapeMu held.
+func memoHit(key string) *Tape {
 	el, ok := tapeMemo[key]
 	if !ok {
 		return nil
 	}
+	t := el.Value.(*Tape)
+	if t.corrupt.Load() {
+		evictTape(el)
+		return nil
+	}
 	tapeOrder.MoveToFront(el)
-	return el.Value.(*Tape)
+	return t
 }
 
 // ResetTapes evicts every tape in the memo. For tests and benchmarks
@@ -416,6 +435,7 @@ func (t *Tape) checkFrames(i int) (int, error) {
 		f := t.frames[i]
 		if got := t.rec.frameCRC(prev, f); got != f.crc {
 			tapeChecksumFails.Add(1)
+			t.corrupt.Store(true)
 			t.dead = fmt.Errorf("%w in frame %d (events %d..%d): %#x, recorded %#x",
 				ErrCorruptTape, i, prev.events, f.events, got, f.crc)
 			return i, t.dead
