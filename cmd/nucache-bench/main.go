@@ -27,14 +27,15 @@ import (
 	"time"
 
 	"nucache/internal/experiments"
+	"nucache/internal/sim"
 	"nucache/internal/workload"
 )
 
 func main() {
 	var (
 		exps     = flag.String("exp", "all", "comma-separated experiment IDs (E1..E21) or 'all'")
-		budget   = flag.Uint64("budget", 5_000_000, "instruction budget per core")
-		seed     = flag.Uint64("seed", 1, "workload generator seed")
+		budget   = flag.Uint64("budget", sim.DefaultBudget, "instruction budget per core")
+		seed     = flag.Uint64("seed", sim.DefaultSeed, "workload generator seed")
 		mixLimit = flag.Int("mixlimit", 0, "truncate mix lists (0 = all)")
 		csvDir   = flag.String("csv", "", "also save each table as CSV into this directory")
 		jsonDir  = flag.String("jsondir", "", "also save each table as JSON into this directory")

@@ -20,6 +20,7 @@ import (
 	"os"
 	"strings"
 
+	"nucache/internal/core"
 	"nucache/internal/cpu"
 	"nucache/internal/metrics"
 	"nucache/internal/sim"
@@ -33,9 +34,9 @@ func main() {
 		mixName   = flag.String("mix", "", "standard mix name (e.g. mix4-01)")
 		members   = flag.String("members", "", "comma-separated benchmark names forming an ad-hoc mix")
 		polName   = flag.String("policy", "NUcache", "LLC policy: "+strings.Join(sim.Policies(), "|"))
-		budget    = flag.Uint64("budget", 5_000_000, "instruction budget per core")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		deliWays  = flag.Int("deliways", 6, "NUcache DeliWays (of the LLC's 16 ways; 0 disables retention)")
+		budget    = flag.Uint64("budget", sim.DefaultBudget, "instruction budget per core")
+		seed      = flag.Uint64("seed", sim.DefaultSeed, "workload seed")
+		deliWays  = flag.Int("deliways", core.DefaultDeliWays, "NUcache DeliWays (of the LLC's 16 ways; 0 disables retention)")
 		list      = flag.Bool("list", false, "list benchmarks and mixes, then exit")
 		l2        = flag.Bool("l2", false, "add a private 256KB 8-way L2 per core")
 		dram      = flag.Bool("dram", false, "use the bank/row-buffer DRAM model instead of flat latency")
@@ -193,7 +194,7 @@ func printCatalog() {
 	}
 	t.Render(os.Stdout)
 	fmt.Println()
-	for _, cores := range []int{2, 4, 8} {
+	for _, cores := range workload.MixWidths() {
 		t := metrics.NewTable(fmt.Sprintf("%d-core mixes", cores), "name", "members")
 		for _, m := range workload.MixesFor(cores) {
 			t.AddRow(m.Name, strings.Join(m.Members, " "))

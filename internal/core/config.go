@@ -52,12 +52,16 @@ type Config struct {
 	LifetimeSlack float64
 }
 
+// DefaultDeliWays is the default retention split: 6 of a 16-way LLC's
+// ways are DeliWays (see DESIGN.md).
+const DefaultDeliWays = 6
+
 // DefaultConfig returns the reconstruction's default parameters for a
 // 16-way LLC (see DESIGN.md).
 func DefaultConfig(ways int) Config {
 	return Config{
 		Ways:             ways,
-		DeliWays:         6,
+		DeliWays:         DefaultDeliWays,
 		Candidates:       32,
 		EpochMisses:      100_000,
 		SampleShift:      5,

@@ -261,8 +261,9 @@ func newLRU(cfg cpu.Config) cache.Policy {
 	return p
 }
 
-// tapeID is the memo id RunMachine gives a mix's first member.
-func tapeID(bench string, seed uint64) string { return fmt.Sprintf("%s@%d", bench, seed) }
+// tapeID is the memo id RunMachine gives a mix's first member: the id
+// of the stream bench draws at seed.
+func tapeID(bench string, seed uint64) string { return workload.MustByName(bench).StreamID(seed) }
 
 // acquireBench acquires the memo tape of bench's stream under seed.
 func acquireBench(cfg cpu.Config, bench string, seed uint64) *cpu.Tape {
@@ -282,10 +283,11 @@ func coldMemo(t *testing.T) {
 }
 
 // evictAll lowers the cap to one byte and acquires a fresh key, which
-// makes AcquireTape evict every tape in the memo.
+// makes AcquireTape evict every tape in the memo. The key is a seeded
+// model's at a seed no test runs, so no memoized tape answers it.
 func evictAll(cfg cpu.Config) {
 	cpu.SetTapeBudget(1)
-	acquireBench(cfg, "swim-like", 1<<20)
+	acquireBench(cfg, "sphinx-like", 1<<20)
 }
 
 // TestReplayTapeBudgetFallback: past the cap AcquireTape never refuses
@@ -497,7 +499,7 @@ func TestTapePageBitFlipFallsBackToDirect(t *testing.T) {
 	t.Cleanup(cpu.ResetTapes)
 
 	want, _, _ := sim.RunMachine(cfg, newPol, mix, seed, false) // records the tape
-	tape := cpu.LookupTape(fmt.Sprintf("%s@%d", bench, seed), cfg)
+	tape := cpu.LookupTape(tapeID(bench, seed), cfg)
 	if tape == nil {
 		t.Fatal("RunMachine memoized no tape")
 	}
@@ -667,5 +669,36 @@ func TestReplayUntaggableStreamFallback(t *testing.T) {
 	}
 	if cause := sim.FallbackCause(err); cause != "untaggable" {
 		t.Errorf("the fallback counts under %q; want untaggable", cause)
+	}
+}
+
+// TestReplaySeedlessMembersShareTape: a seedless benchmark draws one
+// stream at every seed and mix position, so its members replay one
+// memoized tape, while a seeded benchmark records a tape per position.
+// Replay over the shared tape is bit-identical to direct simulation.
+func TestReplaySeedlessMembersShareTape(t *testing.T) {
+	coldMemo(t)
+	cfg := smallConfig(4)
+	mix := workload.Mix{Name: "dup", Members: []string{"art-like", "art-like", "omnetpp-like", "omnetpp-like"}}
+	lru := func() cache.Policy { return newLRU(cfg) }
+	for _, tc := range []struct {
+		seed     uint64
+		recorded int64 // new tapes
+	}{
+		{21, 3}, // art-like once, omnetpp-like per position
+		{22, 2}, // art-like's tape is reused across seeds
+	} {
+		recorded, replayed := cpu.TapesRecorded(), sim.TracesReplayed.Value()
+		got, _, _ := sim.RunMachine(cfg, lru, mix, tc.seed, false)
+		if sim.TracesReplayed.Value() != replayed+1 {
+			t.Fatalf("seed %d: the mix did not replay", tc.seed)
+		}
+		if n := cpu.TapesRecorded() - recorded; n != tc.recorded {
+			t.Errorf("seed %d: recorded %d tapes; want %d", tc.seed, n, tc.recorded)
+		}
+		want, _, _ := sim.RunMachine(cfg, lru, mix, tc.seed, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: replay over a shared tape diverges from direct simulation\ngot:  %+v\nwant: %+v", tc.seed, got, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"nucache/internal/core"
 	"nucache/internal/metrics"
+	"nucache/internal/workload"
 )
 
 func u64(v uint64) string { return strconv.FormatUint(v, 10) }
@@ -58,7 +59,7 @@ func OverheadTable(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("E15: NUcache storage overhead",
 		"machine", "per-line bits", "monitor KB", "selection KB", "total KB", "% of cache")
-	for _, cores := range []int{2, 4, 8} {
+	for _, cores := range workload.MixWidths() {
 		llc := o.machine(cores).LLC
 		cfg := core.DefaultConfig(llc.Ways)
 		// Tag bits for a 48-bit physical address space.

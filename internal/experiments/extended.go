@@ -8,8 +8,12 @@ import (
 )
 
 // ExtendedPolicies adds the replacement-side state of the art that the
-// paper did not chart (DIP, DRRIP) plus Random as a floor — the E19
-// extended-lineup study.
+// paper did not chart (DIP, DRRIP, SHiP, SLRU, Hawkeye) plus Random as
+// a floor — the E19 extended-lineup study.
+//
+// DIP, DRRIP and Random draw from seed 777 here, where sim.BuildPolicy
+// seeds them 12345: E19's published table was measured at 777, and
+// rebuilding them from the catalog would change it.
 func ExtendedPolicies() []PolicySpec {
 	return append(StandardPolicies(),
 		PolicySpec{Name: "DIP", New: func(_, _ int) cache.Policy {
@@ -18,15 +22,9 @@ func ExtendedPolicies() []PolicySpec {
 		PolicySpec{Name: "DRRIP", New: func(_, _ int) cache.Policy {
 			return policy.NewDRRIP(777)
 		}},
-		PolicySpec{Name: "SHiP", New: func(_, _ int) cache.Policy {
-			return policy.NewSHiP()
-		}},
-		PolicySpec{Name: "SLRU", New: func(_, ways int) cache.Policy {
-			return policy.NewSLRU(ways / 2)
-		}},
-		PolicySpec{Name: "Hawkeye", New: func(_, ways int) cache.Policy {
-			return policy.NewHawkeye(ways)
-		}},
+		catalogSpec("SHiP"),
+		catalogSpec("SLRU"),
+		catalogSpec("Hawkeye"),
 		PolicySpec{Name: "Random", New: func(_, _ int) cache.Policy {
 			return policy.NewRandom(777)
 		}},

@@ -39,12 +39,12 @@ func IdealRetention(o Options) *IdealResult {
 	for _, b := range o.benchmarks() {
 		// Pass 1: LRU baseline + recorded LLC line stream.
 		lru, pol := o.runAlone(b, func() cache.Policy {
-			return policy.NewRecorder(policy.NewLRU())
+			return policy.NewRecorder(Baseline().New(1, cfg.LLC.Ways))
 		})
 		addrs := pol.(*policy.Recorder).LineAddrs
 
 		// Pass 2: NUcache.
-		nu, _ := o.runAlone(b, func() cache.Policy { return core.MustNew(nuCfg) })
+		nu, _ := o.runAlone(b, func() cache.Policy { return NUcacheSpec().New(1, cfg.LLC.Ways) })
 
 		// Pass 3: oracle retention on the recorded stream. Window: the
 		// per-set DeliWays capacity times the set count, scaled by the

@@ -35,7 +35,7 @@ func Potential(o Options) *PotentialResult {
 	for _, b := range o.benchmarks() {
 		// Pass 1: LRU with a recorder capturing the LLC line stream.
 		lru, pol := o.runAlone(b, func() cache.Policy {
-			return policy.NewRecorder(policy.NewLRU())
+			return policy.NewRecorder(Baseline().New(1, ways))
 		})
 		addrs := pol.(*policy.Recorder).LineAddrs
 

@@ -21,7 +21,6 @@ import (
 	"nucache/internal/cpu"
 	"nucache/internal/journal"
 	"nucache/internal/metrics"
-	"nucache/internal/policy"
 	"nucache/internal/sim"
 	"nucache/internal/workload"
 )
@@ -76,10 +75,10 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Budget == 0 {
-		o.Budget = 5_000_000
+		o.Budget = sim.DefaultBudget
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = sim.DefaultSeed
 	}
 	return o
 }
@@ -113,17 +112,23 @@ type PolicySpec struct {
 	New func(cores, ways int) cache.Policy
 }
 
-// Baseline is the baseline policy every comparison normalizes to.
-func Baseline() PolicySpec {
-	return PolicySpec{Name: "LRU", New: func(int, int) cache.Policy { return policy.NewLRU() }}
-}
-
-// NUcacheSpec is the paper's mechanism with default parameters.
-func NUcacheSpec() PolicySpec {
-	return PolicySpec{Name: "NUcache", New: func(_, ways int) cache.Policy {
-		return core.MustNew(core.DefaultConfig(ways))
+// catalogSpec is the spec of a catalog policy, built by sim.BuildPolicy
+// with its default parameters (NUcache at core.DefaultDeliWays).
+func catalogSpec(name string) PolicySpec {
+	return PolicySpec{Name: name, New: func(cores, ways int) cache.Policy {
+		p, err := sim.BuildPolicy(name, cores, ways, core.DefaultDeliWays)
+		if err != nil {
+			panic(err) // cannot fail: a catalog name on a machine no wider than its LLC
+		}
+		return p
 	}}
 }
+
+// Baseline is the baseline policy every comparison normalizes to.
+func Baseline() PolicySpec { return catalogSpec("LRU") }
+
+// NUcacheSpec is the paper's mechanism with default parameters.
+func NUcacheSpec() PolicySpec { return catalogSpec("NUcache") }
 
 // NUcacheWith builds a spec from an explicit configuration (sweeps).
 func NUcacheWith(name string, cfg func(ways int) core.Config) PolicySpec {
@@ -132,26 +137,15 @@ func NUcacheWith(name string, cfg func(ways int) core.Config) PolicySpec {
 	}}
 }
 
-// Competitors returns the cache-partitioning policies the paper compares
-// against: UCP, PIPP and TADIP.
-func Competitors() []PolicySpec {
-	return []PolicySpec{
-		{Name: "UCP", New: func(cores, ways int) cache.Policy {
-			return policy.NewUCP(cores, ways)
-		}},
-		{Name: "PIPP", New: func(cores, ways int) cache.Policy {
-			return policy.NewPIPP(cores, ways, 12345)
-		}},
-		{Name: "TADIP", New: func(cores, _ int) cache.Policy {
-			return policy.NewTADIP(cores, 12345)
-		}},
-	}
-}
-
-// StandardPolicies is baseline + NUcache + competitors, the lineup of the
-// multicore comparison figures.
+// StandardPolicies is sim.Lineup as specs: the baseline, NUcache and
+// the partitioning policies the paper compares against, the lineup of
+// the multicore comparison figures.
 func StandardPolicies() []PolicySpec {
-	return append([]PolicySpec{Baseline(), NUcacheSpec()}, Competitors()...)
+	var specs []PolicySpec
+	for _, name := range sim.Lineup() {
+		specs = append(specs, catalogSpec(name))
+	}
+	return specs
 }
 
 // machine returns the simulated machine for a core count with the
@@ -226,7 +220,7 @@ func (o Options) aloneIPC(bench string, cores int) float64 {
 		// once, so recording a fresh tape for it would cost more than
 		// simulating directly.
 		res, _, _ := sim.RunMachineOneShot(cfg, func() cache.Policy {
-			return policy.NewLRU()
+			return Baseline().New(1, cfg.LLC.Ways)
 		}, aloneMix(bench), o.Seed, o.DisableReplay)
 		e.ipc = res[0].IPC()
 	})

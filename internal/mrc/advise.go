@@ -80,8 +80,8 @@ func Predict(p *Profile, w WhatIf) (*Prediction, error) {
 		if len(alloc) == 0 {
 			alloc = policy.EvenSplit(p.Cores, p.Ways)
 		}
-		if err := CheckAlloc(p, alloc); err != nil {
-			return nil, err
+		if err := policy.CheckSplit(alloc, p.Cores, p.Ways); err != nil {
+			return nil, fmt.Errorf("mrc: %w", err)
 		}
 		return predictPart(p, alloc), nil
 	case PolicyLRU:
@@ -92,7 +92,7 @@ func Predict(p *Profile, w WhatIf) (*Prediction, error) {
 		case d < 0:
 			d = 0
 		case d == 0:
-			d = 6
+			d = core.DefaultDeliWays
 		}
 		if d > p.Ways-1 {
 			d = p.Ways - 1
@@ -101,24 +101,6 @@ func Predict(p *Profile, w WhatIf) (*Prediction, error) {
 	default:
 		return nil, fmt.Errorf("mrc: unknown model policy %q", w.Policy)
 	}
-}
-
-// CheckAlloc validates a static partition against a profile's shape.
-func CheckAlloc(p *Profile, alloc []int) error {
-	if len(alloc) != p.Cores {
-		return fmt.Errorf("mrc: allocation for %d cores, profile has %d", len(alloc), p.Cores)
-	}
-	total := 0
-	for i, a := range alloc {
-		if a < 1 {
-			return fmt.Errorf("mrc: core %d allocated %d ways", i, a)
-		}
-		total += a
-	}
-	if total != p.Ways {
-		return fmt.Errorf("mrc: allocation sums to %d ways, cache has %d", total, p.Ways)
-	}
-	return nil
 }
 
 // predictPart is the exact path: partition ≡ private LRU per core, so

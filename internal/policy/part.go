@@ -32,6 +32,26 @@ func EvenSplit(cores, ways int) []int {
 	return alloc
 }
 
+// CheckSplit is the one rule for a static partition of a ways-way LLC
+// among cores: one entry per core, at least one way each, and entries
+// that sum to ways. Requests and the MRC advisor both apply it.
+func CheckSplit(alloc []int, cores, ways int) error {
+	if len(alloc) != cores {
+		return fmt.Errorf("alloc has %d entries for %d cores", len(alloc), cores)
+	}
+	total := 0
+	for i, a := range alloc {
+		if a < 1 {
+			return fmt.Errorf("alloc grants core %d %d ways", i, a)
+		}
+		total += a
+	}
+	if total != ways {
+		return fmt.Errorf("alloc sums to %d ways, cache has %d", total, ways)
+	}
+	return nil
+}
+
 // NewStaticPart returns a static partition policy. Every core must get
 // at least one way, and the partitions cover at most 16 ways.
 func NewStaticPart(alloc []int) *StaticPart {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -87,19 +88,13 @@ func EvaluateAdvise(p *mrc.Profile, req AdviseRequest) (*mrc.Prediction, error) 
 // checked against.
 func (req AdviseRequest) VerifyRequest(pred *mrc.Prediction) Request {
 	r := req.simRequest()
-	switch pred.Policy {
-	case mrc.PolicyPart:
-		r.Policy = "Part"
-		r.Alloc = append([]int(nil), pred.Alloc...)
-	case mrc.PolicyLRU:
-		r.Policy = "LRU"
-	case mrc.PolicyNUcache:
-		r.Policy = "NUcache"
-		if pred.DeliWays == 0 {
-			r.DeliWays = -1 // Normalize maps 0 to the default split
-		} else {
-			r.DeliWays = pred.DeliWays
-		}
+	// The advisor's model names ("part", "lru", "nucache") are catalog
+	// policies: sim matches policy names case-insensitively.
+	r.Policy = pred.Policy
+	r.Alloc = slices.Clone(pred.Alloc)
+	r.DeliWays = pred.DeliWays
+	if pred.Policy == mrc.PolicyNUcache && pred.DeliWays == 0 {
+		r.DeliWays = -1 // Normalize maps 0 to the default split
 	}
 	return r.Normalize()
 }

@@ -37,10 +37,10 @@ type ProfileRequest struct {
 // Normalize fills defaults (same as Request).
 func (r ProfileRequest) Normalize() ProfileRequest {
 	if r.Budget == 0 {
-		r.Budget = 5_000_000
+		r.Budget = DefaultBudget
 	}
 	if r.Seed == 0 {
-		r.Seed = 1
+		r.Seed = DefaultSeed
 	}
 	return r
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -81,9 +80,10 @@ func runMachine(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, se
 }
 
 // acquireMixTapes resolves (and unless cachedOnly, records on demand)
-// one tape per mix member. Tapes are keyed by the member's seed
-// (workload.MemberSeed), so a benchmark running alone shares its tape
-// with every mix that leads with it. Nil tapes mean there is nothing
+// one tape per mix member. Tapes are keyed by the member's stream
+// (memberTapeID), so a benchmark running alone shares its tape with
+// every mix that leads with it, and a seedless benchmark has one tape
+// for every seed and position. Nil tapes mean there is nothing
 // to replay: a member or core count the direct path rejects with the
 // real error, or a cachedOnly miss.
 func acquireMixTapes(cfg cpu.Config, mix workload.Mix, seed uint64, cachedOnly bool) []*cpu.Tape {
@@ -96,7 +96,7 @@ func acquireMixTapes(cfg cpu.Config, mix workload.Mix, seed uint64, cachedOnly b
 		if !ok {
 			return nil
 		}
-		id := memberTapeID(name, seed, i)
+		id := memberTapeID(b, seed, i)
 		if cachedOnly {
 			t := cpu.LookupTape(id, cfg)
 			if t == nil {
@@ -111,10 +111,10 @@ func acquireMixTapes(cfg cpu.Config, mix workload.Mix, seed uint64, cachedOnly b
 	return tapes
 }
 
-// memberTapeID is the memo id of mix member i's tape: its benchmark and
-// derived seed.
-func memberTapeID(name string, seed uint64, i int) string {
-	return fmt.Sprintf("%s@%d", name, workload.MemberSeed(seed, i))
+// memberTapeID is the memo id of the tape of mix member i, benchmark b,
+// in a mix run at seed: the id of the stream that member draws.
+func memberTapeID(b workload.Benchmark, seed uint64, i int) string {
+	return b.StreamID(workload.MemberSeed(seed, i))
 }
 
 func tryReplay(cfg cpu.Config, newPol func() cache.Policy, mix workload.Mix, seed uint64, cachedOnly bool) ([]cpu.CoreResult, cpu.Machine, cache.Policy, bool) {

@@ -8,9 +8,16 @@ import (
 	"strings"
 	"time"
 
+	"nucache/internal/core"
 	"nucache/internal/cpu"
+	"nucache/internal/policy"
 	"nucache/internal/workload"
 )
+
+// DefaultBudget (instructions per core) and DefaultSeed are the
+// defaults of every entry point: requests, profiles, the experiments
+// and the commands' flags.
+const DefaultBudget, DefaultSeed = 5_000_000, 1
 
 // Request declaratively describes one simulation: a workload (exactly one
 // of Bench, Mix or Members), a shared-LLC policy, and the machine knobs
@@ -55,16 +62,16 @@ type Request struct {
 // and hash identically.
 func (r Request) Normalize() Request {
 	if r.Budget == 0 {
-		r.Budget = 5_000_000
+		r.Budget = DefaultBudget
 	}
 	if r.Seed == 0 {
-		r.Seed = 1
+		r.Seed = DefaultSeed
 	}
 	if r.Policy == "" {
 		r.Policy = "NUcache"
 	}
 	if r.DeliWays == 0 {
-		r.DeliWays = 6
+		r.DeliWays = core.DefaultDeliWays
 	}
 	return r
 }
@@ -95,18 +102,8 @@ func (r Request) Validate() error {
 		if !strings.EqualFold(r.Policy, "Part") {
 			return fmt.Errorf("sim: alloc is only valid with the Part policy")
 		}
-		if len(r.Alloc) != mix.Cores() {
-			return fmt.Errorf("sim: alloc has %d entries for %d cores", len(r.Alloc), mix.Cores())
-		}
-		total := 0
-		for i, a := range r.Alloc {
-			if a < 1 {
-				return fmt.Errorf("sim: alloc grants core %d %d ways", i, a)
-			}
-			total += a
-		}
-		if ways := cpu.DefaultConfig(mix.Cores()).LLC.Ways; total != ways {
-			return fmt.Errorf("sim: alloc sums to %d ways, cache has %d", total, ways)
+		if err := policy.CheckSplit(r.Alloc, mix.Cores(), cpu.DefaultConfig(mix.Cores()).LLC.Ways); err != nil {
+			return fmt.Errorf("sim: %w", err)
 		}
 	}
 	return nil
@@ -179,14 +176,11 @@ func (r Request) ResolveMix() (workload.Mix, error) {
 		}
 		return workload.Mix{Name: "custom", Members: r.Members}, nil
 	default:
-		for _, cores := range []int{2, 4, 8} {
-			for _, m := range workload.MixesFor(cores) {
-				if m.Name == r.Mix {
-					return m, nil
-				}
-			}
+		m, ok := workload.MixByName(r.Mix)
+		if !ok {
+			return workload.Mix{}, fmt.Errorf("sim: unknown mix %q", r.Mix)
 		}
-		return workload.Mix{}, fmt.Errorf("sim: unknown mix %q", r.Mix)
+		return m, nil
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"nucache/internal/cache"
@@ -74,27 +75,24 @@ func buildRequestPolicy(req Request, cfg cpu.Config) (cache.Policy, error) {
 	return BuildPolicy(req.Policy, cfg.Cores, cfg.LLC.Ways, req.deliWays())
 }
 
-// policyNames is the catalog of LLC policies the service can build, in
-// display order.
-var policyNames = []string{
-	"LRU", "NUcache", "UCP", "PIPP", "TADIP", "DIP", "DRRIP", "SRRIP",
-	"NRU", "SHiP", "Hawkeye", "SLRU", "Random", "Part",
+// Lineup is the paper's comparison lineup in display order: the LRU
+// baseline, NUcache and the partitioning policies it is measured
+// against. It is the default policy list of a sweep and of the
+// experiments' multicore tables.
+func Lineup() []string {
+	return []string{"LRU", "NUcache", "UCP", "PIPP", "TADIP"}
 }
+
+// policyNames is the catalog of LLC policies BuildPolicy can build, in
+// display order: the lineup first.
+var policyNames = append(Lineup(),
+	"DIP", "DRRIP", "SRRIP", "NRU", "SHiP", "Hawkeye", "SLRU", "Random", "Part")
 
 // Policies lists the policy names accepted by Request.Policy.
-func Policies() []string {
-	out := make([]string, len(policyNames))
-	copy(out, policyNames)
-	return out
-}
+func Policies() []string { return slices.Clone(policyNames) }
 
 func knownPolicy(name string) bool {
-	for _, p := range policyNames {
-		if strings.EqualFold(p, name) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(policyNames, func(p string) bool { return strings.EqualFold(p, name) })
 }
 
 // BuildPolicy constructs a shared-LLC policy by name for a machine with

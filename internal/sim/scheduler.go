@@ -59,10 +59,8 @@ type RetryPolicy struct {
 	// Backoff is the base delay before the first retry; each further
 	// retry doubles it. The actual sleep is jittered uniformly over
 	// [Backoff/2, Backoff) of the doubled value to decorrelate
-	// retrying callers.
+	// retrying callers. The doubled delay is capped at 10*Backoff.
 	Backoff time.Duration
-	// MaxBackoff caps the doubled delay (0 = 10*Backoff).
-	MaxBackoff time.Duration
 }
 
 // SchedulerConfig configures a scheduler beyond the worker count.
@@ -345,10 +343,7 @@ func sleepBackoff(ctx context.Context, rp RetryPolicy, attempt int) bool {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	maxB := rp.MaxBackoff
-	if maxB <= 0 {
-		maxB = 10 * base
-	}
+	maxB := 10 * base
 	d := base << (attempt - 1)
 	if d > maxB || d <= 0 { // <= 0 guards shift overflow
 		d = maxB

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 
 	"nucache/internal/workload"
@@ -181,7 +182,7 @@ type SweepRequest struct {
 	Cores int `json:"cores,omitempty"`
 	// Mixes are standard mix names (e.g. "mix4-01").
 	Mixes []string `json:"mixes,omitempty"`
-	// Policies are policy names (default LRU, NUcache, UCP, PIPP, TADIP).
+	// Policies are policy names (default Lineup).
 	Policies []string `json:"policies,omitempty"`
 	// Budget, Seed, DeliWays, L2, DRAM, Prefetch apply to every job.
 	Budget   uint64 `json:"budget,omitempty"`
@@ -200,8 +201,9 @@ type SweepRequest struct {
 func (sw SweepRequest) expand() ([]Request, error) {
 	mixes := sw.Mixes
 	if len(mixes) == 0 {
-		if sw.Cores != 2 && sw.Cores != 4 && sw.Cores != 8 {
-			return nil, fmt.Errorf("sim: sweep needs mixes, or cores in {2,4,8}")
+		widths := workload.MixWidths()
+		if !slices.Contains(widths, sw.Cores) {
+			return nil, fmt.Errorf("sim: sweep needs mixes, or cores in %v", widths)
 		}
 		for _, m := range workload.MixesFor(sw.Cores) {
 			mixes = append(mixes, m.Name)
@@ -209,7 +211,7 @@ func (sw SweepRequest) expand() ([]Request, error) {
 	}
 	policies := sw.Policies
 	if len(policies) == 0 {
-		policies = []string{"LRU", "NUcache", "UCP", "PIPP", "TADIP"}
+		policies = Lineup()
 	}
 	var reqs []Request
 	for _, m := range mixes {
@@ -352,7 +354,7 @@ func (sv *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 			Name: b.Name, Class: string(b.Class), Description: b.Description,
 		})
 	}
-	for _, cores := range []int{2, 4, 8} {
+	for _, cores := range workload.MixWidths() {
 		for _, m := range workload.MixesFor(cores) {
 			cat.Mixes = append(cat.Mixes, CatalogMix{
 				Name: m.Name, Cores: cores, Members: m.Members,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nucache/internal/cpu"
+	"nucache/internal/workload"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -233,8 +234,10 @@ func TestServerCatalogAndHealth(t *testing.T) {
 
 // TestServerProfileFullTapeMemo: under a one-byte tape cap every tape
 // admission evicts the tapes the memo holds, so profiling the simulated
-// mix, a fresh mix and an advised mix each answer 200 over tapes of
-// their own, and afterwards the memo holds only the advised mix's tapes.
+// mix, a fresh mix and an advised mix each answer 200, and afterwards
+// the memo holds only the advised mix's tapes. Tapes are keyed by
+// stream, so a seedless member of an earlier mix is held when the
+// advised mix runs the same benchmark.
 func TestServerProfileFullTapeMemo(t *testing.T) {
 	saved := cpu.SetTapeBudget(1)
 	t.Cleanup(func() { cpu.SetTapeBudget(saved) })
@@ -254,31 +257,35 @@ func TestServerProfileFullTapeMemo(t *testing.T) {
 			t.Errorf("%s under a full memo: status %d: %s", c.path, resp.StatusCode, buf.String())
 		}
 	}
-	for mix, want := range map[string]bool{"mix2-01": false, "mix4-02": false, "mix4-03": true} {
-		req := ProfileRequest{Mix: mix, Budget: 50000, Seed: 9191}
-		for i, held := range memoHolds(t, req) {
-			if held != want {
-				t.Errorf("%s member %d: memoized = %v; want %v", mix, i, held, want)
+	advised := map[string]bool{}
+	for _, id := range tapeIDs(t, ProfileRequest{Mix: "mix4-03", Budget: 50000, Seed: 9191}) {
+		advised[id] = true
+	}
+	for _, mix := range []string{"mix2-01", "mix4-02", "mix4-03"} {
+		req := ProfileRequest{Mix: mix, Budget: 50000, Seed: 9191}.Normalize()
+		ids := tapeIDs(t, req)
+		cfg := MachineConfig(req.simRequest(), len(ids))
+		for i, id := range ids {
+			if held := cpu.LookupTape(id, cfg) != nil; held != advised[id] {
+				t.Errorf("%s member %d (%s): memoized = %v; want %v", mix, i, id, held, advised[id])
 			}
 		}
 	}
 }
 
-// memoHolds reports, per member of req's mix, whether the tape memo
-// holds that member's tape.
-func memoHolds(t *testing.T, req ProfileRequest) []bool {
+// tapeIDs returns the memo id of each member's tape in req's mix.
+func tapeIDs(t *testing.T, req ProfileRequest) []string {
 	t.Helper()
 	req = req.Normalize()
 	mix, err := req.ResolveMix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := MachineConfig(req.simRequest(), mix.Cores())
-	held := make([]bool, len(mix.Members))
+	ids := make([]string, len(mix.Members))
 	for i, name := range mix.Members {
-		held[i] = cpu.LookupTape(memberTapeID(name, req.Seed, i), cfg) != nil
+		ids[i] = memberTapeID(workload.MustByName(name), req.Seed, i)
 	}
-	return held
+	return ids
 }
 
 // TestServerRejectsMixWiderThanLLC: a mix with more members than the LLC

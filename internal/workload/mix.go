@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"nucache/internal/trace"
@@ -18,23 +19,14 @@ type Mix struct {
 	Members []string
 }
 
-// Benchmarks resolves the member names (panics on unknown names, which is
-// an experiment-definition error).
-func (m Mix) Benchmarks() []Benchmark {
-	out := make([]Benchmark, len(m.Members))
-	for i, name := range m.Members {
-		out[i] = MustByName(name)
-	}
-	return out
-}
-
-// Streams builds one fresh access stream per core. Each position gets a
-// distinct derived seed, so duplicate benchmarks in one mix diverge.
+// Streams builds one fresh access stream per core (panicking on an
+// unknown member, an experiment-definition error). Each position gets a
+// distinct derived seed, so duplicates of a seeded benchmark in one mix
+// diverge.
 func (m Mix) Streams(seed uint64) []trace.Stream {
-	bs := m.Benchmarks()
-	out := make([]trace.Stream, len(bs))
-	for i, b := range bs {
-		out[i] = b.Stream(MemberSeed(seed, i))
+	out := make([]trace.Stream, len(m.Members))
+	for i, name := range m.Members {
+		out[i] = MustByName(name).Stream(MemberSeed(seed, i))
 	}
 	return out
 }
@@ -54,7 +46,7 @@ func (m Mix) String() string {
 	return fmt.Sprintf("%s(%s)", m.Name, strings.Join(m.Members, "+"))
 }
 
-// mixNames builds Mix values with sequential names.
+// mixSet builds Mix values with sequential names.
 func mixSet(prefix string, members [][]string) []Mix {
 	out := make([]Mix, len(members))
 	for i, ms := range members {
@@ -63,9 +55,14 @@ func mixSet(prefix string, members [][]string) []Mix {
 	return out
 }
 
-// Mixes2 returns the ten dual-core mixes.
-func Mixes2() []Mix {
-	return mixSet("mix2", [][]string{
+// standardMixes is the catalog of standard mixes, one list per width in
+// ascending width order: ten dual-core, ten quad-core and eight
+// eight-core mixes. It is built once; callers get copies.
+var standardMixes = []struct {
+	cores int
+	mixes []Mix
+}{
+	{2, mixSet("mix2", [][]string{
 		{"art-like", "swim-like"},
 		{"ammp-like", "libquantum-like"},
 		{"sphinx-like", "mcf-like"},
@@ -76,12 +73,8 @@ func Mixes2() []Mix {
 		{"bzip2-like", "libquantum-like"},
 		{"gcc-like", "mcf-like"},
 		{"equake-like", "milc-like"},
-	})
-}
-
-// Mixes4 returns the ten quad-core mixes.
-func Mixes4() []Mix {
-	return mixSet("mix4", [][]string{
+	})},
+	{4, mixSet("mix4", [][]string{
 		{"art-like", "ammp-like", "swim-like", "milc-like"},
 		{"facerec-like", "equake-like", "libquantum-like", "mcf-like"},
 		{"sphinx-like", "facerec-like", "ammp-like", "swim-like"},
@@ -92,12 +85,8 @@ func Mixes4() []Mix {
 		{"soplex-like", "twolf-like", "swim-like", "libquantum-like"},
 		{"art-like", "facerec-like", "mcf-like", "vpr-like"},
 		{"equake-like", "sphinx-like", "bzip2-like", "swim-like"},
-	})
-}
-
-// Mixes8 returns the eight eight-core mixes.
-func Mixes8() []Mix {
-	return mixSet("mix8", [][]string{
+	})},
+	{8, mixSet("mix8", [][]string{
 		{"art-like", "ammp-like", "sphinx-like", "facerec-like",
 			"equake-like", "omnetpp-like", "swim-like", "milc-like"},
 		{"art-like", "facerec-like", "equake-like", "ammp-like",
@@ -114,19 +103,56 @@ func Mixes8() []Mix {
 			"mcf-like", "swim-like", "libquantum-like", "milc-like"},
 		{"art-like", "sphinx-like", "omnetpp-like", "ammp-like",
 			"milc-like", "mcf-like", "swim-like", "libquantum-like"},
-	})
+	})},
 }
 
-// MixesFor returns the standard mix list for a core count (2, 4, or 8).
-func MixesFor(cores int) []Mix {
-	switch cores {
-	case 2:
-		return Mixes2()
-	case 4:
-		return Mixes4()
-	case 8:
-		return Mixes8()
-	default:
-		panic(fmt.Sprintf("workload: no standard mixes for %d cores", cores))
+// mixIndex finds a standard mix by name.
+var mixIndex = map[string]Mix{}
+
+func init() {
+	for _, w := range standardMixes {
+		for _, m := range w.mixes {
+			mixIndex[m.Name] = m
+		}
 	}
+}
+
+// clone copies m so that a caller's edits cannot reach the catalog.
+func (m Mix) clone() Mix {
+	m.Members = slices.Clone(m.Members)
+	return m
+}
+
+// MixWidths lists the core counts that have a standard mix list,
+// ascending.
+func MixWidths() []int {
+	out := make([]int, len(standardMixes))
+	for i, w := range standardMixes {
+		out[i] = w.cores
+	}
+	return out
+}
+
+// MixesFor returns a copy of the standard mix list for a core count (one
+// of MixWidths); any other count panics.
+func MixesFor(cores int) []Mix {
+	for _, w := range standardMixes {
+		if w.cores == cores {
+			out := make([]Mix, len(w.mixes))
+			for i, m := range w.mixes {
+				out[i] = m.clone()
+			}
+			return out
+		}
+	}
+	panic(fmt.Sprintf("workload: no standard mixes for %d cores", cores))
+}
+
+// MixByName returns a copy of the standard mix with the given name.
+func MixByName(name string) (Mix, bool) {
+	m, ok := mixIndex[name]
+	if !ok {
+		return Mix{}, false
+	}
+	return m.clone(), true
 }

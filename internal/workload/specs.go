@@ -23,7 +23,7 @@ var artLike = register(Benchmark{
 	Name:        "art-like",
 	Class:       ClassSensitive,
 	Description: "512KB hot tables re-read every round under a 1.25MB weight scan",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		hot := regionAt(0, 512<<10)
 		weights := regionAt(1, 1280<<10)
 		hotA, hotB := siteAt(0, 2), siteAt(1, 2)
@@ -49,7 +49,7 @@ var ammpLike = register(Benchmark{
 	Name:        "ammp-like",
 	Class:       ClassSensitive,
 	Description: "384KB force tables (3 PCs) re-read under sliding 768KB neighbor-list rebuilds",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		hot := regionAt(0, 384<<10)
 		nbr := regionAt(1, 8<<20) // rebuilt lists slide through a large arena
 		sites := []site{siteAt(0, 3), siteAt(1, 3), siteAt(2, 3)}
@@ -76,12 +76,11 @@ var sphinxLike = register(Benchmark{
 	Name:        "sphinx-like",
 	Class:       ClassSensitive,
 	Description: "256KB zipf-hot model table under an endless feature stream",
-	build: func(seed uint64) trace.Stream {
+	seeded: func(rng stats.RNG) trace.Stream {
 		model := regionAt(0, 256<<10)
 		feat := regionAt(1, 512<<20) // effectively endless
 		modelS1, modelS2 := siteAt(0, 3), siteAt(1, 3)
 		featS := siteAt(2, 2)
-		rng := stats.NewRNG(hashName("sphinx-like", seed))
 		z := stats.NewZipf(rng.Split(), model.lines, 0.6)
 		var featPos uint64
 		return newRoundStream(func(e *emitter) {
@@ -103,12 +102,11 @@ var omnetppLike = register(Benchmark{
 	Name:        "omnetpp-like",
 	Class:       ClassSensitive,
 	Description: "zipf reuse over a 1.5MB heap plus a 128KB event ring",
-	build: func(seed uint64) trace.Stream {
+	seeded: func(rng stats.RNG) trace.Stream {
 		heap := regionAt(0, 1536<<10)
 		ring := regionAt(1, 128<<10)
 		heapS1, heapS2 := siteAt(0, 4), siteAt(1, 4)
 		ringS := siteAt(2, 3)
-		rng := stats.NewRNG(hashName("omnetpp-like", seed))
 		z := stats.NewZipf(rng.Split(), heap.lines, 0.9)
 		var pos uint64
 		return newRoundStream(func(e *emitter) {
@@ -130,11 +128,10 @@ var soplexLike = register(Benchmark{
 	Name:        "soplex-like",
 	Class:       ClassMixed,
 	Description: "8x256KB blocks each scanned 4x, with random gathers in 2MB",
-	build: func(seed uint64) trace.Stream {
+	seeded: func(rng stats.RNG) trace.Stream {
 		matrix := regionAt(0, 2048<<10)
 		blockS := siteAt(0, 2)
 		gatherS := siteAt(1, 3)
-		rng := stats.NewRNG(hashName("soplex-like", seed))
 		const blockLines = (256 << 10) / lineBytes
 		var block uint64
 		rng.Uint64() // skipped: the gathers start at the second draw (TestStreamsPinned)
@@ -157,7 +154,7 @@ var bzip2Like = register(Benchmark{
 	Name:        "bzip2-like",
 	Class:       ClassMixed,
 	Description: "640KB sliding block, 6 sorting passes each, then advance",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		data := regionAt(0, 8<<20)
 		passS := siteAt(0, 4)
 		writeS := siteAt(1, 5)
@@ -179,7 +176,7 @@ var gccLike = register(Benchmark{
 	Name:        "gcc-like",
 	Class:       ClassMixed,
 	Description: "20 rounds over 128KB IR, then one 1.5MB whole-unit pass",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		ir := regionAt(0, 128<<10)
 		unit := regionAt(1, 1536<<10)
 		irS1, irS2 := siteAt(0, 4), siteAt(1, 5)
@@ -205,12 +202,11 @@ var mcfLike = register(Benchmark{
 	Name:        "mcf-like",
 	Class:       ClassThrashing,
 	Description: "pointer chase over 2MB of nodes plus 1MB arc sweeps",
-	build: func(seed uint64) trace.Stream {
+	seeded: func(rng stats.RNG) trace.Stream {
 		nodes := regionAt(0, 2<<20)
 		arcs := regionAt(1, 1<<20)
 		chaseS := siteAt(0, 2)
 		arcS := siteAt(1, 2)
-		rng := stats.NewRNG(hashName("mcf-like", seed))
 		next := permCycle(rng.Split(), int(nodes.lines))
 		pos := uint32(0)
 		var arcPos uint64
@@ -233,7 +229,7 @@ var libquantumLike = register(Benchmark{
 	Name:        "libquantum-like",
 	Class:       ClassThrashing,
 	Description: "cyclic read-modify-write sweep over a 2MB state vector",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		state := regionAt(0, 2<<20)
 		loadS := siteAt(0, 1)
 		storeS := siteAt(1, 1)
@@ -251,7 +247,7 @@ var swimLike = register(Benchmark{
 	Name:        "swim-like",
 	Class:       ClassStreaming,
 	Description: "three 8MB arrays streamed in lockstep",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		u := regionAt(0, 8<<20)
 		v := regionAt(1, 8<<20)
 		p := regionAt(2, 8<<20)
@@ -273,7 +269,7 @@ var milcLike = register(Benchmark{
 	Name:        "milc-like",
 	Class:       ClassStreaming,
 	Description: "4MB lattice streamed with stride-2 read-modify-write",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		lattice := regionAt(0, 4<<20)
 		loadS := siteAt(0, 2)
 		storeS := siteAt(1, 2)
@@ -296,11 +292,10 @@ var twolfLike = register(Benchmark{
 	Name:        "twolf-like",
 	Class:       ClassFriendly,
 	Description: "192KB zipf working set, comfortably LLC-resident",
-	build: func(seed uint64) trace.Stream {
+	seeded: func(rng stats.RNG) trace.Stream {
 		cells := regionAt(0, 192<<10)
 		s1, s2 := siteAt(0, 5), siteAt(1, 5)
 		netS := siteAt(2, 4)
-		rng := stats.NewRNG(hashName("twolf-like", seed))
 		z := stats.NewZipf(rng.Split(), cells.lines, 1.1)
 		var pos uint64
 		return newRoundStream(func(e *emitter) {
@@ -322,10 +317,9 @@ var vprLike = register(Benchmark{
 	Name:        "vpr-like",
 	Class:       ClassFriendly,
 	Description: "96KB routing structures with high locality",
-	build: func(seed uint64) trace.Stream {
+	seeded: func(rng stats.RNG) trace.Stream {
 		rr := regionAt(0, 96<<10)
 		s1, s2 := siteAt(0, 6), siteAt(1, 7)
-		rng := stats.NewRNG(hashName("vpr-like", seed))
 		z := stats.NewZipf(rng.Split(), rr.lines, 0.9)
 		return newRoundStream(func(e *emitter) {
 			for i := 0; i < 2048; i++ {
@@ -343,7 +337,7 @@ var hmmerLike = register(Benchmark{
 	Name:        "hmmer-like",
 	Class:       ClassFriendly,
 	Description: "48KB score tables, compute-bound (large gaps)",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		tables := regionAt(0, 48<<10)
 		s1, s2 := siteAt(0, 12), siteAt(1, 12)
 		var pos uint64
@@ -365,7 +359,7 @@ var facerecLike = register(Benchmark{
 	Name:        "facerec-like",
 	Class:       ClassSensitive,
 	Description: "320KB eigenface gallery re-read per probe under a fresh image stream",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		gallery := regionAt(0, 320<<10)
 		probes := regionAt(1, 512<<20) // effectively endless
 		galS1, galS2 := siteAt(0, 2), siteAt(1, 3)
@@ -389,7 +383,7 @@ var equakeLike = register(Benchmark{
 	Name:        "equake-like",
 	Class:       ClassSensitive,
 	Description: "448KB sparse-structure tables reused per timestep under sliding wavefield sweeps",
-	build: func(seed uint64) trace.Stream {
+	build: func() trace.Stream {
 		structure := regionAt(0, 448<<10)
 		wave := regionAt(1, 16<<20)
 		colS, valS := siteAt(0, 2), siteAt(1, 2)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 
+	"nucache/internal/stats"
 	"nucache/internal/trace"
 )
 
@@ -50,18 +51,37 @@ type Benchmark struct {
 	// Description summarizes the modelled behaviour.
 	Description string
 
-	build func(seed uint64) trace.Stream
+	// A model sets exactly one generator. Seeded models draw from an
+	// RNG that Stream derives from the name and the seed (passed by
+	// value, so a model that only splits it keeps it off the heap);
+	// seedless models are purely structural and have one stream for
+	// every seed.
+	seeded func(rng stats.RNG) trace.Stream
+	build  func() trace.Stream
 }
 
 // Stream returns a fresh unbounded access stream. Equal seeds give
-// identical streams. Randomized models fold their name into the seed so
+// identical streams. Seeded models fold their name into the seed, so
 // mixes of the same benchmark at different positions still diverge via
-// the caller's per-core seed; purely sequential models ignore the seed.
+// the caller's per-core seed; seedless models ignore the seed.
 func (b Benchmark) Stream(seed uint64) trace.Stream {
-	if b.build == nil {
-		panic(fmt.Sprintf("workload: benchmark %q has no generator", b.Name))
+	switch {
+	case b.seeded != nil:
+		return b.seeded(*stats.NewRNG(hashName(b.Name, seed)))
+	case b.build != nil:
+		return b.build()
 	}
-	return b.build(seed)
+	panic(fmt.Sprintf("workload: benchmark %q has no generator", b.Name))
+}
+
+// StreamID names the stream Stream(seed) returns: equal ids give
+// identical streams. A seedless model's id is its name alone, so every
+// seed and mix position shares one recorded tape of it.
+func (b Benchmark) StreamID(seed uint64) string {
+	if b.seeded == nil {
+		return b.Name
+	}
+	return fmt.Sprintf("%s@%d", b.Name, seed)
 }
 
 var registry = map[string]Benchmark{}
@@ -97,16 +117,6 @@ func All() []Benchmark {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Names returns all benchmark names, sorted.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, b := range all {
-		names[i] = b.Name
-	}
-	return names
 }
 
 // hashName folds a benchmark name into a seed.

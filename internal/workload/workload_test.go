@@ -72,6 +72,35 @@ func TestStreamsSeedSensitive(t *testing.T) {
 	}
 }
 
+// TestStreamIDsNameStreams: StreamID is the tape memo's key, so equal
+// ids must mean equal streams and a seeded model's distinct ids must
+// mean distinct streams.
+func TestStreamIDsNameStreams(t *testing.T) {
+	const n = 50_000
+	seedless := 0
+	for _, b := range All() {
+		same := b.StreamID(1) == b.StreamID(2)
+		if same {
+			seedless++
+		}
+		a1 := trace.Collect(b.Stream(1), n)
+		a2 := trace.Collect(b.Stream(2), n)
+		differ := false
+		for i := range a1 {
+			if a1[i] != a2[i] {
+				differ = true
+				break
+			}
+		}
+		if same == differ {
+			t.Errorf("%s: ids %q and %q, streams differ in %d accesses: %v", b.Name, b.StreamID(1), b.StreamID(2), n, differ)
+		}
+	}
+	if seedless == 0 || seedless == len(All()) {
+		t.Errorf("%d of %d models are seedless", seedless, len(All()))
+	}
+}
+
 func TestAccessesWellFormed(t *testing.T) {
 	for _, b := range All() {
 		for i, a := range trace.Collect(b.Stream(3), 20000) {
@@ -123,7 +152,7 @@ func TestClassFootprints(t *testing.T) {
 }
 
 func TestMixesWellFormed(t *testing.T) {
-	for _, cores := range []int{2, 4, 8} {
+	for _, cores := range MixWidths() {
 		mixes := MixesFor(cores)
 		if len(mixes) < 8 {
 			t.Fatalf("%d-core: only %d mixes", cores, len(mixes))
@@ -150,6 +179,50 @@ func TestMixesWellFormed(t *testing.T) {
 				t.Fatal("empty String()")
 			}
 		}
+	}
+}
+
+// TestMixByName finds every standard mix of every width and rejects a
+// name the catalog lacks.
+func TestMixByName(t *testing.T) {
+	n := 0
+	for _, cores := range MixWidths() {
+		for _, want := range MixesFor(cores) {
+			got, ok := MixByName(want.Name)
+			if !ok || got.String() != want.String() {
+				t.Errorf("MixByName(%q) = %v, %v; want %v", want.Name, got, ok, want)
+			}
+			n++
+		}
+	}
+	if n != 28 {
+		t.Errorf("%d standard mixes; want 28", n)
+	}
+	for _, name := range []string{"", "mix2-00", "mix2-11", "mix3-01", "MIX2-01"} {
+		if m, ok := MixByName(name); ok {
+			t.Errorf("MixByName(%q) found %v", name, m)
+		}
+	}
+}
+
+// TestMixCatalogIsCopied: callers get copies, so editing what MixesFor
+// or MixByName returned cannot change the catalog.
+func TestMixCatalogIsCopied(t *testing.T) {
+	ms := MixesFor(4)
+	want := ms[0].String()
+	ms[0].Members[0] = "swim-like"
+	ms[1] = Mix{Name: "edited"}
+	m, _ := MixByName("mix4-01")
+	m.Members[1] = "swim-like"
+	again := MixesFor(4)
+	if got := again[0].String(); got != want {
+		t.Errorf("mix4-01 is %s after editing a copy; want %s", got, want)
+	}
+	if again[1].Name != "mix4-02" {
+		t.Errorf("second 4-core mix is %q after editing a copy", again[1].Name)
+	}
+	if m, _ := MixByName("mix4-01"); m.String() != want {
+		t.Errorf("MixByName(mix4-01) is %s after editing a copy; want %s", m, want)
 	}
 }
 
