@@ -10,15 +10,16 @@ import (
 // Policy is a replacement policy plugged into a Cache.
 //
 // The cache calls exactly one of OnHit or (Victim, OnInsert) per access.
-// Policies own per-set logical state (allocated by NewSetState) and may
-// reorganize it freely inside Victim — e.g. NUcache logically moves a
-// MainWays victim into the DeliWays region before returning the way whose
-// previous occupant actually leaves the cache.
+// Policies own per-set logical state, kept in a slice indexed by
+// Set.Index, and may reorganize it freely inside Victim — e.g. NUcache
+// logically moves a MainWays victim into the DeliWays region before
+// returning the way whose previous occupant actually leaves the cache.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// NewSetState allocates per-set state; nil is allowed.
-	NewSetState(setIndex int) SetState
+	// Init sizes the policy's per-set state for a cache of sets sets.
+	// New calls it once, before any access: a policy serves one cache.
+	Init(sets int)
 	// OnHit is invoked when req hits in way.
 	OnHit(set *Set, way int, req *Request)
 	// Victim returns the way in [0, ways) to fill for the missing req;
@@ -111,8 +112,9 @@ func New(cfg Config, policy Policy) *Cache {
 		lo, hi := i*cfg.Ways, (i+1)*cfg.Ways
 		c.sets[i].Lines = lines[lo:hi:hi]
 		c.sets[i].tags = tags[lo:hi:hi]
-		c.sets[i].State = policy.NewSetState(i)
+		c.sets[i].index = i
 	}
+	policy.Init(sets)
 	c.obs, _ = policy.(AccessObserver)
 	return c
 }
@@ -132,7 +134,7 @@ func (c *Cache) Set(i int) *Set { return &c.sets[i] }
 func (c *Cache) NumSets() int { return len(c.sets) }
 
 // AccessResult describes the outcome of one access. It keeps to four
-// fields and 32 bytes so the compiler returns it in registers.
+// fields and 24 bytes so the compiler returns it in registers.
 type AccessResult struct {
 	// Hit reports whether the access hit.
 	Hit bool

@@ -139,80 +139,87 @@ func TestCacheOccupancyBounded(t *testing.T) {
 // a model of the resident tags kept from the results alone: a miss adds
 // its tag, and each EvictedTag removes one. Every hit must find its tag
 // resident, every miss must not, and Occupancy must equal the model's
-// size, across narrow and wide geometries.
+// size, across narrow and wide geometries up to MaxWays. Wider ones
+// are configuration errors, not panics.
 func TestAccessAgreesWithResidentTags(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, ways := range []int{1, 3, 7, 8, 9, 16, 64} {
-		var pol cache.Policy = policy.NewLRU() // supports up to 16 ways
-		if ways > 16 {
-			pol = policy.NewRandom(3)
+	for _, ways := range []int{cache.MaxWays + 1, 64} {
+		cfg := cache.Config{Name: "scan", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%d ways validated", ways)
 		}
-		c := cache.New(cache.Config{
-			Name: "scan", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64, Cores: 1,
-		}, pol)
-		resident := map[uint64]bool{}
-		for op := 0; op < 3000; op++ {
-			addr := uint64(rng.Intn(32*ways)) * 64
-			tag := c.Tag(addr)
-			want := resident[tag]
-			r := access(c, addr)
-			if r.Hit != want {
-				t.Fatalf("ways=%d op=%d addr=%#x: Access hit=%v, resident=%v",
-					ways, op, addr, r.Hit, want)
-			}
-			if !r.Hit {
-				resident[tag] = true
-			}
-			if r.EvictedValid() {
-				if !resident[r.EvictedTag] || r.EvictedTag == tag {
-					t.Fatalf("ways=%d op=%d: evicted tag %#x was not resident", ways, op, r.EvictedTag)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, ways := range []int{1, 3, 7, 8, 9, cache.MaxWays} {
+		for _, pol := range []cache.Policy{policy.NewLRU(), policy.NewRandom(3)} {
+			c := cache.New(cache.Config{
+				Name: "scan", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64, Cores: 1,
+			}, pol)
+			resident := map[uint64]bool{}
+			for op := 0; op < 3000; op++ {
+				addr := uint64(rng.Intn(32*ways)) * 64
+				tag := c.Tag(addr)
+				want := resident[tag]
+				r := access(c, addr)
+				if r.Hit != want {
+					t.Fatalf("%s ways=%d op=%d addr=%#x: Access hit=%v, resident=%v",
+						pol.Name(), ways, op, addr, r.Hit, want)
 				}
-				delete(resident, r.EvictedTag)
-			}
-			if got := c.Occupancy(); got != len(resident) {
-				t.Fatalf("ways=%d op=%d: Occupancy=%d, resident tags=%d", ways, op, got, len(resident))
+				if !r.Hit {
+					resident[tag] = true
+				}
+				if r.EvictedValid() {
+					if !resident[r.EvictedTag] || r.EvictedTag == tag {
+						t.Fatalf("%s ways=%d op=%d: evicted tag %#x was not resident",
+							pol.Name(), ways, op, r.EvictedTag)
+					}
+					delete(resident, r.EvictedTag)
+				}
+				if got := c.Occupancy(); got != len(resident) {
+					t.Fatalf("%s ways=%d op=%d: Occupancy=%d, resident tags=%d",
+						pol.Name(), ways, op, got, len(resident))
+				}
 			}
 		}
 	}
 }
 
-// TestLookupPartialTagCollisions drives a full 32-way set whose
+// TestLookupPartialTagCollisions drives a full MaxWays-way set whose
 // resident tags agree in their low bytes and differ only higher up, so
 // the scan must compare every tag in full. A second cache fills the set
 // with tags whose low byte is zero, tag 0 included (the value every
-// empty mirror slot holds). Random's victim choice prefers invalid ways,
+// empty tag slot holds). Random's victim choice prefers invalid ways,
 // making the fills deterministic.
 func TestLookupPartialTagCollisions(t *testing.T) {
+	const ways = cache.MaxWays
 	wide := func() *cache.Cache {
 		return cache.New(cache.Config{
 			Name:      "wide",
-			SizeBytes: 4 * 32 * 64, // 4 sets: the low 2 tag bits are the set index
-			Ways:      32,
+			SizeBytes: 4 * ways * 64, // 4 sets: the low 2 tag bits are the set index
+			Ways:      ways,
 			LineBytes: 64,
 			Cores:     1,
 		}, policy.NewRandom(9))
 	}
 	// Strides of sets*256 lines keep the set index and the tag's low
 	// byte above the index bits equal while the full tags differ; +0x100
-	// makes that shared byte nonzero (1) so no tag equals a cleared
-	// mirror slot.
+	// makes that shared byte nonzero (1) so no tag equals an empty slot.
 	const stride = uint64(4 * 256 * 64)
 
 	c := wide()
-	for i := uint64(0); i < 32; i++ {
+	for i := uint64(0); i < ways; i++ {
 		if access(c, 0x100+i*stride).Hit {
 			t.Fatalf("cold access %d hit", i)
 		}
 	}
 	// Set 0 is now full of lines that share that byte: only the full
 	// tag separates them.
-	for i := uint64(0); i < 32; i++ {
+	for i := uint64(0); i < ways; i++ {
 		if !access(c, 0x100+i*stride).Hit {
 			t.Fatalf("colliding resident %d missed", i)
 		}
 	}
-	// A 33rd line sharing the byte must still miss.
-	if access(c, 0x100+32*stride).Hit {
+	// One more line sharing the byte must still miss.
+	if access(c, 0x100+ways*stride).Hit {
 		t.Fatal("absent colliding line hit")
 	}
 
@@ -220,15 +227,15 @@ func TestLookupPartialTagCollisions(t *testing.T) {
 	// valid lines that share the zero byte. Probes for residents must
 	// hit, and an absent line with the same zero byte must still miss.
 	c2 := wide()
-	for i := uint64(0); i < 32; i++ {
+	for i := uint64(0); i < ways; i++ {
 		access(c2, i*stride) // tag i*1024: low byte 0 for all i
 	}
-	for i := uint64(0); i < 32; i++ {
+	for i := uint64(0); i < ways; i++ {
 		if !access(c2, i*stride).Hit {
 			t.Fatalf("zero-partial resident %d missed", i)
 		}
 	}
-	if access(c2, 32*stride).Hit {
+	if access(c2, ways*stride).Hit {
 		t.Fatal("absent zero-partial line hit")
 	}
 }

@@ -5,12 +5,18 @@
 //
 // The policy surface is deliberately wide: policies own the logical
 // organization of each set (LRU stacks, RRPV counters, FIFO regions, way
-// quotas, ...) through per-set state, while the cache owns the physical
-// lines and the bookkeeping that is common to every policy (lookup,
-// install, dirty tracking, statistics).
+// quotas, ...) in per-set state of their own, indexed by Set.Index, while
+// the cache owns the physical lines and the bookkeeping that is common to
+// every policy (lookup, install, dirty tracking, statistics).
 package cache
 
 import "fmt"
+
+// MaxWays is the widest associativity the model supports: every LLC the
+// simulator builds is 16-way, and policies keep fixed-size per-set state
+// (WayList, recency stamps, per-core counts) of MaxWays entries. Config,
+// core.New and the MRC profile reject anything wider.
+const MaxWays = 16
 
 // Config describes a cache's geometry and identity.
 type Config struct {
@@ -40,10 +46,8 @@ func (c Config) Validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %q: line size %d not a power of two", c.Name, c.LineBytes)
 	}
-	if c.Ways > 64 {
-		// The per-set valid bitmask (and WayList's int8 entries) bound
-		// the modelled associativity.
-		return fmt.Errorf("cache %q: associativity %d exceeds the supported 64 ways", c.Name, c.Ways)
+	if c.Ways > MaxWays {
+		return fmt.Errorf("cache %q: associativity %d exceeds the supported %d ways", c.Name, c.Ways, MaxWays)
 	}
 	if c.SizeBytes%(c.Ways*c.LineBytes) != 0 {
 		return fmt.Errorf("cache %q: size %d not divisible by ways*line (%d*%d)",

@@ -2,16 +2,12 @@ package cache
 
 import "math/bits"
 
-// SetState is opaque per-set replacement state owned by the policy.
-type SetState interface{}
-
 // Set is one cache set: the physical lines, their tags and valid bits,
-// and the policy's logical organization of them.
+// and its index in the cache. The policy's logical organization of the
+// set lives with the policy, which finds it by Index.
 type Set struct {
 	// Lines are the physical ways.
 	Lines []Line
-	// State is the policy's per-set state (may be nil).
-	State SetState
 
 	// tags holds each way's tag (the line address, Addr >> offsetBits),
 	// a slice of one cache-wide array: the hit/miss scan reads 8 bytes
@@ -23,7 +19,13 @@ type Set struct {
 	// every policy's Victim asks, and which in steady state finds a
 	// full set — is one bit operation.
 	validMask uint64
+	// index is the set's position in the cache, in [0, NumSets).
+	index int
 }
+
+// Index returns the set's position in the cache: policies keep their
+// per-set state in a slice sized by Policy.Init and indexed by it.
+func (s *Set) Index() int { return s.index }
 
 // Tag returns the tag of the line in way; it is meaningful only while
 // Valid(way).
@@ -52,69 +54,58 @@ func (s *Set) Lookup(tag uint64) int {
 	return -1
 }
 
-// WayList is an ordered list of way indices, the building block for
-// recency stacks (LRU/DIP), priority lists (PIPP) and FIFO regions
-// (NUcache DeliWays). Position 0 is the "front" — by convention the MRU
-// or highest-priority end; the back is the victim end.
+// WayList is an ordered list of at most MaxWays way indices, the
+// building block for recency stacks (UCP, SLRU), priority lists (PIPP)
+// and FIFO regions (NUcache DeliWays). Position 0 is the "front" — by
+// convention the MRU or highest-priority end; the back is the victim end.
+// It is a value with no pointers, so a policy's per-set state holds its
+// lists inline; the zero value is an empty list.
 //
 // A WayList never contains duplicates; all mutators preserve that
 // invariant given distinct inputs.
 type WayList struct {
-	ways []int8
-}
-
-// NewWayList returns an empty list with capacity for ways entries.
-func NewWayList(ways int) *WayList {
-	return &WayList{ways: make([]int8, 0, ways)}
-}
-
-// MakeWayList is NewWayList by value, for embedding a list directly in a
-// policy's per-set state (one less pointer chase on the access path).
-func MakeWayList(ways int) WayList {
-	return WayList{ways: make([]int8, 0, ways)}
+	ways [MaxWays]int8
+	n    uint8
 }
 
 // Len returns the number of entries.
-func (l *WayList) Len() int { return len(l.ways) }
+func (l *WayList) Len() int { return int(l.n) }
 
 // At returns the way at position i (0 = front).
-func (l *WayList) At(i int) int { return int(l.ways[i]) }
+func (l *WayList) At(i int) int { return int(l.ways[:l.n][i]) }
 
 // Front returns the way at the front; panics if empty.
-func (l *WayList) Front() int { return int(l.ways[0]) }
+func (l *WayList) Front() int { return l.At(0) }
 
 // Back returns the way at the back (victim end); panics if empty.
-func (l *WayList) Back() int { return int(l.ways[len(l.ways)-1]) }
+func (l *WayList) Back() int { return l.At(int(l.n) - 1) }
 
 // PushFront inserts way at the front (MRU position).
 func (l *WayList) PushFront(way int) {
-	l.ways = append(l.ways, 0)
-	copy(l.ways[1:], l.ways)
+	copy(l.ways[1:l.n+1], l.ways[:l.n])
 	l.ways[0] = int8(way)
+	l.n++
 }
 
 // PushBack inserts way at the back (LRU position).
 func (l *WayList) PushBack(way int) {
-	l.ways = append(l.ways, int8(way))
+	l.ways[l.n] = int8(way)
+	l.n++
 }
 
 // InsertAt places way so that it ends up at position pos from the front
 // (pos clamped to [0, Len()]).
 func (l *WayList) InsertAt(pos, way int) {
-	if pos < 0 {
-		pos = 0
-	}
-	if pos > len(l.ways) {
-		pos = len(l.ways)
-	}
-	l.ways = append(l.ways, 0)
-	copy(l.ways[pos+1:], l.ways[pos:])
+	n := int(l.n)
+	pos = max(0, min(pos, n))
+	copy(l.ways[pos+1:n+1], l.ways[pos:n])
 	l.ways[pos] = int8(way)
+	l.n++
 }
 
 // IndexOf returns the position of way, or -1.
 func (l *WayList) IndexOf(way int) int {
-	for i, w := range l.ways {
+	for i, w := range l.ways[:l.n] {
 		if int(w) == way {
 			return i
 		}
@@ -134,14 +125,14 @@ func (l *WayList) Remove(way int) bool {
 
 // RemoveAt deletes the entry at position i.
 func (l *WayList) RemoveAt(i int) {
-	copy(l.ways[i:], l.ways[i+1:])
-	l.ways = l.ways[:len(l.ways)-1]
+	copy(l.ways[i:l.n], l.ways[i+1:l.n])
+	l.n--
 }
 
 // PopBack removes and returns the back entry; panics if empty.
 func (l *WayList) PopBack() int {
 	w := l.Back()
-	l.ways = l.ways[:len(l.ways)-1]
+	l.n--
 	return w
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWayListBasics(t *testing.T) {
-	l := NewWayList(4)
+	l := &WayList{}
 	if l.Len() != 0 {
 		t.Fatal("new list not empty")
 	}
@@ -28,7 +28,7 @@ func TestWayListBasics(t *testing.T) {
 }
 
 func TestWayListMoveToFront(t *testing.T) {
-	l := NewWayList(4)
+	l := &WayList{}
 	l.PushBack(0)
 	l.PushBack(1)
 	l.PushBack(2)
@@ -45,7 +45,7 @@ func TestWayListMoveToFront(t *testing.T) {
 }
 
 func TestWayListInsertAt(t *testing.T) {
-	l := NewWayList(4)
+	l := &WayList{}
 	l.PushBack(0)
 	l.PushBack(1)
 	l.InsertAt(1, 5)
@@ -63,7 +63,7 @@ func TestWayListInsertAt(t *testing.T) {
 }
 
 func TestWayListRemovePop(t *testing.T) {
-	l := NewWayList(4)
+	l := &WayList{}
 	l.PushBack(0)
 	l.PushBack(1)
 	l.PushBack(2)
@@ -82,7 +82,7 @@ func TestWayListRemovePop(t *testing.T) {
 }
 
 func TestWayListMoveUp(t *testing.T) {
-	l := NewWayList(4)
+	l := &WayList{}
 	l.PushBack(0)
 	l.PushBack(1)
 	if !l.MoveUp(1) {
@@ -105,11 +105,11 @@ func TestWayListMoveUp(t *testing.T) {
 func TestWayListNoDuplicatesProperty(t *testing.T) {
 	// Property: random op sequences keep entries unique.
 	if err := quick.Check(func(ops []uint8) bool {
-		l := NewWayList(8)
+		l := &WayList{} // the zero value is an empty list
 		present := map[int]bool{}
 		for _, op := range ops {
-			way := int(op % 8)
-			switch (op / 8) % 4 {
+			way := int(op % MaxWays) // up to a full list
+			switch (op / MaxWays) % 4 {
 			case 0:
 				if !present[way] {
 					l.PushFront(way)
@@ -186,6 +186,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "b", SizeBytes: 1 << 20, Ways: 16, LineBytes: 60},
 		{Name: "c", SizeBytes: 1<<20 + 64, Ways: 16, LineBytes: 64},
 		{Name: "d", SizeBytes: 3 * 16 * 64, Ways: 16, LineBytes: 64}, // 3 sets
+		{Name: "e", SizeBytes: 4 * (MaxWays + 1) * 64, Ways: MaxWays + 1, LineBytes: 64},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -10,7 +10,11 @@
 // the hits the DeliWays can deliver.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"nucache/internal/cache"
+)
 
 // Config parameterizes a NUcache policy.
 type Config struct {
@@ -75,8 +79,8 @@ func DefaultConfig(ways int) Config {
 
 // withDefaults fills zero fields and validates.
 func (c Config) withDefaults() (Config, error) {
-	if c.Ways <= 0 {
-		return c, fmt.Errorf("core: Ways must be positive, got %d", c.Ways)
+	if c.Ways <= 0 || c.Ways > cache.MaxWays {
+		return c, fmt.Errorf("core: Ways must be in [1, %d], got %d", cache.MaxWays, c.Ways)
 	}
 	if c.DeliWays < 0 || c.DeliWays >= c.Ways {
 		return c, fmt.Errorf("core: DeliWays %d must be in [0, Ways-1=%d]", c.DeliWays, c.Ways-1)

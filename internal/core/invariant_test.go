@@ -14,40 +14,40 @@ import (
 // exactly one list and no list holds an invalid way.
 func checkSetInvariants(t *testing.T, p *NUcache, set *cache.Set) {
 	t.Helper()
-	st := set.State.(*setState)
+	st := &p.sets[set.Index()]
 
 	if got := st.deli.Len(); got > p.cfg.DeliWays {
-		t.Fatalf("set %d: deli holds %d > D=%d", st.setIndex, got, p.cfg.DeliWays)
+		t.Fatalf("set %d: deli holds %d > D=%d", set.Index(), got, p.cfg.DeliWays)
 	}
 	if got := st.main.Len() + st.deli.Len(); got > p.cfg.Ways {
-		t.Fatalf("set %d: lists track %d > %d ways", st.setIndex, got, p.cfg.Ways)
+		t.Fatalf("set %d: lists track %d > %d ways", set.Index(), got, p.cfg.Ways)
 	}
 
 	seen := map[int]string{}
 	for i := 0; i < st.main.Len(); i++ {
 		w := st.main.At(i)
 		if prev, dup := seen[w]; dup {
-			t.Fatalf("set %d: way %d in main and %s", st.setIndex, w, prev)
+			t.Fatalf("set %d: way %d in main and %s", set.Index(), w, prev)
 		}
 		seen[w] = "main"
 		if !set.Valid(w) {
-			t.Fatalf("set %d: main tracks invalid way %d", st.setIndex, w)
+			t.Fatalf("set %d: main tracks invalid way %d", set.Index(), w)
 		}
 	}
 	for i := 0; i < st.deli.Len(); i++ {
 		w := st.deli.At(i)
 		if prev, dup := seen[w]; dup {
-			t.Fatalf("set %d: way %d in deli and %s", st.setIndex, w, prev)
+			t.Fatalf("set %d: way %d in deli and %s", set.Index(), w, prev)
 		}
 		seen[w] = "deli"
 		if !set.Valid(w) {
-			t.Fatalf("set %d: deli tracks invalid way %d", st.setIndex, w)
+			t.Fatalf("set %d: deli tracks invalid way %d", set.Index(), w)
 		}
 	}
 	// Every valid line must be tracked by exactly one list.
 	for w := range set.Lines {
 		if set.Valid(w) && seen[w] == "" {
-			t.Fatalf("set %d: valid way %d untracked", st.setIndex, w)
+			t.Fatalf("set %d: valid way %d untracked", set.Index(), w)
 		}
 	}
 }
@@ -106,7 +106,8 @@ func TestNUcacheStructuralInvariantsUnderRandomTraffic(t *testing.T) {
 // oldest retained line at the LRU end.
 func TestAdoptDeliWaysOrdering(t *testing.T) {
 	p := MustNew(Config{Ways: 8, DeliWays: 3})
-	st := p.NewSetState(0).(*setState)
+	p.Init(1)
+	st := &p.sets[0]
 	st.main.PushFront(0)
 	st.deli.PushBack(5) // oldest
 	st.deli.PushBack(6)

@@ -13,9 +13,9 @@ import (
 type NUcache struct {
 	cfg     Config
 	mon     *Monitor
-	chosen  []uint64    // sorted ascending; sized by MaxChosen (hot: isChosen)
-	curDeli int         // active DeliWays count (== cfg.DeliWays unless adaptive)
-	states  []*setState // every set's state, for epoch-boundary rebalancing
+	chosen  []uint64   // sorted ascending; sized by MaxChosen (hot: isChosen)
+	curDeli int        // active DeliWays count (== cfg.DeliWays unless adaptive)
+	sets    []setState // indexed by Set.Index
 
 	missesSinceEpoch uint64
 	epochTarget      uint64
@@ -80,25 +80,15 @@ func (p *NUcache) ChosenPCs() []uint64 {
 	return append([]uint64(nil), p.chosen...)
 }
 
+// setState is one set's logical organization: together the two lists
+// hold every valid way exactly once.
 type setState struct {
-	setIndex int
-	// The lists are embedded by value: every Victim/OnHit/OnInsert walks
-	// them, and an extra *WayList indirection per operation is measurable
-	// on the access path.
 	main cache.WayList // front = MRU, back = LRU
 	deli cache.WayList // front = oldest (FIFO head), back = newest
 }
 
-// NewSetState implements cache.Policy.
-func (p *NUcache) NewSetState(setIndex int) cache.SetState {
-	st := &setState{
-		setIndex: setIndex,
-		main:     cache.MakeWayList(p.cfg.Ways),
-		deli:     cache.MakeWayList(p.cfg.Ways),
-	}
-	p.states = append(p.states, st)
-	return st
-}
+// Init implements cache.Policy.
+func (p *NUcache) Init(sets int) { p.sets = make([]setState, sets) }
 
 // mainCap is the current MainWays capacity: with no chosen PCs the
 // DeliWays would be dead storage, so the whole set serves as MainWays
@@ -124,7 +114,7 @@ func (p *NUcache) ObserveAccess(setIndex int, tag uint64, _ *cache.Request) {
 // hits optionally re-promote into the MainWays, swapping the MainWays LRU
 // line into the freed FIFO slot.
 func (p *NUcache) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	st := set.State.(*setState)
+	st := &p.sets[set.Index()]
 	if mi := st.main.IndexOf(way); mi >= 0 {
 		// Inline MoveToFront: one scan instead of Contains + IndexOf.
 		st.main.RemoveAt(mi)
@@ -162,8 +152,9 @@ func (p *NUcache) OnHit(set *cache.Set, way int, _ *cache.Request) {
 
 // Victim implements cache.Policy.
 func (p *NUcache) Victim(set *cache.Set, req *cache.Request) int {
-	st := set.State.(*setState)
-	p.mon.OnMiss(st.setIndex, req.PC)
+	setIndex := set.Index()
+	st := &p.sets[setIndex]
+	p.mon.OnMiss(setIndex, req.PC)
 	p.missesSinceEpoch++
 	if p.missesSinceEpoch >= p.epochTarget {
 		p.runSelection()
@@ -188,7 +179,7 @@ func (p *NUcache) Victim(set *cache.Set, req *cache.Request) int {
 		victimWay := st.main.PopBack()
 		pc := set.Lines[victimWay].PC
 		p.Demotions++
-		p.mon.OnDemotion(st.setIndex, set.Tag(victimWay), pc)
+		p.mon.OnDemotion(setIndex, set.Tag(victimWay), pc)
 
 		if p.curDeli > 0 && p.isChosen(pc) {
 			st.deli.PushBack(victimWay)
@@ -216,8 +207,8 @@ func (p *NUcache) Victim(set *cache.Set, req *cache.Request) int {
 // OnInsert implements cache.Policy: new fills always enter the MainWays
 // at MRU. Victim returned a way that is in neither list: an invalid way
 // (lists track only valid ones) or one it popped.
-func (*NUcache) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	set.State.(*setState).main.PushFront(way)
+func (p *NUcache) OnInsert(set *cache.Set, way int, _ *cache.Request) {
+	p.sets[set.Index()].main.PushFront(way)
 }
 
 // isChosen reports whether pc is in the chosen set. The set is a small
@@ -264,7 +255,8 @@ func (p *NUcache) runSelection() {
 // never drain and its lines would be pinned forever. Newest entries land
 // closest to the existing stack; the oldest becomes the first victim.
 func (p *NUcache) adoptDeliWays() {
-	for _, st := range p.states {
+	for i := range p.sets {
+		st := &p.sets[i]
 		for st.deli.Len() > 0 {
 			newest := st.deli.At(st.deli.Len() - 1)
 			st.deli.RemoveAt(st.deli.Len() - 1)

@@ -195,6 +195,9 @@ func TestNUcacheConfigValidation(t *testing.T) {
 	if _, err := core.New(core.Config{Ways: 0}); err == nil {
 		t.Fatal("Ways=0 accepted")
 	}
+	if _, err := core.New(core.Config{Ways: cache.MaxWays + 1}); err == nil {
+		t.Fatal("Ways=MaxWays+1 accepted")
+	}
 	if _, err := core.New(core.Config{Ways: 8, DeliWays: 8}); err == nil {
 		t.Fatal("DeliWays=Ways accepted")
 	}

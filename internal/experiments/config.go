@@ -15,10 +15,23 @@ func u64(v uint64) string { return strconv.FormatUint(v, 10) }
 // (the paper's Table 1 equivalent), for the given core counts.
 func ConfigTable(o Options) *metrics.Table {
 	o = o.withDefaults()
-	t := metrics.NewTable("E4: system configuration",
-		"parameter", "1/2 cores", "4 cores", "8 cores")
+	widths := workload.MixWidths()
+	header := []string{"parameter"}
+	for i, w := range widths {
+		label := fmt.Sprintf("%d cores", w)
+		if i == 0 {
+			// Single-core runs share the narrowest machine's LLC.
+			label = "1/" + label
+		}
+		header = append(header, label)
+	}
+	t := metrics.NewTable("E4: system configuration", header...)
 	row := func(name string, f func(cores int) string) {
-		t.AddRow(name, f(2), f(4), f(8))
+		cells := []string{name}
+		for _, w := range widths {
+			cells = append(cells, f(w))
+		}
+		t.AddRow(cells...)
 	}
 	row("L1D per core", func(c int) string {
 		l1 := o.machine(c).L1

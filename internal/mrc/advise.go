@@ -321,8 +321,8 @@ func finish(p *Profile, pred *Prediction) {
 
 // BestPartition searches the static-partition space for the maximum
 // summed IPC, exhaustively over all compositions of Ways into Cores
-// positive parts (C(15,3)=455 for a 4-core 16-way LLC; Validate bounds
-// the count). Deterministic: ties keep the lexicographically smallest
+// positive parts (C(15,3)=455 for a 4-core 16-way LLC; Validate's
+// bound on ways bounds the count). Deterministic: ties keep the lexicographically smallest
 // allocation.
 func BestPartition(p *Profile) (*Prediction, error) {
 	if err := p.Validate(); err != nil {
@@ -367,18 +367,4 @@ func BestDeliWays(p *Profile) (*Prediction, error) {
 	}
 	best.Evaluated = p.Ways
 	return best, nil
-}
-
-// compositions returns the number of ways to distribute `extra`
-// indistinguishable ways among `cores` cores (beyond the mandatory one
-// each), i.e. C(extra+cores-1, cores-1), saturating to avoid overflow.
-func compositions(extra, cores int) int {
-	n := 1
-	for i := 1; i < cores; i++ {
-		n = n * (extra + i) / i
-		if n > 1<<30 {
-			return 1 << 30
-		}
-	}
-	return n
 }

@@ -11,6 +11,8 @@ package mrc
 import (
 	"encoding/json"
 	"testing"
+
+	"nucache/internal/cache"
 )
 
 // fuzzProfile builds a small valid profile for the seed corpus.
@@ -157,11 +159,12 @@ func shapedProfile(cores, ways int) *Profile {
 
 // TestValidateBoundsPartitionSearch: BestPartition searches every way
 // partition exhaustively, so Validate (and with it every decode) refuses
-// a shape with no partition at all (more cores than ways) or with more
-// partitions than the search allows. The widest shape the simulator
-// builds, 16 cores over 16 ways, and its largest search, 8 cores, pass.
+// a shape with no partition at all (more cores than ways) or one wider
+// than the cache model supports, which bounds the search. The widest
+// shape the simulator builds, 16 cores over 16 ways, and its largest
+// search, 8 cores, pass.
 func TestValidateBoundsPartitionSearch(t *testing.T) {
-	for _, c := range []struct{ cores, ways int }{{17, 16}, {64, 16}, {32, 64}} {
+	for _, c := range []struct{ cores, ways int }{{17, 16}, {64, 16}, {32, 64}, {1, cache.MaxWays + 1}} {
 		data, err := json.Marshal(shapedProfile(c.cores, c.ways))
 		if err != nil {
 			t.Fatal(err)

@@ -29,6 +29,8 @@ package mrc
 import (
 	"encoding/json"
 	"fmt"
+
+	"nucache/internal/cache"
 )
 
 // Version is the profile artifact format version.
@@ -40,10 +42,11 @@ const MaxPrefetch = 64
 
 // Limits on decoded artifacts: profiles transit the content-addressed
 // disk cache, so decoding must be total (error, never panic) and the
-// model must be safe to run on anything Validate accepts.
+// model must be safe to run on anything Validate accepts. Ways are
+// bounded by cache.MaxWays and cores by ways, which also bounds
+// BestPartition's exhaustive search over C(Ways-1, Cores-1) allocations:
+// at most C(15,7) = 6,435.
 const (
-	maxCores    = 64
-	maxWays     = 64
 	maxSets     = 1 << 22
 	maxHistLin  = 1024
 	maxHistLog2 = 64
@@ -51,11 +54,6 @@ const (
 	// maxCount bounds every event counter far below overflow so the
 	// model's integer arithmetic (counts times latencies) stays exact.
 	maxCount = 1 << 50
-	// maxPartitions bounds BestPartition's exhaustive search, which
-	// evaluates C(Ways-1, Cores-1) allocations; every profile the
-	// simulator builds (16 ways, at most 16 cores) has at most
-	// C(15,7) = 6,435.
-	maxPartitions = 200_000
 )
 
 // Profile is the content-addressed profiling artifact for one mix on
@@ -171,19 +169,12 @@ func (p *Profile) Validate() error {
 	if p.Version != Version {
 		return fmt.Errorf("mrc: profile version %d, want %d", p.Version, Version)
 	}
-	if p.Cores < 1 || p.Cores > maxCores {
-		return fmt.Errorf("mrc: cores %d out of range", p.Cores)
-	}
-	if p.Ways < 1 || p.Ways > maxWays {
+	if p.Ways < 1 || p.Ways > cache.MaxWays {
 		return fmt.Errorf("mrc: ways %d out of range", p.Ways)
 	}
 	// Every partition grants each core at least one way.
-	if p.Cores > p.Ways {
+	if p.Cores < 1 || p.Cores > p.Ways {
 		return fmt.Errorf("mrc: %d cores for %d ways", p.Cores, p.Ways)
-	}
-	if n := compositions(p.Ways-p.Cores, p.Cores); n > maxPartitions {
-		return fmt.Errorf("mrc: %d cores over %d ways make %d partitions (limit %d)",
-			p.Cores, p.Ways, n, maxPartitions)
 	}
 	if p.Sets < 1 || p.Sets > maxSets {
 		return fmt.Errorf("mrc: sets %d out of range", p.Sets)

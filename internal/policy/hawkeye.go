@@ -57,8 +57,9 @@ func NewHawkeye(ways int) *Hawkeye {
 // Name implements cache.Policy.
 func (*Hawkeye) Name() string { return "Hawkeye" }
 
-// NewSetState implements cache.Policy.
-func (*Hawkeye) NewSetState(int) cache.SetState { return nil }
+// Init implements cache.Policy: Hawkeye's per-set state is its OPTgen
+// sampler, built on first access for the sampled sets only.
+func (*Hawkeye) Init(int) {}
 
 func (*Hawkeye) hash(pc uint64) uint64 {
 	return (pc * 0x9e3779b97f4a7c15 >> 17) % hawkPredSize

@@ -6,7 +6,7 @@ import "nucache/internal/cache"
 // of a per-set recency order; the victim is the LRU end. This is the
 // baseline policy in the NUcache evaluation.
 type LRU struct {
-	slab []stamps // block-allocated set states (see NewSetState)
+	sets []stamps
 }
 
 // NewLRU returns an LRU policy.
@@ -21,7 +21,7 @@ func (*LRU) Name() string { return "LRU" }
 // the stack's back, and a touch is one store instead of a list splice.
 // Never-touched ways keep stamp 0 and lose every comparison.
 type stamps struct {
-	last [16]uint64 // last-use stamp per way; 0 = never filled
+	last [cache.MaxWays]uint64 // last-use stamp per way; 0 = never filled
 	tick uint64
 }
 
@@ -42,35 +42,23 @@ func (s *stamps) oldest(lo, hi int) int {
 	return way
 }
 
-// lruSlabBlock sizes the state allocation blocks: an LLC-sized cache
-// asks for ~1k set states, and handing out slots from fixed-capacity
-// blocks turns those into a handful of allocations (states never move:
-// a full block is abandoned, not grown).
-const lruSlabBlock = 256
-
-// NewSetState implements cache.Policy.
-func (l *LRU) NewSetState(int) cache.SetState {
-	if len(l.slab) == cap(l.slab) {
-		l.slab = make([]stamps, 0, lruSlabBlock)
-	}
-	l.slab = l.slab[:len(l.slab)+1]
-	return &l.slab[len(l.slab)-1]
-}
+// Init implements cache.Policy.
+func (l *LRU) Init(sets int) { l.sets = make([]stamps, sets) }
 
 // OnHit implements cache.Policy.
-func (*LRU) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	set.State.(*stamps).touch(way)
+func (l *LRU) OnHit(set *cache.Set, way int, _ *cache.Request) {
+	l.sets[set.Index()].touch(way)
 }
 
 // Victim implements cache.Policy.
-func (*LRU) Victim(set *cache.Set, _ *cache.Request) int {
+func (l *LRU) Victim(set *cache.Set, _ *cache.Request) int {
 	if inv := set.FindInvalid(); inv >= 0 {
 		return inv
 	}
-	return set.State.(*stamps).oldest(0, len(set.Lines))
+	return l.sets[set.Index()].oldest(0, len(set.Lines))
 }
 
 // OnInsert implements cache.Policy.
-func (*LRU) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	set.State.(*stamps).touch(way)
+func (l *LRU) OnInsert(set *cache.Set, way int, _ *cache.Request) {
+	l.sets[set.Index()].touch(way)
 }

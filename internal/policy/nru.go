@@ -14,8 +14,8 @@ func NewNRU() *NRU { return &NRU{} }
 // Name implements cache.Policy.
 func (*NRU) Name() string { return "NRU" }
 
-// NewSetState implements cache.Policy.
-func (*NRU) NewSetState(int) cache.SetState { return nil }
+// Init implements cache.Policy: NRU keeps no per-set state.
+func (*NRU) Init(int) {}
 
 // OnHit implements cache.Policy.
 func (*NRU) OnHit(set *cache.Set, way int, _ *cache.Request) {

@@ -43,8 +43,8 @@ func NextUseChain(lineAddrs []uint64) []uint64 {
 // Name implements cache.Policy.
 func (*OPT) Name() string { return "OPT" }
 
-// NewSetState implements cache.Policy.
-func (*OPT) NewSetState(int) cache.SetState { return nil }
+// Init implements cache.Policy: OPT keeps no per-set state.
+func (*OPT) Init(int) {}
 
 func (o *OPT) futureOf(seq uint64) uint64 {
 	if seq < uint64(len(o.nextUse)) {

@@ -17,13 +17,14 @@ type OracleRetention struct {
 	deliWays int
 	window   uint64
 	nextUse  []uint64
+	sets     []oracleState
 }
 
 // NewOracleRetention builds the oracle policy for a mainWays+deliWays
 // organization. window is the retention horizon in cache accesses.
 func NewOracleRetention(mainWays, deliWays int, window uint64, nextUse []uint64) *OracleRetention {
-	if mainWays < 1 || deliWays < 0 {
-		panic("policy: OracleRetention needs mainWays >= 1, deliWays >= 0")
+	if mainWays < 1 || deliWays < 0 || mainWays+deliWays > cache.MaxWays {
+		panic("policy: OracleRetention needs mainWays >= 1, deliWays >= 0 and at most cache.MaxWays ways")
 	}
 	return &OracleRetention{
 		mainWays: mainWays,
@@ -37,17 +38,12 @@ func NewOracleRetention(mainWays, deliWays int, window uint64, nextUse []uint64)
 func (*OracleRetention) Name() string { return "OracleNU" }
 
 type oracleState struct {
-	main *cache.WayList // front = MRU
-	deli *cache.WayList // front = oldest
+	main cache.WayList // front = MRU
+	deli cache.WayList // front = oldest
 }
 
-// NewSetState implements cache.Policy.
-func (o *OracleRetention) NewSetState(int) cache.SetState {
-	return &oracleState{
-		main: cache.NewWayList(o.mainWays + o.deliWays),
-		deli: cache.NewWayList(o.deliWays + 1),
-	}
-}
+// Init implements cache.Policy.
+func (o *OracleRetention) Init(sets int) { o.sets = make([]oracleState, sets) }
 
 func (o *OracleRetention) futureOf(seq uint64) uint64 {
 	if seq < uint64(len(o.nextUse)) {
@@ -59,7 +55,7 @@ func (o *OracleRetention) futureOf(seq uint64) uint64 {
 // OnHit implements cache.Policy.
 func (o *OracleRetention) OnHit(set *cache.Set, way int, req *cache.Request) {
 	set.Lines[way].Meta = o.futureOf(req.Seq)
-	st := set.State.(*oracleState)
+	st := &o.sets[set.Index()]
 	if st.main.Contains(way) {
 		st.main.MoveToFront(way)
 		return
@@ -94,7 +90,7 @@ func (o *OracleRetention) retain(next, seq uint64) bool {
 
 // Victim implements cache.Policy (same demote-loop structure as NUcache).
 func (o *OracleRetention) Victim(set *cache.Set, req *cache.Request) int {
-	st := set.State.(*oracleState)
+	st := &o.sets[set.Index()]
 	if st.main.Len() < o.mainWays {
 		if inv := set.FindInvalid(); inv >= 0 {
 			return inv
@@ -123,7 +119,7 @@ func (o *OracleRetention) Victim(set *cache.Set, req *cache.Request) int {
 // OnInsert implements cache.Policy.
 func (o *OracleRetention) OnInsert(set *cache.Set, way int, req *cache.Request) {
 	set.Lines[way].Meta = o.futureOf(req.Seq)
-	st := set.State.(*oracleState)
+	st := &o.sets[set.Index()]
 	st.main.Remove(way)
 	st.deli.Remove(way)
 	st.main.PushFront(way)

@@ -17,6 +17,7 @@ import (
 type StaticPart struct {
 	alloc []int
 	start []int
+	sets  []stamps
 }
 
 // EvenSplit returns the canonical even allocation of ways among cores
@@ -53,7 +54,7 @@ func CheckSplit(alloc []int, cores, ways int) error {
 }
 
 // NewStaticPart returns a static partition policy. Every core must get
-// at least one way, and the partitions cover at most 16 ways.
+// at least one way, and the partitions cover at most cache.MaxWays ways.
 func NewStaticPart(alloc []int) *StaticPart {
 	if len(alloc) == 0 {
 		panic("policy: StaticPart with no cores")
@@ -70,7 +71,7 @@ func NewStaticPart(alloc []int) *StaticPart {
 		p.start[i] = ways
 		ways += a
 	}
-	if ways > len(stamps{}.last) {
+	if ways > cache.MaxWays {
 		panic(fmt.Sprintf("policy: StaticPart over %d ways", ways))
 	}
 	return p
@@ -84,22 +85,22 @@ func (p *StaticPart) Allocations() []int {
 	return append([]int(nil), p.alloc...)
 }
 
-// NewSetState implements cache.Policy. Never-filled ways keep stamp 0,
-// so Victim fills them first without a validity scan.
-func (*StaticPart) NewSetState(int) cache.SetState { return &stamps{} }
+// Init implements cache.Policy. Never-filled ways keep stamp 0, so
+// Victim fills them first without a validity scan.
+func (p *StaticPart) Init(sets int) { p.sets = make([]stamps, sets) }
 
 // OnHit implements cache.Policy.
-func (*StaticPart) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	set.State.(*stamps).touch(way)
+func (p *StaticPart) OnHit(set *cache.Set, way int, _ *cache.Request) {
+	p.sets[set.Index()].touch(way)
 }
 
 // Victim implements cache.Policy: LRU within the issuing core's range.
 func (p *StaticPart) Victim(set *cache.Set, req *cache.Request) int {
 	core := clampCore(req.Core, len(p.alloc))
-	return set.State.(*stamps).oldest(p.start[core], p.start[core]+p.alloc[core])
+	return p.sets[set.Index()].oldest(p.start[core], p.start[core]+p.alloc[core])
 }
 
 // OnInsert implements cache.Policy.
-func (*StaticPart) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	set.State.(*stamps).touch(way)
+func (p *StaticPart) OnInsert(set *cache.Set, way int, _ *cache.Request) {
+	p.sets[set.Index()].touch(way)
 }

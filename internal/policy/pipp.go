@@ -16,6 +16,7 @@ type PIPP struct {
 	partitioner
 	rng  *stats.RNG
 	strm []bool
+	prio []cache.WayList // per set: front = highest priority, back = victim
 
 	pProm       float64
 	pPromStream float64
@@ -47,14 +48,8 @@ func NewPIPP(cores, ways int, seed uint64, opts ...PIPPOption) *PIPP {
 // Name implements cache.Policy.
 func (*PIPP) Name() string { return "PIPP" }
 
-type pippState struct {
-	prio *cache.WayList // front = highest priority, back = victim
-}
-
-// NewSetState implements cache.Policy.
-func (*PIPP) NewSetState(int) cache.SetState {
-	return &pippState{prio: cache.NewWayList(16)}
-}
+// Init implements cache.Policy.
+func (p *PIPP) Init(sets int) { p.prio = make([]cache.WayList, sets) }
 
 // ObserveAccess implements cache.AccessObserver.
 func (p *PIPP) ObserveAccess(setIndex int, tag uint64, req *cache.Request) {
@@ -72,29 +67,27 @@ func (p *PIPP) ObserveAccess(setIndex int, tag uint64, req *cache.Request) {
 
 // OnHit implements cache.Policy: single-step probabilistic promotion.
 func (p *PIPP) OnHit(set *cache.Set, way int, req *cache.Request) {
-	st := set.State.(*pippState)
 	prob := p.pProm
 	if p.strm[clampCore(req.Core, p.cores)] {
 		prob = p.pPromStream
 	}
 	if p.rng.Bool(prob) {
-		st.prio.MoveUp(way)
+		p.prio[set.Index()].MoveUp(way)
 	}
 }
 
 // Victim implements cache.Policy: lowest priority position.
 func (p *PIPP) Victim(set *cache.Set, _ *cache.Request) int {
-	st := set.State.(*pippState)
 	if inv := set.FindInvalid(); inv >= 0 {
 		return inv
 	}
-	return st.prio.Back()
+	return p.prio[set.Index()].Back()
 }
 
 // OnInsert implements cache.Policy: insert at π_core from the bottom.
 func (p *PIPP) OnInsert(set *cache.Set, way int, req *cache.Request) {
-	st := set.State.(*pippState)
-	st.prio.Remove(way)
+	prio := &p.prio[set.Index()]
+	prio.Remove(way)
 	core := clampCore(req.Core, p.cores)
 	pi := p.alloc[core]
 	if p.strm[core] {
@@ -102,6 +95,6 @@ func (p *PIPP) OnInsert(set *cache.Set, way int, req *cache.Request) {
 	}
 	// Position pi from the bottom; pi=1 means bottom (immediate victim
 	// candidate), larger allocations insert higher.
-	pos := st.prio.Len() + 1 - pi
-	st.prio.InsertAt(pos, way)
+	pos := prio.Len() + 1 - pi
+	prio.InsertAt(pos, way)
 }

@@ -19,8 +19,8 @@ func NewRandom(seed uint64) *Random {
 // Name implements cache.Policy.
 func (*Random) Name() string { return "Random" }
 
-// NewSetState implements cache.Policy.
-func (*Random) NewSetState(int) cache.SetState { return nil }
+// Init implements cache.Policy: Random keeps no per-set state.
+func (*Random) Init(int) {}
 
 // OnHit implements cache.Policy.
 func (*Random) OnHit(*cache.Set, int, *cache.Request) {}

@@ -47,8 +47,8 @@ func NewSRRIP() *SRRIP { return &SRRIP{} }
 // Name implements cache.Policy.
 func (*SRRIP) Name() string { return "SRRIP" }
 
-// NewSetState implements cache.Policy.
-func (*SRRIP) NewSetState(int) cache.SetState { return nil }
+// Init implements cache.Policy: SRRIP keeps its state in Line.Meta.
+func (*SRRIP) Init(int) {}
 
 // OnHit implements cache.Policy.
 func (*SRRIP) OnHit(set *cache.Set, way int, _ *cache.Request) {
@@ -78,14 +78,9 @@ func NewDRRIP(seed uint64) *DRRIP {
 // Name implements cache.Policy.
 func (*DRRIP) Name() string { return "DRRIP" }
 
-type drripState struct {
-	role duelRole
-}
-
-// NewSetState implements cache.Policy.
-func (*DRRIP) NewSetState(setIndex int) cache.SetState {
-	return &drripState{role: duelRoleOf(setIndex, 0)}
-}
+// Init implements cache.Policy: DRRIP keeps its state in Line.Meta, and
+// a set's duel role is a function of its index.
+func (*DRRIP) Init(int) {}
 
 // OnHit implements cache.Policy.
 func (*DRRIP) OnHit(set *cache.Set, way int, _ *cache.Request) {
@@ -94,7 +89,7 @@ func (*DRRIP) OnHit(set *cache.Set, way int, _ *cache.Request) {
 
 // Victim implements cache.Policy.
 func (d *DRRIP) Victim(set *cache.Set, _ *cache.Request) int {
-	switch set.State.(*drripState).role {
+	switch duelRoleOf(set.Index(), 0) {
 	case leaderA: // SRRIP leader missing: evidence for BRRIP
 		d.psel.missInA()
 	case leaderB:
@@ -106,7 +101,7 @@ func (d *DRRIP) Victim(set *cache.Set, _ *cache.Request) int {
 // OnInsert implements cache.Policy.
 func (d *DRRIP) OnInsert(set *cache.Set, way int, _ *cache.Request) {
 	useBRRIP := false
-	switch set.State.(*drripState).role {
+	switch duelRoleOf(set.Index(), 0) {
 	case leaderA:
 		useBRRIP = false
 	case leaderB:

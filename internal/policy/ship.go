@@ -36,8 +36,8 @@ func NewSHiP() *SHiP {
 // Name implements cache.Policy.
 func (*SHiP) Name() string { return "SHiP" }
 
-// NewSetState implements cache.Policy.
-func (*SHiP) NewSetState(int) cache.SetState { return nil }
+// Init implements cache.Policy: SHiP keeps no per-set state.
+func (*SHiP) Init(int) {}
 
 // signature hashes a (core-tagged) PC into the predictor table.
 func (*SHiP) signature(pc uint64) uint64 {

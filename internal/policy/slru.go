@@ -12,6 +12,7 @@ import "nucache/internal/cache"
 // rewards *after* eviction, SLRU rewards *before*).
 type SLRU struct {
 	protected int // ways reserved for proven lines
+	sets      []slruState
 }
 
 // NewSLRU returns an SLRU policy protecting the given number of ways per
@@ -27,18 +28,16 @@ func NewSLRU(protectedWays int) *SLRU {
 func (*SLRU) Name() string { return "SLRU" }
 
 type slruState struct {
-	prob *cache.WayList // front = MRU
-	prot *cache.WayList // front = MRU
+	prob cache.WayList // front = MRU
+	prot cache.WayList // front = MRU
 }
 
-// NewSetState implements cache.Policy.
-func (*SLRU) NewSetState(int) cache.SetState {
-	return &slruState{prob: cache.NewWayList(16), prot: cache.NewWayList(16)}
-}
+// Init implements cache.Policy.
+func (p *SLRU) Init(sets int) { p.sets = make([]slruState, sets) }
 
 // OnHit implements cache.Policy.
 func (p *SLRU) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	st := set.State.(*slruState)
+	st := &p.sets[set.Index()]
 	if st.prot.Contains(way) {
 		st.prot.MoveToFront(way)
 		return
@@ -56,11 +55,11 @@ func (p *SLRU) OnHit(set *cache.Set, way int, _ *cache.Request) {
 }
 
 // Victim implements cache.Policy: probationary LRU first.
-func (*SLRU) Victim(set *cache.Set, _ *cache.Request) int {
-	st := set.State.(*slruState)
+func (p *SLRU) Victim(set *cache.Set, _ *cache.Request) int {
 	if inv := set.FindInvalid(); inv >= 0 {
 		return inv
 	}
+	st := &p.sets[set.Index()]
 	if st.prob.Len() > 0 {
 		return st.prob.Back()
 	}
@@ -69,8 +68,8 @@ func (*SLRU) Victim(set *cache.Set, _ *cache.Request) int {
 }
 
 // OnInsert implements cache.Policy.
-func (*SLRU) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	st := set.State.(*slruState)
+func (p *SLRU) OnInsert(set *cache.Set, way int, _ *cache.Request) {
+	st := &p.sets[set.Index()]
 	st.prob.Remove(way)
 	st.prot.Remove(way)
 	st.prob.PushFront(way)

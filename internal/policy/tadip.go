@@ -15,6 +15,7 @@ type TADIP struct {
 	threads int
 	rng     *stats.RNG
 	psels   []psel
+	sets    []tadipState
 }
 
 // NewTADIP returns a TADIP policy for the given thread (core) count.
@@ -56,52 +57,59 @@ const tadipTickBase = 1 << 40
 // successive BIP insertions take decreasing stamps, preserving the stack
 // order where the most recent LRU-insert is evicted first.
 type tadipState struct {
-	stamps          // MRU touches count up from tadipTickBase
-	low    uint64   // last LRU stamp handed out (counts down)
-	owner  int      // thread whose duel this set participates in (-1: none)
-	role   duelRole // leaderA = LRU-insertion leader, leaderB = BIP leader
+	stamps        // MRU touches count up from tadipTickBase
+	low    uint64 // last LRU stamp handed out (counts down)
 }
 
-// NewSetState implements cache.Policy.
-func (p *TADIP) NewSetState(setIndex int) cache.SetState {
-	st := &tadipState{low: tadipTickBase, owner: -1}
-	st.tick = tadipTickBase
-	if owner := setIndex % constituencySize / 2; owner < p.threads {
-		st.owner, st.role = owner, duelRoleOf(setIndex, owner)
+// Init implements cache.Policy.
+func (p *TADIP) Init(sets int) {
+	p.sets = make([]tadipState, sets)
+	for i := range p.sets {
+		p.sets[i].tick = tadipTickBase
+		p.sets[i].low = tadipTickBase
 	}
-	return st
+}
+
+// duel returns the thread whose duel setIndex leads (-1: none, a
+// follower set for every thread) and its role in that duel: leaderA
+// is an LRU-insertion leader, leaderB a BIP leader.
+func (p *TADIP) duel(setIndex int) (owner int, role duelRole) {
+	owner = setIndex % constituencySize / 2
+	if owner >= p.threads {
+		return -1, follower
+	}
+	return owner, duelRoleOf(setIndex, owner)
 }
 
 // OnHit implements cache.Policy.
-func (*TADIP) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	set.State.(*tadipState).touch(way)
+func (p *TADIP) OnHit(set *cache.Set, way int, _ *cache.Request) {
+	p.sets[set.Index()].touch(way)
 }
 
 // Victim implements cache.Policy.
 func (p *TADIP) Victim(set *cache.Set, req *cache.Request) int {
-	st := set.State.(*tadipState)
 	// A miss by the owning thread in its leader sets trains its PSEL.
-	if st.owner >= 0 && st.owner == clampCore(req.Core, p.threads) {
-		switch st.role {
+	if owner, role := p.duel(set.Index()); owner >= 0 && owner == clampCore(req.Core, p.threads) {
+		switch role {
 		case leaderA:
-			p.psels[st.owner].missInA()
+			p.psels[owner].missInA()
 		case leaderB:
-			p.psels[st.owner].missInB()
+			p.psels[owner].missInB()
 		}
 	}
 	if inv := set.FindInvalid(); inv >= 0 {
 		return inv
 	}
-	return st.oldest(0, len(set.Lines))
+	return p.sets[set.Index()].oldest(0, len(set.Lines))
 }
 
 // OnInsert implements cache.Policy.
 func (p *TADIP) OnInsert(set *cache.Set, way int, req *cache.Request) {
-	st := set.State.(*tadipState)
+	st := &p.sets[set.Index()]
 	thread := clampCore(req.Core, p.threads)
 	useBIP := false
-	if st.owner == thread {
-		useBIP = st.role == leaderB
+	if owner, role := p.duel(set.Index()); owner == thread {
+		useBIP = role == leaderB
 	} else {
 		useBIP = p.psels[thread].useB()
 	}

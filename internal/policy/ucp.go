@@ -8,6 +8,7 @@ import "nucache/internal/cache"
 // per-core way quotas within each set on top of LRU ordering.
 type UCP struct {
 	partitioner
+	sets []ucpState
 }
 
 // UCPOption customizes a UCP policy.
@@ -31,18 +32,18 @@ func NewUCP(cores, ways int, opts ...UCPOption) *UCP {
 func (*UCP) Name() string { return "UCP" }
 
 type ucpState struct {
-	stack *cache.WayList
+	stack cache.WayList
 	// owned counts the set's valid lines per (clamped) owner core: each
 	// fill adds one for its core, and Victim removes one for the owner of
 	// a valid line it evicts. Victim's quota check thus does not rescan
-	// the set's lines on every miss.
-	owned [16]uint8
+	// the set's lines on every miss. MaxWays entries cover every core:
+	// the partitioner (and BuildPolicy's width check) keeps cores <= ways,
+	// and the cache keeps ways <= MaxWays.
+	owned [cache.MaxWays]uint8
 }
 
-// NewSetState implements cache.Policy.
-func (*UCP) NewSetState(int) cache.SetState {
-	return &ucpState{stack: cache.NewWayList(16)}
-}
+// Init implements cache.Policy.
+func (u *UCP) Init(sets int) { u.sets = make([]ucpState, sets) }
 
 // ObserveAccess implements cache.AccessObserver: it feeds the issuing
 // core's UMON and advances the repartitioning epoch.
@@ -53,17 +54,17 @@ func (u *UCP) ObserveAccess(setIndex int, tag uint64, req *cache.Request) {
 }
 
 // OnHit implements cache.Policy.
-func (*UCP) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	set.State.(*ucpState).stack.MoveToFront(way)
+func (u *UCP) OnHit(set *cache.Set, way int, _ *cache.Request) {
+	u.sets[set.Index()].stack.MoveToFront(way)
 }
 
 // Victim implements cache.Policy: quota-aware LRU. With no invalid way
 // the chosen line leaves the cache, so its owner's count drops.
 func (u *UCP) Victim(set *cache.Set, req *cache.Request) int {
-	st := set.State.(*ucpState)
 	if inv := set.FindInvalid(); inv >= 0 {
 		return inv
 	}
+	st := &u.sets[set.Index()]
 	w := u.quotaVictim(set, st, clampCore(req.Core, u.cores))
 	st.owned[clampCore(int(set.Lines[w].Core), u.cores)]--
 	return w
@@ -102,7 +103,7 @@ func (u *UCP) quotaVictim(set *cache.Set, st *ucpState, core int) int {
 
 // OnInsert implements cache.Policy.
 func (u *UCP) OnInsert(set *cache.Set, way int, req *cache.Request) {
-	st := set.State.(*ucpState)
+	st := &u.sets[set.Index()]
 	st.owned[clampCore(req.Core, u.cores)]++
 	st.stack.Remove(way)
 	st.stack.PushFront(way)

@@ -26,13 +26,13 @@ func TestUCPOwnedMatchesLines(t *testing.T) {
 		}
 		for s := 0; s < c.NumSets(); s++ {
 			set := c.Set(s)
-			var want [16]uint8
+			var want [cache.MaxWays]uint8
 			for w := range set.Lines {
 				if set.Valid(w) {
 					want[clampCore(int(set.Lines[w].Core), cores)]++
 				}
 			}
-			if got := set.State.(*ucpState).owned; got != want {
+			if got := u.sets[s].owned; got != want {
 				t.Fatalf("access %d set %d: owned %v, lines %v", i, s, got[:cores], want[:cores])
 			}
 		}

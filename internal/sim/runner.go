@@ -129,6 +129,9 @@ func BuildPolicy(name string, cores, ways, deliWays int) (cache.Policy, error) {
 	case "HAWKEYE":
 		return policy.NewHawkeye(ways), nil
 	case "SLRU":
+		if ways < 2 {
+			return nil, fmt.Errorf("sim: SLRU needs a protected and a probationary way, got %d ways", ways)
+		}
 		return policy.NewSLRU(ways / 2), nil
 	case "RANDOM":
 		return policy.NewRandom(12345), nil
