@@ -5,14 +5,18 @@
 package nucache_test
 
 import (
+	"context"
 	"runtime"
+	"sync"
 	"testing"
 
 	"nucache/internal/cache"
 	"nucache/internal/core"
 	"nucache/internal/cpu"
 	"nucache/internal/experiments"
+	"nucache/internal/mrc"
 	"nucache/internal/policy"
+	"nucache/internal/sim"
 	"nucache/internal/stats"
 	"nucache/internal/trace"
 	"nucache/internal/workload"
@@ -319,6 +323,38 @@ func BenchmarkHotZipf(b *testing.B) {
 
 // zipfSink keeps BenchmarkHotZipf's draws live.
 var zipfSink uint64
+
+// adviseProfile is the profile the HotAdvise benchmarks search: a
+// 4-core 16-way mix at the budget and seed serve-hot profiles, built
+// once per test binary.
+var adviseProfile = sync.OnceValues(func() (*mrc.Profile, error) {
+	return sim.ExecuteProfile(context.Background(),
+		sim.ProfileRequest{Mix: "mix4-01", Budget: 100_000, Seed: 5007})
+})
+
+// adviseLoop times search over the adviseProfile.
+func adviseLoop(b *testing.B, search func(*mrc.Profile) (*mrc.Prediction, error)) {
+	p, err := adviseProfile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := search(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotAdviseBestPartition is one /v1/advise best-partition
+// answer: the exhaustive search over the 455 compositions of its 16
+// ways.
+func BenchmarkHotAdviseBestPartition(b *testing.B) { adviseLoop(b, mrc.BestPartition) }
+
+// BenchmarkHotAdviseBestDeliWays is one /v1/advise best-DeliWays
+// answer: NUcache's model at each of the 16 splits.
+func BenchmarkHotAdviseBestDeliWays(b *testing.B) { adviseLoop(b, mrc.BestDeliWays) }
 
 // BenchmarkSelection isolates the cost-benefit PC selection.
 func BenchmarkSelection(b *testing.B) {

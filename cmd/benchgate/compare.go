@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,9 +183,13 @@ type Report struct {
 }
 
 // Compare matches head benchmarks against base and flags regressions: a
-// mean ns/op increase beyond threshold, or any increase in allocs/op
-// (the hot path is required to stay allocation-free, so a single new
-// allocation per op is always a failure, not a percentage question).
+// mean ns/op increase beyond threshold, or any increase in whole
+// allocations per op (the hot path is required to stay allocation-free,
+// so a single new allocation per op is always a failure, not a
+// percentage question). Both allocs/op means are rounded before they
+// are compared: go test prints a benchmark that amortizes a fraction of
+// an allocation per op as either neighbouring integer from run to run,
+// so the unrounded mean can rise on identical code.
 func Compare(base, head map[string]*Aggregate, threshold float64) *Report {
 	rep := &Report{Threshold: threshold}
 
@@ -214,7 +219,7 @@ func Compare(base, head map[string]*Aggregate, threshold float64) *Report {
 			HeadAllocs: h.AllocsPerOp(),
 			Status:     "ok",
 		}
-		allocRegressed := h.hasAllo && b.hasAllo && h.AllocsPerOp() > b.AllocsPerOp()
+		allocRegressed := h.hasAllo && b.hasAllo && math.Round(h.AllocsPerOp()) > math.Round(b.AllocsPerOp())
 		if r.Delta > threshold || allocRegressed {
 			r.Status = "regression"
 			rep.Regressions = append(rep.Regressions, name)

@@ -78,6 +78,36 @@ func TestCompareFlagsAllocationRegression(t *testing.T) {
 	}
 }
 
+// TestCompareAllocationsInWholeUnits: allocs/op means are compared as
+// whole allocations, so a fraction from a benchmark whose printed count
+// wobbles between neighbouring integers passes, and one more whole
+// allocation per op fails.
+func TestCompareAllocationsInWholeUnits(t *testing.T) {
+	base96 := Parse(strings.Repeat("BenchmarkX 10 100 ns/op 0 B/op 96 allocs/op\n", 6))
+	// Six runs printing 96, 96, 96, 96, 96 and 97: a mean of 96.17.
+	wobble := Parse(strings.Repeat("BenchmarkX 10 100 ns/op 0 B/op 96 allocs/op\n", 5) +
+		"BenchmarkX 10 100 ns/op 0 B/op 97 allocs/op\n")
+	if got := wobble["BenchmarkX"].AllocsPerOp(); math.Abs(got-96.17) > 0.01 {
+		t.Fatalf("wobbling mean = %v, want 96.17", got)
+	}
+	for _, c := range []struct {
+		name       string
+		base, head map[string]*Aggregate
+		regressed  bool
+	}{
+		{"96.17 vs 96", base96, wobble, false},
+		{"97 vs 96", base96, Parse("BenchmarkX 10 100 ns/op 0 B/op 97 allocs/op\n"), true},
+		{"1 vs 0",
+			Parse("BenchmarkX 10 100 ns/op 0 B/op 0 allocs/op\n"),
+			Parse("BenchmarkX 10 100 ns/op 8 B/op 1 allocs/op\n"), true},
+	} {
+		rep := Compare(c.base, c.head, 0.10)
+		if got := len(rep.Regressions) == 1; got != c.regressed {
+			t.Errorf("%s: regression = %v, want %v (%+v)", c.name, got, c.regressed, rep.Results)
+		}
+	}
+}
+
 func TestCompareNewAndRemovedAreNotGated(t *testing.T) {
 	rep := Compare(Parse(sampleBase), Parse(sampleHead), 0.10)
 	if len(rep.Regressions) != 0 {

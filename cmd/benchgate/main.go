@@ -4,7 +4,9 @@
 // the Hot* benchmarks with -count on both the merge base and the head
 // commit, then benchgate parses both logs, averages each benchmark's
 // ns/op and allocs/op across repetitions, and exits non-zero if any
-// benchmark got more than -threshold slower or started allocating more.
+// benchmark got more than -threshold slower or started making more whole
+// allocations per op (both means rounded, so a wobbling fraction does
+// not flip the result).
 //
 // Benchmarks present only in head are reported as new and never gated
 // (there is nothing to compare against); benchmarks present only in base

@@ -3,6 +3,7 @@ package mrc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"nucache/internal/core"
@@ -85,7 +86,7 @@ func Predict(p *Profile, w WhatIf) (*Prediction, error) {
 		}
 		return predictPart(p, alloc), nil
 	case PolicyLRU:
-		return predictShared(p, PolicyLRU, 0), nil
+		return newSharedModel(p).predict(PolicyLRU, 0), nil
 	case PolicyNUcache:
 		d := w.DeliWays
 		switch {
@@ -97,10 +98,85 @@ func Predict(p *Profile, w WhatIf) (*Prediction, error) {
 		if d > p.Ways-1 {
 			d = p.Ways - 1
 		}
-		return predictShared(p, PolicyNUcache, d), nil
+		return newSharedModel(p).predict(PolicyNUcache, d), nil
 	default:
 		return nil, fmt.Errorf("mrc: unknown model policy %q", w.Policy)
 	}
+}
+
+// sharedModel is a validated profile plus the tables the shared-LLC
+// evaluations read, derived once so that BestDeliWays scores each split
+// by lookups.
+type sharedModel struct {
+	p *Profile
+	// stride is Ways+1. hits[i*stride+a] is core i's cumulative hit
+	// count with a ways (a = 0..Ways), the prefix sum of its PosHits;
+	// demand is the same over DemandPosHits.
+	stride       int
+	hits, demand []uint64
+	// nu is the merged NUcache candidate set, built on first use.
+	nu *candidateSet
+}
+
+// candidateSet is the NUcache cost-benefit input: every core's profiled
+// PCs as one merged set (the live policy keeps one monitor over
+// core-tagged PCs), each with the core its benefit is charged to.
+type candidateSet struct {
+	pcs           []*core.PCStats
+	owner         []int // owner[k] is the core charged with pcs[k]'s benefit
+	sampledMisses uint64
+	maxChosen     int
+	slack         float64
+}
+
+func newSharedModel(p *Profile) *sharedModel {
+	stride := p.Ways + 1
+	tab := make([]uint64, 2*p.Cores*stride)
+	m := &sharedModel{p: p, stride: stride, hits: tab[:p.Cores*stride], demand: tab[p.Cores*stride:]}
+	for i := range p.PerCore {
+		c := &p.PerCore[i]
+		h, d := m.hits[i*stride:], m.demand[i*stride:]
+		for w := 0; w < p.Ways; w++ {
+			h[w+1] = h[w] + c.PosHits[w]
+			d[w+1] = d[w] + c.DemandPosHits[w]
+		}
+	}
+	return m
+}
+
+// candidates returns the merged candidate set, building it on first
+// use: one HistogramFromCounts per profiled PC per model, however many
+// DeliWays splits are scored against it.
+func (m *sharedModel) candidates() *candidateSet {
+	if m.nu != nil {
+		return m.nu
+	}
+	p := m.p
+	monCfg := core.DefaultConfig(p.Ways)
+	nu := &candidateSet{maxChosen: monCfg.Candidates, slack: monCfg.LifetimeSlack}
+	owner := make(map[uint64]int)
+	for i := range p.PerCore {
+		c := &p.PerCore[i]
+		nu.sampledMisses += c.SampledMisses
+		for j := range c.PCs {
+			pc := &c.PCs[j]
+			h, err := stats.HistogramFromCounts(p.HistLinear, p.HistLog2, pc.NextUseCounts, pc.NextUseSum)
+			if err != nil {
+				continue // unreachable on validated profiles
+			}
+			nu.pcs = append(nu.pcs, &core.PCStats{
+				PC: pc.PC, Misses: pc.Misses, Demotions: pc.Demotions, NextUse: h,
+			})
+			owner[pc.PC] = i
+		}
+	}
+	// A PC profiled on several cores is charged to the last of them.
+	nu.owner = make([]int, len(nu.pcs))
+	for k, cand := range nu.pcs {
+		nu.owner[k] = owner[cand.PC]
+	}
+	m.nu = nu
+	return nu
 }
 
 // predictPart is the exact path: partition ≡ private LRU per core, so
@@ -116,36 +192,50 @@ func predictPart(p *Profile, alloc []int) *Prediction {
 		PerCore:     make([]CorePrediction, p.Cores),
 		Evaluated:   1,
 	}
-	for i := range p.PerCore {
-		c := &p.PerCore[i]
-		var hits, demandHits uint64
-		for w := 0; w < alloc[i]; w++ {
-			hits += c.PosHits[w]
-			demandHits += c.DemandPosHits[w]
-		}
-		pred.PerCore[i] = corePrediction(p, i, float64(alloc[i]), hits, demandHits)
+	for i, a := range alloc {
+		pred.PerCore[i] = corePart(p, i, a)
 	}
-	finish(p, pred)
+	finish(pred)
 	return pred
 }
 
-// predictShared is the composed path for shared LRU and NUcache: an
+// corePart is core i's exact prediction with a private a-way partition.
+func corePart(p *Profile, i, a int) CorePrediction {
+	c := &p.PerCore[i]
+	var hits, demandHits uint64
+	for w := 0; w < a; w++ {
+		hits += c.PosHits[w]
+		demandHits += c.DemandPosHits[w]
+	}
+	return corePrediction(p, i, float64(a), hits, demandHits)
+}
+
+// predict answers one shared-LLC what-if (see shared).
+func (m *sharedModel) predict(polName string, deliWays int) *Prediction {
+	pred := &Prediction{
+		Policy:    polName,
+		DeliWays:  deliWays,
+		PerCore:   make([]CorePrediction, m.p.Cores),
+		Evaluated: 1,
+	}
+	m.shared(deliWays, pred.PerCore)
+	finish(pred)
+	return pred
+}
+
+// shared is the composed path for shared LRU and NUcache: an
 // effective-ways fixed point (each core's steady-state occupancy is
 // proportional to its insertion — miss — rate) splits the shared
 // capacity, the per-core curves are interpolated at that share, and
 // for NUcache the profiled next-use histograms add the retention
-// benefit of the chosen delinquent PCs.
-func predictShared(p *Profile, polName string, deliWays int) *Prediction {
-	pred := &Prediction{
-		Policy:    polName,
-		DeliWays:  deliWays,
-		PerCore:   make([]CorePrediction, p.Cores),
-		Evaluated: 1,
-	}
+// benefit of the chosen delinquent PCs. It fills out, one entry per
+// core.
+func (m *sharedModel) shared(deliWays int, out []CorePrediction) {
+	p := m.p
 	benefit := make([]float64, p.Cores)
 	mainWays := p.Ways
 	if deliWays > 0 {
-		chosenBenefit, ok := nucacheBenefit(p, deliWays, benefit)
+		chosenBenefit, ok := m.nucacheBenefit(deliWays, benefit)
 		if ok && chosenBenefit > 0 {
 			mainWays = p.Ways - deliWays
 		} else {
@@ -156,62 +246,38 @@ func predictShared(p *Profile, polName string, deliWays int) *Prediction {
 			}
 		}
 	}
-	eff := effectiveWays(p, float64(mainWays))
+	eff := m.effectiveWays(float64(mainWays))
 	for i := range p.PerCore {
 		c := &p.PerCore[i]
-		hits := curveAt(c.PosHits, eff[i]) + benefit[i]
-		demandHits := curveAt(c.DemandPosHits, eff[i])
+		hits := m.curveAt(m.hits, i, eff[i]) + benefit[i]
+		demandHits := m.curveAt(m.demand, i, eff[i])
 		if c.Accesses > 0 {
 			// Attribute retention hits to the demand curve in the same
 			// proportion they appear in the overall stream.
 			demandHits += benefit[i] * float64(c.DemandAccesses) / float64(c.Accesses)
 		}
-		pred.PerCore[i] = corePrediction(p, i, eff[i],
+		out[i] = corePrediction(p, i, eff[i],
 			clampCount(hits, c.Accesses), clampCount(demandHits, c.DemandAccesses))
 	}
-	finish(p, pred)
-	return pred
 }
 
 // nucacheBenefit runs the paper's cost-benefit selection on the merged
-// candidate set (the live policy keeps one monitor over core-tagged
-// PCs) and attributes each chosen PC's projected extra hits to its
-// core. Returns the total benefit and whether any PC was chosen.
-func nucacheBenefit(p *Profile, deliWays int, out []float64) (float64, bool) {
-	var cands []*core.PCStats
-	owner := make(map[uint64]int)
-	var sampledMisses uint64
-	for i := range p.PerCore {
-		c := &p.PerCore[i]
-		sampledMisses += c.SampledMisses
-		for j := range c.PCs {
-			pc := &c.PCs[j]
-			h, err := stats.HistogramFromCounts(p.HistLinear, p.HistLog2, pc.NextUseCounts, pc.NextUseSum)
-			if err != nil {
-				continue // unreachable on validated profiles
-			}
-			cands = append(cands, &core.PCStats{
-				PC: pc.PC, Misses: pc.Misses, Demotions: pc.Demotions, NextUse: h,
-			})
-			owner[pc.PC] = i
-		}
-	}
-	monCfg := core.DefaultConfig(p.Ways)
-	chosen, report := core.SelectPCs(cands, deliWays, sampledMisses, monCfg.Candidates, monCfg.LifetimeSlack)
+// candidate set and attributes each chosen PC's projected extra hits
+// to its core. Returns the total benefit and whether any PC was chosen.
+func (m *sharedModel) nucacheBenefit(deliWays int, out []float64) (float64, bool) {
+	nu := m.candidates()
+	chosen, report := core.SelectPCs(nu.pcs, deliWays, nu.sampledMisses, nu.maxChosen, nu.slack)
 	if len(chosen) == 0 {
 		return 0, false
 	}
-	chosenSet := make(map[uint64]bool, len(chosen))
-	for _, pc := range chosen {
-		chosenSet[pc] = true
-	}
 	var total float64
-	for _, cand := range cands {
-		if !chosenSet[cand.PC] {
+	for k, cand := range nu.pcs {
+		// SelectPCs returns the chosen PCs sorted.
+		if _, ok := slices.BinarySearch(chosen, cand.PC); !ok {
 			continue
 		}
 		b := float64(cand.NextUse.CountAtMost(report.Lifetime))
-		out[owner[cand.PC]] += b
+		out[nu.owner[k]] += b
 		total += b
 	}
 	return total, true
@@ -220,7 +286,8 @@ func nucacheBenefit(p *Profile, deliWays int, out []float64) (float64, bool) {
 // effectiveWays solves the shared-LRU occupancy fixed point: each
 // core's share of the capacity is proportional to its insertion rate
 // (its miss rate at its own share), damped to convergence.
-func effectiveWays(p *Profile, capacity float64) []float64 {
+func (m *sharedModel) effectiveWays(capacity float64) []float64 {
+	p := m.p
 	n := p.Cores
 	eff := make([]float64, n)
 	for i := range eff {
@@ -230,13 +297,12 @@ func effectiveWays(p *Profile, capacity float64) []float64 {
 	for iter := 0; iter < 100; iter++ {
 		var total float64
 		for i := range p.PerCore {
-			c := &p.PerCore[i]
-			m := float64(c.Accesses) - curveAt(c.PosHits, eff[i])
-			if m < 0 {
-				m = 0
+			mi := float64(p.PerCore[i].Accesses) - m.curveAt(m.hits, i, eff[i])
+			if mi < 0 {
+				mi = 0
 			}
-			miss[i] = m
-			total += m
+			miss[i] = mi
+			total += mi
 		}
 		if total <= 0 {
 			return eff
@@ -249,25 +315,20 @@ func effectiveWays(p *Profile, capacity float64) []float64 {
 	return eff
 }
 
-// curveAt linearly interpolates the cumulative hit curve at a
-// fractional way count (H(0)=0, H(k)=sum of the first k positions).
-func curveAt(posHits []uint64, ways float64) float64 {
+// curveAt linearly interpolates core i's cumulative curve in tab (hits
+// or demand) at a fractional way count (H(0)=0, H(k)=sum of the first
+// k positions).
+func (m *sharedModel) curveAt(tab []uint64, i int, ways float64) float64 {
 	if ways <= 0 {
 		return 0
 	}
-	if ways >= float64(len(posHits)) {
-		var sum uint64
-		for _, h := range posHits {
-			sum += h
-		}
-		return float64(sum)
+	row := tab[i*m.stride : (i+1)*m.stride]
+	w := m.stride - 1
+	if ways >= float64(w) {
+		return float64(row[w])
 	}
 	k := int(ways)
-	var sum uint64
-	for i := 0; i < k; i++ {
-		sum += posHits[i]
-	}
-	return float64(sum) + (ways-float64(k))*float64(posHits[k])
+	return float64(row[k]) + (ways-float64(k))*float64(row[k+1]-row[k])
 }
 
 func clampCount(v float64, limit uint64) uint64 {
@@ -307,64 +368,112 @@ func corePrediction(p *Profile, i int, ways float64, hits, demandHits uint64) Co
 	return cp
 }
 
-func finish(p *Profile, pred *Prediction) {
+// throughput is the search objective: the per-core IPCs summed in core
+// order.
+func throughput(cores []CorePrediction) float64 {
+	var sum float64
+	for i := range cores {
+		sum += cores[i].IPC
+	}
+	return sum
+}
+
+func finish(pred *Prediction) {
 	var accesses, misses uint64
 	for i := range pred.PerCore {
 		accesses += pred.PerCore[i].Accesses
 		misses += pred.PerCore[i].Misses
-		pred.Throughput += pred.PerCore[i].IPC
 	}
 	if accesses > 0 {
 		pred.MissRate = float64(misses) / float64(accesses)
 	}
+	pred.Throughput = throughput(pred.PerCore)
 }
 
 // BestPartition searches the static-partition space for the maximum
 // summed IPC, exhaustively over all compositions of Ways into Cores
 // positive parts (C(15,3)=455 for a 4-core 16-way LLC; Validate's
-// bound on ways bounds the count). Deterministic: ties keep the lexicographically smallest
-// allocation.
+// bound on ways bounds the count). A core's partitioned prediction
+// depends only on its own share, so the search first tables each
+// core's IPC at every way count, then walks the compositions summing
+// table entries in core order — the same float sum as a full
+// prediction's Throughput — and builds one Prediction, for the winner.
+// Deterministic: ties keep the lexicographically smallest allocation.
 func BestPartition(p *Profile) (*Prediction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var best *Prediction
-	evaluated := 0
-	alloc := make([]int, p.Cores)
-	var walk func(core, remaining int)
-	walk = func(core, remaining int) {
-		if core == p.Cores-1 {
-			alloc[core] = remaining
-			pred := predictPart(p, alloc)
-			evaluated++
-			if best == nil || pred.Throughput > best.Throughput {
-				best = pred
-			}
-			return
-		}
-		for a := 1; a <= remaining-(p.Cores-1-core); a++ {
-			alloc[core] = a
-			walk(core+1, remaining-a)
+	s := partSearch{
+		cores:  p.Cores,
+		stride: p.Ways + 1,
+		ipc:    make([]float64, p.Cores*(p.Ways+1)),
+		alloc:  make([]int, p.Cores),
+		best:   make([]int, p.Cores),
+	}
+	for i := 0; i < p.Cores; i++ {
+		for a := 1; a <= p.Ways; a++ {
+			s.ipc[i*s.stride+a] = corePart(p, i, a).IPC
 		}
 	}
-	walk(0, p.Ways)
-	best.Evaluated = evaluated
-	return best, nil
+	s.walk(0, p.Ways, 0)
+	pred := predictPart(p, s.best)
+	pred.Evaluated = s.evaluated
+	return pred, nil
+}
+
+// partSearch is BestPartition's walk over the compositions.
+type partSearch struct {
+	cores, stride int
+	ipc           []float64 // ipc[i*stride+a]: core i's IPC with a ways
+	alloc, best   []int
+	bestSum       float64
+	evaluated     int
+}
+
+// walk assigns core i's share out of remaining ways; sum is the IPC
+// summed over the cores before it.
+func (s *partSearch) walk(i, remaining int, sum float64) {
+	if i == s.cores-1 {
+		s.alloc[i] = remaining
+		sum += s.ipc[i*s.stride+remaining]
+		s.evaluated++
+		if s.evaluated == 1 || sum > s.bestSum {
+			copy(s.best, s.alloc)
+			s.bestSum = sum
+		}
+		return
+	}
+	for a := 1; a <= remaining-(s.cores-1-i); a++ {
+		s.alloc[i] = a
+		s.walk(i+1, remaining-a, sum+s.ipc[i*s.stride+a])
+	}
 }
 
 // BestDeliWays searches the NUcache split space (D = 0..Ways-1) for
-// the maximum summed IPC.
+// the maximum summed IPC. Every split reads one sharedModel, so the
+// candidate set and the hit-curve prefix sums are built once, and one
+// Prediction is built, for the winner.
 func BestDeliWays(p *Profile) (*Prediction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var best *Prediction
+	m := newSharedModel(p)
+	cur := make([]CorePrediction, p.Cores)
+	best := make([]CorePrediction, p.Cores)
+	bestD, bestSum := 0, 0.0
 	for d := 0; d <= p.Ways-1; d++ {
-		pred := predictShared(p, PolicyNUcache, d)
-		if best == nil || pred.Throughput > best.Throughput {
-			best = pred
+		m.shared(d, cur)
+		if sum := throughput(cur); d == 0 || sum > bestSum {
+			cur, best = best, cur
+			bestD, bestSum = d, sum
 		}
 	}
-	best.Evaluated = p.Ways
-	return best, nil
+	pred := &Prediction{
+		Policy:    PolicyNUcache,
+		DeliWays:  bestD,
+		PerCore:   best,
+		Evaluated: p.Ways,
+	}
+	finish(pred)
+	return pred, nil
 }

@@ -41,16 +41,28 @@ func BenchmarkSimulateWhatIf(b *testing.B) {
 	}
 }
 
-// BenchmarkBestPartition times the full argmax search (every
-// composition of 8 ways over 2 cores).
-func BenchmarkBestPartition(b *testing.B) {
-	tc := shapeCases()[0]
-	p := buildProfile(b, tc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mrc.BestPartition(p); err != nil {
-			b.Fatal(err)
+// BenchmarkBestPartition times the full argmax search on the served
+// shape, a 16-way LLC: every composition of the ways over 4 cores (455)
+// and over 8 cores (6,435, the widest search Validate admits).
+func BenchmarkBestPartition(b *testing.B) { benchSearch(b, mrc.BestPartition) }
+
+// BenchmarkBestDeliWays times NUcache's split search (16 splits) on the
+// same profiles.
+func BenchmarkBestDeliWays(b *testing.B) { benchSearch(b, mrc.BestDeliWays) }
+
+func benchSearch(b *testing.B, search func(*mrc.Profile) (*mrc.Prediction, error)) {
+	for _, np := range mustSearchProfiles(b) {
+		if np.name != "mix4-01" && np.name != "mix8-04" {
+			continue
 		}
+		b.Run(np.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := search(np.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -24,6 +24,7 @@ package mrc_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -333,34 +334,71 @@ func TestAdvisorMatchesSimulation(t *testing.T) {
 }
 
 // TestBestPartitionIsArgmax: the searched answer must dominate every
-// candidate the model can score, and the model's throughput ordering
-// must be self-consistent with re-evaluating its own answer.
+// candidate the model can score, on the 2-core 8-way flat shape and on
+// a served 4-core 16-way profile: no composition of the ways may
+// re-predict higher, the answer must re-predict to the same throughput,
+// and a composition that ties it must come later in lexicographic
+// order.
 func TestBestPartitionIsArgmax(t *testing.T) {
-	tc := shapeCases()[0]
-	p := buildProfile(t, tc)
+	var served *mrc.Profile
+	for _, np := range mustSearchProfiles(t) {
+		if np.name == "mix4-01" {
+			served = np.p
+		}
+	}
+	for _, c := range []struct {
+		name         string
+		p            *mrc.Profile
+		compositions int
+	}{
+		{"flat-2x8", buildProfile(t, shapeCases()[0]), 7}, // C(7,1)
+		{"mix4-01-4x16", served, 455},                     // C(15,3)
+	} {
+		t.Run(c.name, func(t *testing.T) { checkArgmax(t, c.p, c.compositions) })
+	}
+}
+
+func checkArgmax(t *testing.T, p *mrc.Profile, compositions int) {
 	best, err := mrc.BestPartition(p)
 	if err != nil {
 		t.Fatalf("BestPartition: %v", err)
 	}
-	if best.Evaluated < 2 {
-		t.Fatalf("search evaluated only %d allocations", best.Evaluated)
+	if best.Evaluated != compositions {
+		t.Errorf("search evaluated %d allocations, want %d", best.Evaluated, compositions)
 	}
-	again, err := mrc.Predict(p, mrc.WhatIf{Policy: mrc.PolicyPart, Alloc: best.Alloc})
-	if err != nil {
-		t.Fatalf("re-predict best: %v", err)
-	}
-	if again.Throughput != best.Throughput {
-		t.Errorf("best alloc %v re-evaluates to %.6f, search said %.6f",
-			best.Alloc, again.Throughput, best.Throughput)
-	}
-	for a := 1; a < p.Ways; a++ {
-		pred, err := mrc.Predict(p, mrc.WhatIf{Policy: mrc.PolicyPart, Alloc: []int{a, p.Ways - a}})
-		if err != nil {
-			t.Fatalf("predict [%d %d]: %v", a, p.Ways-a, err)
+	seen, found := 0, false
+	alloc := make([]int, p.Cores)
+	var walk func(i, remaining int)
+	walk = func(i, remaining int) {
+		if i == p.Cores-1 {
+			alloc[i] = remaining
+			seen++
+			pred, err := mrc.Predict(p, mrc.WhatIf{Policy: mrc.PolicyPart, Alloc: alloc})
+			if err != nil {
+				t.Fatalf("predict %v: %v", alloc, err)
+			}
+			switch {
+			case slices.Equal(alloc, best.Alloc):
+				found = true
+				if pred.Throughput != best.Throughput {
+					t.Errorf("best alloc %v re-evaluates to %v, search said %v",
+						alloc, pred.Throughput, best.Throughput)
+				}
+			case pred.Throughput > best.Throughput:
+				t.Errorf("alloc %v beats the searched best %v (%v > %v)",
+					alloc, best.Alloc, pred.Throughput, best.Throughput)
+			case pred.Throughput == best.Throughput && !found:
+				t.Errorf("alloc %v ties the searched best %v but sorts before it", alloc, best.Alloc)
+			}
+			return
 		}
-		if pred.Throughput > best.Throughput {
-			t.Errorf("alloc [%d %d] beats the searched best %v (%.6f > %.6f)",
-				a, p.Ways-a, best.Alloc, pred.Throughput, best.Throughput)
+		for a := 1; a <= remaining-(p.Cores-1-i); a++ {
+			alloc[i] = a
+			walk(i+1, remaining-a)
 		}
+	}
+	walk(0, p.Ways)
+	if seen != compositions || !found {
+		t.Errorf("walked %d compositions; searched best %v among them: %v", seen, best.Alloc, found)
 	}
 }

@@ -6,7 +6,8 @@ package mrc
 // corruption mirrors the tape replay's (FuzzMultiReplayGrid): return an
 // error — never panic, and never hand a malformed profile to the model.
 // A decodable profile must be Validate-clean, and Predict over it must
-// answer (or refuse) without panicking.
+// answer (or refuse) without panicking, as the reference evaluation
+// does (reference_test.go).
 
 import (
 	"encoding/json"
@@ -104,6 +105,9 @@ func FuzzProfileDecode(f *testing.F) {
 		if _, err := BestDeliWays(p); err != nil {
 			t.Fatalf("BestDeliWays rejected a validated profile: %v", err)
 		}
+		// The table-driven searches must answer exactly as the
+		// reference does, on every shape Validate admits.
+		CheckAgainstReference(t, "decoded", p)
 	})
 }
 
