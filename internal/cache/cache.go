@@ -98,7 +98,7 @@ func New(cfg Config, policy Policy) *Cache {
 		cfg:        cfg,
 		sets:       make([]Set, sets),
 		policy:     policy,
-		offsetBits: log2(cfg.LineBytes),
+		offsetBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		indexMask:  uint64(sets - 1),
 		Stats: Stats{
 			CoreAccesses: perCore[:cores:cores],

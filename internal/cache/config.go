@@ -59,12 +59,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-func log2(v int) uint {
-	n := uint(0)
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}

@@ -34,15 +34,10 @@ type Config struct {
 	EpochMisses uint64
 	// SampleShift selects 1-in-2^SampleShift sets for monitoring.
 	SampleShift uint
-	// VictimTableCap bounds the per-sampled-set victim bookkeeping table.
-	VictimTableCap int
 	// PromoteOnDeliHit re-promotes a DeliWay hit into the MainWays (MRU),
 	// swapping the MainWays LRU line into the freed DeliWay slot.
 	// Disabled, retained lines stay in FIFO order until they drain.
 	PromoteOnDeliHit bool
-	// HistLinear and HistLog2 set the next-use histogram layout:
-	// HistLinear linear buckets then HistLog2 power-of-two buckets.
-	HistLinear, HistLog2 int
 	// AdaptiveDeliWays lets the epoch selection choose the
 	// MainWays/DeliWays split too (every even D up to DeliWays, which
 	// then acts as the maximum). An extension beyond the paper, whose D
@@ -55,6 +50,17 @@ type Config struct {
 	// (see the E10 ablation). Zero selects the default of 1.
 	LifetimeSlack float64
 }
+
+// The Next-Use monitor's fixed structure sizes, which the storage model
+// (Overhead) charges: each sampled set's victim table holds
+// VictimTableCap entries, and each PC's next-use histogram has HistLinear
+// linear buckets, then HistLog2 power-of-two buckets, then an overflow
+// bucket.
+const (
+	VictimTableCap = 64
+	HistLinear     = 16
+	HistLog2       = 16
+)
 
 // DefaultDeliWays is the default retention split: 6 of a 16-way LLC's
 // ways are DeliWays (see DESIGN.md).
@@ -69,10 +75,7 @@ func DefaultConfig(ways int) Config {
 		Candidates:       32,
 		EpochMisses:      100_000,
 		SampleShift:      5,
-		VictimTableCap:   64,
 		PromoteOnDeliHit: true,
-		HistLinear:       16,
-		HistLog2:         16,
 		LifetimeSlack:    1,
 	}
 }
@@ -93,15 +96,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.EpochMisses == 0 {
 		c.EpochMisses = 100_000
-	}
-	if c.VictimTableCap == 0 {
-		c.VictimTableCap = 64
-	}
-	if c.HistLinear == 0 {
-		c.HistLinear = 16
-	}
-	if c.HistLog2 == 0 {
-		c.HistLog2 = 16
 	}
 	if c.LifetimeSlack <= 0 {
 		c.LifetimeSlack = 1

@@ -58,12 +58,11 @@ func checkSetInvariants(t *testing.T, p *NUcache, set *cache.Set) {
 func TestNUcacheStructuralInvariantsUnderRandomTraffic(t *testing.T) {
 	const sets, ways = 8, 8
 	p := MustNew(Config{
-		Ways:           ways,
-		DeliWays:       3,
-		Candidates:     8,
-		EpochMisses:    700, // frequent epochs: many chosen-set flips
-		SampleShift:    0,
-		VictimTableCap: 16,
+		Ways:        ways,
+		DeliWays:    3,
+		Candidates:  8,
+		EpochMisses: 700, // frequent epochs: many chosen-set flips
+		SampleShift: 0,
 	})
 	c := cache.New(cache.Config{
 		Name: "inv", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64,

@@ -22,9 +22,6 @@ import (
 type Monitor struct {
 	sampleMask  uint64
 	sampleShift uint
-	tableCap    int
-	histLin     int
-	histLog     int
 
 	sets []monitorSet // sampled set i lives at index i>>sampleShift
 	pcs  []*PCStats   // this epoch's PCs, in first-miss order
@@ -46,7 +43,7 @@ type victimEntry struct {
 
 type monitorSet struct {
 	missCount uint64
-	victims   []victimEntry // cap fixed at tableCap once allocated
+	victims   []victimEntry // cap fixed at VictimTableCap once allocated
 }
 
 // PCStats aggregates one PC's monitored behaviour within an epoch.
@@ -68,9 +65,6 @@ func NewMonitor(cfg Config) *Monitor {
 	m := &Monitor{
 		sampleMask:  (1 << cfg.SampleShift) - 1,
 		sampleShift: cfg.SampleShift,
-		tableCap:    cfg.VictimTableCap,
-		histLin:     cfg.HistLinear,
-		histLog:     cfg.HistLog2,
 	}
 	m.idx.init(64)
 	return m
@@ -97,7 +91,7 @@ func (m *Monitor) pc(pc uint64) *PCStats {
 	if i := m.idx.get(pc); i >= 0 {
 		return m.pcs[i]
 	}
-	p := &PCStats{PC: pc, NextUse: stats.NewHistogram(m.histLin, m.histLog)}
+	p := &PCStats{PC: pc, NextUse: stats.NewHistogram(HistLinear, HistLog2)}
 	m.idx.put(pc, int32(len(m.pcs)))
 	m.pcs = append(m.pcs, p)
 	return p
@@ -169,9 +163,9 @@ func (m *Monitor) sampledDemotion(setIndex int, tag, pc uint64) {
 	s := m.set(setIndex)
 	m.pc(pc).Demotions++
 	if s.victims == nil {
-		s.victims = make([]victimEntry, 0, m.tableCap)
+		s.victims = make([]victimEntry, 0, VictimTableCap)
 	}
-	if len(s.victims) >= m.tableCap {
+	if len(s.victims) >= VictimTableCap {
 		// Oldest entry never saw a reuse within the table's window.
 		// Shift in place so the append below reuses the backing array.
 		copy(s.victims, s.victims[1:])

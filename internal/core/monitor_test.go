@@ -4,14 +4,11 @@ import "testing"
 
 func testConfig() Config {
 	cfg, err := Config{
-		Ways:           8,
-		DeliWays:       3,
-		Candidates:     8,
-		EpochMisses:    1000,
-		SampleShift:    0, // sample everything in unit tests
-		VictimTableCap: 4,
-		HistLinear:     8,
-		HistLog2:       8,
+		Ways:        8,
+		DeliWays:    3,
+		Candidates:  8,
+		EpochMisses: 1000,
+		SampleShift: 0, // sample everything in unit tests
 	}.withDefaults()
 	if err != nil {
 		t := err
@@ -71,19 +68,19 @@ func TestMonitorSampling(t *testing.T) {
 }
 
 func TestMonitorVictimTableOverflow(t *testing.T) {
-	m := NewMonitor(testConfig()) // cap 4
-	for i := uint64(0); i < 6; i++ {
+	m := NewMonitor(testConfig())
+	for i := uint64(0); i < VictimTableCap+2; i++ {
 		m.OnDemotion(0, 100+i, 1)
 	}
 	if m.TableOverflow != 2 {
 		t.Fatalf("overflow = %d", m.TableOverflow)
 	}
-	// Oldest two dropped: accessing tag 100 finds nothing.
-	m.OnAccess(0, 100)
+	// Oldest two dropped: accessing tag 101 finds nothing.
+	m.OnAccess(0, 101)
 	if m.Reuses != 0 {
 		t.Fatal("dropped entry matched")
 	}
-	m.OnAccess(0, 105)
+	m.OnAccess(0, 100+VictimTableCap+1)
 	if m.Reuses != 1 {
 		t.Fatal("retained entry missed")
 	}

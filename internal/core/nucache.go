@@ -229,7 +229,7 @@ func (p *NUcache) runSelection() {
 	)
 	if p.cfg.AdaptiveDeliWays {
 		chosen, report = SelectPCsAdaptive(cands, p.cfg.DeliWays, p.mon.SampledMisses(),
-			p.cfg.MaxChosen, p.cfg.LifetimeSlack, 0)
+			p.cfg.MaxChosen, p.cfg.LifetimeSlack)
 		if len(chosen) > 0 {
 			p.curDeli = report.DeliWays
 		}

@@ -51,12 +51,11 @@ func pollutedReuse(c *cache.Cache, sets int, rounds, hot, junkPerRound int) (aHi
 
 func nuConfig(ways, deli int) core.Config {
 	return core.Config{
-		Ways:           ways,
-		DeliWays:       deli,
-		Candidates:     8,
-		EpochMisses:    2000,
-		SampleShift:    0, // monitor everything: tiny caches in tests
-		VictimTableCap: 32,
+		Ways:        ways,
+		DeliWays:    deli,
+		Candidates:  8,
+		EpochMisses: 2000,
+		SampleShift: 0, // monitor everything: tiny caches in tests
 	}
 }
 

@@ -54,9 +54,9 @@ func (c Config) Overhead(sets, tagBits, lineBytes int) Overhead {
 	}
 	const missCounterBits = 16
 	victimEntryBits := tagBits + overheadPCBits + missCounterBits
-	o.MonitorBits = sampledSets * (missCounterBits + cfg.VictimTableCap*victimEntryBits)
+	o.MonitorBits = sampledSets * (missCounterBits + VictimTableCap*victimEntryBits)
 
-	histBuckets := cfg.HistLinear + cfg.HistLog2 + 1
+	histBuckets := HistLinear + HistLog2 + 1
 	candidateBits := overheadPCBits + 32 /*misses*/ + 16 /*demotions*/ + histBuckets*16
 	o.SelectionBits = cfg.Candidates*candidateBits + cfg.MaxChosen*overheadPCBits
 

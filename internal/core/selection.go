@@ -121,21 +121,15 @@ func bestPrefix(useful []*PCStats, deliWays int, sampledMisses uint64, slack flo
 // MainWays/DeliWays split too (the paper's design fixes D at design time;
 // this is the natural "future work" extension — the same histograms
 // answer the question for every D). Candidate splits are every even D up
-// to maxDeliWays. Larger D gives retained lines longer lifetimes but
-// shrinks the MainWays, so the benefit is discounted by an estimate of
-// the recency hits an LRU stack loses per way removed: lostPerWay,
-// typically the monitor's observed hits at the deepest stack positions
-// (callers without that estimate pass 0 and get pure retention-benefit
-// maximization).
-func SelectPCsAdaptive(cands []*PCStats, maxDeliWays int, sampledMisses uint64, maxChosen int, slack float64, lostPerWay uint64) ([]uint64, SelectionReport) {
+// to maxDeliWays, and the split with the largest retention benefit wins
+// (the smallest D on a tie). The benefit is not discounted for the
+// recency hits a smaller MainWays loses.
+func SelectPCsAdaptive(cands []*PCStats, maxDeliWays int, sampledMisses uint64, maxChosen int, slack float64) ([]uint64, SelectionReport) {
 	best := SelectionReport{Candidates: len(cands), SampledMisses: sampledMisses}
 	var bestChosen []uint64
-	var bestScore int64
 	for d := 2; d <= maxDeliWays; d += 2 {
 		chosen, rep := SelectPCs(cands, d, sampledMisses, maxChosen, slack)
-		score := int64(rep.Benefit) - int64(d)*int64(lostPerWay)
-		if len(chosen) > 0 && score > bestScore {
-			bestScore = score
+		if len(chosen) > 0 && rep.Benefit > best.Benefit {
 			best = rep
 			bestChosen = chosen
 		}

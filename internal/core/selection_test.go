@@ -217,7 +217,7 @@ func TestSelectPCsAdaptivePicksWorkingSplit(t *testing.T) {
 	// Distances of ~40 need D >= 4 at this miss/demotion ratio
 	// (lifetime(D) = D*1000/100): D=2 gives 20 (no benefit), D=4 gives 40.
 	cands := []*PCStats{candidate(1, 500, 100, repeat(40, 100))}
-	chosen, rep := SelectPCsAdaptive(cands, 8, 1000, 8, 1, 0)
+	chosen, rep := SelectPCsAdaptive(cands, 8, 1000, 8, 1)
 	if len(chosen) != 1 {
 		t.Fatalf("chosen %v (report %+v)", chosen, rep)
 	}
@@ -231,18 +231,8 @@ func TestSelectPCsAdaptivePicksWorkingSplit(t *testing.T) {
 
 func TestSelectPCsAdaptiveEmptyWhenNothingFits(t *testing.T) {
 	cands := []*PCStats{candidate(1, 500, 100, repeat(1<<20, 100))}
-	chosen, rep := SelectPCsAdaptive(cands, 8, 1000, 8, 1, 0)
+	chosen, rep := SelectPCsAdaptive(cands, 8, 1000, 8, 1)
 	if len(chosen) != 0 || rep.Chosen != 0 {
 		t.Fatalf("uncoverable PC chosen: %+v", rep)
-	}
-}
-
-func TestSelectPCsAdaptiveCostDiscount(t *testing.T) {
-	// With a steep per-way cost, a marginal benefit must not justify a
-	// large D.
-	cands := []*PCStats{candidate(1, 500, 100, repeat(40, 10))} // benefit 10 at D>=4
-	chosen, _ := SelectPCsAdaptive(cands, 8, 1000, 8, 1, 100)   // cost 400+ at D=4
-	if len(chosen) != 0 {
-		t.Fatal("selection ignored the associativity cost")
 	}
 }

@@ -141,6 +141,13 @@ func tag(core int, addr, pc uint64) (uint64, uint64) {
 	return addr + uint64(core)<<coreAddrShift, pc | uint64(core)<<corePCShift
 }
 
+// UntagPC splits a core-tagged PC, as the LLC and its policies see it,
+// into the issuing core and the program's own PC: the bits from
+// corePCShift up, and the bits below.
+func UntagPC(pc uint64) (core, raw uint64) {
+	return pc >> corePCShift, pc & (1<<corePCShift - 1)
+}
+
 // since re-bases cumulative counters r past the earlier snapshot b (the
 // warm-up baseline; zero when no warm-up was configured).
 func (r CoreResult) since(b CoreResult) CoreResult {

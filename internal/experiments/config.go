@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"nucache/internal/core"
@@ -58,7 +59,7 @@ func ConfigTable(o Options) *metrics.Table {
 	})
 	row("monitor sampling / victim table", func(c int) string {
 		cfg := core.DefaultConfig(o.machine(c).LLC.Ways)
-		return fmt.Sprintf("1-in-%d sets / %d entries", 1<<cfg.SampleShift, cfg.VictimTableCap)
+		return fmt.Sprintf("1-in-%d sets / %d entries", 1<<cfg.SampleShift, core.VictimTableCap)
 	})
 	row("instruction budget per core", func(c int) string {
 		return fmt.Sprintf("%dM", o.Budget/1_000_000)
@@ -77,7 +78,7 @@ func OverheadTable(o Options) *metrics.Table {
 		cfg := core.DefaultConfig(llc.Ways)
 		// Tag bits for a 48-bit physical address space.
 		sets := llc.Sets()
-		tagBits := 48 - log2i(llc.LineBytes) - log2i(sets)
+		tagBits := 48 - bits.TrailingZeros(uint(llc.LineBytes)) - bits.TrailingZeros(uint(sets))
 		ov := cfg.Overhead(sets, tagBits, llc.LineBytes)
 		t.AddRow(
 			fmt.Sprintf("%d-core %dMB", cores, llc.SizeBytes>>20),
@@ -89,13 +90,4 @@ func OverheadTable(o Options) *metrics.Table {
 		)
 	}
 	return t
-}
-
-func log2i(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }

@@ -18,7 +18,7 @@ func DRAMStudy(o Options) *SweepResult {
 		label string
 		dram  bool
 	}{{"flat 200-cycle", false}, {"16-bank row-buffer DRAM", true}} {
-		o.UseDRAM = model.dram
+		o.dram = model.dram
 		gain, _, ok := o.nucacheGain()
 		if !ok {
 			return nil

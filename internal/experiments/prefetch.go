@@ -28,9 +28,9 @@ func PrefetchStudy(o Options) *PrefetchResult {
 	o = o.withDefaults()
 	res := &PrefetchResult{Cores: 4}
 	var ok, okPf bool
-	o.PrefetchDegree = 0
+	o.prefetch = 0
 	res.GainNoPf, res.BaseWSNoPf, ok = o.nucacheGain()
-	o.PrefetchDegree = 2
+	o.prefetch = 2
 	res.GainPf, res.BaseWSPf, okPf = o.nucacheGain()
 	if !ok || !okPf {
 		return nil

@@ -36,7 +36,7 @@ func ProfileAdvisorSweep(o Options) *SweepResult {
 	for i, m := range mixes {
 		req := sim.ProfileRequest{
 			Mix: m.Name, Budget: o.Budget, Seed: o.Seed,
-			Prefetch: o.PrefetchDegree, DRAM: o.UseDRAM,
+			Prefetch: o.prefetch, DRAM: o.dram,
 		}
 		cells[i] = cell[ProfileCell]{
 			key:   "profileadvisor/v1|" + req.Canonical(),

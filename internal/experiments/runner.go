@@ -38,12 +38,6 @@ type Options struct {
 	// Only restricts benchmark-driven experiments to one benchmark name
 	// (empty = all).
 	Only string
-	// PrefetchDegree enables the next-line prefetcher on every core
-	// (0 = off); used by the E17 prefetch-interaction study.
-	PrefetchDegree int
-	// UseDRAM switches the machine to the bank/row-buffer memory model
-	// (used by the E18 memory-model study).
-	UseDRAM bool
 	// Parallel is the worker count for scheduler-backed experiments
 	// (0 = runtime.NumCPU(), 1 = sequential). Mix tables are
 	// embarrassingly parallel across (mix, policy) pairs; results are
@@ -71,6 +65,13 @@ type Options struct {
 	// write failure is logged and the sweep continues (the cell just
 	// recomputes on resume).
 	Journal *journal.Journal
+
+	// prefetch enables the next-line prefetcher on every core (0 = off);
+	// only the E17 prefetch-interaction study sets it, on its own copy.
+	prefetch int
+	// dram switches the machine to the bank/row-buffer memory model;
+	// only the E18 memory-model study sets it, on its own copy.
+	dram bool
 }
 
 func (o Options) withDefaults() Options {
@@ -153,7 +154,7 @@ func StandardPolicies() []PolicySpec {
 // every simulation path shares.
 func (o Options) machine(cores int) cpu.Config {
 	return sim.MachineConfig(sim.Request{
-		Budget: o.Budget, Prefetch: o.PrefetchDegree, DRAM: o.UseDRAM,
+		Budget: o.Budget, Prefetch: o.prefetch, DRAM: o.dram,
 	}, cores)
 }
 
@@ -204,8 +205,8 @@ func (o Options) aloneIPC(bench string, cores int) float64 {
 	cfg.Cores = 1
 	key := aloneKey{
 		bench: bench, llcSize: cfg.LLC.SizeBytes,
-		budget: o.Budget, seed: o.Seed, prefetch: o.PrefetchDegree,
-		dram: o.UseDRAM,
+		budget: o.Budget, seed: o.Seed, prefetch: o.prefetch,
+		dram: o.dram,
 	}
 	aloneMu.Lock()
 	e, ok := aloneCache[key]
@@ -295,8 +296,8 @@ func (o Options) mixKey(m workload.Mix, spec PolicySpec) string {
 		"members=" + strings.Join(m.Members, "+"),
 		fmt.Sprintf("budget=%d", o.Budget),
 		fmt.Sprintf("seed=%d", o.Seed),
-		fmt.Sprintf("prefetch=%d", o.PrefetchDegree),
-		fmt.Sprintf("dram=%v", o.UseDRAM),
+		fmt.Sprintf("prefetch=%d", o.prefetch),
+		fmt.Sprintf("dram=%v", o.dram),
 	}, "|")
 }
 
@@ -478,9 +479,8 @@ func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]Mi
 
 // fmtPC renders a core-tagged PC the way the harness prints them.
 func fmtPC(pc uint64) string {
-	core := pc >> 48
-	if core != 0 {
-		return fmt.Sprintf("c%d:%#x", core, pc&(1<<48-1))
+	if c, raw := cpu.UntagPC(pc); c != 0 {
+		return fmt.Sprintf("c%d:%#x", c, raw)
 	}
 	return fmt.Sprintf("%#x", pc)
 }

@@ -8,7 +8,10 @@
 // just miss count.
 package memory
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes the DRAM geometry and timing.
 type Config struct {
@@ -51,10 +54,11 @@ func (c Config) Validate() error {
 
 // DRAM is an open-row main-memory model.
 type DRAM struct {
-	cfg      Config
-	rowShift uint
-	bankMask uint64
-	openRow  []uint64
+	cfg       Config
+	rowShift  uint
+	bankShift uint
+	bankMask  uint64
+	openRow   []uint64
 
 	// Stats.
 	Accesses uint64
@@ -70,10 +74,11 @@ func New(cfg Config) *DRAM {
 		panic(err)
 	}
 	d := &DRAM{
-		cfg:      cfg,
-		rowShift: log2(cfg.RowBytes),
-		bankMask: uint64(cfg.Banks - 1),
-		openRow:  make([]uint64, cfg.Banks),
+		cfg:       cfg,
+		rowShift:  uint(bits.TrailingZeros(uint(cfg.RowBytes))),
+		bankShift: uint(bits.TrailingZeros(uint(cfg.Banks))),
+		bankMask:  uint64(cfg.Banks - 1),
+		openRow:   make([]uint64, cfg.Banks),
 	}
 	for i := range d.openRow {
 		d.openRow[i] = noOpenRow
@@ -88,7 +93,7 @@ func (d *DRAM) Config() Config { return d.cfg }
 // interleave at row granularity, so sequential rows spread across banks.
 func (d *DRAM) bankRow(addr uint64) (int, uint64) {
 	r := addr >> d.rowShift
-	return int(r & d.bankMask), r >> uint(trailingBits(d.bankMask))
+	return int(r & d.bankMask), r >> d.bankShift
 }
 
 // Access services one memory request and returns its latency.
@@ -115,22 +120,4 @@ func (d *DRAM) RowHitRate() float64 {
 		return 0
 	}
 	return float64(d.RowHits) / float64(d.Accesses)
-}
-
-func log2(v int) uint {
-	n := uint(0)
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-func trailingBits(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		mask >>= 1
-		n++
-	}
-	return n
 }

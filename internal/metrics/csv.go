@@ -24,17 +24,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteCSVFile writes the table as CSV to path, creating missing parent
-// directories.
-func (t *Table) WriteCSVFile(path string) error {
-	return writeFile(path, t.WriteCSV)
-}
-
 // SaveCSV writes the table to dir/<slug-of-title>.csv and returns the
 // path; dir (and any missing parents) are created.
 func (t *Table) SaveCSV(dir string) (string, error) {
 	path := filepath.Join(dir, slug(t.Title)+".csv")
-	return path, t.WriteCSVFile(path)
+	return path, writeFile(path, t.WriteCSV)
 }
 
 // writeFile creates path's parent directories and streams one writer

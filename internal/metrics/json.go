@@ -31,15 +31,9 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return enc.Encode(t.JSON())
 }
 
-// WriteJSONFile writes the table as JSON to path, creating missing
-// parent directories.
-func (t *Table) WriteJSONFile(path string) error {
-	return writeFile(path, t.WriteJSON)
-}
-
 // SaveJSON writes the table to dir/<slug-of-title>.json and returns the
 // path; dir (and any missing parents) are created.
 func (t *Table) SaveJSON(dir string) (string, error) {
 	path := filepath.Join(dir, slug(t.Title)+".json")
-	return path, t.WriteJSONFile(path)
+	return path, writeFile(path, t.WriteJSON)
 }

@@ -58,12 +58,4 @@ func TestSaveCreatesParentDirectories(t *testing.T) {
 	if !strings.HasPrefix(string(data), "mix,LRU,NUcache\n") {
 		t.Fatalf("csv content:\n%s", data)
 	}
-
-	deep := filepath.Join(base, "a", "b", "c.json")
-	if err := sampleTable().WriteJSONFile(deep); err != nil {
-		t.Fatalf("WriteJSONFile: %v", err)
-	}
-	if err := sampleTable().WriteCSVFile(filepath.Join(base, "x", "y", "z.csv")); err != nil {
-		t.Fatalf("WriteCSVFile: %v", err)
-	}
 }

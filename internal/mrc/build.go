@@ -44,8 +44,8 @@ func BuildFromTapes(cfg cpu.Config, mixName string, members []string, seed uint6
 		DRAM:       cfg.DRAM != nil,
 		LLCLatency: cfg.LLCLatency,
 		MemLatency: memLat,
-		HistLinear: monCfg.HistLinear,
-		HistLog2:   monCfg.HistLog2,
+		HistLinear: core.HistLinear,
+		HistLog2:   core.HistLog2,
 		PerCore:    make([]CoreProfile, cfg.Cores),
 	}
 	for i, t := range tapes {

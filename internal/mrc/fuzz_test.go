@@ -1,8 +1,9 @@
 package mrc
 
 // Fuzz coverage for the profile artifact codec. Profiles transit the
-// content-addressed cache's disk tier, so DecodeProfile sees whatever
-// bytes a crashed or corrupted store hands back. The contract under
+// content-addressed cache's disk tier, so its decode (json.Unmarshal,
+// then Validate) sees whatever bytes a crashed or corrupted store hands
+// back. The contract under
 // corruption mirrors the tape replay's (FuzzMultiReplayGrid): return an
 // error — never panic, and never hand a malformed profile to the model.
 // A decodable profile must be Validate-clean, and Predict over it must
@@ -61,10 +62,20 @@ func fuzzProfile() *Profile {
 	}
 }
 
+// decodeProfile decodes a profile as the result cache does: unmarshal,
+// then Validate.
+func decodeProfile(data []byte) (*Profile, error) {
+	p := new(Profile)
+	if err := json.Unmarshal(data, p); err != nil {
+		return nil, err
+	}
+	return p, p.Validate()
+}
+
 // FuzzProfileDecode throws truncated, bit-flipped and arbitrary byte
-// strings at DecodeProfile.
+// strings at the result cache's profile decode.
 func FuzzProfileDecode(f *testing.F) {
-	valid, err := EncodeProfile(fuzzProfile())
+	valid, err := json.Marshal(fuzzProfile())
 	if err != nil {
 		f.Fatalf("seed profile does not encode: %v", err)
 	}
@@ -80,12 +91,9 @@ func FuzzProfileDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeProfile(data)
+		p, err := decodeProfile(data)
 		if err != nil {
 			return // detected corruption: the required outcome
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("DecodeProfile returned an invalid profile: %v", err)
 		}
 		// The model must answer (or refuse) every decodable profile
 		// without panicking, for each policy it covers.
@@ -112,15 +120,15 @@ func FuzzProfileDecode(f *testing.F) {
 }
 
 // TestProfileRoundTrip pins the codec: encode → decode is identity-
-// preserving for the model (same predictions), and EncodeProfile
-// refuses invalid profiles instead of laundering them into the cache.
+// preserving for the model (same predictions), and the decode refuses
+// an invalid profile instead of handing it to the model.
 func TestProfileRoundTrip(t *testing.T) {
 	p := fuzzProfile()
-	data, err := EncodeProfile(p)
+	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	q, err := DecodeProfile(data)
+	q, err := decodeProfile(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -138,8 +146,12 @@ func TestProfileRoundTrip(t *testing.T) {
 
 	bad := fuzzProfile()
 	bad.PerCore[0].DemandAccesses = bad.PerCore[0].Accesses + 1
-	if _, err := EncodeProfile(bad); err == nil {
-		t.Error("EncodeProfile accepted demand accesses > accesses")
+	data, err = json.Marshal(bad)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if _, err := decodeProfile(data); err == nil {
+		t.Error("decode accepted demand accesses > accesses")
 	}
 }
 
@@ -173,7 +185,7 @@ func TestValidateBoundsPartitionSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeProfile(data); err == nil {
+		if _, err := decodeProfile(data); err == nil {
 			t.Errorf("%d cores over %d ways decoded", c.cores, c.ways)
 		}
 	}

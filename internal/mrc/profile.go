@@ -27,7 +27,6 @@
 package mrc
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"nucache/internal/cache"
@@ -137,28 +136,6 @@ type PCProfile struct {
 	// (so the mean — the selection's ordering key — round-trips).
 	NextUseCounts []uint64 `json:"next_use_counts"`
 	NextUseSum    uint64   `json:"next_use_sum"`
-}
-
-// EncodeProfile serializes a profile for the content-addressed cache.
-func EncodeProfile(p *Profile) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(p)
-}
-
-// DecodeProfile parses and validates a profile. The contract under
-// corruption mirrors the trace decoder's: an error, never a panic —
-// and a nil error guarantees the artifact is safe to evaluate.
-func DecodeProfile(data []byte) (*Profile, error) {
-	p := new(Profile)
-	if err := json.Unmarshal(data, p); err != nil {
-		return nil, fmt.Errorf("mrc: decode profile: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // Validate bounds-checks every field the analytical model indexes or

@@ -90,10 +90,10 @@ func TestPoliciesNeverCorruptOccupancy(t *testing.T) {
 		},
 		// Short repartitioning epochs flip the way quotas many times.
 		"UCP-epoch777": func(cores, ways int) (cache.Policy, error) {
-			return policy.NewUCP(cores, ways, policy.WithUCPEpoch(777)), nil
+			return policy.NewUCPWithEpoch(cores, ways, 777), nil
 		},
 		"PIPP-epoch777": func(cores, ways int) (cache.Policy, error) {
-			return policy.NewPIPP(cores, ways, 6, policy.WithPIPPEpoch(777)), nil
+			return policy.NewPIPPWithEpoch(cores, ways, 6, 777), nil
 		},
 	}
 	for _, name := range sim.Policies() {

@@ -108,7 +108,7 @@ func TestRecorderCapturesLineAddrs(t *testing.T) {
 }
 
 func TestRecorderChainsInnerObserver(t *testing.T) {
-	ucp := policy.NewUCP(2, 4, policy.WithUCPEpoch(500))
+	ucp := policy.NewUCPWithEpoch(2, 4, 500)
 	rec := policy.NewRecorder(ucp)
 	c := multiSetCache(64, 4, 2, rec)
 	mixedDuel(c, 5)

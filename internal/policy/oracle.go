@@ -60,13 +60,11 @@ func (o *OracleRetention) OnHit(set *cache.Set, way int, req *cache.Request) {
 		st.main.MoveToFront(way)
 		return
 	}
-	// DeliWay hit: promote; the MainWays LRU line takes the slot only if
-	// it is itself worth retaining (mirrors NUcache's chosen-only swap).
+	// Every valid way is in exactly one list, so a hit outside the
+	// MainWays is a DeliWay hit: promote; the MainWays LRU line takes the
+	// slot only if it is itself worth retaining (mirrors NUcache's
+	// chosen-only swap).
 	idx := st.deli.IndexOf(way)
-	if idx < 0 {
-		st.main.PushFront(way)
-		return
-	}
 	if st.main.Len() < o.mainWays {
 		st.deli.RemoveAt(idx)
 		st.main.PushFront(way)

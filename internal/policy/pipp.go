@@ -17,32 +17,22 @@ type PIPP struct {
 	rng  *stats.RNG
 	strm []bool
 	prio []cache.WayList // per set: front = highest priority, back = victim
-
-	pProm       float64
-	pPromStream float64
 }
 
-// PIPPOption customizes a PIPP policy.
-type PIPPOption func(*PIPP)
-
-// WithPIPPEpoch sets the repartitioning period in LLC accesses.
-func WithPIPPEpoch(accesses uint64) PIPPOption {
-	return func(p *PIPP) { p.epochAccesses = accesses }
-}
+// PIPP's promotion probabilities: pProm for a hit by an ordinary core,
+// pPromStream for a hit by a core flagged as streaming.
+const (
+	pProm       = 3.0 / 4
+	pPromStream = 1.0 / 128
+)
 
 // NewPIPP returns a PIPP policy for the given core count and associativity.
-func NewPIPP(cores, ways int, seed uint64, opts ...PIPPOption) *PIPP {
-	p := &PIPP{
+func NewPIPP(cores, ways int, seed uint64) *PIPP {
+	return &PIPP{
 		partitioner: newPartitioner("PIPP", cores, ways),
 		rng:         stats.NewRNG(seed),
 		strm:        make([]bool, cores),
-		pProm:       3.0 / 4,
-		pPromStream: 1.0 / 128,
 	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
 }
 
 // Name implements cache.Policy.
@@ -67,9 +57,9 @@ func (p *PIPP) ObserveAccess(setIndex int, tag uint64, req *cache.Request) {
 
 // OnHit implements cache.Policy: single-step probabilistic promotion.
 func (p *PIPP) OnHit(set *cache.Set, way int, req *cache.Request) {
-	prob := p.pProm
+	prob := pProm
 	if p.strm[clampCore(req.Core, p.cores)] {
-		prob = p.pPromStream
+		prob = pPromStream
 	}
 	if p.rng.Bool(prob) {
 		p.prio[set.Index()].MoveUp(way)

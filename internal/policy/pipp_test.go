@@ -14,14 +14,14 @@ func TestPIPPProtectsAgainstStream(t *testing.T) {
 		return c.Stats.CoreHits[0]
 	}
 	lru := core0Hits(policy.NewLRU())
-	pipp := core0Hits(policy.NewPIPP(2, 4, 1, policy.WithPIPPEpoch(4096)))
+	pipp := core0Hits(policy.NewPIPPWithEpoch(2, 4, 1, 4096))
 	if float64(pipp) < 1.2*float64(lru) {
 		t.Fatalf("PIPP core0 hits %d vs LRU %d: pseudo-partitioning ineffective", pipp, lru)
 	}
 }
 
 func TestPIPPStreamDetection(t *testing.T) {
-	p := policy.NewPIPP(2, 8, 2, policy.WithPIPPEpoch(2000))
+	p := policy.NewPIPPWithEpoch(2, 8, 2, 2000)
 	c := multiSetCache(64, 8, 2, p)
 	mixedDuel(c, 20)
 	if p.Repartitions == 0 {

@@ -20,13 +20,10 @@ type TADIP struct {
 
 // NewTADIP returns a TADIP policy for the given thread (core) count.
 func NewTADIP(threads int, seed uint64) *TADIP {
-	if threads <= 0 {
-		threads = 1
-	}
-	if 2*threads > constituencySize {
+	if threads < 1 || 2*threads > constituencySize {
 		// Leader pairs would not fit in a constituency; the largest
 		// supported configuration (16 threads) still fits.
-		panic("policy: TADIP supports at most constituencySize/2 threads")
+		panic("policy: TADIP supports 1 to constituencySize/2 threads")
 	}
 	p := &TADIP{threads: threads, rng: stats.NewRNG(seed)}
 	p.psels = make([]psel, threads)

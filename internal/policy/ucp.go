@@ -11,21 +11,9 @@ type UCP struct {
 	sets []ucpState
 }
 
-// UCPOption customizes a UCP policy.
-type UCPOption func(*UCP)
-
-// WithUCPEpoch sets the repartitioning period in LLC accesses.
-func WithUCPEpoch(accesses uint64) UCPOption {
-	return func(u *UCP) { u.epochAccesses = accesses }
-}
-
 // NewUCP returns a UCP policy for the given core count and associativity.
-func NewUCP(cores, ways int, opts ...UCPOption) *UCP {
-	u := &UCP{partitioner: newPartitioner("UCP", cores, ways)}
-	for _, o := range opts {
-		o(u)
-	}
-	return u
+func NewUCP(cores, ways int) *UCP {
+	return &UCP{partitioner: newPartitioner("UCP", cores, ways)}
 }
 
 // Name implements cache.Policy.
@@ -70,7 +58,12 @@ func (u *UCP) Victim(set *cache.Set, req *cache.Request) int {
 	return w
 }
 
-// quotaVictim picks the way a full set gives up to core's miss.
+// quotaVictim picks the way a full set gives up to core's miss. In a
+// full set the owner counts sum to the ways, and so do the quotas
+// (EvenSplit and LookaheadPartition hand out every way, at least one
+// per core). A core under quota therefore leaves some other core over
+// quota, and a core at or over quota owns at least one line: one of the
+// two scans always finds its victim.
 func (u *UCP) quotaVictim(set *cache.Set, st *ucpState, core int) int {
 	owned := &st.owned
 	if int(owned[core]) < u.alloc[core] {
@@ -82,14 +75,7 @@ func (u *UCP) quotaVictim(set *cache.Set, st *ucpState, core int) int {
 				return w
 			}
 		}
-		// No over-quota owner (stale quotas): LRU among other cores.
-		for i := st.stack.Len() - 1; i >= 0; i-- {
-			w := st.stack.At(i)
-			if clampCore(int(set.Lines[w].Core), u.cores) != core {
-				return w
-			}
-		}
-		return st.stack.Back()
+		panic("policy: UCP core under quota in a full set with no other core over quota")
 	}
 	// At/over quota: replace own LRU line.
 	for i := st.stack.Len() - 1; i >= 0; i-- {
@@ -98,7 +84,7 @@ func (u *UCP) quotaVictim(set *cache.Set, st *ucpState, core int) int {
 			return w
 		}
 	}
-	return st.stack.Back()
+	panic("policy: UCP core at quota owns no line in a full set")
 }
 
 // OnInsert implements cache.Policy.

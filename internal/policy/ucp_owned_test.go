@@ -12,7 +12,7 @@ import (
 // of the set's valid lines, under four cores' random traffic.
 func TestUCPOwnedMatchesLines(t *testing.T) {
 	const sets, ways, cores = 8, 8, 4
-	u := NewUCP(cores, ways, WithUCPEpoch(500))
+	u := NewUCPWithEpoch(cores, ways, 500)
 	c := cache.New(cache.Config{
 		Name: "own", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64, Cores: cores,
 	}, u)

@@ -28,14 +28,14 @@ func TestUCPProtectsHighUtilityCore(t *testing.T) {
 		return c.Stats.CoreHits[0]
 	}
 	lru := core0Hits(policy.NewLRU())
-	ucp := core0Hits(policy.NewUCP(2, 4, policy.WithUCPEpoch(4096)))
+	ucp := core0Hits(policy.NewUCPWithEpoch(2, 4, 4096))
 	if float64(ucp) < 1.3*float64(lru) {
 		t.Fatalf("UCP core0 hits %d vs LRU %d: partitioning ineffective", ucp, lru)
 	}
 }
 
 func TestUCPRepartitionsAndAllocSumsToWays(t *testing.T) {
-	p := policy.NewUCP(2, 8, policy.WithUCPEpoch(1000))
+	p := policy.NewUCPWithEpoch(2, 8, 1000)
 	c := multiSetCache(64, 8, 2, p)
 	mixedDuel(c, 10)
 	if p.Repartitions == 0 {

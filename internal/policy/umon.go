@@ -132,18 +132,17 @@ func (u *UMON) Reset() {
 }
 
 // LookaheadPartition runs UCP's lookahead algorithm: allocate totalWays
-// among the monitors, each core receiving at least minPerCore ways,
-// greedily maximizing marginal utility per way.
-func LookaheadPartition(umons []*UMON, totalWays, minPerCore int) []int {
+// among the monitors, each core receiving at least one way, greedily
+// maximizing marginal utility per way.
+func LookaheadPartition(umons []*UMON, totalWays int) []int {
 	n := len(umons)
 	alloc := make([]int, n)
-	balance := totalWays
 	for i := range alloc {
-		alloc[i] = minPerCore
-		balance -= minPerCore
+		alloc[i] = 1
 	}
+	balance := totalWays - n
 	if balance < 0 {
-		panic("policy: lookahead with totalWays < cores*minPerCore")
+		panic("policy: lookahead with fewer ways than cores")
 	}
 	for balance > 0 {
 		bestCore, bestK := -1, 0
@@ -225,7 +224,7 @@ func (p *partitioner) observe(setIndex int, tag uint64, core int) bool {
 // repartition re-divides the ways and ages every monitor.
 func (p *partitioner) repartition() {
 	p.sinceRepart = 0
-	p.alloc = LookaheadPartition(p.umons, p.ways, 1)
+	p.alloc = LookaheadPartition(p.umons, p.ways)
 	for _, m := range p.umons {
 		m.Reset()
 	}

@@ -93,7 +93,7 @@ func TestLookaheadGivesWaysToHighUtility(t *testing.T) {
 	for i := uint64(0); i < 300; i++ {
 		u1.Access(0, 1000+i) // pure stream
 	}
-	alloc := policy.LookaheadPartition([]*policy.UMON{u0, u1}, 8, 1)
+	alloc := policy.LookaheadPartition([]*policy.UMON{u0, u1}, 8)
 	if alloc[0]+alloc[1] != 8 {
 		t.Fatalf("allocation %v does not sum to ways", alloc)
 	}
@@ -105,7 +105,7 @@ func TestLookaheadGivesWaysToHighUtility(t *testing.T) {
 func TestLookaheadMinPerCore(t *testing.T) {
 	u0 := policy.NewUMON(4, 0)
 	u1 := policy.NewUMON(4, 0)
-	alloc := policy.LookaheadPartition([]*policy.UMON{u0, u1}, 4, 1)
+	alloc := policy.LookaheadPartition([]*policy.UMON{u0, u1}, 4)
 	if alloc[0] < 1 || alloc[1] < 1 || alloc[0]+alloc[1] != 4 {
 		t.Fatalf("allocation %v", alloc)
 	}
@@ -117,5 +117,5 @@ func TestLookaheadPanicsWhenInfeasible(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	policy.LookaheadPartition([]*policy.UMON{policy.NewUMON(2, 0)}, 0, 1)
+	policy.LookaheadPartition([]*policy.UMON{policy.NewUMON(2, 0)}, 0)
 }

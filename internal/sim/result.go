@@ -136,7 +136,8 @@ func Collect(mix workload.Mix, policy cache.Policy, cfg cpu.Config, budget, seed
 			LastBenefit:    nu.LastReport.Benefit,
 		}
 		for _, pc := range nu.ChosenPCs() {
-			st.ChosenPCs = append(st.ChosenPCs, fmt.Sprintf("c%d:%#x", pc>>48, pc&(1<<48-1)))
+			c, raw := cpu.UntagPC(pc)
+			st.ChosenPCs = append(st.ChosenPCs, fmt.Sprintf("c%d:%#x", c, raw))
 		}
 		res.NUcache = st
 	}
