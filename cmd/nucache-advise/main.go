@@ -9,9 +9,16 @@
 //	nucache-advise -mix mix4-01                       # best static partition
 //	nucache-advise -mix mix4-01 -alloc 8,4,2,2        # score one candidate
 //	nucache-advise -mix mix2-01 -policy nucache -best # best DeliWays split
+//	nucache-advise -mix mix2-01 -policy nucache -deliways 0 # no DeliWays
 //	nucache-advise -bench art-like -policy lru        # shared-LRU baseline
 //	nucache-advise -mix mix4-01 -verify               # also simulate, report delta
 //	nucache-advise -mix mix4-01 -json                 # machine-readable output
+//
+// -deliways takes the literal DeliWays split, as nucache-sim's does: the
+// default is 6 of the LLC's 16 ways, and 0 means no DeliWays. An
+// invalid what-if (an allocation that does not fill the LLC, a split
+// that leaves no MainWays, a model other than part, lru or nucache)
+// exits 2 before the mix is profiled.
 package main
 
 import (
@@ -24,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"nucache/internal/core"
 	"nucache/internal/mrc"
 	"nucache/internal/sim"
 )
@@ -41,7 +49,7 @@ func main() {
 		prefetch = flag.Int("prefetch", 0, "next-line prefetch degree")
 		polName  = flag.String("policy", "part", "model to evaluate: part|lru|nucache")
 		alloc    = flag.String("alloc", "", "comma-separated per-core way split (part)")
-		deliWays = flag.Int("deliways", 0, "DeliWays split (nucache; 0 = default 6, -1 = none)")
+		deliWays = flag.Int("deliways", core.DefaultDeliWays, "NUcache DeliWays (of the LLC's 16 ways; 0 = none)")
 		best     = flag.Bool("best", false, "search the allocation space for max throughput")
 		verify   = flag.Bool("verify", false, "also run the full simulation and report the delta")
 		asJSON   = flag.Bool("json", false, "emit the response as JSON")
@@ -53,7 +61,7 @@ func main() {
 			Bench: *bench, Mix: *mixName, Budget: *budget, Seed: *seed,
 			Warmup: *warmup, L2: *l2, DRAM: *dram, Prefetch: *prefetch,
 		},
-		Policy: *polName, Best: *best, DeliWays: *deliWays, Verify: *verify,
+		Policy: *polName, Best: *best, DeliWays: sim.DeliWaysField(*deliWays), Verify: *verify,
 	}
 	if *members != "" {
 		req.Members = strings.Split(*members, ",")
@@ -62,51 +70,36 @@ func main() {
 		for _, part := range strings.Split(*alloc, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
-				fatalf("bad -alloc %q: %v", *alloc, err)
+				fatalf(2, "bad -alloc %q: %v", *alloc, err)
 			}
 			req.Alloc = append(req.Alloc, n)
 		}
 	}
-	req.ProfileRequest = req.ProfileRequest.Normalize()
-	if err := req.ProfileRequest.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "nucache-advise:", err)
-		os.Exit(2)
-	}
 
-	ctx := context.Background()
-	profStart := time.Now()
-	p, err := sim.ExecuteProfile(ctx, req.ProfileRequest)
+	var p *mrc.Profile
+	var profWall time.Duration
+	profile := func(ctx context.Context, pr sim.ProfileRequest) (*mrc.Profile, bool, error) {
+		start := time.Now()
+		var err error
+		p, err = sim.ExecuteProfile(ctx, pr)
+		profWall = time.Since(start)
+		return p, false, err
+	}
+	resp, err := sim.Advise(context.Background(), req, profile, sim.Execute)
 	if err != nil {
-		fatalf("profile: %v", err)
-	}
-	profWall := time.Since(profStart)
-
-	evalStart := time.Now()
-	pred, err := sim.EvaluateAdvise(p, req)
-	if err != nil {
-		fatalf("advise: %v", err)
-	}
-	evalWall := time.Since(evalStart)
-
-	resp := sim.AdviseResponse{
-		ProfileKey: req.ProfileRequest.Key(),
-		EvalNS:     evalWall.Nanoseconds(),
-		Prediction: pred,
-	}
-	if *verify {
-		vreq := req.VerifyRequest(pred)
-		res, err := sim.Execute(ctx, vreq)
-		if err != nil {
-			fatalf("verify: %v", err)
+		code := 1
+		if sim.Classify(err) == sim.KindInvalid {
+			code = 2
 		}
-		resp.Verify = sim.CompareVerify(vreq, pred, res)
+		fatalf(code, "%v", err)
 	}
+	pred := resp.Prediction
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(resp); err != nil {
-			fatalf("%v", err)
+			fatalf(1, "%v", err)
 		}
 		return
 	}
@@ -119,7 +112,7 @@ func main() {
 	if pred.Policy == mrc.PolicyNUcache {
 		fmt.Printf(" deliways=%d", pred.DeliWays)
 	}
-	fmt.Printf(" (%d evaluation(s) in %v)\n", pred.Evaluated, evalWall.Round(time.Microsecond))
+	fmt.Printf(" (%d evaluation(s) in %v)\n", pred.Evaluated, time.Duration(resp.EvalNS).Round(time.Microsecond))
 	fmt.Printf("answer  miss rate %.4f, throughput %.4f IPC", pred.MissRate, pred.Throughput)
 	if pred.HitsExact {
 		fmt.Printf(" [hits exact")
@@ -146,7 +139,7 @@ func shortKey(k string) string {
 	return k
 }
 
-func fatalf(format string, args ...any) {
+func fatalf(code int, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "nucache-advise: "+format+"\n", args...)
-	os.Exit(1)
+	os.Exit(code)
 }

@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 
+	"nucache/internal/failpoint"
 	"nucache/internal/sim"
 )
 
@@ -24,8 +26,14 @@ func TestMain(m *testing.M) {
 
 func runMain(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
+	return runMainEnv(t, nil, args...)
+}
+
+// runMainEnv is runMain with extra environment variables.
+func runMainEnv(t *testing.T, env []string, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), beBinary+"=1")
+	cmd.Env = append(append(os.Environ(), beBinary+"=1"), env...)
 	var out, errb strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err = cmd.Run()
@@ -91,12 +99,49 @@ func TestAdviseNUcacheBest(t *testing.T) {
 	}
 }
 
+// TestAdviseRejectsBadAlloc: an allocation that does not fill the LLC,
+// and the other invalid what-ifs /v1/advise rejects, exit 2 before the
+// mix is profiled: the profile build's failpoint, armed to exit, never
+// fires.
 func TestAdviseRejectsBadAlloc(t *testing.T) {
-	_, errOut, err := runMain(t, adviseArgs("-alloc", "3,2")...)
-	if err == nil {
-		t.Fatal("under-filled allocation accepted")
+	for _, args := range [][]string{
+		{"-alloc", "3,2"},
+		{"-policy", "lru", "-alloc", "8,8"},
+		{"-policy", "nucache", "-deliways", "16"},
+		{"-policy", "ucp"},
+	} {
+		_, errOut, err := runMainEnv(t, []string{failpoint.EnvVar + "=mrc.profile.build=exit"}, adviseArgs(args...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: want exit 2, got %v (stderr %q)", args, err, errOut)
+		}
+		if !strings.HasPrefix(errOut, "nucache-advise: sim: ") {
+			t.Errorf("%v: stderr does not explain the request error: %q", args, errOut)
+		}
 	}
-	if !strings.Contains(errOut, "alloc") && !strings.Contains(errOut, "ways") {
-		t.Errorf("stderr does not explain the allocation error: %q", errOut)
+}
+
+// TestAdviseDeliWaysIsLiteral: -deliways takes the literal split, as
+// nucache-sim's does: 0 is no DeliWays, and the default is 6.
+func TestAdviseDeliWaysIsLiteral(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-policy", "nucache", "-deliways", "0"}, 0},
+		{[]string{"-policy", "nucache", "-deliways", "4"}, 4},
+		{[]string{"-policy", "nucache"}, 6},
+	} {
+		out, errOut, err := runMain(t, adviseArgs(append(tc.args, "-json")...)...)
+		if err != nil {
+			t.Fatalf("%v: %v\nstderr: %s", tc.args, err, errOut)
+		}
+		var resp sim.AdviseResponse
+		if err := json.Unmarshal([]byte(out), &resp); err != nil {
+			t.Fatalf("%v: output is not an AdviseResponse: %v\n%s", tc.args, err, out)
+		}
+		if resp.Prediction.DeliWays != tc.want {
+			t.Errorf("%v: answered deliways %d, want %d", tc.args, resp.Prediction.DeliWays, tc.want)
+		}
 	}
 }

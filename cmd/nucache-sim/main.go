@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"nucache/internal/core"
-	"nucache/internal/cpu"
 	"nucache/internal/metrics"
 	"nucache/internal/sim"
 	"nucache/internal/trace"
@@ -54,27 +53,18 @@ func main() {
 		return
 	}
 
-	// The request's DeliWays encoding reserves 0 for "default"; the flag
-	// uses 0 for "no retention".
-	dw := *deliWays
-	if dw == 0 {
-		dw = -1
+	req := sim.Request{
+		Bench: *benchName, Mix: *mixName,
+		Policy: *polName, Budget: *budget, Seed: *seed, DeliWays: sim.DeliWaysField(*deliWays),
+		L2: *l2, DRAM: *dram, Prefetch: *prefetch, Warmup: *warmup,
 	}
-
 	if *replay != "" {
-		res, err := runReplay(strings.Split(*replay, ","), *polName, *budget, *seed, dw, *l2, *dram, *prefetch, *warmup)
+		res, err := runReplay(strings.Split(*replay, ","), req)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nucache-sim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		emit(res, *jsonOut)
 		return
-	}
-
-	req := sim.Request{
-		Bench: *benchName, Mix: *mixName,
-		Policy: *polName, Budget: *budget, Seed: *seed, DeliWays: dw,
-		L2: *l2, DRAM: *dram, Prefetch: *prefetch, Warmup: *warmup,
 	}
 	if *members != "" {
 		req.Members = strings.Split(*members, ",")
@@ -83,61 +73,56 @@ func main() {
 	if *record != "" {
 		mix, err := req.ResolveMix()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nucache-sim:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		if err := recordTraces(*record, mix, mix.Streams(*seed), *recordN); err != nil {
-			fmt.Fprintln(os.Stderr, "nucache-sim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		return
 	}
 
 	res, err := sim.Execute(context.Background(), req)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nucache-sim:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
 	emit(res, *jsonOut)
 }
 
-// runReplay drives trace files through a machine built from the same
-// flags, held to the same shape rules as a request; generator-backed
-// runs go through sim.Execute instead. A trace that fails to decode (cut
-// mid-record, corrupt) fails the run, naming the file, instead of
-// replaying as a shorter one.
-func runReplay(paths []string, polName string, budget, seed uint64, deliWays int, l2, dram bool, prefetch int, warmup uint64) (*sim.Result, error) {
-	mix, readers, err := openTraces(paths)
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "nucache-sim:", err)
+	os.Exit(code)
+}
+
+// runReplay replays trace files, one per core, under the request's
+// policy and machine; generator-backed runs go through sim.Execute
+// instead. A trace that fails to decode (cut mid-record, corrupt) fails
+// the run, naming the file, instead of replaying as a shorter one.
+func runReplay(paths []string, req sim.Request) (*sim.Result, error) {
+	readers := make([]*trace.Reader, len(paths))
+	streams := make([]trace.Stream, len(paths))
+	for i, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return nil, err
+		}
+		// Files stay open for the run's duration; the process exit
+		// releases them (replay runs are one-shot).
+		if readers[i], err = trace.NewReader(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
+		streams[i] = readers[i]
+	}
+	res, err := sim.ExecuteStreams(req, workload.Mix{Name: "replay", Members: paths}, streams)
 	if err != nil {
 		return nil, err
 	}
-	req := sim.Request{
-		Policy: polName, DeliWays: deliWays,
-		Budget: budget, Prefetch: prefetch, Warmup: warmup, L2: l2, DRAM: dram,
-	}
-	if err := req.CheckShape(mix.Cores()); err != nil {
-		return nil, err
-	}
-	cfg := sim.MachineConfig(req, mix.Cores())
-	if deliWays < 0 {
-		deliWays = 0
-	}
-	pol, err := sim.BuildPolicy(polName, mix.Cores(), cfg.LLC.Ways, deliWays)
-	if err != nil {
-		return nil, err
-	}
-	streams := make([]trace.Stream, len(readers))
-	for i, r := range readers {
-		streams[i] = r
-	}
-	sys := cpu.NewSystem(cfg, pol, streams)
-	results := sys.Run()
 	for i, r := range readers {
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("%s: %w", paths[i], err)
 		}
 	}
-	return sim.Collect(mix, pol, cfg, budget, seed, results, sys), nil
+	return res, nil
 }
 
 // emit renders a result as JSON or as the classic text report.
@@ -146,8 +131,7 @@ func emit(res *sim.Result, asJSON bool) {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, "nucache-sim:", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		return
 	}
@@ -239,26 +223,4 @@ func recordTraces(prefix string, mix workload.Mix, streams []trace.Stream, n int
 		fmt.Printf("recorded %d accesses of %s to %s\n", written, mix.Members[i], path)
 	}
 	return nil
-}
-
-// openTraces opens one trace reader per binary trace file.
-func openTraces(paths []string) (workload.Mix, []*trace.Reader, error) {
-	mix := workload.Mix{Name: "replay"}
-	var readers []*trace.Reader
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return mix, nil, err
-		}
-		r, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return mix, nil, fmt.Errorf("%s: %w", p, err)
-		}
-		// Files stay open for the run's duration; the process exit
-		// releases them (replay runs are one-shot).
-		readers = append(readers, r)
-		mix.Members = append(mix.Members, p)
-	}
-	return mix, readers, nil
 }

@@ -59,6 +59,20 @@ type Config struct {
 	PrefetchDegree int
 }
 
+// lineShift is log2 of the model's one line size, 64 bytes, at every
+// level: private victims, LLC writebacks, DRAM rows and tape words carry
+// line addresses, an address shifted right by lineShift.
+const lineShift = 6
+
+// checkLine panics, naming the level and its size, on a cache whose
+// line is not 1<<lineShift bytes: the hierarchy would silently misplace
+// every writeback and DRAM access.
+func checkLine(level string, c cache.Config) {
+	if c.LineBytes != 1<<lineShift {
+		panic(fmt.Sprintf("cpu: %s line size %d bytes, the model supports only %d", level, c.LineBytes, 1<<lineShift))
+	}
+}
+
 // DefaultConfig returns the reconstruction's machine for the given core
 // count: 32 KB 8-way L1s and a 16-way shared LLC sized 1 MB for 1-2
 // cores, 2 MB for 3-4, 4 MB for more (see DESIGN.md).
@@ -217,7 +231,7 @@ func (s *llcSide) serve(core int, addr, pc uint64, kind trace.Kind, wb bool, wbA
 	// An evicted dirty LLC line is written to memory (posted; row state
 	// only matters under the DRAM model).
 	if res.EvictedDirty() && s.dram != nil {
-		s.dram.Touch(res.EvictedTag << 6)
+		s.dram.Touch(res.EvictedTag << lineShift)
 	}
 	for d := 1; d <= s.cfg.PrefetchDegree; d++ {
 		s.PrefetchIssued++
@@ -260,6 +274,7 @@ func (e *engine) init(cfg Config, llcPolicy cache.Policy) {
 	if cfg.Cores <= 0 {
 		panic("cpu: non-positive core count")
 	}
+	checkLine("LLC", cfg.LLC)
 	llcCfg := cfg.LLC
 	if llcCfg.Name == "" {
 		llcCfg.Name = "LLC"
@@ -446,7 +461,7 @@ func (s *System) step(i int) {
 	cycles, deep, miss := f.priv.access(a.Addr, a.PC, a.Kind == trace.Store)
 	if miss {
 		c.win.svc += s.serve(i, a.Addr, a.PC, a.Kind,
-			deep.evValid && deep.evDirty, deep.evTag<<6, deep.evPC)
+			deep.evValid && deep.evDirty, deep.evTag<<lineShift, deep.evPC)
 	}
 	warm, record := f.retire(uint64(a.Gap), cycles)
 	s.sched.times[i] = f.p + c.win.svc

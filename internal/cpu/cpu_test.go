@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"strings"
 	"testing"
 
 	"nucache/internal/cache"
@@ -196,6 +197,49 @@ func TestNewSystemPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestNonDefaultLineSizePanics: private victims, writebacks, DRAM rows
+// and tape words carry 64-byte line addresses, so a machine with any
+// other line size at any level is refused where its caches are built,
+// naming the level and the size, rather than simulated with halved
+// writeback and DRAM addresses. The direct engine, the tape recorder
+// and the replay engine all build through the same checks.
+func TestNonDefaultLineSizePanics(t *testing.T) {
+	wide := func(cfg cpu.Config, level string) cpu.Config {
+		switch level {
+		case "L1":
+			cfg.L1.SizeBytes, cfg.L1.LineBytes = 4*2*128, 128
+		case "L2":
+			cfg.L2, cfg.L2Latency = cache.Config{SizeBytes: 8 * 4 * 128, Ways: 4, LineBytes: 128}, 6
+		case "LLC":
+			cfg.LLC.SizeBytes, cfg.LLC.LineBytes = 16*4*128, 128
+		}
+		return cfg
+	}
+	stream := func() []trace.Stream {
+		return []trace.Stream{trace.NewSliceStream([]trace.Access{{PC: 1, Addr: 0x1000}})}
+	}
+	for _, level := range []string{"L1", "L2", "LLC"} {
+		for engine, build := range map[string]func(cpu.Config){
+			"direct": func(cfg cpu.Config) { cpu.NewSystem(cfg, policy.NewLRU(), stream()).Run() },
+			"replay": func(cfg cpu.Config) {
+				tape := cpu.NewTape(cfg, stream()[0])
+				cpu.NewReplaySystem(cfg, policy.NewLRU(), []*cpu.Tape{tape}).Run()
+			},
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					want := "cpu: " + level + " line size 128 bytes"
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s engine, 128-byte %s: panic %q, want one naming %q", engine, level, msg, want)
+					}
+				}()
+				build(wide(tinyConfig(1), level))
+			}()
+		}
 	}
 }
 

@@ -18,8 +18,10 @@ type privHier struct {
 }
 
 func newPrivHier(cfg Config) privHier {
+	checkLine("L1", cfg.L1)
 	h := privHier{l1: newPrivCache(cfg.L1), l1Lat: cfg.L1Latency, l2Lat: cfg.L2Latency}
 	if cfg.L2.SizeBytes > 0 {
+		checkLine("L2", cfg.L2)
 		h.l2 = newPrivCache(cfg.L2)
 	}
 	return h
@@ -41,7 +43,7 @@ func (h *privHier) access(addr, pc uint64, store bool) (cycles uint64, deepest p
 	}
 	r2 := h.l2.access(addr, pc, store)
 	if r.evValid && r.evDirty {
-		h.l2.access(r.evTag<<6, r.evPC, true)
+		h.l2.access(r.evTag<<lineShift, r.evPC, true)
 	}
 	return h.l1Lat + h.l2Lat, r2, !r2.hit
 }

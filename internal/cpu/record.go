@@ -24,7 +24,7 @@ import (
 // every private victim comes from an access already checked.
 
 // maxRawAddr is the first address a tape's line field cannot hold.
-const maxRawAddr = 1 << (lineBits + 6)
+const maxRawAddr = 1 << (lineBits + lineShift)
 
 // The errors a tape dies of, wrapped with the offending values. A
 // replay or profile walk over a dead tape returns one, and its callers
@@ -104,7 +104,7 @@ func (r *recorder) step() {
 	pstart := f.p
 	cycles, deep, isEvent := f.priv.access(a.Addr, a.PC, a.Kind == trace.Store)
 	if isEvent {
-		if a.Addr&63 != 0 {
+		if a.Addr&(1<<lineShift-1) != 0 {
 			r.err = fmt.Errorf("%w: %#x", ErrUnaligned, a.Addr)
 			return
 		}
@@ -113,7 +113,7 @@ func (r *recorder) step() {
 			CycleGap: pstart - r.lastEvP,
 		}
 		if deep.evValid && deep.evDirty {
-			ev.HasWB, ev.WBAddr, ev.WBPC = true, deep.evTag<<6, deep.evPC
+			ev.HasWB, ev.WBAddr, ev.WBPC = true, deep.evTag<<lineShift, deep.evPC
 		}
 		r.append(ev)
 		r.lastEvP = pstart
@@ -131,7 +131,7 @@ func (r *recorder) step() {
 // append writes ev's words into the tape's pages. The caller has
 // checked that ev's address fits a line field and is 64-byte aligned.
 func (r *recorder) append(ev trace.FilteredEvent) {
-	w := ev.Addr >> 6
+	w := ev.Addr >> lineShift
 	if ev.Kind == trace.Store {
 		w |= storeBit
 	}
@@ -147,7 +147,7 @@ func (r *recorder) append(ev trace.FilteredEvent) {
 	}
 	if ev.HasWB {
 		i := r.pcIndex(ev.WBPC)
-		r.put(ev.WBAddr>>6 | i<<pcIdxShift)
+		r.put(ev.WBAddr>>lineShift | i<<pcIdxShift)
 		if i == escIdx {
 			r.put(ev.WBPC)
 		}

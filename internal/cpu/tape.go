@@ -43,7 +43,7 @@ const DefaultTapeBudget = 1 << 30
 //	event:     line(34) | store(1) | wb(1) | pcIndex(8) | cycleGap(20)
 //	writeback: line(34) | 0(2)     | pcIndex(8) | 0(20)
 //
-// (low bits first). A line is an address shifted right by 6: the
+// (low bits first). A line is an address shifted right by lineShift: the
 // record guards (record.go) fail a tape on an address of 2^40 or more
 // and on an event address that is not 64-byte aligned, and writeback
 // victims are line addresses by construction. pcIndex names an entry
@@ -310,7 +310,7 @@ type tapeView struct {
 // after it.
 func (v *tapeView) event(w uint64, ev *trace.FilteredEvent) uint64 {
 	x := v.word(w)
-	ev.Addr = x & lineMask << 6
+	ev.Addr = x & lineMask << lineShift
 	ev.Kind = trace.Kind(x >> lineBits & 1)
 	ev.HasWB = x&wbBit != 0
 	ev.PC, ev.CycleGap = v.pcs[uint8(x>>pcIdxShift)], x>>gapShift
@@ -323,7 +323,7 @@ func (v *tapeView) event(w uint64, ev *trace.FilteredEvent) uint64 {
 		return w
 	}
 	y := v.word(w)
-	ev.WBAddr = y & lineMask << 6
+	ev.WBAddr = y & lineMask << lineShift
 	ev.WBPC = v.pcs[uint8(y>>pcIdxShift)]
 	w++
 	if y&escBits == escBits {

@@ -26,8 +26,8 @@ type AdviseRequest struct {
 	// Best searches for the argmax allocation ("part": partition space,
 	// "nucache": DeliWays space) instead of evaluating a candidate.
 	Best bool `json:"best,omitempty"`
-	// DeliWays is the candidate split for "nucache" (0 = default 6,
-	// negative = none).
+	// DeliWays is the candidate split for "nucache", in Request's
+	// encoding (0 = default 6, -1 = none).
 	DeliWays int `json:"deliways,omitempty"`
 	// Verify also runs the full simulation and reports the delta.
 	Verify bool `json:"verify,omitempty"`
@@ -58,58 +58,117 @@ type AdviseResponse struct {
 	Verify        *VerifyReport   `json:"verify,omitempty"`
 }
 
-// EvaluateAdvise answers the request's what-if against a profile. Pure
-// model evaluation: no simulation, no I/O.
-func EvaluateAdvise(p *mrc.Profile, req AdviseRequest) (*mrc.Prediction, error) {
-	pol := strings.ToLower(req.Policy)
-	if pol == "" {
-		pol = mrc.PolicyPart
+// model is the advisor model the request names: "part" when empty.
+func (req AdviseRequest) model() string {
+	if req.Policy == "" {
+		return mrc.PolicyPart
 	}
-	switch pol {
-	case mrc.PolicyPart:
-		if req.Best {
-			return mrc.BestPartition(p)
-		}
-		return mrc.Predict(p, mrc.WhatIf{Policy: pol, Alloc: req.Alloc})
-	case mrc.PolicyLRU:
-		return mrc.Predict(p, mrc.WhatIf{Policy: pol})
-	case mrc.PolicyNUcache:
-		if req.Best {
-			return mrc.BestDeliWays(p)
-		}
-		return mrc.Predict(p, mrc.WhatIf{Policy: pol, DeliWays: req.DeliWays})
-	default:
-		return nil, invalid(fmt.Errorf("sim: unknown advisor policy %q", req.Policy))
-	}
+	return strings.ToLower(req.Policy)
 }
 
-// VerifyRequest maps an answered prediction back onto the simulation
-// request that realizes it — the slow-path fallback the model is
-// checked against.
-func (req AdviseRequest) VerifyRequest(pred *mrc.Prediction) Request {
+// Validate checks a what-if whose profile spec is normalized: the
+// prefetch degree a profile can hold, the one advisor-only rule (the
+// model is "part", "lru" or "nucache"), then Request.Validate on the
+// simulation the what-if maps onto. It resolves the mix once.
+func (req AdviseRequest) Validate() error {
+	if req.Prefetch > mrc.MaxPrefetch {
+		return fmt.Errorf("sim: prefetch degree %d above %d", req.Prefetch, mrc.MaxPrefetch)
+	}
+	switch req.model() {
+	case mrc.PolicyPart, mrc.PolicyLRU, mrc.PolicyNUcache:
+		return req.request().Validate()
+	}
+	return fmt.Errorf("sim: unknown advisor policy %q", req.Policy)
+}
+
+// request maps the what-if onto the simulation request that realizes
+// it. The advisor's model names are catalog policies (sim matches
+// policy names case-insensitively), and the fields keep the Request
+// encoding.
+func (req AdviseRequest) request() Request {
 	r := req.simRequest()
-	// The advisor's model names ("part", "lru", "nucache") are catalog
-	// policies: sim matches policy names case-insensitively.
-	r.Policy = pred.Policy
-	r.Alloc = slices.Clone(pred.Alloc)
-	r.DeliWays = pred.DeliWays
-	if pred.Policy == mrc.PolicyNUcache && pred.DeliWays == 0 {
-		r.DeliWays = -1 // Normalize maps 0 to the default split
-	}
-	return r.Normalize()
+	r.Policy, r.Alloc, r.DeliWays = req.model(), req.Alloc, req.DeliWays
+	return r
 }
 
-// CompareVerify reports the model-vs-simulation delta of a verified
-// advise: res is the result of simulating vreq, the request
-// VerifyRequest mapped pred onto.
-func CompareVerify(vreq Request, pred *mrc.Prediction, res *Result) *VerifyReport {
-	v := &VerifyReport{Key: vreq.Key(), Result: res, HitsExact: true}
-	for i := range pred.PerCore {
-		if i >= len(res.PerCore) {
-			break
+// EvaluateAdvise answers the request's what-if against a profile. Pure
+// model evaluation: no simulation, no I/O. Best searches the partition
+// space under "part" and the DeliWays space under "nucache"; each model
+// reads only its own fields.
+func EvaluateAdvise(p *mrc.Profile, req AdviseRequest) (*mrc.Prediction, error) {
+	w := mrc.WhatIf{Policy: req.model(), Alloc: req.Alloc, DeliWays: req.DeliWays}
+	switch {
+	case req.Best && w.Policy == mrc.PolicyPart:
+		return mrc.BestPartition(p)
+	case req.Best && w.Policy == mrc.PolicyNUcache:
+		return mrc.BestDeliWays(p)
+	}
+	return mrc.Predict(p, w)
+}
+
+// Advise answers a what-if: it validates the request, fetches the mix's
+// profile through profile (which reports whether it was cached),
+// evaluates the model against it (timed alone, as EvalNS) and, with
+// Verify set, simulates the answered configuration through simulate and
+// reports the model-vs-simulation delta. /v1/advise passes its result
+// cache and scheduler, nucache-advise ExecuteProfile and Execute. A
+// rejected request fetches no profile and fails with KindInvalid.
+func Advise(ctx context.Context, req AdviseRequest,
+	profile func(context.Context, ProfileRequest) (*mrc.Profile, bool, error),
+	simulate func(context.Context, Request) (*Result, error)) (*AdviseResponse, error) {
+	req.ProfileRequest = req.ProfileRequest.Normalize()
+	if err := req.Validate(); err != nil {
+		return nil, invalid(err)
+	}
+	p, cached, err := profile(ctx, req.ProfileRequest)
+	if err != nil {
+		return nil, err
+	}
+	resp := &AdviseResponse{ProfileKey: req.ProfileRequest.Key(), ProfileCached: cached}
+	start := time.Now()
+	resp.Prediction, err = EvaluateAdvise(p, req)
+	resp.EvalNS = time.Since(start).Nanoseconds()
+	if err != nil {
+		return nil, err
+	}
+	if req.Verify {
+		vreq := req.verifyRequest(resp.Prediction)
+		res, err := simulate(ctx, vreq)
+		if err != nil {
+			return nil, err
 		}
-		p, s := &pred.PerCore[i], &res.PerCore[i]
-		d := absDiff(p.Hits, s.LLCHits)
+		resp.Verify = compareVerify(vreq, resp.Prediction, res)
+		recordVerifyErr(resp.Verify.MaxIPCRelErr)
+	}
+	return resp, nil
+}
+
+// verifyRequest maps an answered prediction back onto the simulation
+// request that realizes it — the slow-path fallback the model is
+// checked against. A prediction's DeliWays is a literal split.
+func (req AdviseRequest) verifyRequest(pred *mrc.Prediction) Request {
+	req.Policy, req.Alloc, req.DeliWays = pred.Policy, slices.Clone(pred.Alloc), 0
+	if pred.Policy == mrc.PolicyNUcache {
+		req.DeliWays = DeliWaysField(pred.DeliWays)
+	}
+	return req.request().Normalize()
+}
+
+// compareVerify reports the model-vs-simulation delta of a verified
+// advise: res is the result of simulating vreq, the request
+// verifyRequest mapped pred onto.
+func compareVerify(vreq Request, pred *mrc.Prediction, res *Result) *VerifyReport {
+	v := &VerifyReport{Key: vreq.Key(), Result: res, HitsExact: true}
+	var simAcc, simMiss uint64
+	for i := range res.PerCore {
+		s := &res.PerCore[i]
+		simAcc += s.LLCAccesses
+		simMiss += s.LLCMisses
+		if i >= len(pred.PerCore) {
+			continue
+		}
+		p := &pred.PerCore[i]
+		d := max(p.Hits, s.LLCHits) - min(p.Hits, s.LLCHits)
 		if d != 0 {
 			v.HitsExact = false
 		}
@@ -118,22 +177,10 @@ func CompareVerify(vreq Request, pred *mrc.Prediction, res *Result) *VerifyRepor
 			v.MaxIPCRelErr = max(v.MaxIPCRelErr, math.Abs(p.IPC-s.IPC)/s.IPC)
 		}
 	}
-	var simAcc, simMiss uint64
-	for i := range res.PerCore {
-		simAcc += res.PerCore[i].LLCAccesses
-		simMiss += res.PerCore[i].LLCMisses
-	}
 	if simAcc > 0 {
 		v.MissRateErr = math.Abs(pred.MissRate - float64(simMiss)/float64(simAcc))
 	}
 	return v
-}
-
-func absDiff(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }
 
 // fetchProfile returns the mix's profile, preferring the scheduler's
@@ -176,13 +223,13 @@ func (sv *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	req = req.Normalize()
 	if err := req.Validate(); err != nil {
-		badRequest(w, err)
+		writeError(w, invalid(err))
 		return
 	}
 	start := time.Now()
 	p, cached, err := sv.fetchProfile(r.Context(), req)
 	if err != nil {
-		sv.jobError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ProfileResponse{
@@ -199,39 +246,17 @@ func (sv *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
 	}
-	req.ProfileRequest = req.ProfileRequest.Normalize()
-	if err := req.Validate(); err != nil {
-		badRequest(w, err)
-		return
-	}
-	p, cached, err := sv.fetchProfile(r.Context(), req.ProfileRequest)
-	if err != nil {
-		sv.jobError(w, err)
-		return
-	}
-	start := time.Now()
-	pred, err := EvaluateAdvise(p, req)
-	evalNS := time.Since(start).Nanoseconds()
-	if err != nil {
-		sv.jobError(w, err)
-		return
-	}
-	resp := AdviseResponse{
-		ProfileKey:    req.ProfileRequest.Key(),
-		ProfileCached: cached,
-		EvalNS:        evalNS,
-		Prediction:    pred,
-	}
-	if req.Verify {
-		vreq := req.VerifyRequest(pred)
-		out := sv.sched.Do(r.Context(), JobFor(vreq))
+	resp, err := Advise(r.Context(), req, sv.fetchProfile, func(ctx context.Context, vreq Request) (*Result, error) {
+		out := sv.sched.Do(ctx, JobFor(vreq))
 		sv.logJob(r, "advise-verify", vreq, out)
 		if out.Err != nil {
-			sv.jobError(w, out.Err)
-			return
+			return nil, out.Err
 		}
-		resp.Verify = CompareVerify(vreq, pred, out.Value.(*Result))
-		recordVerifyErr(resp.Verify.MaxIPCRelErr)
+		return out.Value.(*Result), nil
+	})
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

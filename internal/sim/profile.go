@@ -45,22 +45,20 @@ func (r ProfileRequest) Normalize() ProfileRequest {
 	return r
 }
 
-// simRequest maps the profile spec onto a simulation request (with a
-// placeholder policy) so validation and mix resolution stay shared.
+// simRequest maps the profile spec onto a simulation request with no
+// policy fields, so mix resolution and the machine stay shared.
 func (r ProfileRequest) simRequest() Request {
 	return Request{
 		Bench: r.Bench, Mix: r.Mix, Members: r.Members,
-		Policy: "LRU", Budget: r.Budget, Seed: r.Seed, Warmup: r.Warmup,
+		Budget: r.Budget, Seed: r.Seed, Warmup: r.Warmup,
 		L2: r.L2, DRAM: r.DRAM, Prefetch: r.Prefetch, TimeoutMS: r.TimeoutMS,
 	}
 }
 
-// Validate checks a normalized profile request.
+// Validate checks a normalized profile request by the rules of an LRU
+// what-if on it.
 func (r ProfileRequest) Validate() error {
-	if r.Prefetch > mrc.MaxPrefetch {
-		return fmt.Errorf("sim: prefetch degree %d above %d", r.Prefetch, mrc.MaxPrefetch)
-	}
-	return r.simRequest().Validate()
+	return AdviseRequest{ProfileRequest: r, Policy: mrc.PolicyLRU}.Validate()
 }
 
 // ResolveMix maps the workload fields to a concrete mix.
@@ -103,10 +101,7 @@ func ExecuteProfile(ctx context.Context, req ProfileRequest) (*mrc.Profile, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	mix, err := req.ResolveMix()
-	if err != nil {
-		return nil, err
-	}
+	mix, _ := req.ResolveMix() // validated above
 	// The failpoint makes profile builds killable/faultable grid cells,
 	// exercised by the chaos suite like any simulation job.
 	if err := failpoint.Inject("mrc.profile.build"); err != nil {

@@ -84,15 +84,27 @@ func (r Request) deliWays() int {
 	return r.DeliWays
 }
 
+// DeliWaysField maps a literal split, as the commands' -deliways flags
+// take it (0 = no DeliWays), onto the DeliWays field (0 = the default
+// split, -1 = none); other values pass through for Validate to judge.
+func DeliWaysField(split int) int {
+	if split == 0 {
+		return -1
+	}
+	return split
+}
+
 // Validate checks workload and policy names, the machine shape (see
-// CheckShape), the deadline and a Part allocation on a normalized
-// request.
+// checkShape), the deadline and a Part allocation on a normalized
+// request. It is the one rule set for a request's policy fields:
+// AdviseRequest.Validate applies it to the simulation a what-if maps
+// onto.
 func (r Request) Validate() error {
 	mix, err := r.ResolveMix()
 	if err != nil {
 		return err
 	}
-	if err := r.CheckShape(mix.Cores()); err != nil {
+	if err := r.checkShape(mix.Cores()); err != nil {
 		return err
 	}
 	if r.TimeoutMS < 0 {
@@ -109,12 +121,12 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// CheckShape holds the request rules that need no named mix, for a
+// checkShape holds the request rules that need no named mix, for a
 // machine of the given width: the mix width, a known policy, the
 // deliways range, NUcache keeping at least one MainWay and a
 // non-negative prefetch degree. Validate applies it to requests and
-// nucache-sim to trace-file replay, which has no mix to resolve.
-func (r Request) CheckShape(cores int) error {
+// ExecuteStreams to trace-file replay, which has no mix to resolve.
+func (r Request) checkShape(cores int) error {
 	ways := cpu.DefaultConfig(cores).LLC.Ways
 	if err := checkWidth(cores, ways); err != nil {
 		return err
@@ -137,7 +149,7 @@ func (r Request) CheckShape(cores int) error {
 
 // checkWidth is the mix-width rule: every partitioning policy grants
 // each core at least one way, so a mix has at most one member per LLC
-// way. CheckShape applies it to requests and trace-file replay, and
+// way. checkShape applies it to requests and trace-file replay, and
 // BuildPolicy to every machine it builds a policy for.
 func checkWidth(cores, ways int) error {
 	if cores > ways {
@@ -149,39 +161,32 @@ func checkWidth(cores, ways int) error {
 // ResolveMix maps the request's workload fields to a concrete mix.
 // Exactly one of Bench, Mix, Members must be set.
 func (r Request) ResolveMix() (workload.Mix, error) {
-	n := 0
-	if r.Bench != "" {
-		n++
+	set := 0
+	for _, ok := range [...]bool{r.Bench != "", r.Mix != "", len(r.Members) > 0} {
+		if ok {
+			set++
+		}
 	}
-	if r.Mix != "" {
-		n++
-	}
-	if len(r.Members) > 0 {
-		n++
-	}
-	if n != 1 {
+	if set != 1 {
 		return workload.Mix{}, fmt.Errorf("sim: specify exactly one of bench, mix, members")
 	}
-	switch {
-	case r.Bench != "":
-		if _, ok := workload.ByName(r.Bench); !ok {
-			return workload.Mix{}, fmt.Errorf("sim: unknown benchmark %q", r.Bench)
-		}
-		return workload.Mix{Name: "single", Members: []string{r.Bench}}, nil
-	case len(r.Members) > 0:
-		for _, m := range r.Members {
-			if _, ok := workload.ByName(m); !ok {
-				return workload.Mix{}, fmt.Errorf("sim: unknown benchmark %q", m)
-			}
-		}
-		return workload.Mix{Name: "custom", Members: r.Members}, nil
-	default:
+	if r.Mix != "" {
 		m, ok := workload.MixByName(r.Mix)
 		if !ok {
 			return workload.Mix{}, fmt.Errorf("sim: unknown mix %q", r.Mix)
 		}
 		return m, nil
 	}
+	mix := workload.Mix{Name: "custom", Members: r.Members}
+	if r.Bench != "" {
+		mix = workload.Mix{Name: "single", Members: []string{r.Bench}}
+	}
+	for _, m := range mix.Members {
+		if _, ok := workload.ByName(m); !ok {
+			return workload.Mix{}, fmt.Errorf("sim: unknown benchmark %q", m)
+		}
+	}
+	return mix, nil
 }
 
 // Canonical renders the normalized request as a stable string — the

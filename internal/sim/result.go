@@ -82,11 +82,10 @@ type Result struct {
 	PrefetchIssued uint64 `json:"prefetch_issued,omitempty"`
 }
 
-// Collect builds a Result from a completed system run. It is shared by
-// Execute and by cmd/nucache-sim's trace-replay path (which constructs
-// the system itself); sys is either a *cpu.System or a *cpu.ReplaySystem
-// — the two are bit-identical at this surface.
-func Collect(mix workload.Mix, policy cache.Policy, cfg cpu.Config, budget, seed uint64, results []cpu.CoreResult, sys cpu.Machine) *Result {
+// collect builds a Result from a completed system run, for Execute and
+// ExecuteStreams; sys is either a *cpu.System or a *cpu.ReplaySystem —
+// the two are bit-identical at this surface.
+func collect(mix workload.Mix, policy cache.Policy, cfg cpu.Config, budget, seed uint64, results []cpu.CoreResult, sys cpu.Machine) *Result {
 	res := &Result{
 		Mix:      mix.Name,
 		Members:  mix.Members,

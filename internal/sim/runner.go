@@ -11,6 +11,8 @@ import (
 	"nucache/internal/cpu"
 	"nucache/internal/memory"
 	"nucache/internal/policy"
+	"nucache/internal/trace"
+	"nucache/internal/workload"
 )
 
 // Execute runs one simulation synchronously and returns its structured
@@ -27,10 +29,7 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	mix, err := req.ResolveMix()
-	if err != nil {
-		return nil, err
-	}
+	mix, _ := req.ResolveMix() // validated above
 	cfg := MachineConfig(req, mix.Cores())
 	if _, err := buildRequestPolicy(req, cfg); err != nil {
 		return nil, err
@@ -44,7 +43,24 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 	// to direct simulation when it can't, and counts retired
 	// instructions either way.
 	results, m, pol := RunMachine(cfg, newPol, mix, req.Seed, false)
-	return Collect(mix, pol, cfg, req.Budget, req.Seed, results, m), nil
+	return collect(mix, pol, cfg, req.Budget, req.Seed, results, m), nil
+}
+
+// ExecuteStreams is nucache-sim's trace-file replay: the request's
+// policy and machine over the given streams, one per core, which mix
+// names. It checks the rules that need no named mix and does not
+// normalize, so a zero budget runs the streams to their end.
+func ExecuteStreams(req Request, mix workload.Mix, streams []trace.Stream) (*Result, error) {
+	if err := req.checkShape(len(streams)); err != nil {
+		return nil, invalid(err)
+	}
+	cfg := MachineConfig(req, len(streams))
+	pol, err := buildRequestPolicy(req, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sys := cpu.NewSystem(cfg, pol, streams)
+	return collect(mix, pol, cfg, req.Budget, req.Seed, sys.Run(), sys), nil
 }
 
 // MachineConfig maps a normalized request's machine knobs onto the CPU

@@ -99,13 +99,13 @@ func (sv *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	req = req.Normalize()
 	if err := req.Validate(); err != nil {
-		badRequest(w, err)
+		writeError(w, invalid(err))
 		return
 	}
 	out := sv.sched.Do(r.Context(), JobFor(req))
 	sv.logJob(r, "sim", req, out)
 	if out.Err != nil {
-		sv.jobError(w, out.Err)
+		writeError(w, out.Err)
 		return
 	}
 	writeJSON(w, http.StatusOK, SimResponse{
@@ -138,8 +138,9 @@ func (sv *Server) logJob(r *http.Request, route string, req Request, out Outcome
 	sv.log.Info("job served", attrs...)
 }
 
-// jobError writes a failed outcome using the taxonomy's HTTP mapping.
-func (sv *Server) jobError(w http.ResponseWriter, err error) {
+// writeError answers a failed or rejected request using the taxonomy's
+// HTTP mapping.
+func writeError(w http.ResponseWriter, err error) {
 	kind := Classify(err)
 	status := http.StatusInternalServerError
 	switch kind {
@@ -255,18 +256,14 @@ func (sv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	reqs, err := sw.expand()
 	if err != nil {
-		badRequest(w, err)
+		writeError(w, invalid(err))
 		return
 	}
 	// Shed the whole sweep up front while headers can still say so;
 	// jobs shed mid-stream surface as overload error events instead.
 	if sv.sched.Saturated() {
 		JobsShed.Add(int64(len(reqs)))
-		setRetryAfter(w)
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": ErrOverloaded.Error(),
-			"kind":  KindOverload.String(),
-		})
+		writeError(w, ErrOverloaded)
 		return
 	}
 	jobs := make([]Job, len(reqs))
@@ -405,7 +402,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		badRequest(w, fmt.Errorf("sim: bad request body: %w", err))
+		writeError(w, invalid(fmt.Errorf("sim: bad request body: %w", err)))
 		return err
 	}
 	return nil
@@ -415,13 +412,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// badRequest answers a request rejected before any job ran, with the
-// same error body and kind as a job failing validation.
-func badRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, map[string]string{
-		"error": err.Error(),
-		"kind":  KindInvalid.String(),
-	})
 }

@@ -93,7 +93,8 @@ func TestServerSimRoundTrip(t *testing.T) {
 // retried and no simulation or profile is attempted, even on a server
 // that retries failed jobs. A NUcache split with no MainWays and a
 // prefetch degree the profile format cannot hold are request-shape
-// errors too, not transient failures of the job.
+// errors too, not transient failures of the job, and /v1/advise answers
+// an invalid what-if as /v1/sim answers the same policy fields.
 func TestServerSimRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(NewServer(NewSchedulerWith(SchedulerConfig{
 		Workers: 2,
@@ -114,6 +115,13 @@ func TestServerSimRejectsBadRequests(t *testing.T) {
 		{"/v1/sweep", `{"mixes":["mix2-01"],"policies":["LRU","NUcache"],"deliways":16}`},
 		{"/v1/profile", `{"bench":"art-like","prefetch":65,"budget":20000}`},
 		{"/v1/advise", `{"bench":"art-like","prefetch":65,"budget":20000,"best":true}`},
+		// A what-if's policy fields obey /v1/sim's rules for the
+		// simulation it maps onto, and the model is part, lru or nucache.
+		{"/v1/advise", `{"mix":"mix2-01","alloc":[1,2],"budget":20000}`},
+		{"/v1/advise", `{"mix":"mix2-01","policy":"lru","alloc":[8,8],"budget":20000}`},
+		{"/v1/advise", `{"bench":"art-like","policy":"nucache","deliways":16,"budget":20000}`},
+		{"/v1/advise", `{"bench":"art-like","policy":"nucache","deliways":-7,"budget":20000}`},
+		{"/v1/advise", `{"bench":"art-like","policy":"ucp","budget":20000}`},
 	} {
 		resp := postJSON(t, ts.URL+tc.path, tc.body)
 		var body struct{ Error, Kind string }

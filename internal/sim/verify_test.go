@@ -36,7 +36,7 @@ func TestVerifyRequestKeys(t *testing.T) {
 			"cc8f12acc1876e3825498df8c0279c0609b69c5efe0708728ed6448986ccd641"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := adv.VerifyRequest(&tc.pred)
+			got := adv.verifyRequest(&tc.pred)
 			if err := got.Validate(); err != nil {
 				t.Fatalf("verify request invalid: %v", err)
 			}
