@@ -1,7 +1,6 @@
-// Benchmarks that regenerate each of the paper's tables and figures at
-// reduced scale (one bench per experiment; see DESIGN.md's index). For
-// full-scale artifacts run cmd/nucache-bench. Micro-benchmarks for the
-// simulator's hot paths are at the bottom.
+// Micro-benchmarks for the simulator's hot paths. The paper's tables
+// and figures are timed by BenchmarkRegistry in internal/experiments,
+// one cold run of each experiment per iteration.
 package nucache_test
 
 import (
@@ -21,94 +20,6 @@ import (
 	"nucache/internal/trace"
 	"nucache/internal/workload"
 )
-
-// benchOpts keeps each experiment iteration around a second.
-func benchOpts() experiments.Options {
-	return experiments.Options{Budget: 200_000, Seed: 1, MixLimit: 2, BenchLimit: 6}
-}
-
-func BenchmarkE1DelinquentPC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := experiments.Delinquency(benchOpts()); len(r.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkE2NextUse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := experiments.NextUseProfile(benchOpts()); len(r.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkE3Potential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := experiments.Potential(benchOpts()); len(r.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkE5SingleCore(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := experiments.SingleCore(benchOpts()); r.Geomean <= 0 {
-			b.Fatal("bad geomean")
-		}
-	}
-}
-
-func benchMulticore(b *testing.B, cores int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := experiments.MulticoreComparison(cores, benchOpts())
-		if r.GeomeanNorm["NUcache"] <= 0 {
-			b.Fatal("bad geomean")
-		}
-	}
-}
-
-func BenchmarkE6DualCore(b *testing.B)  { benchMulticore(b, 2) }
-func BenchmarkE7QuadCore(b *testing.B)  { benchMulticore(b, 4) }
-func BenchmarkE8EightCore(b *testing.B) { benchMulticore(b, 8) }
-
-func benchSweep(b *testing.B, run func(experiments.Options) *experiments.SweepResult) {
-	b.Helper()
-	o := benchOpts()
-	o.MixLimit = 1
-	for i := 0; i < b.N; i++ {
-		if r := run(o); len(r.Points) == 0 {
-			b.Fatal("empty sweep")
-		}
-	}
-}
-
-func BenchmarkE9DeliWays(b *testing.B) { benchSweep(b, experiments.DeliWaysSweep) }
-func BenchmarkE10PCCount(b *testing.B) { benchSweep(b, experiments.PCCountSweep) }
-
-func BenchmarkE11Fairness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.FairnessComparison(4, benchOpts())
-		if len(r.Policies) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkE12Epoch(b *testing.B)    { benchSweep(b, experiments.EpochSweep) }
-func BenchmarkE13Sampling(b *testing.B) { benchSweep(b, experiments.SamplingSweep) }
-
-func BenchmarkE14OPT(b *testing.B) {
-	// E14 shares the Potential harness (NUcache-vs-OPT columns).
-	for i := 0; i < b.N; i++ {
-		if r := experiments.Potential(benchOpts()); len(r.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// --- Simulator hot-path micro-benchmarks ---
 
 // accessLoop drives n accesses of a synthetic mixed pattern through a
 // 1MB LLC-configured cache, reporting ns/access.
@@ -371,53 +282,5 @@ func BenchmarkSelection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.SelectPCs(cands, 6, mon.SampledMisses(), 32, 1)
-	}
-}
-
-func BenchmarkE16IdealRetention(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := experiments.IdealRetention(benchOpts()); len(r.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkE17Prefetch(b *testing.B) {
-	o := benchOpts()
-	o.MixLimit = 1
-	for i := 0; i < b.N; i++ {
-		if r := experiments.PrefetchStudy(o); r.GainPf <= 0 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkE18DRAM(b *testing.B) {
-	o := benchOpts()
-	o.MixLimit = 1
-	for i := 0; i < b.N; i++ {
-		if r := experiments.DRAMStudy(o); r.Points[1].Geomean <= 0 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkE19Extended(b *testing.B) {
-	o := benchOpts()
-	o.MixLimit = 1
-	for i := 0; i < b.N; i++ {
-		if r := experiments.ExtendedComparison(2, o); len(r.Points) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-func BenchmarkE20Adaptive(b *testing.B) {
-	o := benchOpts()
-	o.MixLimit = 1
-	for i := 0; i < b.N; i++ {
-		if r := experiments.AdaptiveStudy(o); r.Points[1].Geomean <= 0 {
-			b.Fatal("bad result")
-		}
 	}
 }

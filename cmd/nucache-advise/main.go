@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"nucache/internal/core"
+	"nucache/internal/cpu"
 	"nucache/internal/mrc"
 	"nucache/internal/sim"
 )
@@ -43,10 +44,10 @@ func main() {
 		members  = flag.String("members", "", "comma-separated custom mix members")
 		budget   = flag.Uint64("budget", 0, "instruction budget per core (0 = 5M)")
 		seed     = flag.Uint64("seed", 0, "workload seed (0 = 1)")
-		warmup   = flag.Uint64("warmup", 0, "warm-up instructions per core")
+		warmup   = flag.Uint64("warmup", 0, "warm-up instructions per core (below -budget)")
 		l2       = flag.Bool("l2", false, "add a private 256KB L2 per core")
 		dram     = flag.Bool("dram", false, "banked DRAM model instead of flat memory")
-		prefetch = flag.Int("prefetch", 0, "next-line prefetch degree")
+		prefetch = flag.Int("prefetch", 0, fmt.Sprintf("next-line prefetch degree (at most %d)", cpu.MaxPrefetch))
 		polName  = flag.String("policy", "part", "model to evaluate: part|lru|nucache")
 		alloc    = flag.String("alloc", "", "comma-separated per-core way split (part)")
 		deliWays = flag.Int("deliways", core.DefaultDeliWays, "NUcache DeliWays (of the LLC's 16 ways; 0 = none)")

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"nucache/internal/core"
+	"nucache/internal/cpu"
 	"nucache/internal/metrics"
 	"nucache/internal/sim"
 	"nucache/internal/trace"
@@ -39,8 +40,8 @@ func main() {
 		list      = flag.Bool("list", false, "list benchmarks and mixes, then exit")
 		l2        = flag.Bool("l2", false, "add a private 256KB 8-way L2 per core")
 		dram      = flag.Bool("dram", false, "use the bank/row-buffer DRAM model instead of flat latency")
-		prefetch  = flag.Int("prefetch", 0, "next-line prefetch degree (0 = off)")
-		warmup    = flag.Uint64("warmup", 0, "instructions excluded from statistics per core")
+		prefetch  = flag.Int("prefetch", 0, fmt.Sprintf("next-line prefetch degree (0 = off, at most %d)", cpu.MaxPrefetch))
+		warmup    = flag.Uint64("warmup", 0, "instructions excluded from statistics per core (below -budget)")
 		jsonOut   = flag.Bool("json", false, "emit the result as JSON instead of text tables")
 		record    = flag.String("record", "", "record each core's access stream to <prefix>.coreN.trc and exit")
 		recordN   = flag.Int("recordn", 1_000_000, "accesses per core to record")
@@ -61,7 +62,7 @@ func main() {
 	if *replay != "" {
 		res, err := runReplay(strings.Split(*replay, ","), req)
 		if err != nil {
-			fail(1, err)
+			fail(exitCode(err), err)
 		}
 		emit(res, *jsonOut)
 		return
@@ -83,9 +84,17 @@ func main() {
 
 	res, err := sim.Execute(context.Background(), req)
 	if err != nil {
-		fail(2, err)
+		fail(exitCode(err), err)
 	}
 	emit(res, *jsonOut)
+}
+
+// exitCode is 2 for a request sim refuses, 1 for any other failure.
+func exitCode(err error) int {
+	if sim.Classify(err) == sim.KindInvalid {
+		return 2
+	}
+	return 1
 }
 
 func fail(code int, err error) {

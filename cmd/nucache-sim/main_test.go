@@ -140,7 +140,7 @@ func TestReplayCutTraceFails(t *testing.T) {
 
 // TestReplayWiderThanLLCFails: a replay of more trace files than the
 // LLC has ways is refused with the same width error as -members, exit
-// status 1 and no result, under every policy — the partitioning ones
+// status 2 and no result, under every policy — the partitioning ones
 // included, which would otherwise panic building their quotas.
 func TestReplayWiderThanLLCFails(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "art")
@@ -151,8 +151,8 @@ func TestReplayWiderThanLLCFails(t *testing.T) {
 	for _, pol := range []string{"LRU", "UCP", "PIPP", "Part", "TADIP"} {
 		out, errOut, err := runMain(t, "-replay", files, "-policy", pol)
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("%s: want exit 1, got %v\nstderr: %s", pol, err, errOut)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%s: want exit 2, got %v\nstderr: %s", pol, err, errOut)
 		}
 		if !strings.Contains(errOut, "17 members for a 16-way LLC") || strings.Contains(errOut, "panic") || out != "" {
 			t.Errorf("%s: stderr %q lacks the width error, or a result was printed:\n%s", pol, errOut, out)
@@ -160,29 +160,34 @@ func TestReplayWiderThanLLCFails(t *testing.T) {
 	}
 }
 
-// TestReplayKeepsShapeRules: a replay is held to the same shape rules
-// as a generator-backed run (prefetch degree, deliways range, NUcache
-// keeping a MainWay), refused with the same message and no result
-// instead of running with the flag silently dropped.
+// TestReplayKeepsShapeRules: a replay is held to the same request
+// rules as a generator-backed run (a known policy, the prefetch bound,
+// deliways range, NUcache keeping a MainWay, warm-up below the budget):
+// both refuse with the same message, exit status 2 (a refused request,
+// where a trace that fails to read exits 1) and no result, instead of
+// running with the flag silently dropped.
 func TestReplayKeepsShapeRules(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "art")
 	if _, errOut, err := runMain(t, "-bench", "art-like", "-record", prefix, "-recordn", "20000"); err != nil {
 		t.Fatalf("record failed: %v\nstderr: %s", err, errOut)
 	}
 	for _, flags := range [][]string{
+		{"-policy", "Bogus"},
 		{"-policy", "Part", "-prefetch", "-3"},
+		{"-policy", "Part", "-prefetch", "65"},
 		{"-policy", "NUcache", "-deliways", "-5"},
 		{"-policy", "NUcache", "-deliways", "16"},
+		{"-budget", "20000", "-warmup", "20000"},
 	} {
 		_, benchErr, err := runMain(t, append([]string{"-bench", "art-like"}, flags...)...)
-		if err == nil {
-			t.Fatalf("%v: -bench run accepted", flags)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: -bench run wants exit 2, got %v", flags, err)
 		}
 		msg := strings.TrimSpace(strings.TrimPrefix(benchErr, "nucache-sim: "))
 		out, errOut, err := runMain(t, append([]string{"-replay", prefix + ".core0.trc"}, flags...)...)
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("%v: replay wants exit 1, got %v\nstdout: %s", flags, err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: replay wants exit 2, got %v\nstdout: %s", flags, err, out)
 		}
 		if !strings.HasPrefix(msg, "sim: ") || !strings.Contains(errOut, msg) || out != "" {
 			t.Errorf("%v: replay stderr %q lacks -bench's %q, or a result was printed:\n%s", flags, errOut, msg, out)

@@ -70,11 +70,6 @@ func NewMonitor(cfg Config) *Monitor {
 	return m
 }
 
-// Sampled reports whether setIndex is monitored.
-func (m *Monitor) Sampled(setIndex int) bool {
-	return uint64(setIndex)&m.sampleMask == 0
-}
-
 // set returns the state of a sampled set, growing the dense slice on
 // first touch (the simulator's set indices are bounded by the cache
 // geometry, so growth stops after the first pass over the sets).

@@ -59,6 +59,10 @@ type Config struct {
 	PrefetchDegree int
 }
 
+// MaxPrefetch bounds the PrefetchDegree a request may ask for: every
+// demand miss issues that many LLC accesses.
+const MaxPrefetch = 64
+
 // lineShift is log2 of the model's one line size, 64 bytes, at every
 // level: private victims, LLC writebacks, DRAM rows and tape words carry
 // line addresses, an address shifted right by lineShift.

@@ -86,9 +86,6 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// Config returns the model's configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // bankRow splits an address into its bank index and row id. Banks
 // interleave at row granularity, so sequential rows spread across banks.
 func (d *DRAM) bankRow(addr uint64) (int, uint64) {

@@ -25,9 +25,9 @@ type WhatIf struct {
 	// Alloc is the per-core way allocation for "part" (empty = even
 	// split).
 	Alloc []int
-	// DeliWays is the MainWays/DeliWays split for "nucache" (0 = the
-	// paper's default of 6, clamped to ways-1; negative = no DeliWays,
-	// i.e. plain shared LRU with the NUcache label).
+	// DeliWays is the literal DeliWays split for "nucache", in [0,
+	// Ways): 0 means no DeliWays, i.e. plain shared LRU with the
+	// NUcache label.
 	DeliWays int
 }
 
@@ -69,14 +69,16 @@ type Prediction struct {
 	Evaluated int `json:"evaluated"`
 }
 
-// Predict answers one what-if from a validated profile. It is pure
-// table math over the profiled curves — microseconds, no simulation.
+// Predict answers one literal what-if from a validated profile, or an
+// error for a model it does not know or a split or allocation the LLC
+// cannot hold; it maps no defaults. It is pure table math over the
+// profiled curves — microseconds, no simulation.
 func Predict(p *Profile, w WhatIf) (*Prediction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	switch strings.ToLower(w.Policy) {
-	case PolicyPart, "":
+	case PolicyPart:
 		alloc := w.Alloc
 		if len(alloc) == 0 {
 			alloc = policy.EvenSplit(p.Cores, p.Ways)
@@ -88,17 +90,10 @@ func Predict(p *Profile, w WhatIf) (*Prediction, error) {
 	case PolicyLRU:
 		return newSharedModel(p).predict(PolicyLRU, 0), nil
 	case PolicyNUcache:
-		d := w.DeliWays
-		switch {
-		case d < 0:
-			d = 0
-		case d == 0:
-			d = core.DefaultDeliWays
+		if w.DeliWays < 0 || w.DeliWays >= p.Ways {
+			return nil, fmt.Errorf("mrc: deliways %d outside [0, %d)", w.DeliWays, p.Ways)
 		}
-		if d > p.Ways-1 {
-			d = p.Ways - 1
-		}
-		return newSharedModel(p).predict(PolicyNUcache, d), nil
+		return newSharedModel(p).predict(PolicyNUcache, w.DeliWays), nil
 	default:
 		return nil, fmt.Errorf("mrc: unknown model policy %q", w.Policy)
 	}

@@ -295,9 +295,9 @@ func TestAdvisorMatchesSimulation(t *testing.T) {
 						}
 						checkSharedBounds(t, "lru", pred, res)
 					case "NUCACHE":
-						// BuildPolicy(deliWays=0) disables retention, which
-						// the model maps to DeliWays < 0.
-						pred, err := mrc.Predict(p, mrc.WhatIf{Policy: mrc.PolicyNUcache, DeliWays: -1})
+						// BuildPolicy(deliWays=0) disables retention, as
+						// the model's DeliWays 0 does.
+						pred, err := mrc.Predict(p, mrc.WhatIf{Policy: mrc.PolicyNUcache})
 						if err != nil {
 							t.Fatalf("predict nucache: %v", err)
 						}

@@ -101,7 +101,7 @@ func FuzzProfileDecode(f *testing.F) {
 			{Policy: PolicyPart},
 			{Policy: PolicyLRU},
 			{Policy: PolicyNUcache},
-			{Policy: PolicyNUcache, DeliWays: -1},
+			{Policy: PolicyNUcache, DeliWays: 6},
 		} {
 			if _, err := Predict(p, w); err != nil {
 				continue
@@ -196,6 +196,31 @@ func TestValidateBoundsPartitionSearch(t *testing.T) {
 		}
 		if _, err := BestPartition(p); err != nil {
 			t.Errorf("BestPartition over %d cores: %v", cores, err)
+		}
+	}
+}
+
+// TestAdvisorRejectsUnliteralWhatIfs: Predict evaluates only literal
+// what-ifs. A NUcache split below 0 or leaving no MainWay and a model
+// that is not named are errors, not defaults or clamps; the split's
+// ends, 0 (no DeliWays) and Ways-1, are answered as given.
+func TestAdvisorRejectsUnliteralWhatIfs(t *testing.T) {
+	p := fuzzProfile()
+	for _, w := range []WhatIf{
+		{Policy: PolicyNUcache, DeliWays: -1},
+		{Policy: PolicyNUcache, DeliWays: p.Ways},
+		{Policy: PolicyNUcache, DeliWays: p.Ways + 3},
+		{},
+		{Alloc: []int{4, 4}},
+	} {
+		if pred, err := Predict(p, w); err == nil {
+			t.Errorf("Predict(%+v) answered %+v, want an error", w, pred)
+		}
+	}
+	for _, d := range []int{0, p.Ways - 1} {
+		pred, err := Predict(p, WhatIf{Policy: PolicyNUcache, DeliWays: d})
+		if err != nil || pred.DeliWays != d {
+			t.Errorf("split %d: prediction %+v, error %v", d, pred, err)
 		}
 	}
 }

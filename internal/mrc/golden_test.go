@@ -85,17 +85,11 @@ func TestAdvisorGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		simDeli := deliWays
-		if polName == mrc.PolicyLRU {
-			simDeli = 0
-		} else if deliWays < 0 {
-			simDeli = 0
-		}
 		simName := "LRU"
 		if polName == mrc.PolicyNUcache {
 			simName = "NUcache"
 		}
-		pol, err := sim.BuildPolicy(simName, tc.cfg.Cores, tc.cfg.LLC.Ways, simDeli)
+		pol, err := sim.BuildPolicy(simName, tc.cfg.Cores, tc.cfg.LLC.Ways, deliWays)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -114,7 +108,7 @@ func TestAdvisorGolden(t *testing.T) {
 	}
 	addPart("part-best", best.Alloc)
 	addShared("lru", mrc.PolicyLRU, 0)
-	addShared("nucache-d0", mrc.PolicyNUcache, -1)
+	addShared("nucache-d0", mrc.PolicyNUcache, 0)
 	addShared("nucache-d6", mrc.PolicyNUcache, 6)
 
 	for _, row := range rows {

@@ -30,14 +30,11 @@ import (
 	"fmt"
 
 	"nucache/internal/cache"
+	"nucache/internal/cpu"
 )
 
 // Version is the profile artifact format version.
 const Version = 1
-
-// MaxPrefetch is the largest next-line prefetch degree a profile may
-// carry.
-const MaxPrefetch = 64
 
 // Limits on decoded artifacts: profiles transit the content-addressed
 // disk cache, so decoding must be total (error, never panic) and the
@@ -169,7 +166,7 @@ func (p *Profile) Validate() error {
 	if p.LLCLatency > 1<<20 || p.MemLatency > 1<<20 {
 		return fmt.Errorf("mrc: implausible latencies %d/%d", p.LLCLatency, p.MemLatency)
 	}
-	if p.Prefetch < 0 || p.Prefetch > MaxPrefetch {
+	if p.Prefetch < 0 || p.Prefetch > cpu.MaxPrefetch {
 		return fmt.Errorf("mrc: prefetch degree %d out of range", p.Prefetch)
 	}
 	if len(p.PerCore) != p.Cores {

@@ -29,7 +29,7 @@ func RefPredict(p *Profile, w WhatIf) (*Prediction, error) {
 		return nil, err
 	}
 	switch strings.ToLower(w.Policy) {
-	case PolicyPart, "":
+	case PolicyPart:
 		alloc := w.Alloc
 		if len(alloc) == 0 {
 			alloc = policy.EvenSplit(p.Cores, p.Ways)
@@ -41,17 +41,10 @@ func RefPredict(p *Profile, w WhatIf) (*Prediction, error) {
 	case PolicyLRU:
 		return refPredictShared(p, PolicyLRU, 0), nil
 	case PolicyNUcache:
-		d := w.DeliWays
-		switch {
-		case d < 0:
-			d = 0
-		case d == 0:
-			d = core.DefaultDeliWays
+		if w.DeliWays < 0 || w.DeliWays >= p.Ways {
+			return nil, fmt.Errorf("mrc: deliways %d out of range", w.DeliWays)
 		}
-		if d > p.Ways-1 {
-			d = p.Ways - 1
-		}
-		return refPredictShared(p, PolicyNUcache, d), nil
+		return refPredictShared(p, PolicyNUcache, w.DeliWays), nil
 	default:
 		return nil, fmt.Errorf("mrc: unknown model policy %q", w.Policy)
 	}
@@ -288,7 +281,7 @@ func RefBestDeliWays(p *Profile) (*Prediction, error) {
 
 // CheckAgainstReference runs both searches and a spread of direct
 // what-ifs on p (even and skewed partitions, shared LRU, NUcache across
-// its splits, clamped and disabled ones included), failing t where an
+// its splits, no DeliWays and out-of-range ones included), failing t where an
 // answer differs from the reference's: a different error state or, as
 // JSON, different bytes.
 func CheckAgainstReference(t *testing.T, label string, p *Profile) {
@@ -330,7 +323,7 @@ func CheckAgainstReference(t *testing.T, label string, p *Profile) {
 	tail := slices.Clone(skewed)
 	tail[0], tail[p.Cores-1] = tail[p.Cores-1], tail[0]
 	whatIfs = append(whatIfs, WhatIf{Policy: PolicyPart, Alloc: skewed}, WhatIf{Policy: PolicyPart, Alloc: tail})
-	for _, d := range []int{-1, 0, 1, 2, 4, 6, 8, p.Ways - 1, p.Ways + 3} {
+	for _, d := range []int{-1, 0, 1, 2, 4, 6, 8, p.Ways - 1, p.Ways, p.Ways + 3} {
 		whatIfs = append(whatIfs, WhatIf{Policy: PolicyNUcache, DeliWays: d})
 	}
 	for _, w := range whatIfs {

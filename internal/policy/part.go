@@ -80,11 +80,6 @@ func NewStaticPart(alloc []int) *StaticPart {
 // Name implements cache.Policy.
 func (*StaticPart) Name() string { return "Part" }
 
-// Allocations returns the per-core way quotas.
-func (p *StaticPart) Allocations() []int {
-	return append([]int(nil), p.alloc...)
-}
-
 // Init implements cache.Policy. Never-filled ways keep stamp 0, so
 // Victim fills them first without a validity scan.
 func (p *StaticPart) Init(sets int) { p.sets = make([]stamps, sets) }

@@ -66,14 +66,11 @@ func (req AdviseRequest) model() string {
 	return strings.ToLower(req.Policy)
 }
 
-// Validate checks a what-if whose profile spec is normalized: the
-// prefetch degree a profile can hold, the one advisor-only rule (the
-// model is "part", "lru" or "nucache"), then Request.Validate on the
-// simulation the what-if maps onto. It resolves the mix once.
+// Validate checks a what-if whose profile spec is normalized: the one
+// advisor-only rule (the model is "part", "lru" or "nucache"), then
+// Request.Validate on the simulation the what-if maps onto. It
+// resolves the mix once.
 func (req AdviseRequest) Validate() error {
-	if req.Prefetch > mrc.MaxPrefetch {
-		return fmt.Errorf("sim: prefetch degree %d above %d", req.Prefetch, mrc.MaxPrefetch)
-	}
 	switch req.model() {
 	case mrc.PolicyPart, mrc.PolicyLRU, mrc.PolicyNUcache:
 		return req.request().Validate()
@@ -94,9 +91,10 @@ func (req AdviseRequest) request() Request {
 // EvaluateAdvise answers the request's what-if against a profile. Pure
 // model evaluation: no simulation, no I/O. Best searches the partition
 // space under "part" and the DeliWays space under "nucache"; each model
-// reads only its own fields.
+// reads only its own fields, and the split is translated once into the
+// literal one the simulation would build.
 func EvaluateAdvise(p *mrc.Profile, req AdviseRequest) (*mrc.Prediction, error) {
-	w := mrc.WhatIf{Policy: req.model(), Alloc: req.Alloc, DeliWays: req.DeliWays}
+	w := mrc.WhatIf{Policy: req.model(), Alloc: req.Alloc, DeliWays: req.request().Normalize().deliWays()}
 	switch {
 	case req.Best && w.Policy == mrc.PolicyPart:
 		return mrc.BestPartition(p)

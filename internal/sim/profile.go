@@ -55,10 +55,10 @@ func (r ProfileRequest) simRequest() Request {
 	}
 }
 
-// Validate checks a normalized profile request by the rules of an LRU
-// what-if on it.
+// Validate checks a normalized profile request by the rules of the
+// simulation it profiles.
 func (r ProfileRequest) Validate() error {
-	return AdviseRequest{ProfileRequest: r, Policy: mrc.PolicyLRU}.Validate()
+	return r.simRequest().Normalize().Validate()
 }
 
 // ResolveMix maps the workload fields to a concrete mix.

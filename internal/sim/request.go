@@ -43,12 +43,12 @@ type Request struct {
 	L2 bool `json:"l2,omitempty"`
 	// DRAM switches to the bank/row-buffer memory model.
 	DRAM bool `json:"dram,omitempty"`
-	// Prefetch is the next-line prefetch degree (0 = off).
+	// Prefetch is the next-line prefetch degree, 0 (off) to cpu.MaxPrefetch.
 	Prefetch int `json:"prefetch,omitempty"`
 	// Alloc is the per-core way allocation for the static "Part"
 	// policy (empty = even split). Invalid with other policies.
 	Alloc []int `json:"alloc,omitempty"`
-	// Warmup excludes each core's first N instructions from statistics.
+	// Warmup excludes each core's first N (< Budget) instructions from statistics.
 	Warmup uint64 `json:"warmup,omitempty"`
 	// TimeoutMS is a serving knob: the per-request deadline override in
 	// milliseconds (0 = the server default). It bounds how long the
@@ -76,9 +76,10 @@ func (r Request) Normalize() Request {
 	return r
 }
 
-// deliWays maps the request encoding (-1 = none) to the config value.
+// deliWays maps the request encoding (-1 = none) to the literal split;
+// other values pass through, so an invalid one stays invalid.
 func (r Request) deliWays() int {
-	if r.DeliWays < 0 {
+	if r.DeliWays == -1 {
 		return 0
 	}
 	return r.DeliWays
@@ -96,9 +97,9 @@ func DeliWaysField(split int) int {
 
 // Validate checks workload and policy names, the machine shape (see
 // checkShape), the deadline and a Part allocation on a normalized
-// request. It is the one rule set for a request's policy fields:
-// AdviseRequest.Validate applies it to the simulation a what-if maps
-// onto.
+// request. It is the one rule set for a request's policy and machine
+// fields: AdviseRequest.Validate applies it to the simulation a what-if
+// maps onto, and ProfileRequest.Validate to the profiling pass's.
 func (r Request) Validate() error {
 	mix, err := r.ResolveMix()
 	if err != nil {
@@ -123,9 +124,9 @@ func (r Request) Validate() error {
 
 // checkShape holds the request rules that need no named mix, for a
 // machine of the given width: the mix width, a known policy, the
-// deliways range, NUcache keeping at least one MainWay and a
-// non-negative prefetch degree. Validate applies it to requests and
-// ExecuteStreams to trace-file replay, which has no mix to resolve.
+// deliways range, NUcache keeping at least one MainWay, the prefetch
+// bound and a warm-up below a positive budget. Validate applies it to
+// requests and ExecuteStreams to trace-file replay, which has no mix.
 func (r Request) checkShape(cores int) error {
 	ways := cpu.DefaultConfig(cores).LLC.Ways
 	if err := checkWidth(cores, ways); err != nil {
@@ -141,8 +142,11 @@ func (r Request) checkShape(cores int) error {
 	if strings.EqualFold(r.Policy, "NUcache") && r.deliWays() >= ways {
 		return fmt.Errorf("sim: deliways %d leaves no main ways in a %d-way LLC", r.DeliWays, ways)
 	}
-	if r.Prefetch < 0 {
-		return fmt.Errorf("sim: negative prefetch degree")
+	if r.Prefetch < 0 || r.Prefetch > cpu.MaxPrefetch {
+		return fmt.Errorf("sim: prefetch degree %d outside [0, %d]", r.Prefetch, cpu.MaxPrefetch)
+	}
+	if r.Budget > 0 && r.Warmup >= r.Budget {
+		return fmt.Errorf("sim: warmup %d not below budget %d", r.Warmup, r.Budget)
 	}
 	return nil
 }

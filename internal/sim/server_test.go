@@ -91,9 +91,10 @@ func TestServerSimRoundTrip(t *testing.T) {
 // TestServerSimRejectsBadRequests: malformed and out-of-range requests
 // answer 400 with kind "invalid" before any job runs, so nothing is
 // retried and no simulation or profile is attempted, even on a server
-// that retries failed jobs. A NUcache split with no MainWays and a
-// prefetch degree the profile format cannot hold are request-shape
-// errors too, not transient failures of the job, and /v1/advise answers
+// that retries failed jobs. A NUcache split with no MainWays, a
+// prefetch degree above cpu.MaxPrefetch and a warm-up that leaves
+// nothing of the budget to measure are request-shape errors too, not
+// transient failures of the job, on every path, and /v1/advise answers
 // an invalid what-if as /v1/sim answers the same policy fields.
 func TestServerSimRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(NewServer(NewSchedulerWith(SchedulerConfig{
@@ -115,6 +116,13 @@ func TestServerSimRejectsBadRequests(t *testing.T) {
 		{"/v1/sweep", `{"mixes":["mix2-01"],"policies":["LRU","NUcache"],"deliways":16}`},
 		{"/v1/profile", `{"bench":"art-like","prefetch":65,"budget":20000}`},
 		{"/v1/advise", `{"bench":"art-like","prefetch":65,"budget":20000,"best":true}`},
+		// Every path holds the machine fields to one bound: a prefetch
+		// degree of at most cpu.MaxPrefetch and a warm-up below the
+		// budget.
+		{"/v1/sim", `{"bench":"art-like","prefetch":65,"budget":20000}`},
+		{"/v1/sweep", `{"mixes":["mix2-01"],"policies":["LRU"],"prefetch":65,"budget":20000}`},
+		{"/v1/sim", `{"bench":"art-like","warmup":20000,"budget":20000}`},
+		{"/v1/profile", `{"bench":"art-like","warmup":20000,"budget":20000}`},
 		// A what-if's policy fields obey /v1/sim's rules for the
 		// simulation it maps onto, and the model is part, lru or nucache.
 		{"/v1/advise", `{"mix":"mix2-01","alloc":[1,2],"budget":20000}`},
@@ -134,11 +142,17 @@ func TestServerSimRejectsBadRequests(t *testing.T) {
 	if ran := jobs() - before; ran != 0 {
 		t.Errorf("rejected requests ran or retried %d jobs", ran)
 	}
-	// Only NUcache reads deliways; other policies still simulate.
-	resp := postJSON(t, ts.URL+"/v1/sim", `{"bench":"art-like","policy":"LRU","deliways":16,"budget":20000}`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("LRU with deliways 16: status %d", resp.StatusCode)
+	// Only NUcache reads deliways; other policies still simulate, and
+	// so does the largest prefetch degree.
+	for _, body := range []string{
+		`{"bench":"art-like","policy":"LRU","deliways":16,"budget":20000}`,
+		`{"bench":"art-like","prefetch":64,"budget":20000}`,
+	} {
+		resp := postJSON(t, ts.URL+"/v1/sim", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d", body, resp.StatusCode)
+		}
 	}
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/v1/sim")

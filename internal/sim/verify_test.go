@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
+	"nucache/internal/core"
 	"nucache/internal/mrc"
 )
 
@@ -47,5 +49,28 @@ func TestVerifyRequestKeys(t *testing.T) {
 				t.Errorf("verify key %s, pinned %s", got.Key(), tc.key)
 			}
 		})
+	}
+}
+
+// TestEvaluateAdviseTranslatesSplit: EvaluateAdvise hands mrc the
+// literal split the simulation would build from the request's deliways
+// field (0 = the default, -1 = none), and a field the simulation would
+// refuse stays an error, not a clamp or a default.
+func TestEvaluateAdviseTranslatesSplit(t *testing.T) {
+	pr := ProfileRequest{Bench: "art-like", Budget: 20_000, Seed: 3}
+	p, err := ExecuteProfile(context.Background(), pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ field, split int }{{0, core.DefaultDeliWays}, {-1, 0}, {4, 4}, {15, 15}} {
+		pred, err := EvaluateAdvise(p, AdviseRequest{ProfileRequest: pr, Policy: mrc.PolicyNUcache, DeliWays: tc.field})
+		if err != nil || pred.DeliWays != tc.split {
+			t.Errorf("deliways %d: prediction %+v, error %v; want split %d", tc.field, pred, err, tc.split)
+		}
+	}
+	for _, field := range []int{-7, 16} {
+		if pred, err := EvaluateAdvise(p, AdviseRequest{ProfileRequest: pr, Policy: mrc.PolicyNUcache, DeliWays: field}); err == nil {
+			t.Errorf("deliways %d answered split %d, want an error", field, pred.DeliWays)
+		}
 	}
 }
