@@ -122,28 +122,24 @@ func TestPoliciesNeverCorruptOccupancy(t *testing.T) {
 	}
 }
 
-// hammer runs accesses requests from cores cores through a 16-set cache
-// of the given associativity under p and checks its invariants. Fewer
-// than about 3,000 accesses per way can leave a line PIPP keeps
-// promoting in its way for the whole run.
-func hammer(t *testing.T, p cache.Policy, ways, cores, accesses int) {
-	t.Helper()
-	const sets = 16
-	c := cache.New(cache.Config{
-		Name: p.Name(), SizeBytes: sets * ways * 64, Ways: ways,
-		LineBytes: 64, Cores: cores,
-	}, p)
+// hammerSets is the set count of every cache hammer and
+// TestPolicyDecisionsPinned build.
+const hammerSets = 16
+
+// hammerTraffic returns hammer's adversarial request stream: accesses
+// requests from cores cores, mixing per-core hot regions, shared-set
+// conflicts, streams and random lines, 30% of them stores.
+func hammerTraffic(cores, accesses int) []cache.Request {
 	rng := stats.NewRNG(99)
-	var hits uint64
-	evicted := make([]bool, ways) // some set evicted a line from way w
-	for i := 0; i < accesses; i++ {
+	reqs := make([]cache.Request, accesses)
+	for i := range reqs {
 		core := rng.Intn(cores)
 		var addr uint64
 		switch rng.Intn(4) {
 		case 0: // per-core hot region
 			addr = uint64(core)<<40 | uint64(rng.Intn(256))*64
 		case 1: // shared-set conflict traffic
-			addr = uint64(core)<<40 | uint64(rng.Intn(8))*uint64(sets)*64
+			addr = uint64(core)<<40 | uint64(rng.Intn(8))*hammerSets*64
 		case 2: // stream
 			addr = uint64(core)<<40 | uint64(i)*64
 		default:
@@ -153,7 +149,33 @@ func hammer(t *testing.T, p cache.Policy, ways, cores, accesses int) {
 		if rng.Bool(0.3) {
 			kind = trace.Store
 		}
-		r := c.Access(&cache.Request{Addr: addr, PC: uint64(i % 13), Core: core, Kind: kind})
+		reqs[i] = cache.Request{Addr: addr, PC: uint64(i % 13), Core: core, Kind: kind}
+	}
+	return reqs
+}
+
+// hammerCache builds the 16-set cache of the given associativity that
+// hammer and TestPolicyDecisionsPinned run p in.
+func hammerCache(p cache.Policy, ways, cores int) *cache.Cache {
+	return cache.New(cache.Config{
+		Name: p.Name(), SizeBytes: hammerSets * ways * 64, Ways: ways,
+		LineBytes: 64, Cores: cores,
+	}, p)
+}
+
+// hammer runs accesses requests from cores cores through a 16-set cache
+// of the given associativity under p and checks its invariants. Fewer
+// than about 3,000 accesses per way can leave a line PIPP keeps
+// promoting in its way for the whole run.
+func hammer(t *testing.T, p cache.Policy, ways, cores, accesses int) {
+	t.Helper()
+	const sets = hammerSets
+	c := hammerCache(p, ways, cores)
+	var hits uint64
+	evicted := make([]bool, ways) // some set evicted a line from way w
+	for _, req := range hammerTraffic(cores, accesses) {
+		addr := req.Addr
+		r := c.Access(&req)
 		if r.Hit {
 			hits++
 		} else if r.EvictedValid() {
@@ -191,25 +213,35 @@ func hammer(t *testing.T, p cache.Policy, ways, cores, accesses int) {
 }
 
 // TestLLCConstructionAllocsFlat: building an LLC under each lineup
-// policy allocates as many objects at 1 MB as at 4 MB. Policies keep
+// policy at 8 cores, and under Part at 4 (one recency list per set and
+// core), allocates as many objects at 1 MB as at 4 MB. Policies keep
 // their per-set state in one slice each, never an object per set. The
 // collector is off while counting: a cycle's own background allocations
 // would otherwise land in the count of whichever build triggered it.
 func TestLLCConstructionAllocsFlat(t *testing.T) {
-	const ways, cores = 16, 8
+	const ways = 16
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	type build struct {
+		name  string
+		cores int
+	}
+	var builds []build
 	for _, name := range sim.Lineup() {
+		builds = append(builds, build{name, 8})
+	}
+	builds = append(builds, build{"Part", 4})
+	for _, b := range builds {
 		allocs := func(size int) float64 {
 			return testing.AllocsPerRun(2, func() {
-				p, err := sim.BuildPolicy(name, cores, ways, core.DefaultDeliWays)
+				p, err := sim.BuildPolicy(b.name, b.cores, ways, core.DefaultDeliWays)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cache.New(cache.Config{Name: "LLC", SizeBytes: size, Ways: ways, LineBytes: 64, Cores: cores}, p)
+				cache.New(cache.Config{Name: "LLC", SizeBytes: size, Ways: ways, LineBytes: 64, Cores: b.cores}, p)
 			})
 		}
 		if small, large := allocs(1<<20), allocs(4<<20); small != large {
-			t.Errorf("%s: building a 1 MB LLC allocates %.0f objects, a 4 MB one %.0f", name, small, large)
+			t.Errorf("%s at %d cores: building a 1 MB LLC allocates %.0f objects, a 4 MB one %.0f", b.name, b.cores, small, large)
 		}
 	}
 }
