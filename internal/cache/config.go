@@ -14,8 +14,9 @@ import "fmt"
 
 // MaxWays is the widest associativity the model supports: every LLC the
 // simulator builds is 16-way, and policies keep fixed-size per-set state
-// (WayList, recency stamps, per-core counts) of MaxWays entries. Config,
-// core.New and the MRC profile reject anything wider.
+// (WayList recency lists, which pack each way index into 4 bits, and
+// per-core counts) of MaxWays entries. Config, core.New and the MRC
+// profile reject anything wider.
 const MaxWays = 16
 
 // Config describes a cache's geometry and identity.

@@ -54,9 +54,11 @@ func (s *Set) Lookup(tag uint64) int {
 	return -1
 }
 
-// WayList is an ordered list of at most MaxWays way indices, the
-// building block for recency stacks (UCP, SLRU), priority lists (PIPP)
-// and FIFO regions (NUcache DeliWays). Position 0 is the "front" — by
+// WayList is an ordered list of at most MaxWays way indices, the one
+// recency representation of every LLC policy: the LRU stacks of LRU,
+// DIP/TADIP, Part (one per set and core), UCP, SLRU, OracleRetention and
+// NUcache's MainWays, PIPP's priority lists, and the FIFO DeliWays of
+// NUcache and OracleRetention. Position 0 is the "front" — by
 // convention the MRU or highest-priority end; the back is the victim end.
 // It is a value with no pointers, so a policy's per-set state holds its
 // lists inline; the zero value is an empty list.
@@ -64,15 +66,32 @@ func (s *Set) Lookup(tag uint64) int {
 // A WayList never contains duplicates; all mutators preserve that
 // invariant given distinct inputs.
 type WayList struct {
-	ways [MaxWays]int8
+	// ways holds position i's way in bits [4i, 4i+4): a way index below
+	// MaxWays = 16 fits a nibble, so every splice is a shift and a mask,
+	// never a copy. Nibbles at positions Len() and up are zero.
+	ways uint64
 	n    uint8
 }
+
+// nibbles repeats a nibble across a word.
+const nibbles = 0x1111111111111111
+
+const _ uint = 16 - MaxWays // fails to compile if a way outgrows a nibble
+
+// below returns the mask of positions [0, i).
+func below(i int) uint64 { return uint64(1)<<(4*uint(i)) - 1 }
 
 // Len returns the number of entries.
 func (l *WayList) Len() int { return int(l.n) }
 
-// At returns the way at position i (0 = front).
-func (l *WayList) At(i int) int { return int(l.ways[:l.n][i]) }
+// At returns the way at position i (0 = front); panics if i is out of
+// range.
+func (l *WayList) At(i int) int {
+	if uint(i) >= uint(l.n) {
+		panic("cache: WayList index out of range")
+	}
+	return int(l.ways >> (4 * uint(i)) & 0xF)
+}
 
 // Front returns the way at the front; panics if empty.
 func (l *WayList) Front() int { return l.At(0) }
@@ -82,33 +101,34 @@ func (l *WayList) Back() int { return l.At(int(l.n) - 1) }
 
 // PushFront inserts way at the front (MRU position).
 func (l *WayList) PushFront(way int) {
-	copy(l.ways[1:l.n+1], l.ways[:l.n])
-	l.ways[0] = int8(way)
+	l.ways = l.ways<<4 | uint64(way)
 	l.n++
 }
 
 // PushBack inserts way at the back (LRU position).
 func (l *WayList) PushBack(way int) {
-	l.ways[l.n] = int8(way)
+	l.ways |= uint64(way) << (4 * uint(l.n))
 	l.n++
 }
 
 // InsertAt places way so that it ends up at position pos from the front
 // (pos clamped to [0, Len()]).
 func (l *WayList) InsertAt(pos, way int) {
-	n := int(l.n)
-	pos = max(0, min(pos, n))
-	copy(l.ways[pos+1:n+1], l.ways[pos:n])
-	l.ways[pos] = int8(way)
+	pos = max(0, min(pos, int(l.n)))
+	m := below(pos)
+	l.ways = l.ways&m | (l.ways&^m)<<4 | uint64(way)<<(4*uint(pos))
 	l.n++
 }
 
 // IndexOf returns the position of way, or -1.
 func (l *WayList) IndexOf(way int) int {
-	for i, w := range l.ways[:l.n] {
-		if int(w) == way {
-			return i
-		}
+	// A nibble of x is zero where the list holds way. The lowest flag of
+	// the zero-nibble test is exact; a borrow can only flag nibbles above
+	// a true zero, and those past Len() are not entries.
+	x := l.ways ^ uint64(way)*nibbles
+	z := (x - nibbles) &^ x & (nibbles << 3)
+	if i := bits.TrailingZeros64(z) / 4; i < int(l.n) {
+		return i
 	}
 	return -1
 }
@@ -125,7 +145,8 @@ func (l *WayList) Remove(way int) bool {
 
 // RemoveAt deletes the entry at position i.
 func (l *WayList) RemoveAt(i int) {
-	copy(l.ways[i:l.n], l.ways[i+1:l.n])
+	m := below(i)
+	l.ways = l.ways&m | l.ways>>4&^m
 	l.n--
 }
 
@@ -133,13 +154,15 @@ func (l *WayList) RemoveAt(i int) {
 func (l *WayList) PopBack() int {
 	w := l.Back()
 	l.n--
+	l.ways &= below(int(l.n))
 	return w
 }
 
 // PopFront removes and returns the front entry; panics if empty.
 func (l *WayList) PopFront() int {
 	w := l.Front()
-	l.RemoveAt(0)
+	l.ways >>= 4
+	l.n--
 	return w
 }
 
@@ -149,8 +172,8 @@ func (l *WayList) MoveToFront(way int) {
 	if i < 0 {
 		panic("cache: MoveToFront of absent way")
 	}
-	l.RemoveAt(i)
-	l.PushFront(way)
+	m := below(i)
+	l.ways = l.ways&^(m<<4|0xF) | (l.ways&m)<<4 | uint64(way)
 }
 
 // MoveUp swaps way one position toward the front (no-op at the front).
@@ -160,8 +183,10 @@ func (l *WayList) MoveUp(way int) bool {
 	if i < 0 {
 		return false
 	}
-	if i > 0 {
-		l.ways[i], l.ways[i-1] = l.ways[i-1], l.ways[i]
+	if i > 0 { // swap the nibbles at i-1 and i by XOR
+		sh := 4 * uint(i-1)
+		d := (l.ways>>sh ^ l.ways>>(sh+4)) & 0xF
+		l.ways ^= (d | d<<4) << sh
 	}
 	return true
 }

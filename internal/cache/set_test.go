@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -144,6 +145,94 @@ func TestWayListNoDuplicatesProperty(t *testing.T) {
 		}
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWayListMatchesSliceModel: random sequences of every mutator keep
+// a WayList equal, position for position, to a plain slice doing the
+// same splices, and IndexOf finds each of the 16 way indices exactly
+// where the slice holds it (or nowhere). The nibble packing is all
+// shifts and masks, so this pins its arithmetic at every length,
+// including way 0 beside the zero nibbles past the end.
+func TestWayListMatchesSliceModel(t *testing.T) {
+	if err := quick.Check(func(ops [200]uint16) bool {
+		var l WayList
+		var ref []int
+		absent := func(way int) bool { return !slices.Contains(ref, way) }
+		// Start from 0 to 16 entries (5 is coprime with 16, so the ways
+		// are distinct): random operations alone seldom fill a list.
+		for i := range int(ops[0] % (MaxWays + 1)) {
+			w := (5*i + int(ops[1])) % MaxWays
+			l.PushBack(w)
+			ref = append(ref, w)
+		}
+		for _, op := range ops[2:] {
+			way, pos := int(op%MaxWays), int(op/MaxWays%(MaxWays+2))-1
+			switch op / (MaxWays * (MaxWays + 2)) % 8 {
+			case 0:
+				if absent(way) {
+					l.PushFront(way)
+					ref = slices.Insert(ref, 0, way)
+				}
+			case 1:
+				if absent(way) {
+					l.PushBack(way)
+					ref = append(ref, way)
+				}
+			case 2:
+				if absent(way) {
+					l.InsertAt(pos, way)
+					ref = slices.Insert(ref, max(0, min(pos, len(ref))), way)
+				}
+			case 3:
+				if l.Remove(way) != !absent(way) {
+					return false
+				}
+				ref = slices.DeleteFunc(ref, func(w int) bool { return w == way })
+			case 4:
+				if !absent(way) {
+					l.MoveToFront(way)
+					i := slices.Index(ref, way)
+					ref = slices.Insert(slices.Delete(ref, i, i+1), 0, way)
+				}
+			case 5:
+				if i := slices.Index(ref, way); l.MoveUp(way) != (i >= 0) {
+					return false
+				} else if i > 0 {
+					ref[i-1], ref[i] = ref[i], ref[i-1]
+				}
+			case 6:
+				if len(ref) > 0 {
+					if l.PopBack() != ref[len(ref)-1] {
+						return false
+					}
+					ref = ref[:len(ref)-1]
+				}
+			case 7:
+				if len(ref) > 0 {
+					if l.PopFront() != ref[0] {
+						return false
+					}
+					ref = ref[1:]
+				}
+			}
+			if l.Len() != len(ref) {
+				return false
+			}
+			for i, w := range ref {
+				if l.At(i) != w {
+					return false
+				}
+			}
+			for w := 0; w < MaxWays; w++ {
+				if l.IndexOf(w) != slices.Index(ref, w) {
+					return false
+				}
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

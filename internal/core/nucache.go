@@ -115,10 +115,8 @@ func (p *NUcache) ObserveAccess(setIndex int, tag uint64, _ *cache.Request) {
 // line into the freed FIFO slot.
 func (p *NUcache) OnHit(set *cache.Set, way int, _ *cache.Request) {
 	st := &p.sets[set.Index()]
-	if mi := st.main.IndexOf(way); mi >= 0 {
-		// Inline MoveToFront: one scan instead of Contains + IndexOf.
-		st.main.RemoveAt(mi)
-		st.main.PushFront(way)
+	if st.main.Contains(way) {
+		st.main.MoveToFront(way)
 		return
 	}
 	// Every valid way is in exactly one list, so a hit outside the

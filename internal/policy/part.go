@@ -17,7 +17,10 @@ import (
 type StaticPart struct {
 	alloc []int
 	start []int
-	sets  []stamps
+	owner [cache.MaxWays]uint8 // the core whose range holds each way
+	// lists holds each (set, core) range's valid ways, front = MRU, at
+	// set*len(alloc)+core: one slice for the whole cache.
+	lists []cache.WayList
 }
 
 // EvenSplit returns the canonical even allocation of ways among cores
@@ -68,11 +71,14 @@ func NewStaticPart(alloc []int) *StaticPart {
 		if a < 1 {
 			panic(fmt.Sprintf("policy: StaticPart core %d allocated %d ways", i, a))
 		}
+		if ways+a > cache.MaxWays {
+			panic(fmt.Sprintf("policy: StaticPart over %d ways", cache.MaxWays))
+		}
 		p.start[i] = ways
-		ways += a
-	}
-	if ways > cache.MaxWays {
-		panic(fmt.Sprintf("policy: StaticPart over %d ways", ways))
+		for ; a > 0; a-- {
+			p.owner[ways] = uint8(i)
+			ways++
+		}
 	}
 	return p
 }
@@ -80,22 +86,32 @@ func NewStaticPart(alloc []int) *StaticPart {
 // Name implements cache.Policy.
 func (*StaticPart) Name() string { return "Part" }
 
-// Init implements cache.Policy. Never-filled ways keep stamp 0, so
-// Victim fills them first without a validity scan.
-func (p *StaticPart) Init(sets int) { p.sets = make([]stamps, sets) }
+// Init implements cache.Policy.
+func (p *StaticPart) Init(sets int) { p.lists = make([]cache.WayList, sets*len(p.alloc)) }
 
 // OnHit implements cache.Policy.
 func (p *StaticPart) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	p.sets[set.Index()].touch(way)
+	p.lists[set.Index()*len(p.alloc)+int(p.owner[way])].MoveToFront(way)
 }
 
 // Victim implements cache.Policy: LRU within the issuing core's range.
+// No line is ever invalidated, so a range fills in way order: while it
+// is filling, the next way after its valid ones is free.
 func (p *StaticPart) Victim(set *cache.Set, req *cache.Request) int {
 	core := clampCore(req.Core, len(p.alloc))
-	return p.sets[set.Index()].oldest(p.start[core], p.start[core]+p.alloc[core])
+	l := &p.lists[set.Index()*len(p.alloc)+core]
+	if l.Len() < p.alloc[core] {
+		return p.start[core] + l.Len()
+	}
+	return l.Back()
 }
 
-// OnInsert implements cache.Policy.
+// OnInsert implements cache.Policy. A full range's victim was its back.
 func (p *StaticPart) OnInsert(set *cache.Set, way int, _ *cache.Request) {
-	p.sets[set.Index()].touch(way)
+	core := int(p.owner[way])
+	l := &p.lists[set.Index()*len(p.alloc)+core]
+	if l.Len() == p.alloc[core] {
+		l.PopBack()
+	}
+	l.PushFront(way)
 }

@@ -15,7 +15,7 @@ type TADIP struct {
 	threads int
 	rng     *stats.RNG
 	psels   []psel
-	sets    []tadipState
+	sets    []cache.WayList // per set, every valid way, front = MRU
 }
 
 // NewTADIP returns a TADIP policy for the given thread (core) count.
@@ -44,28 +44,8 @@ func (p *TADIP) Name() string {
 	return "TADIP"
 }
 
-// tadipTickBase splits the stamp space: MRU touches count up from it,
-// LRU (BIP) insertions count down from it. Both move at most once per
-// LLC access, so neither side can cross into the other within a run.
-const tadipTickBase = 1 << 40
-
-// tadipState is the set's stamp recency plus the BIP stamp: a BIP
-// insertion "at the LRU end" takes a stamp below every live one, and
-// successive BIP insertions take decreasing stamps, preserving the stack
-// order where the most recent LRU-insert is evicted first.
-type tadipState struct {
-	stamps        // MRU touches count up from tadipTickBase
-	low    uint64 // last LRU stamp handed out (counts down)
-}
-
 // Init implements cache.Policy.
-func (p *TADIP) Init(sets int) {
-	p.sets = make([]tadipState, sets)
-	for i := range p.sets {
-		p.sets[i].tick = tadipTickBase
-		p.sets[i].low = tadipTickBase
-	}
-}
+func (p *TADIP) Init(sets int) { p.sets = make([]cache.WayList, sets) }
 
 // duel returns the thread whose duel setIndex leads (-1: none, a
 // follower set for every thread) and its role in that duel: leaderA
@@ -80,7 +60,7 @@ func (p *TADIP) duel(setIndex int) (owner int, role duelRole) {
 
 // OnHit implements cache.Policy.
 func (p *TADIP) OnHit(set *cache.Set, way int, _ *cache.Request) {
-	p.sets[set.Index()].touch(way)
+	p.sets[set.Index()].MoveToFront(way)
 }
 
 // Victim implements cache.Policy.
@@ -97,23 +77,23 @@ func (p *TADIP) Victim(set *cache.Set, req *cache.Request) int {
 	if inv := set.FindInvalid(); inv >= 0 {
 		return inv
 	}
-	return p.sets[set.Index()].oldest(0, len(set.Lines))
+	return p.sets[set.Index()].Back()
 }
 
 // OnInsert implements cache.Policy.
 func (p *TADIP) OnInsert(set *cache.Set, way int, req *cache.Request) {
 	st := &p.sets[set.Index()]
 	thread := clampCore(req.Core, p.threads)
-	useBIP := false
+	useBIP := p.psels[thread].useB()
 	if owner, role := p.duel(set.Index()); owner == thread {
 		useBIP = role == leaderB
-	} else {
-		useBIP = p.psels[thread].useB()
+	}
+	if st.Len() == len(set.Lines) {
+		st.PopBack() // a full set's victim is its back, as in LRU
 	}
 	if useBIP && !p.rng.Bool(brripEpsilon) {
-		st.low-- // LRU insertion: next victim unless reused
-		st.last[way] = st.low
+		st.PushBack(way) // LRU insertion: next victim unless reused
 	} else {
-		st.touch(way)
+		st.PushFront(way)
 	}
 }
