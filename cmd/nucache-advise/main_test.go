@@ -100,15 +100,16 @@ func TestAdviseNUcacheBest(t *testing.T) {
 }
 
 // TestAdviseRejectsBadAlloc: an allocation that does not fill the LLC,
-// and the other invalid what-ifs /v1/advise rejects, exit 2 before the
-// mix is profiled: the profile build's failpoint, armed to exit, never
-// fires.
+// the other invalid what-ifs /v1/advise rejects, and a budget above
+// sim.MaxBudget exit 2 before the mix is profiled: the profile build's
+// failpoint, armed to exit, never fires.
 func TestAdviseRejectsBadAlloc(t *testing.T) {
 	for _, args := range [][]string{
 		{"-alloc", "3,2"},
 		{"-policy", "lru", "-alloc", "8,8"},
 		{"-policy", "nucache", "-deliways", "16"},
 		{"-policy", "ucp"},
+		{"-budget", "50000001"},
 	} {
 		_, errOut, err := runMainEnv(t, []string{failpoint.EnvVar + "=mrc.profile.build=exit"}, adviseArgs(args...)...)
 		var exit *exec.ExitError

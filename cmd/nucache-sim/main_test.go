@@ -178,6 +178,7 @@ func TestReplayKeepsShapeRules(t *testing.T) {
 		{"-policy", "NUcache", "-deliways", "-5"},
 		{"-policy", "NUcache", "-deliways", "16"},
 		{"-budget", "20000", "-warmup", "20000"},
+		{"-budget", "50000001"},
 	} {
 		_, benchErr, err := runMain(t, append([]string{"-bench", "art-like"}, flags...)...)
 		var exit *exec.ExitError

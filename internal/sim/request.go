@@ -19,6 +19,13 @@ import (
 // and the commands' flags.
 const DefaultBudget, DefaultSeed = 5_000_000, 1
 
+// MaxBudget bounds a request's per-core instruction budget, and so the
+// work one request can start: a run's time grows linearly with its
+// budget, and an abandoned run holds its CPU until it finishes. No
+// program or benchmark sends more than DefaultBudget.
+// nucache-bench -budget is not a request and is not bounded.
+const MaxBudget = 10 * DefaultBudget
+
 // Request declaratively describes one simulation: a workload (exactly one
 // of Bench, Mix or Members), a shared-LLC policy, and the machine knobs
 // that affect the outcome. The zero value of every optional field means
@@ -32,7 +39,7 @@ type Request struct {
 	Members []string `json:"members,omitempty"`
 	// Policy is the LLC policy name (see Policies); default "NUcache".
 	Policy string `json:"policy,omitempty"`
-	// Budget is the per-core instruction budget (0 = 5M).
+	// Budget is the per-core instruction budget (0 = 5M, at most MaxBudget).
 	Budget uint64 `json:"budget,omitempty"`
 	// Seed drives the workload generators (0 = 1).
 	Seed uint64 `json:"seed,omitempty"`
@@ -125,7 +132,8 @@ func (r Request) Validate() error {
 // checkShape holds the request rules that need no named mix, for a
 // machine of the given width: the mix width, a known policy, the
 // deliways range, NUcache keeping at least one MainWay, the prefetch
-// bound and a warm-up below a positive budget. Validate applies it to
+// bound, a budget of at most MaxBudget and a warm-up below a positive
+// budget. Validate applies it to
 // requests and ExecuteStreams to trace-file replay, which has no mix.
 func (r Request) checkShape(cores int) error {
 	ways := cpu.DefaultConfig(cores).LLC.Ways
@@ -144,6 +152,9 @@ func (r Request) checkShape(cores int) error {
 	}
 	if r.Prefetch < 0 || r.Prefetch > cpu.MaxPrefetch {
 		return fmt.Errorf("sim: prefetch degree %d outside [0, %d]", r.Prefetch, cpu.MaxPrefetch)
+	}
+	if r.Budget > MaxBudget {
+		return fmt.Errorf("sim: budget %d above the bound of %d instructions per core", r.Budget, MaxBudget)
 	}
 	if r.Budget > 0 && r.Warmup >= r.Budget {
 		return fmt.Errorf("sim: warmup %d not below budget %d", r.Warmup, r.Budget)

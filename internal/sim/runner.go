@@ -17,8 +17,11 @@ import (
 
 // Execute runs one simulation synchronously and returns its structured
 // result. Cancellation is honored before the run starts; an in-flight
-// simulation runs to completion (the machine model has no preemption
-// points, and runs at experiment budgets finish in well under a second).
+// simulation runs to completion, since the machine model has no
+// preemption points. Its work grows linearly with the budget, which
+// Validate bounds by MaxBudget: an 8-core NUcache mix took 1.7 s at 2M
+// instructions per core and 20 s at 20M on a 2-vCPU Xeon, so one at
+// MaxBudget can hold a CPU for about a minute.
 func Execute(ctx context.Context, req Request) (*Result, error) {
 	req = req.Normalize()
 	if err := req.Validate(); err != nil {

@@ -123,6 +123,11 @@ func TestServerSimRejectsBadRequests(t *testing.T) {
 		{"/v1/sweep", `{"mixes":["mix2-01"],"policies":["LRU"],"prefetch":65,"budget":20000}`},
 		{"/v1/sim", `{"bench":"art-like","warmup":20000,"budget":20000}`},
 		{"/v1/profile", `{"bench":"art-like","warmup":20000,"budget":20000}`},
+		// A budget above MaxBudget would start unbounded work.
+		{"/v1/sim", `{"bench":"art-like","budget":50000001}`},
+		{"/v1/sweep", `{"mixes":["mix2-01"],"policies":["LRU"],"budget":50000001}`},
+		{"/v1/profile", `{"bench":"art-like","budget":50000001}`},
+		{"/v1/advise", `{"bench":"art-like","budget":50000001,"best":true}`},
 		// A what-if's policy fields obey /v1/sim's rules for the
 		// simulation it maps onto, and the model is part, lru or nucache.
 		{"/v1/advise", `{"mix":"mix2-01","alloc":[1,2],"budget":20000}`},
