@@ -89,13 +89,12 @@ func TestPolicyDecisionsPinned(t *testing.T) {
 				}
 				c := hammerCache(p, ways, cores)
 				for _, req := range reqs {
-					addr := req.Addr
 					r := c.Access(&req)
 					rec[0] = 0
 					if r.Hit {
 						rec[0] = 1
 					}
-					way := c.Set(c.SetIndex(addr)).Lookup(c.Tag(addr))
+					way := c.Set(c.SetIndex(req.Addr)).Lookup(c.Tag(req.Addr))
 					binary.LittleEndian.PutUint64(rec[1:], uint64(way))
 					binary.LittleEndian.PutUint64(rec[9:], r.EvictedTag)
 					h.Write(rec[:])

@@ -169,21 +169,19 @@ func hammerCache(p cache.Policy, ways, cores int) *cache.Cache {
 // promoting in its way for the whole run.
 func hammer(t *testing.T, p cache.Policy, ways, cores, accesses int) {
 	t.Helper()
-	const sets = hammerSets
 	c := hammerCache(p, ways, cores)
 	var hits uint64
 	evicted := make([]bool, ways) // some set evicted a line from way w
 	for _, req := range hammerTraffic(cores, accesses) {
-		addr := req.Addr
 		r := c.Access(&req)
 		if r.Hit {
 			hits++
 		} else if r.EvictedValid() {
-			evicted[c.Set(c.SetIndex(addr)).Lookup(c.Tag(addr))] = true
+			evicted[c.Set(c.SetIndex(req.Addr)).Lookup(c.Tag(req.Addr))] = true
 		}
 	}
-	if got := c.Occupancy(); got != sets*ways {
-		t.Fatalf("%d ways: occupancy %d, want a full cache of %d lines", ways, got, sets*ways)
+	if got := c.Occupancy(); got != hammerSets*ways {
+		t.Fatalf("%d ways: occupancy %d, want a full cache of %d lines", ways, got, hammerSets*ways)
 	}
 	for w, ok := range evicted {
 		if !ok {
